@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """rayindex benchmark: one workload per invocation.
 
-    python3 perfbench/run.py --workload serve_hot --seed 1 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload serve_hot --seed 1 --seconds 5 --trace 0
 
 Run from the root of a checkout of the repository; the engine package is
 imported from there, and every file the run writes stays under
@@ -60,7 +60,8 @@ def main() -> int:
 
     from perfbench.harness import Bench
 
-    # a terminated run still stops the Ray processes it started (finally below)
+    # a terminated run still stops the Ray processes it started (finally
+    # below; ray.init installs a SIGTERM handler of the same kind)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     bench = Bench(root, args.workload, args.seed, args.seconds, bool(args.trace))
     bench.mark("start")
@@ -76,7 +77,10 @@ def main() -> int:
             layers["build.segments_rewritten_ratio"] = _mean(bench.samples["segments_rewritten_ratio"])
             layers.update({k: v for k, v in bench.extra.items() if k in layer_units})
     finally:
+        # a second SIGTERM must not cut the shutdown short
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         bench.close()
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     bench.extra["steal_s"] = bench.stolen()
 
     if bench.trace:
@@ -93,9 +97,13 @@ def main() -> int:
     failed = len(bench.failures)
     print(f"{args.workload} failed_frac {failed / max(1, bench.attempted):.6g} ({failed}/{bench.attempted})")
     if bench.trace:
+        covered = sum(layers[m] for m in set(tracing.TOPK_SELF.values()))
+        topk = layers["_topk_busy_s"]
         print(
-            f"{args.workload} trace: topk {layers['_topk_busy_s']:.6g} s, self times under topk "
-            f"sum to {layers['_topk_self_sum_s']:.6g} s over {layers['_spans']} spans"
+            f"{args.workload} trace: topk {topk:.6g} s; the query-path figures "
+            f"({', '.join(sorted(set(tracing.TOPK_SELF.values())))}) sum to {covered:.6g} s "
+            f"({covered / topk if topk else 0:.4f} of it); spans under topk that none covers: "
+            f"{layers['_topk_unaccounted_s']:.6g} s; {layers['_spans']} spans"
         )
     for msg in bench.failures[:20]:
         print(f"{args.workload} FAILED {msg}")

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Run one workload as two sets of runs and report whether they agree.
 
-    python3 perfbench/sets.py --workload serve_hot --runs 10 [--sets 2]
-        [--first-seed 1] [--seconds N] [--trace 0]
+    python3 perfbench/sets.py --workload serve_hot [--runs 10] [--first-seed 1]
 
-Each set runs ``perfbench/run.py`` once per seed (``first-seed`` onward, the
-same seeds in every set), each run in its own process, from the current
-directory (the root of a checkout). Per metric it prints each set's median,
-first and third quartiles and spread ((q3 - q1) / median), and whether
-the sets agree within the metric's bound from BENCHMARK.json:
+Each of the two sets runs ``perfbench/run.py`` once per seed (``first-seed``
+onward, the same seeds in both sets) for BENCHMARK.json's ``run_seconds``,
+each run in its own process, from the current directory (the root of a
+checkout). Per end-to-end metric it prints each set's median, first and
+third quartiles and spread ((q3 - q1) / median), and whether the sets
+agree within the metric's bound from BENCHMARK.json:
 
-- every spread except that of ``setup_s`` is within the bound, and
-- the last set's median is not worse than the first set's by more than
+- every spread is within the bound, and
+- the second set's median is not worse than the first set's by more than
   the bound, in the metric's ``better`` direction.
 
 It also flags spreads above a third of the bound, the margin a steady
@@ -30,10 +30,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def _run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _run(workload: str, seed: int, seconds: int) -> dict:
     cmd = [
         sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     p = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     if p.returncode != 0:
@@ -51,23 +51,19 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
 
     with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    metrics = spec["end_to_end"]
 
     sets: list[dict[str, list[float]]] = []
     failed = 0
-    for s in range(args.sets):
+    for s in range(2):
         vals: dict[str, list[float]] = {m["name"]: [] for m in metrics}
         for seed in range(args.first_seed, args.first_seed + args.runs):
-            out = _run(args.workload, seed, seconds, args.trace)
+            out = _run(args.workload, seed, spec["run_seconds"])
             failed += out["failed"]
             for name in vals:
                 vals[name].append(out["metrics"][name]["value"])
@@ -76,26 +72,21 @@ def main() -> int:
         sets.append(vals)
 
     verdict = {"workload": args.workload, "failed": failed, "agree": failed == 0, "metrics": {}}
-    print(f"\n{'metric':28} " + " ".join(f"{'set ' + str(i + 1) + ' median [q1, q3] spread':>44}" for i in range(args.sets)) + "  bound  ok")
+    print(f"\n{'metric':28} " + " ".join(f"{'set ' + str(i + 1) + ' median [q1, q3] spread':>44}" for i in range(2)) + "  bound  ok")
     for m in metrics:
-        name, bound = m["name"], m.get("bound")
+        name, bound = m["name"], m["bound"]
         st = [_stats(v[name]) for v in sets]
-        ok = True
-        notes = []
-        if bound is not None:
-            if name != "setup_s":
-                ok &= all(x["spread"] <= bound for x in st)
-                if any(x["spread"] > bound / 3 for x in st):
-                    notes.append("spread>bound/3")
-            first, last = st[0]["median"], st[-1]["median"]
-            worse = (last - first) / first if m["better"] == "lower" else (first - last) / first
-            ok &= worse <= bound
+        ok = all(x["spread"] <= bound for x in st)
+        notes = ["spread>bound/3"] if any(x["spread"] > bound / 3 for x in st) else []
+        first, second = st[0]["median"], st[1]["median"]
+        worse = (second - first) / first if m["better"] == "lower" else (first - second) / first
+        ok &= worse <= bound
         verdict["agree"] &= ok
         verdict["metrics"][name] = {"sets": st, "bound": bound, "ok": ok}
         cells = " ".join(
             f"{x['median']:>12.5g} [{x['q1']:.5g}, {x['q3']:.5g}] {x['spread']:6.3f}".rjust(44) for x in st
         )
-        print(f"{name:28} {cells}  {bound if bound is not None else '-':>5}  {'yes' if ok else 'NO'} {' '.join(notes)}")
+        print(f"{name:28} {cells}  {bound:>5}  {'yes' if ok else 'NO'} {' '.join(notes)}")
     print(json.dumps(verdict, separators=(",", ":")))
     return 0 if verdict["agree"] else 1
 

@@ -102,8 +102,11 @@ def _targets():
         update,
     )
 
-    def n_blocks_of(scorers):
-        return {"blocks_total": sum(v.n_blocks for tp, _ in scorers for v in tp.views)}
+    def scorers_attrs(args, scorers):
+        return {
+            "terms": len(scorers),
+            "blocks_total": sum(v.n_blocks for tp, _ in scorers for v in tp.views),
+        }
 
     def build_attrs(args, man):
         m = man.get("metrics", {})
@@ -139,7 +142,7 @@ def _targets():
         (segment.SegmentReader, "postings", "segment.postings", None),
         (segment.SegmentReader, "term_stats", "segment.term_stats", None),
         (query.IndexReader, "term_postings", "query.term_postings", None),
-        (query.IndexReader, "_scorers", "query.scorers", lambda a, out: n_blocks_of(out)),
+        (query.IndexReader, "_scorers", "query.scorers", scorers_attrs),
         (query.IndexReader, "topk", "query.topk", None),
         (lucene.BM25Scorer, "score", "query.score", lambda a, out: {"postings": len(a[1])}),
         (deletes, "delete_by_url", "deletes.delete_by_url", None),
@@ -187,30 +190,61 @@ def load_spans(tracer: Tracer) -> list[list[list]]:
     return trees
 
 
+#: per-layer metric of each span under ``IndexReader.topk``, by self time;
+#: together they account for all of topk
+TOPK_SELF = {
+    "query.topk": "query.topk_self_s",
+    "query.bounds": "query.topk_self_s",
+    "query.score": "query.score_busy_s",
+    "query.scorers": "query.scorers_self_s",
+    "query.term_postings": "query.term_lookup_self_s",
+    "analyze.analyze": "query.analyze_busy_s",
+    "segment.postings": "segment.lookup_busy_s",
+    "segment.term_stats": "segment.lookup_busy_s",
+    "codec.decode_blocks": "codec.decode_busy_s",
+    "codec.decode_all": "codec.decode_busy_s",
+}
+
+
 def layer_metrics(trees: list[list[list]]) -> dict:
     """Per-layer busy times, counts and ratios from the recorded spans.
 
     Query-path metrics (``query.*``, ``codec.decode_*``, ``codec.blocks_*``,
-    ``segment.lookup*``) count only spans inside ``IndexReader.topk``;
-    write-path metrics count every span of their layer."""
+    ``segment.lookup*``) count only spans inside ``IndexReader.topk``, each
+    by its self time (TOPK_SELF); write-path metrics count every span of
+    their layer. Under ``topk``, the first ``BM25Scorer.score`` call per
+    query term scores the block bounds (max tf, min norm of every block),
+    not postings: it is renamed ``query.bounds`` and counts as topk's own
+    time. ``_topk_unaccounted_s`` is the self time under topk of spans
+    that no reported figure covers."""
     busy: dict[str, float] = {}
     self_t: dict[str, float] = {}
     calls: dict[str, int] = {}
     attrs: dict[str, float] = {}
-    topk_busy = topk_self = 0.0
+    topk_busy = 0.0
     tp_calls = tp_hits = 0
     for spans in trees:
         n = len(spans)
         under = [False] * n
         child = [0.0] * n
         seg_child = [False] * n
-        for i, (name, t0, t1, parent, _) in enumerate(spans):
+        bounds_left = [0] * n
+        names = [sp[0] for sp in spans]
+        # spans are listed in start order: a topk's scorers span precedes its score calls
+        for i, (name, t0, t1, parent, at) in enumerate(spans):
             under[i] = name == "query.topk" or (parent >= 0 and under[parent])
             if parent >= 0:
                 child[parent] += t1 - t0
-                if name.startswith("segment.") and spans[parent][0] == "query.term_postings":
+                if name.startswith("segment.") and names[parent] == "query.term_postings":
                     seg_child[parent] = True
-        for i, (name, t0, t1, parent, at) in enumerate(spans):
+                if names[parent] == "query.topk":
+                    if name == "query.scorers":
+                        bounds_left[parent] = at["terms"]
+                    elif name == "query.score" and bounds_left[parent]:
+                        bounds_left[parent] -= 1
+                        names[i] = "query.bounds"
+        for i, (_, t0, t1, parent, at) in enumerate(spans):
+            name = names[i]
             key = ("topk:" if under[i] else "") + name
             dur = t1 - t0
             busy[key] = busy.get(key, 0.0) + dur
@@ -219,8 +253,7 @@ def layer_metrics(trees: list[list[list]]) -> dict:
             for a, v in (at or {}).items():
                 attrs[f"{key}.{a}"] = attrs.get(f"{key}.{a}", 0) + v
             if under[i]:
-                topk_self += dur - child[i]
-                if name == "query.topk":
+                if name == "query.topk" and (parent < 0 or not under[parent]):
                     topk_busy += dur
                 if name == "query.term_postings":
                     tp_calls += 1
@@ -240,7 +273,7 @@ def layer_metrics(trees: list[list[list]]) -> dict:
 
     enc_post = a("codec.encode_group.postings")
     blocks = a("topk:codec.decode_blocks.blocks")
-    return {
+    out = {
         "extract.busy_s": b("extract.batch"),
         "analyze.busy_s": b("analyze.term_freqs"),
         "analyze.tokens": a("analyze.term_freqs.tokens"),
@@ -248,19 +281,14 @@ def layer_metrics(trees: list[list[list]]) -> dict:
         "build.phase_b_s": a("build.build_index.phase_b_s"),
         "codec.encode_busy_s": s("codec.encode_group") + s("codec.encode_postings"),
         "codec.bytes_per_posting": a("codec.encode_group.bytes") / enc_post if enc_post else 0.0,
-        "codec.decode_busy_s": s("topk:codec.decode_blocks") + s("topk:codec.decode_all"),
         "codec.blocks_decoded": blocks,
         "codec.blocks_decoded_ratio": (
             blocks / a("topk:query.scorers.blocks_total") if a("topk:query.scorers.blocks_total") else 0.0
         ),
         "segment.write_busy_s": b("segment.write"),
         "segment.lookups": c("topk:segment.postings") + c("topk:segment.term_stats"),
-        "segment.lookup_busy_s": b("topk:segment.postings") + b("topk:segment.term_stats"),
         "query.term_cache_hit_ratio": tp_hits / tp_calls if tp_calls else 0.0,
-        "query.analyze_busy_s": b("topk:analyze.analyze"),
-        "query.score_busy_s": b("topk:query.score"),
         "query.postings_scored": a("topk:query.score.postings"),
-        "query.topk_self_s": s("topk:query.topk"),
         "deletes.busy_s": b("deletes.delete_by_url"),
         "update.upsert_busy_s": b("update.upsert_pages"),
         "manifest.commits": c("manifest.write_json_atomic"),
@@ -269,6 +297,17 @@ def layer_metrics(trees: list[list[list]]) -> dict:
         "merge.bytes_rewritten": a("merge.group.bytes"),
         "merge.postings_dropped": a("merge.group.dropped"),
         "_topk_busy_s": topk_busy,
-        "_topk_self_sum_s": topk_self,
         "_spans": sum(len(t) for t in trees),
     }
+    for metric in set(TOPK_SELF.values()):
+        out[metric] = 0.0
+    unaccounted = 0.0
+    for key, v in self_t.items():
+        if key.startswith("topk:"):
+            metric = TOPK_SELF.get(key[5:])
+            if metric is None:
+                unaccounted += v
+            else:
+                out[metric] += v
+    out["_topk_unaccounted_s"] = unaccounted
+    return out
