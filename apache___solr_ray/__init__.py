@@ -15,7 +15,7 @@ Ray Data pipelines:
   posting lists (delta+VInt compression, 128-doc blocks with block-max skip
   metadata, sorted term dictionaries),
 - Lucene-exact BM25 scoring (k1=1.2, b=0.75, SmallFloat 1-byte length norms;
-  reference ``BM25SimilarityFactory.java:47-50``) with block-max pruned top-k,
+  reference ``BM25SimilarityFactory.java:47-50``) with batched exhaustive top-k,
 - tiered merging, per-partition lineage manifests and resumable builds.
 
 Nothing here is a port: the reference tells us WHAT to compute, Ray Data

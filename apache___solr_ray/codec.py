@@ -1,4 +1,4 @@
-"""Posting-list codec: delta + VInt compression with block-max skip metadata.
+"""Posting-list codec: delta + VInt compression with per-block skip metadata.
 
 Rebuilds the role of Lucene's postings format (doc-delta VInt within 128-doc
 blocks, per-block skip/impact ("block-max") data — [Lucene 10.4 library]
@@ -113,23 +113,26 @@ def varint_encode(vals: np.ndarray) -> np.ndarray:
 
 
 def varint_decode(buf: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """Decode `count` VInts from a uint8 array; returns (values, bytes_used)."""
+    """Decode `count` VInts from a uint8 array; returns (values, bytes_used).
+
+    No loop over byte lengths: each byte's 7 payload bits shift left by 7 ×
+    its index within its value, and one ``add.reduceat`` sums each value's
+    bytes (their bit ranges are disjoint, so the sum is the OR)."""
     if count == 0:
         return np.zeros(0, dtype=np.uint64), 0
-    cont = (buf & 0x80) != 0
-    ends = np.flatnonzero(~cont)
+    ends = np.flatnonzero(buf < 0x80)
     if len(ends) < count:
         raise ValueError("varint stream truncated")
     ends = ends[:count]
+    used = int(ends[-1]) + 1
+    if used == count:  # every value is one byte
+        return buf[:count].astype(np.uint64), used
     starts = np.empty(count, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    vals = np.zeros(count, dtype=np.uint64)
-    for b in range(int(lengths.max())):
-        m = lengths > b
-        vals[m] |= (buf[starts[m] + b].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * b)
-    return vals, int(ends[-1] + 1)
+    shift = np.arange(used, dtype=np.int64) - np.repeat(starts, ends - starts + 1)
+    vals = (buf[:used] & 0x7F).astype(np.uint64) << (shift * 7).astype(np.uint64)
+    return np.add.reduceat(vals, starts), used
 
 
 def encode_postings_group(
@@ -292,12 +295,45 @@ def decode_position_stream(buf: np.ndarray, tfs: np.ndarray) -> np.ndarray:
     return C - adj
 
 
+def _decode_exact(buf: np.ndarray, count: int) -> np.ndarray:
+    """Decode a buffer that holds exactly ``count`` VInts (uint64). A
+    stream whose byte length equals its value count is all one-byte
+    values: its bytes are the values, with no terminator scan."""
+    if len(buf) == count:
+        return buf.astype(np.uint64)
+    return varint_decode(buf, count)[0]
+
+
+def decode_postings_concat(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode every posting of many non-empty ``PostingsView``s at once.
+
+    Returns (docs int64, tfs int64, norms uint8), the views' postings
+    concatenated in the given order — equal to concatenating each view's
+    ``decode_all()``. Each view's whole delta stream, tf stream and norm
+    bytes are taken as one contiguous slice (no per-block slicing: deltas
+    run across block boundaries), each concatenated stream is decoded with
+    one VInt call, and one cumsum turns deltas into doc ids. Each view's
+    first delta is its absolute first doc id, so subtracting the running
+    sum in front of a view re-bases it; the uint64 sums wrap modulo 2^64,
+    which leaves every re-based id exact."""
+    counts = np.fromiter((v.doc_freq for v in views), dtype=np.int64, count=len(views))
+    total = int(counts.sum())
+    deltas = _decode_exact(np.concatenate([v.buf[v.d_base : v.t_base] for v in views]), total)
+    tfs = _decode_exact(np.concatenate([v.buf[v.t_base : v.n_base] for v in views]), total)
+    norms = np.concatenate([v.buf[v.n_base : v.p_base] for v in views])
+    csum = np.cumsum(deltas)
+    starts = np.zeros(len(views), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    docs = csum - np.repeat(csum[starts] - deltas[starts], counts)
+    return docs.view(np.int64), tfs.astype(np.int64) + 1, norms
+
+
 class PostingsView:
     """Lazy decoded view over one term's encoded payload.
 
     Exposes the skip data (block headers) without decoding posting data;
-    blocks decode on demand — the query engine's block-max pruning reads
-    headers only for skipped ranges.
+    blocks decode on demand — range decodes and phrase evaluation read
+    headers to skip blocks outside the docs they need.
     """
 
     __slots__ = ("buf", "headers", "d_base", "t_base", "n_base", "p_base", "p_len", "n_off", "_cache")
@@ -358,9 +394,8 @@ class PostingsView:
         """Decode MANY blocks with two vectorized varint passes.
 
         ``bis`` must be sorted ascending, unique. Returns (docs int64,
-        tfs int64, norms uint8) concatenated in block order — the batch
-        primitive behind block-max evaluation (one call per term per round
-        instead of one Python iteration per block)."""
+        tfs int64, norms uint8) concatenated in block order (two varint
+        calls for the whole selection instead of two per block)."""
         n_sel = len(bis)
         if n_sel == 0:
             z = np.zeros(0, dtype=np.int64)

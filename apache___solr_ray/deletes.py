@@ -6,9 +6,7 @@ sumTotalTermFreq, df) are unchanged until a merge reclaims the postings,
 exactly like Lucene liveDocs + merge).
 
 Tombstones live in ``tombstones.json`` (sorted doc ids, written atomically);
-readers load them at open and mask candidates during evaluation. Block-max
-pruning stays sound: tombstoned docs are masked BEFORE threshold
-accumulation, and region bounds only ever over-estimate.
+readers load them at open and mask candidates before scores accumulate.
 ``merge.merge_segments(purge_deletes=True)`` physically drops tombstoned
 postings, recomputes live stats and clears the tombstone file.
 """

@@ -19,7 +19,9 @@ Evaluation maps each node onto the engine's existing primitives:
 - ``bool`` intersects must/filter, unions should (with
   ``minimum_should_match`` — pure-should queries default to mm=1),
   subtracts must_not — all `np.intersect1d`/`union1d`/`setdiff1d` on
-  sorted id arrays.
+  sorted id arrays. A pure-negative bool (only must_not) matches all
+  docs minus the negatives at the top level (Solr's rewrite) and nothing
+  when nested (Lucene BooleanQuery).
 
 Set algebra runs on the query coordinator over posting-derived id sets
 (exactly the reference's per-shard BooleanQuery evaluation); the corpus
@@ -98,7 +100,7 @@ def _leaf(reader, name: str, body) -> tuple[str, object]:
     raise JsonQueryError(f"unknown query parser {name!r}")
 
 
-def _eval(reader, node) -> tuple[str, object]:
+def _eval(reader, node, top: bool = False) -> tuple[str, object]:
     if isinstance(node, str):
         return _leaf(reader, "lucene", node)
     if not isinstance(node, dict) or len(node) != 1:
@@ -111,6 +113,10 @@ def _eval(reader, node) -> tuple[str, object]:
     filt = [_eval(reader, c) for c in _clauses(body.get("filter"))]
     should = [_eval(reader, c) for c in _clauses(body.get("should"))]
     must_not = [_eval(reader, c) for c in _clauses(body.get("must_not"))]
+    if not (must or filt or should or top):
+        # a nested pure-negative BooleanQuery matches nothing; only the
+        # top-level query gets Solr's *:* rewrite (the fallback below)
+        return "set", np.zeros(0, np.int64)
     mm = int(body.get("minimum_should_match", 0))
     if not must and not filt and should and mm == 0:
         mm = 1  # pure-should bool: at least one clause must match
@@ -165,7 +171,7 @@ def _clauses(x) -> list:
 
 def json_query_docs(reader, query) -> np.ndarray:
     """Evaluate a JSON Query DSL object; returns sorted live engine ids."""
-    kind, val = _eval(reader, query)
+    kind, val = _eval(reader, query, top=True)
     if kind == "mask":  # top-level bare filter: apply over all docs
         ids = _all_docs(reader)
         return ids[val(ids)]

@@ -26,6 +26,7 @@ golden tests.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -115,6 +116,19 @@ def idf(doc_freq: int, doc_count: int) -> float:
     return math.log(1.0 + (doc_count - doc_freq + 0.5) / (doc_freq + 0.5))
 
 
+@functools.lru_cache(maxsize=64)
+def _norm_inverse(avgdl: float, k1: float, b: float) -> np.ndarray:
+    """BM25Similarity's 256-entry normInverse cache, shared (read-only) by
+    every scorer of one (avgdl, k1, b): all terms of a query get the same
+    table object, so a query scores every posting with one gather."""
+    one = np.float32(1.0)
+    k1, b, avgdl = np.float32(k1), np.float32(b), np.float32(avgdl)
+    # float32 elementwise, same op order as the Java expression
+    cache = (one / (k1 * ((one - b) + b * LENGTH_TABLE / avgdl))).astype(np.float32)
+    cache.flags.writeable = False
+    return cache
+
+
 class BM25Scorer:
     """Per-term scorer replicating Lucene BM25Similarity.BM25Scorer.
 
@@ -147,10 +161,7 @@ class BM25Scorer:
             self.idf = idf(doc_freq, doc_count)
         avgdl = np.float32(sum_total_tf / float(doc_count))
         one = np.float32(1.0)
-        # float32 elementwise, same op order as the Java expression
-        self.cache = (
-            one / (k1 * ((one - b) + b * LENGTH_TABLE / avgdl))
-        ).astype(np.float32)
+        self.cache = _norm_inverse(float(avgdl), float(k1), float(b))
         self.weight = np.float32(
             np.float32(boost) * np.float32(self.idf) * (one + k1)
         )
@@ -165,8 +176,8 @@ class BM25Scorer:
     def max_score(self, max_tf: int, min_norm_byte: int) -> float:
         """Upper bound on this term's score for any posting with tf <= max_tf
         and norm byte >= min_norm_byte (score is increasing in tf and in
-        normInverse; normInverse is decreasing in the norm byte). Used as the
-        per-block impact bound for block-max pruning."""
+        normInverse; normInverse is decreasing in the norm byte) — the impact
+        bound a block header's (max_tf, min_norm) implies."""
         return float(
             self.score(
                 np.array([max_tf], dtype=np.int64),

@@ -373,8 +373,8 @@ def index_term_postings(sf_dir: str):
 
 @q("bm25_topk_docs")
 def bm25_topk_docs(sf_dir: str):
-    """Flagship BM25 top-10 over the documents index (block-max evaluation,
-    Lucene-exact float32 scores). Rows-only for the driver; rank/score
+    """Flagship BM25 top-10 over the documents index (batched exhaustive
+    evaluation, Lucene-exact float32 scores). Rows-only for the driver; rank/score
     parity is pytest-asserted against the brute-force oracle."""
     from apache___solr_ray.query import IndexReader
 
@@ -598,7 +598,7 @@ def index_rerank_topk(sf_dir: str):
     BM25 over 'fast merge join', reRankDocs=50; rerank query 'hash join',
     reRankWeight=2.0; top-10 of the blended ranking. Scores computed in
     the f64 rescoring path so the DuckDB oracle mirrors the blended score
-    bit-for-bit; the float32 WAND path is asserted equal-ranked in
+    bit-for-bit; the float32 topk path is asserted equal-ranked in
     pytest."""
     from apache___solr_ray.query import IndexReader
 

@@ -1,8 +1,8 @@
 """BM25 top-k query serving over the built index.
 
 Rebuilds the reference query path (SURVEY §3.2: ``SearchHandler`` →
-``SolrIndexSearcher`` with ``BM25Similarity`` + Lucene's block-max WAND
-pruning; distributed merge semantics of ``QueryComponent.mergeIds``):
+``SolrIndexSearcher`` with ``BM25Similarity``; distributed merge semantics
+of ``QueryComponent.mergeIds``):
 
 - global collection stats (docCount, sumTotalTermFreq, exact global df) come
   from the build — ExactStatsCache semantics (reference
@@ -12,15 +12,15 @@ pruning; distributed merge semantics of ``QueryComponent.mergeIds``):
   sum per Lucene's DisjunctionSumScorer (float64 accumulate → float32);
 - top-k ties break by ascending doc_id (Lucene single-index collector
   order, the conformance rule fixed in SURVEY §7.4);
-- evaluation is **block-max pruned**: per 128-doc block the skip header's
-  (max_tf, min_norm) gives an upper score bound; doc-space regions whose
-  summed bound cannot beat the running k-th score are skipped without
-  decoding. Regions are visited in descending bound order so the threshold
-  rises as fast as possible (the WAND idea, vectorized region-at-a-time
-  rather than pointer-chased doc-at-a-time — the right shape for numpy).
+- evaluation is **exhaustive and batched**: ``topk`` decodes, scores and
+  accumulates every posting of every query term in one vectorized pass
+  (``_topk_batched``). Lucene prunes with block-max WAND instead; on this
+  engine's posting lists the bound bookkeeping cost more than the blocks
+  it skipped, so no pruning is done. The block headers stay in the format
+  for range decodes and phrase skipping.
 
 ``TopKQueryActor`` is the stateful stage: construct once per actor (opens
-the index, caches term dicts / hot postings), score query batches in
+the index, caches term dicts / postings views), score query batches in
 ``__call__`` — used via ``Dataset.map_batches(TopKQueryActor, concurrency=N,
 ...)``. ``scatter_gather_topk`` additionally doc-range-splits one query
 across Ray tasks and k-way-merges with the reference tie-break — the
@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from apache___solr_ray.analyze import Analyzer
+from apache___solr_ray.codec import decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
 from apache___solr_ray.manifest import read_json
 from apache___solr_ray.segment import SegmentReader
@@ -46,83 +47,13 @@ class TermPostings:
     """All posting parts of one term (unsalted: 1 part; salted: ≤P parts,
     disjoint doc ranges ordered by doc partition)."""
 
-    __slots__ = ("term", "views", "df", "ttf", "_bt", "_full")
-
-    #: full-decode cache is only kept for heavy terms — the ones whose
-    #: repeated decode dominates serving cost (head terms by Zipf are few)
-    HEAVY_DF = 20_000
+    __slots__ = ("term", "views", "df", "ttf")
 
     def __init__(self, term, views, df, ttf):
         self.term = term
         self.views = views  # list[PostingsView], global doc order across list
         self.df = df
         self.ttf = ttf
-        self._bt = None  # cached global block table (lasts, mtf, mnorm, view_of, local_bi)
-        self._full = None  # cached decode_all for heavy terms
-
-    def decode_all_cached(self):
-        if self._full is not None:
-            return self._full
-        out = self.decode_all()
-        if self.df >= self.HEAVY_DF:
-            self._full = out
-        return out
-
-    def global_blocks(self):
-        """Concatenated per-block skip data across views, with the mapping
-        global block index -> (view index, local block index)."""
-        if self._bt is None:
-            lasts, mtf, mnorm, view_of, local_bi = [], [], [], [], []
-            for vi, v in enumerate(self.views):
-                h = v.headers
-                lasts.append(h["last_doc"].astype(np.int64))
-                mtf.append(h["max_tf"].astype(np.int64))
-                mnorm.append(h["min_norm"].astype(np.int64))
-                view_of.append(np.full(len(h), vi, dtype=np.int64))
-                local_bi.append(np.arange(len(h), dtype=np.int64))
-            self._bt = (
-                np.concatenate(lasts),
-                np.concatenate(mtf),
-                np.concatenate(mnorm),
-                np.concatenate(view_of),
-                np.concatenate(local_bi),
-            )
-        return self._bt
-
-    def decode_blocks_global(self, gbis: np.ndarray):
-        """Batch-decode global block indices (sorted unique) across views."""
-        _, _, _, view_of, local_bi = self.global_blocks()
-        dl, tl, ml = [], [], []
-        vsel = view_of[gbis]
-        lsel = local_bi[gbis]
-        for vi in np.unique(vsel):
-            d, t, m = self.views[vi].decode_blocks(lsel[vsel == vi])
-            dl.append(d)
-            tl.append(t)
-            ml.append(m)
-        return np.concatenate(dl), np.concatenate(tl), np.concatenate(ml)
-
-    def block_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated skip data: (block_start_doc, block_last_doc, max_tf,
-        min_norm) across parts. Start of block b = previous last_doc + 1."""
-        starts, lasts, mtf, mnorm = [], [], [], []
-        for v in self.views:
-            h = v.headers
-            last = h["last_doc"].astype(np.int64)
-            first = np.empty(len(h), dtype=np.int64)
-            first[0] = 0 if not lasts else 0  # start bound: conservative 0 for first block of a part
-            if len(h) > 1:
-                first[1:] = last[:-1] + 1
-            starts.append(first)
-            lasts.append(last)
-            mtf.append(h["max_tf"].astype(np.int64))
-            mnorm.append(h["min_norm"].astype(np.int64))
-        return (
-            np.concatenate(starts),
-            np.concatenate(lasts),
-            np.concatenate(mtf),
-            np.concatenate(mnorm),
-        )
 
     def decode_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode postings with lo <= doc_id <= hi, touching only needed blocks."""
@@ -237,10 +168,12 @@ class IndexReader:
 
     def _alive(self, doc_ids: np.ndarray) -> np.ndarray | None:
         """Bool mask of non-tombstoned docs, or None when nothing is
-        deleted (Lucene liveDocs)."""
-        if len(self.tombstones) == 0:
+        deleted (Lucene liveDocs). ``tombstones`` is sorted and unique
+        (``load_tombstones``): one binary search per doc id."""
+        t = self.tombstones
+        if len(t) == 0:
             return None
-        return ~np.isin(doc_ids, self.tombstones, assume_unique=False)
+        return t[np.minimum(np.searchsorted(t, doc_ids), len(t) - 1)] != doc_ids
 
     # -- segment access -----------------------------------------------------
 
@@ -820,16 +753,11 @@ class IndexReader:
     def topk(
         self, query: str, k: int = 10, field: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Block-max pruned top-k (identical results to exhaustive)."""
+        """Top-k in one batched pass (identical results to exhaustive)."""
         scorers = self._scorers(query, field=field)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        return _topk_blockmax(
-            scorers,
-            k,
-            span_r=int(self.stats.get("max_part_rows", 0)),
-            alive_fn=self._alive if len(self.tombstones) else None,
-        )
+        return _topk_batched(scorers, k, self._alive)
 
     def cursor_page(
         self,
@@ -1123,143 +1051,25 @@ def _topk_from_candidates(docs_list, score_list, k) -> tuple[np.ndarray, np.ndar
     return uniq[order], final[order]
 
 
-def _topk_blockmax(scorers, k, span_r: int = 0, alive_fn=None) -> tuple[np.ndarray, np.ndarray]:
-    """Region-at-a-time block-max evaluation, batch-vectorized.
+def _topk_batched(scorers, k, alive_fn) -> tuple[np.ndarray, np.ndarray]:
+    """Score a whole query in one decode-score-accumulate pass.
 
-    Doc space is partitioned into regions by the union of all terms' block
-    boundaries; each region's bound is the sum of the overlapping blocks'
-    impact bounds. Regions are processed in descending bound order in
-    geometrically growing ROUNDS: each round batch-decodes every block any
-    selected region touches (one vectorized decode + one score call per
-    term), masks postings to the selected regions, accumulates real scores
-    and tightens the threshold. Once the k-th best real score exceeds the
-    next region's bound the rest are pruned without decoding (bound ==
-    threshold is still visited so doc-id tie-breaks match exhaustive
-    evaluation exactly).
-    """
-    term_blocks = []
-    for tp, sc in scorers:
-        lasts, max_tf, min_norm, _, _ = tp.global_blocks()
-        bounds = sc.score(max_tf, min_norm.astype(np.uint8)).astype(np.float64)
-        term_blocks.append((tp, sc, lasts, bounds))
-
-    edges = np.unique(np.concatenate([lasts for _, _, lasts, _ in term_blocks]))
-    n_regions = len(edges)
-    region_bound = np.zeros(n_regions, dtype=np.float64)
-    block_of_region = []
-    for _, _, lasts, bounds in term_blocks:
-        # block covering region r = first block with last_doc >= region_hi[r]
-        bi = np.searchsorted(lasts, edges, side="left")
-        valid = bi < len(lasts)
-        region_bound[valid] += bounds[np.minimum(bi, len(lasts) - 1)][valid]
-        block_of_region.append((bi, valid))
-
-    order = np.argsort(-region_bound, kind="stable")
-    max_doc = int(edges[-1])
-    span_p = (max_doc >> 32) + 1
-    # span_r must be an upper bound on ANY row id (a block can span doc
-    # partitions, so the max doc's row alone is not a bound) — the build
-    # records it in stats.json; without it, fall back to sparse merge
-    dense_ok = span_r > 0 and span_p * span_r <= 1 << 23
-    if dense_ok:
-        # one persistent float64 accumulator across rounds: scores sum as
-        # float64 per doc (DisjunctionSumScorer), no per-round sorting
-        acc = np.zeros(span_p * span_r, dtype=np.float64)
-    else:
-        docs_acc: list[np.ndarray] = []
-        scores_acc: list[np.ndarray] = []
-    threshold = -np.inf
-    n_cand = 0
-    pos = 0
-    rounds = 64
-    sel_mask = np.zeros(n_regions, dtype=bool)
-    while pos < len(order):
-        sel = order[pos : pos + rounds]
-        pos += len(sel)
-        rounds = min(rounds * 4, 1 << 16)
-        if n_cand >= k:
-            keep = region_bound[sel] >= threshold
-            if not keep[0]:
-                break  # order is descending: everything left is below θ
-            sel = sel[keep]
-            # adaptive: if pruning is not biting (most remaining regions
-            # still beat θ), stop paying per-round overheads — finish
-            # everything in this round
-            if pos < len(order) and keep.mean() > 0.6:
-                rest = order[pos:]
-                rest = rest[region_bound[rest] >= threshold]
-                sel = np.concatenate([sel, rest])
-                pos = len(order)
-        sel_mask[:] = False
-        sel_mask[sel] = True
-        round_n = 0
-        dl, sl = [], []
-        for (tp, sc, lasts, _), (bi_r, valid_r) in zip(term_blocks, block_of_region):
-            gbis = np.unique(bi_r[sel[valid_r[sel]]])
-            if len(gbis) == 0:
-                continue
-            if len(gbis) >= 0.9 * len(lasts):
-                # decoding (almost) the whole list: use the full-decode
-                # cache; the region mask below drops any extra postings
-                d, t, m = tp.decode_all_cached()
-            else:
-                d, t, m = tp.decode_blocks_global(gbis)
-            # keep only postings whose region is selected this round (a
-            # block can span regions; the rest decode in their own round)
-            rid = np.searchsorted(edges, d, side="left")
-            keep = sel_mask[rid]
-            if alive_fn is not None:
-                a = alive_fn(d)
-                if a is not None:
-                    keep = keep & a  # tombstones masked BEFORE θ accumulation
-            if keep.any():
-                d, s = d[keep], sc.score(t[keep], m[keep])
-                if dense_ok:
-                    key = (d >> np.int64(32)) * span_r + (d & np.int64(0xFFFFFFFF))
-                    acc += np.bincount(key, weights=s.astype(np.float64), minlength=len(acc))
-                    round_n += len(d)
-                else:
-                    dl.append(d)
-                    sl.append(s)
-        if dense_ok:
-            if round_n:
-                n_cand += round_n  # counts postings, >= distinct docs — safe for >= k gate
-                if n_cand >= k and len(acc) > k:
-                    kth = np.partition(acc, len(acc) - k)[len(acc) - k]
-                    if kth > 0:
-                        # float32(kth) can round ABOVE the true float64 kth;
-                        # a region bound in [kth, float32(kth)) would then be
-                        # pruned though it may hold a score-tying doc. Step
-                        # one ulp down so ">= threshold keeps ties" holds.
-                        t32 = np.float32(kth)
-                        if float(t32) > float(kth):
-                            t32 = np.nextafter(t32, np.float32(-np.inf))
-                        threshold = float(t32)
-        elif dl:
-            d, s = _topk_from_candidates(dl, sl, 10**9)
-            docs_acc.append(d)
-            scores_acc.append(s)
-            n_cand += len(d)
-            all_s = np.concatenate(scores_acc)
-            if len(all_s) >= k:
-                threshold = float(np.partition(all_s, -k)[-k])
-    if dense_ok:
-        nz = np.flatnonzero(acc)
-        if len(nz) == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        docs = (nz // span_r) * (1 << 32) + nz % span_r
-        scores = acc[nz].astype(np.float32)
-    else:
-        if not docs_acc:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        docs = np.concatenate(docs_acc)
-        scores = np.concatenate(scores_acc)
-    if k < len(scores):
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        keep = scores >= kth
-        docs, scores = docs[keep], scores[keep]
-    order2 = np.lexsort((docs, -scores.astype(np.float64)))[:k]
-    return docs[order2], scores[order2]
+    Every posting of every query term decodes at once
+    (``codec.decode_postings_concat``) and scores with one float32
+    expression in ``BM25Scorer.score``'s op order: each term's ``weight``
+    repeated over its postings, and the normInverse table all of a query's
+    scorers share (one field, one avgdl). Terms stay in ``scorers`` order,
+    so ``_topk_from_candidates`` adds the same float64 values per doc in
+    the same order as ``topk_exhaustive``: scores are bit-identical."""
+    docs, tfs, norms = decode_postings_concat([v for tp, _ in scorers for v in tp.views])
+    counts = [sum(v.doc_freq for v in tp.views) for tp, _ in scorers]
+    weight = np.repeat(np.array([sc.weight for _, sc in scorers], dtype=np.float32), counts)
+    norm_inv = scorers[0][1].cache[norms]
+    scores = weight - weight / (np.float32(1.0) + tfs.astype(np.float32) * norm_inv)
+    alive = alive_fn(docs)
+    if alive is not None:
+        docs, scores = docs[alive], scores[alive]
+    return _topk_from_candidates([docs], [scores], k)
 
 
 def merge_topk(
@@ -1284,10 +1094,9 @@ class TopKQueryActor:
     ``qid, rank, doc_id, url, score``.
     """
 
-    def __init__(self, index_dir: str, resolve_urls: bool = True, use_blockmax: bool = True):
+    def __init__(self, index_dir: str, resolve_urls: bool = True):
         self.reader = IndexReader(index_dir)
         self.resolve_urls = resolve_urls
-        self.use_blockmax = use_blockmax
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids, ranks, doc_ids, scores = [], [], [], []
@@ -1296,8 +1105,7 @@ class TopKQueryActor:
             qid = batch.column("qid")[i].as_py()
             query = batch.column("query")[i].as_py()
             k = int(batch.column("k")[i].as_py()) if "k" in batch.column_names else 10
-            fn = self.reader.topk if self.use_blockmax else self.reader.topk_exhaustive
-            d, s = fn(query, k)
+            d, s = self.reader.topk(query, k)
             qids.extend([qid] * len(d))
             ranks.extend(range(1, len(d) + 1))
             doc_ids.extend(d.tolist())
@@ -1391,15 +1199,13 @@ class QueryService:
     serving and for steady-state QPS measurement.
     """
 
-    def __init__(self, index_dir: str, n_actors: int = 4, use_blockmax: bool = True):
+    def __init__(self, index_dir: str, n_actors: int = 4):
         import ray
 
         @ray.remote(num_cpus=1)
         class _QueryWorker:
-            def __init__(self, index_dir: str, use_blockmax: bool):
-                self.inner = TopKQueryActor(
-                    index_dir, resolve_urls=False, use_blockmax=use_blockmax
-                )
+            def __init__(self, index_dir: str):
+                self.inner = TopKQueryActor(index_dir, resolve_urls=False)
 
             def query_batch(self, qids: list[int], queries: list[str], k: int) -> pa.Table:
                 tbl = pa.table(
@@ -1429,7 +1235,7 @@ class QueryService:
 
         self._ray = ray
         self.actors = [
-            _QueryWorker.remote(index_dir, use_blockmax) for _ in range(max(1, n_actors))
+            _QueryWorker.remote(index_dir) for _ in range(max(1, n_actors))
         ]
 
     def warmup(self) -> None:
@@ -1517,14 +1323,13 @@ def timed_partial_topk(
 
     Distributed form: the doc-range shards of ``scatter_gather_topk`` are
     dispatched in parallel; the coordinator stops WAITING once the budget
-    expires (ray.wait with the remaining timeout) and merges only the
+    expires (one ray.wait bounded by the budget) and merges only the
     shards that finished; with ``tolerant`` a shard whose task RAISED is
-    dropped from the merge instead of propagating. At least one shard is
-    always awaited so a tiny budget still returns results.
+    dropped from the merge instead of propagating. The budget bounds the
+    whole call: when no shard finishes in time the page is empty and
+    flagged partial (TimeLimitingCollector's zero-collected case).
     Returns (doc_ids, scores, partial: bool, shards_scored: int).
     """
-    import time
-
     import ray
 
     reader = IndexReader(index_dir)
@@ -1564,16 +1369,9 @@ def timed_partial_topk(
         d, s = merge_topk(results, k)
         return d, s, failed > 0, len(results)
 
-    deadline = time.monotonic() + time_allowed_s
-    ready, pending = ray.wait(futs, num_returns=1)  # always await one shard
-    while pending:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        r2, pending = ray.wait(
-            pending, num_returns=len(pending), timeout=remaining
-        )
-        ready += r2
+    ready, pending = ray.wait(
+        futs, num_returns=len(futs), timeout=max(0.0, time_allowed_s)
+    )
     for f in pending:
         ray.cancel(f, force=True)
     results, failed = gather(ready)

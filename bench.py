@@ -157,7 +157,7 @@ def run_headline(
     # steady-state QPS on a warm, long-lived query-actor pool (the reference
     # measures warm searchers too: solr/benchmark/.../search/SimpleSearch.java)
     queries = _bench_queries()
-    svc = QueryService(index_dir, n_actors=max(2, num_cpus))
+    svc = QueryService(index_dir, n_actors=max(1, num_cpus))
     svc.warmup()
     svc.bench_qps(queries, k=10, passes=1)  # warm caches, untimed
     t0 = time.time()

@@ -1,7 +1,8 @@
 """Property tests (hypothesis): the postings codec round-trips ANY valid
 posting list — huge doc-id gaps (cross-partition: part_id << 32), tf up to
-int32, many blocks, single-posting lists — and the group encoder equals the
-single-term encoder payload-for-payload."""
+int32, many blocks, single-posting lists — the group encoder equals the
+single-term encoder payload-for-payload, and the whole-stream decode of
+many views equals their concatenated per-block decodes."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from apache___solr_ray.codec import (
     BLOCK,
     PostingsView,
+    decode_postings_concat,
     encode_postings,
     encode_postings_group,
     varint_decode,
@@ -100,3 +102,23 @@ def test_group_encoder_equals_single_encoder(term_lists):
         np.array(ends, dtype=np.int64),
     )
     assert grouped == singles  # byte-identical payloads
+
+
+@given(st.lists(posting_lists, min_size=1, max_size=5), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_decode_concat_equals_decode_blocks(term_lists, small):
+    views = []
+    for rows in term_lists:
+        seen = {}
+        for d, tf, nm in rows:
+            # small: every delta and tf-1 is one VInt byte (the no-loop path)
+            seen[d % 100 if small else d] = (tf % 100 + 1 if small else tf, nm)
+        docs = np.array(sorted(seen), dtype=np.int64)
+        tfs = np.array([seen[d][0] for d in docs], dtype=np.int64)
+        norms = np.array([seen[d][1] for d in docs], dtype=np.uint8)
+        views.append(PostingsView(encode_postings(docs, tfs, norms)))
+    got = decode_postings_concat(views)
+    parts = [v.decode_blocks(np.arange(v.n_blocks, dtype=np.int64)) for v in views]
+    for g, want, dtype in zip(got, zip(*parts), (np.int64, np.int64, np.uint8)):
+        assert g.dtype == dtype
+        assert g.tolist() == np.concatenate(want).tolist()

@@ -148,7 +148,7 @@ def test_rank_and_score_parity_vs_oracle(built, oracle):
         assert got_s.tolist() == want_s.tolist(), f"scores differ for {q!r} (must be bit-identical)"
 
 
-def test_blockmax_equals_exhaustive(built):
+def test_topk_equals_exhaustive(built):
     idx, _, _ = built
     r = IndexReader(idx)
     for q in QUERIES:
@@ -851,6 +851,19 @@ def test_json_query_dsl_algebra(built):
     )
     assert np.array_equal(got, base[hits >= 2])
 
+    # pure-negative bool: all docs minus the negatives at the top level
+    # (Solr's rewrite), nothing when nested (Lucene BooleanQuery)
+    all_live = np.sort(r.match_docs("the fast data merge join slow"))
+    top = json_query_docs(r, {"bool": {"must_not": ["merge"]}})
+    assert len(top) > 0 and not np.isin(top, s("merge")).any()
+    assert np.isin(np.setdiff1d(all_live, s("merge")), top).all()
+    nested = {"bool": {"must_not": ["slow"]}}
+    assert len(json_query_docs(r, {"bool": {"must": [nested]}})) == 0
+    got = json_query_docs(r, {"bool": {"should": ["merge", nested]}})
+    assert np.array_equal(got, s("merge"))
+    got = json_query_docs(r, {"bool": {"must": ["merge"], "must_not": [nested]}})
+    assert np.array_equal(got, s("merge"))
+
     # phrase leaf
     got = json_query_docs(r, {"phrase": {"query": "merge join"}})
     assert np.array_equal(got, np.sort(r.match_docs_phrase("merge join")))
@@ -894,7 +907,9 @@ def test_time_allowed_partial_results(built):
     assert np.array_equal(d, full_d) and np.array_equal(s, full_s)
 
     d2, s2, partial2, n2 = timed_partial_topk(idx, "merge join", 10, 0.0, n_shards=4)
-    assert n2 >= 1  # at least one shard is always awaited
+    # a zero budget may expire before any shard finishes: an empty page
+    # flagged partial (the budget bounds every wait)
+    assert partial2 or n2 == 4
     assert len(d2) == len(s2)
     # a partial page may even be empty (the surviving shard had no
     # matches) — that is Solr's partialResults contract; what must hold:
@@ -903,6 +918,49 @@ def test_time_allowed_partial_results(built):
     assert set(map(int, d2)) <= set(map(int, full_all))
     if not partial2:  # every shard beat the (zero) budget: full equality
         assert np.array_equal(d2, full_d)
+
+
+def test_time_allowed_bounds_hung_shards(built, tmp_path):
+    """timeAllowed bounds the whole call, not only the waits after the
+    first shard: every shard of a clone whose postings files are FIFOs
+    blocks in open() past the budget, and the call returns on time with an
+    empty page flagged partial."""
+    import shutil
+    import threading
+    import time
+
+    from apache___solr_ray.query import timed_partial_topk
+
+    idx, _cfg, _man = built
+    clone = str(tmp_path / "clone")
+    shutil.copytree(idx, clone)
+    fifos = []
+    for seg in os.listdir(os.path.join(clone, "segments")):
+        path = os.path.join(clone, "segments", seg, "postings.bin")
+        os.remove(path)
+        os.mkfifo(path)
+        fifos.append(path)
+    out = {}
+
+    def call():
+        t0 = time.monotonic()
+        out["res"] = timed_partial_topk(clone, "merge join", 10, 0.5, n_shards=2)
+        out["elapsed"] = time.monotonic() - t0
+
+    th = threading.Thread(target=call, daemon=True)
+    th.start()
+    th.join(timeout=60)
+    try:
+        assert not th.is_alive(), "timed_partial_topk waited past its budget"
+        d, s, partial, n = out["res"]
+        assert partial and n == 0 and len(d) == 0 and len(s) == 0
+        assert out["elapsed"] < 30
+    finally:
+        for path in fifos:  # release any reader still blocked in open()
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
 
 
 def test_mm_spec_calculator_reference_vectors(ray_session):

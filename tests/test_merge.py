@@ -115,7 +115,7 @@ def test_deletes_tombstone_and_purge(ray_session, tmp_path_factory):
     keep = ~np.isin(d0_all, d0[:3])
     assert d1.tolist() == d0_all[keep][:10].tolist()
     assert s1.tolist() == s0_all[keep][:10].tolist()  # stats/scores unchanged
-    # blockmax == exhaustive under tombstones
+    # topk == exhaustive under tombstones
     d1e, s1e = r1.topk_exhaustive(q_, 10)
     assert d1.tolist() == d1e.tolist() and s1.tolist() == s1e.tolist()
     # match_docs excludes

@@ -129,7 +129,7 @@ def test_per_field_bm25_equals_single_field_index(
         d_s, s_s = r_s.topk(q, 10)
         assert d_mf.tolist() == d_s.tolist()
         assert s_mf.tolist() == s_s.tolist()
-        # block-max == exhaustive on the field path too
+        # topk == exhaustive on the field path too
         d_ex, s_ex = r_mf.topk_exhaustive(q, 10, field="body")
         assert d_mf.tolist() == d_ex.tolist() and s_mf.tolist() == s_ex.tolist()
 
