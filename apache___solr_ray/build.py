@@ -15,30 +15,21 @@ Phase A  (per doc-partition; Dataset of partition descriptors →
     resume — the "no re-tokenizing completed partitions" checkpoint; the
     persisted postings_raw is the Lucene flushed-segment analog.
 
-Phase B  (the term-hash shuffle) — two interchangeable physical plans:
-
-``shuffle="storage"`` (default; the external/map-side shuffle): phase A
-    already wrote each part's postings SORTED by tkey with Parquet
-    row-group boundaries aligned to tkey runs, and recorded the
-    (row-group, n_rows) map per tkey in its lineage manifest. Phase B is
-    then an embarrassingly parallel stage: one task per (tkey, salt)
-    reads exactly its bucket's row groups from every part file (column
-    pruning + row-group pruning — no object-store all-to-all at all)
-    and encodes one segment. Skew handling is uniform *doc-range
+Phase B  (the term-hash shuffle, through shared storage): phase A already
+    wrote each part's postings SORTED by tkey with Parquet row-group
+    boundaries aligned to tkey runs, and recorded the (row-group, n_rows)
+    map per tkey in its lineage manifest. Phase B is then an
+    embarrassingly parallel stage: one task per (tkey, salt) reads exactly
+    its bucket's row groups from every part file (column pruning +
+    row-group pruning — no object-store all-to-all at all) and encodes one
+    segment with ``segment.build_segment_from_group``; merges write
+    through the same encoder. Skew handling is uniform *doc-range
     splitting*: a bucket whose total postings exceed
     ``max_postings_per_segment`` is split into contiguous part-range
     chunks (salt = chunk index) — sub-segments stay doc-ordered, so
-    query-side views concatenate for free. This is the plan that holds
-    at 10^12 docs: shuffle bytes ride the shared filesystem, not RAM.
-
-``shuffle="ray"`` (the object-store all-to-all): a tiny
-    ``groupby(term).sum(df)`` over the termdf partials finds head terms
-    (global df > salt_threshold); ``read_parquet(postings_raw)`` →
-    ``map_batches`` stamps ``skey = tkey * (P+1) + salt`` (salt = doc
-    partition + 1 for head terms — giant groups split into doc-ordered
-    sub-lists; SURVEY §4 "skew") → ``groupby(skey).map_groups`` encodes
-    each group into a segment. Idiomatic Ray Data; best when the
-    cluster has no shared filesystem for intermediates.
+    query-side views concatenate for free. Shuffle bytes ride the shared
+    filesystem that already holds phase A's outputs and the segments, not
+    RAM.
 
 Commit: ``stats.json`` (docCount, sumTotalTermFreq — the ExactStatsCache
 global stats, reference ``CollectionStats.java:24-27``) and an atomic
@@ -115,13 +106,11 @@ class IndexConfig:
     """Build configuration (the solrconfig.xml/schema analog)."""
 
     term_partitions: int = 32          # T: term-hash shuffle width
-    salt_threshold: int = 2_000_000    # global df above which a term is salted ("ray" plan)
     target_docs_per_part: int = 65_536  # phase-A doc-partition size
     read_batch_rows: int = 2_048       # streamed read batch (html rows are wide)
     stopwords: frozenset[str] = field(default_factory=frozenset)
     text_from_html: bool = True        # extract text from html (the real path)
-    shuffle: str = "storage"           # "storage" (external shuffle) | "ray" (object-store)
-    max_postings_per_segment: int = 16_000_000  # doc-range split threshold ("storage" plan)
+    max_postings_per_segment: int = 16_000_000  # doc-range split threshold
     #: index token positions (Lucene text-field default; enables phrase
     #: queries). Off = omitTermFreqAndPositions-style slimmer postings.
     store_positions: bool = True
@@ -143,7 +132,7 @@ class IndexConfig:
 
     def fingerprint(self) -> str:
         return (
-            f"T={self.term_partitions};salt={self.salt_threshold};"
+            f"T={self.term_partitions};"
             f"part={self.target_docs_per_part};stop={sorted(self.stopwords)};"
             f"html={self.text_from_html};pos={int(self.store_positions)};"
             f"flds=[{';'.join(f.key() for f in self.fields)}];fmt=7"
@@ -154,7 +143,7 @@ class IndexConfig:
         """Adds phase-B-only knobs — used by the committed index manifest
         (segment layout), while per-part manifests use ``fingerprint()`` so
         phase-A outputs survive a phase-B reconfiguration."""
-        return f"{self.fingerprint()};shuf={self.shuffle};maxpost={self.max_postings_per_segment}"
+        return f"{self.fingerprint()};maxpost={self.max_postings_per_segment}"
 
 
 def _schema_columns(cfg: IndexConfig) -> list[str]:
@@ -539,73 +528,6 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _make_skey_fn(
-    heads_ref,
-    n_term_parts: int,
-    n_doc_parts: int,
-    index_dir: str,
-    field_names: tuple[str, ...] = (),
-):
-    import ray
-
-    state: dict = {}
-
-    def add_skey(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        tkey = tbl.column("tkey").combine_chunks().to_numpy().astype(np.int64)
-        part = tbl.column("part").combine_chunks().to_numpy().astype(np.int64)
-        rows_np = tbl.column("row").combine_chunks().to_numpy()
-        term_col = tbl.column("term").combine_chunks()
-        denc = (
-            term_col
-            if pa.types.is_dictionary(term_col.type)
-            else pc.dictionary_encode(term_col)
-        )
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        if heads_ref is None:
-            skey = tkey * (n_doc_parts + 1)
-        else:
-            if "heads" not in state:
-                state["heads"] = pa.array(sorted(ray.get(heads_ref)), pa.string())
-            # membership test on the batch's *dictionary*, fanned out by codes
-            salted_vocab = pc.is_in(denc.dictionary, value_set=state["heads"]).to_numpy(
-                zero_copy_only=False
-            )
-            salt = np.where(salted_vocab[codes], part + 1, 0)
-            skey = tkey * (n_doc_parts + 1) + salt
-        # norm is derived from the docs sidecar per part (cached), field
-        # resolved on the dictionary (distinct terms only)
-        fid = (
-            _field_ids_of_dictionary(denc.dictionary, field_names)
-            if field_names
-            else None
-        )
-        norm_np = np.empty(len(rows_np), dtype=np.uint8)
-        for p in np.unique(part):
-            pid = int(p)
-            if ("n", pid) not in state:
-                state[("n", pid)] = _load_part_norms(index_dir, pid, field_names)
-            m = part == p
-            if fid is None:
-                norm_np[m] = state[("n", pid)][0, rows_np[m]]
-            else:
-                norm_np[m] = state[("n", pid)][fid[codes[m]], rows_np[m]]
-        doc_id = (part << 32) + rows_np.astype(np.int64)
-        cols = {
-            "term": tbl.column("term"),
-            "doc_id": pa.array(doc_id),
-            "tf": tbl.column("tf"),
-            "norm": pa.array(norm_np),
-            "skey": pa.array(skey, pa.int64()),
-        }
-        if "pos" in tbl.column_names:
-            cols["pos"] = tbl.column("pos")
-        return pa.table(cols)
-
-    return add_skey
-
-
 def _plan_storage_segments(
     index_dir: str, cfg: IndexConfig, parts: list[dict]
 ) -> list[dict]:
@@ -812,52 +734,6 @@ def _make_storage_segment_fn(
     return build_one
 
 
-def _make_segment_writer(index_dir: str, n_doc_parts: int, cfg_fp: str = ""):
-    def write_group(group: pa.Table) -> pa.Table:
-        _limit_threads()
-        skey = int(group.column("skey")[0].as_py())
-        tkey, salt = divmod(skey, n_doc_parts + 1)
-        seg_dir = os.path.join(index_dir, "segments", f"seg-{tkey:05d}-{salt:05d}")
-        meta_path = os.path.join(seg_dir, "meta.json")
-        existing = read_json(meta_path)
-        # content checksum: cheap group invariants (order-independent) so a
-        # stale segment from a different corpus can't be resumed on a
-        # posting-count coincidence
-        doc_np = group.column("doc_id").combine_chunks().to_numpy()
-        chk = (
-            f"{cfg_fp}:{group.num_rows}:"
-            f"{int(doc_np.min()) if len(doc_np) else 0}:"
-            f"{int(doc_np.max()) if len(doc_np) else 0}:"
-            f"{int(pc.sum(group.column('tf')).as_py() or 0)}"
-        )
-        if (
-            existing is not None
-            and existing.get("n_postings") == group.num_rows
-            and existing.get("tkey") == tkey
-            and existing.get("salt") == salt
-            and existing.get("checksum") == chk
-        ):
-            meta = existing  # resume: segment already written for this group
-        else:
-            meta = build_segment_from_group(
-                group, seg_dir, tkey, salt, extra_meta={"checksum": chk}
-            )
-        return pa.table(
-            {
-                "skey": pa.array([skey], pa.int64()),
-                "tkey": pa.array([tkey], pa.int64()),
-                "salt": pa.array([salt], pa.int64()),
-                "n_terms": pa.array([meta["n_terms"]], pa.int64()),
-                "n_postings": pa.array([meta["n_postings"]], pa.int64()),
-                "bytes": pa.array([meta["bytes"]], pa.int64()),
-                # content checksum propagated into the manifest (fingerprint)
-                "lineage": pa.array([str(meta.get("checksum", chk))], pa.string()),
-            }
-        )
-
-    return write_group
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -871,7 +747,6 @@ def build_index(
     """Run the full build; resumable; returns the committed manifest."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     t_start = time.time()
     paths = _paths_of(input_path)
@@ -937,95 +812,38 @@ def build_index(
     sum_doc_len = sum(s["sum_doc_len"] for s in summaries)
     phase_a_sec = time.time() - t_start
 
+    # ---- Phase B: skew is handled uniformly by doc-range bucket splitting
+    # in the plan, so no head-term detection is needed ----
     n_doc_parts = len(parts)
-    heads: frozenset[str] = frozenset()
-    if cfg.shuffle == "storage":
-        # ---- Phase B (storage shuffle): no head detection needed — skew is
-        # handled uniformly by doc-range bucket splitting in the plan ----
-        heads_sec = time.time() - t_start - phase_a_sec
-        seg_tasks = _plan_storage_segments(index_dir, cfg, parts)
-        # ship the per-part norm matrices once via the object store (n_docs
-        # bytes total); past 4096 parts the driver must not hold them all —
-        # tasks fall back to reading the docs sidecars directly
-        fields_t = tuple(f.name for f in cfg.fields)
-        norm_refs = None
-        if n_doc_parts <= 4096:
-            norm_refs = {
-                int(p["part_id"]): ray.put(
-                    _load_part_norms(index_dir, int(p["part_id"]), fields_t)
-                )
-                for p in parts
-            }
-        seg_summaries = (
-            rd.from_items(seg_tasks)
-            .map_batches(
-                _make_storage_segment_fn(
-                    index_dir,
-                    n_doc_parts,
-                    cfg.store_positions,
-                    fields_t,
-                    norm_refs,
-                ),
-                batch_format="pyarrow",
-                batch_size=1,
+    seg_tasks = _plan_storage_segments(index_dir, cfg, parts)
+    # ship the per-part norm matrices once via the object store (n_docs
+    # bytes total); past 4096 parts the driver must not hold them all —
+    # tasks fall back to reading the docs sidecars directly
+    fields_t = tuple(f.name for f in cfg.fields)
+    norm_refs = None
+    if n_doc_parts <= 4096:
+        norm_refs = {
+            int(p["part_id"]): ray.put(
+                _load_part_norms(index_dir, int(p["part_id"]), fields_t)
             )
-            .take_all()
-        )
-    else:
-        # ---- head-term detection: aggregate over per-part df partials ----
-        # Size-adaptive: the termdf sidecars are already per-part aggregated,
-        # so at bench scale they are tiny — a driver-side multithreaded Arrow
-        # group_by avoids a whole Ray shuffle round. Above the byte threshold
-        # (cluster scale: ~vocab × n_parts rows) fall back to the distributed
-        # groupby, whose Sum aggregate pre-combines per block.
-        tdf_dir = os.path.join(index_dir, "termdf")
-        tdf_bytes = sum(
-            os.path.getsize(os.path.join(tdf_dir, f)) for f in os.listdir(tdf_dir)
-        )
-        if tdf_bytes <= 256 << 20:
-            tdf_tbl = pq.read_table(tdf_dir)
-            agg = tdf_tbl.group_by("term").aggregate([("df", "sum")])
-            mask = pc.greater(agg.column("df_sum"), cfg.salt_threshold)
-            heads = frozenset(agg.filter(mask).column("term").to_pylist())
-        else:
-            head_rows = (
-                rd.read_parquet(tdf_dir)
-                .groupby("term")
-                .aggregate(Sum("df", alias_name="df_sum"))
-                .filter(expr=f"df_sum > {cfg.salt_threshold}")
-                .take_all()
-            )
-            heads = frozenset(r["term"] for r in head_rows)
-        heads_ref = ray.put(heads) if heads else None
-        heads_sec = time.time() - t_start - phase_a_sec
-
-        # ---- Phase B (object-store shuffle): the term-hash groupby ----
-        # one block per postings partfile: Ray's default read splitting would
-        # shatter these small-at-bench-scale files into ~7× more blocks, and
-        # the sort shuffle's fixed per-block cost (M blocks × N reducers)
-        # dominates
-        post = rd.read_parquet(
-            os.path.join(index_dir, "postings_raw"), override_num_blocks=n_doc_parts
-        )
-        post = post.map_batches(
-            _make_skey_fn(
-                heads_ref,
-                cfg.term_partitions,
-                n_doc_parts,
+            for p in parts
+        }
+    seg_summaries = (
+        rd.from_items(seg_tasks)
+        .map_batches(
+            _make_storage_segment_fn(
                 index_dir,
-                tuple(f.name for f in cfg.fields),
+                n_doc_parts,
+                cfg.store_positions,
+                fields_t,
+                norm_refs,
             ),
             batch_format="pyarrow",
+            batch_size=1,
         )
-        seg_summaries = (
-            post.groupby("skey")
-            .map_groups(
-                _make_segment_writer(index_dir, n_doc_parts, cfg.fingerprint_full()),
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-    phase_b_sec = time.time() - t_start - phase_a_sec - heads_sec
+        .take_all()
+    )
+    phase_b_sec = time.time() - t_start - phase_a_sec
 
     field_stats: dict[str, dict[str, int]] = {}
     if cfg.fields:
@@ -1044,10 +862,8 @@ def build_index(
         "doc_count": int(n_docs),
         "sum_total_tf": int(sum_doc_len),
         "n_doc_parts": n_doc_parts,
-        "max_part_rows": int(max((s["n_docs"] for s in summaries), default=0)),
         "term_partitions": cfg.term_partitions,
         "n_segments": len(seg_summaries),
-        "head_terms": sorted(heads),
     }
     if cfg.sort_field:
         stats["sort_field"] = cfg.sort_field
@@ -1104,7 +920,6 @@ def build_index(
                 3,
             ),
             "phase_a_sec": round(phase_a_sec, 3),
-            "heads_sec": round(heads_sec, 3),
             "phase_b_sec": round(phase_b_sec, 3),
             "total_sec": round(time.time() - t_start, 3),
             "docs_per_sec": round(n_docs / max(1e-9, time.time() - t_start), 1),

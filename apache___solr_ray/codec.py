@@ -336,7 +336,7 @@ class PostingsView:
     headers to skip blocks outside the docs they need.
     """
 
-    __slots__ = ("buf", "headers", "d_base", "t_base", "n_base", "p_base", "p_len", "n_off", "_cache")
+    __slots__ = ("buf", "headers", "d_base", "t_base", "n_base", "p_base", "p_len", "n_off")
 
     def __init__(self, payload: memoryview | bytes):
         buf = np.frombuffer(payload, dtype=np.uint8)
@@ -356,7 +356,6 @@ class PostingsView:
         self.p_base = self.n_base + int(n_off[-1])
         self.p_len = p_len
         self.buf = buf
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def has_positions(self) -> bool:
@@ -369,26 +368,6 @@ class PostingsView:
     @property
     def doc_freq(self) -> int:
         return int(self.n_off[-1])
-
-    def decode_block(self, bi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """-> (doc_ids int64, tfs int64, norms uint8) for block bi."""
-        hit = self._cache.get(bi)
-        if hit is not None:
-            return hit
-        h = self.headers[bi]
-        nd = int(h["n_docs"])
-        d_start = self.d_base + int(h["d_off"])
-        t_start = self.t_base + int(h["t_off"])
-        deltas, _ = varint_decode(self.buf[d_start:], nd)
-        tfs, _ = varint_decode(self.buf[t_start:], nd)
-        n_start = self.n_base + int(self.n_off[bi])
-        norms = self.buf[n_start : n_start + nd].copy()
-        docs = np.cumsum(deltas.astype(np.int64))
-        if bi > 0:
-            docs += int(self.headers[bi - 1]["last_doc"])
-        out = (docs, tfs.astype(np.int64) + 1, norms)
-        self._cache[bi] = out
-        return out
 
     def decode_blocks(self, bis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode MANY blocks with two vectorized varint passes.
@@ -453,21 +432,3 @@ class PostingsView:
             [self.buf[self.p_base + p_off[b] : self.p_base + p_ends[b]] for b in bis]
         )
         return decode_position_stream(pbuf, tfs.astype(np.int64))
-
-    def positions_raw(self, tfs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(pos_stream uint8, per-posting byte offsets int64 [n+1]) — the raw
-        self-contained per-posting position payloads, for zero-re-encode
-        merging. ``tfs`` (all postings' tf, in order) is decoded if absent."""
-        if not self.has_positions:
-            raise ValueError("segment was built without positions")
-        if tfs is None:
-            tfs = self.decode_all()[1]
-        data = self.buf[self.p_base : self.p_base + self.p_len]
-        # VInt value boundaries = bytes with the continuation bit clear;
-        # posting i's payload ends after its cumulative tf-th value
-        value_ends = np.flatnonzero((data & 0x80) == 0)
-        last_value = np.cumsum(tfs.astype(np.int64)) - 1
-        off = np.zeros(len(tfs) + 1, dtype=np.int64)
-        if len(tfs):
-            off[1:] = value_ends[last_value] + 1
-        return data, off

@@ -108,12 +108,18 @@ class LinearModel:
 
 
 
+#: added to every tree threshold, as the reference's
+#: MultipleAdditiveTreesModel.setThreshold does, so a feature value within
+#: 1e-6 above a split still branches left
+NODE_SPLIT_SLACK = 1e-6
+
+
 @dataclass
 class MultipleAdditiveTreesModel:
     """Additive tree ensemble (reference
     org.apache.solr.ltr.model.MultipleAdditiveTreesModel: score = Σ over
-    trees of the leaf reached by 'feature <= threshold ? left : right'
-    traversal — the LambdaMART/GBDT deployment format).
+    trees of the leaf reached by 'feature <= threshold + NODE_SPLIT_SLACK ?
+    left : right' traversal — the LambdaMART/GBDT deployment format).
 
     A tree node is either ``{"value": v}`` (leaf) or
     ``{"feature": name, "threshold": t, "left": node, "right": node}``.
@@ -137,7 +143,7 @@ class MultipleAdditiveTreesModel:
             out[mask] += float(node["value"])
             return
         f = cols[node["feature"]]
-        go_left = mask & (f <= float(node["threshold"]))
+        go_left = mask & (f <= float(node["threshold"]) + NODE_SPLIT_SLACK)
         self._eval(node["left"], cols, go_left, out)
         self._eval(node["right"], cols, mask & ~go_left, out)
 
@@ -150,7 +156,8 @@ def tree_to_sql(node: dict, col_sql: dict[str, str]) -> str:
     if "value" in node:
         return repr(float(node["value"]))
     return (
-        f"(CASE WHEN {col_sql[node['feature']]} <= {float(node['threshold'])!r} "
+        f"(CASE WHEN {col_sql[node['feature']]} <= "
+        f"{float(node['threshold']) + NODE_SPLIT_SLACK!r} "
         f"THEN {tree_to_sql(node['left'], col_sql)} "
         f"ELSE {tree_to_sql(node['right'], col_sql)} END)"
     )

@@ -6,9 +6,12 @@ The reference merges flushed segments tier-by-tier in background threads
 ``SolrIndexConfig.java:262-265``). Here the same role is played by a Ray
 Data stage over term partitions: within each tkey, while a tkey holds more
 than ``target_per_tkey`` segments, the ``merge_factor`` smallest-by-bytes
-segments are k-way merged (term-sorted streams; each term's posting parts
-concatenate in doc order because segments hold disjoint doc ranges) into a
-new immutable segment. The index manifest is atomically re-committed and
+segments are merged into a new immutable segment: every source segment is
+decoded whole into one (term, doc_id, tf, norm[, pos]) table — position
+payloads carry over as raw bytes — purged deletes are dropped with one mask,
+and the table is written by ``segment.build_segment_from_group``, the
+encoder phase B uses (Lucene's SegmentMerger likewise writes through the
+flush codec). The index manifest is atomically re-committed and
 only then are the source segment directories deleted — a crash between
 commit and delete leaves harmless garbage, never a broken index.
 
@@ -18,100 +21,66 @@ tests): merging changes layout, not content.
 
 from __future__ import annotations
 
-import heapq
 import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+from apache___solr_ray import codec
 from apache___solr_ray.manifest import read_json, write_json_atomic
-from apache___solr_ray.segment import SegmentReader, write_segment
+from apache___solr_ray.segment import build_segment_from_group
 
 
 def _merge_group(index_dir: str, tkey: int, sources: list[dict], out_name: str, tombs=None) -> dict:
-    """K-way merge source segments (sorted term dicts) into one segment."""
-    readers = [SegmentReader(os.path.join(index_dir, "segments", s["name"])) for s in sources]
-    iters = []
-    for si, r in enumerate(readers):
-        it = r.iter_terms()
-        iters.append((si, it))
-    heap: list[tuple[str, int, int, int]] = []
-    for si, it in iters:
-        try:
-            term, df, ttf = next(it)
-            heap.append((term, si, df, ttf))
-        except StopIteration:
-            pass
-    heapq.heapify(heap)
-    terms, payloads, dfs, ttfs, max_tfs = [], [], [], [], []
-    while heap:
-        term = heap[0][0]
-        group: list[tuple[int, int, int]] = []
-        while heap and heap[0][0] == term:
-            _, si, df, ttf = heapq.heappop(heap)
-            group.append((si, df, ttf))
-            try:
-                nterm, ndf, nttf = next(iters[si][1])
-                heapq.heappush(heap, (nterm, si, ndf, nttf))
-            except StopIteration:
-                pass
-        parts = []
-        for si, _, _ in group:
-            v = readers[si].postings(term)
-            dec = v.decode_all()
-            if v.has_positions:
-                pdata, poff = v.positions_raw(tfs=dec[1])
-                parts.append((dec, pdata, np.diff(poff)))
-            else:
-                parts.append((dec, None, None))
-        # segments hold disjoint doc ranges -> sort parts by first doc, concat
-        parts.sort(key=lambda p: int(p[0][0][0]) if len(p[0][0]) else 0)
-        docs = np.concatenate([p[0][0] for p in parts])
-        tfs = np.concatenate([p[0][1] for p in parts])
-        norms = np.concatenate([p[0][2] for p in parts])
-        # positions merge = raw byte concat (per-posting streams are
-        # self-contained); present iff every part carries them
-        pos_data = pos_lens = None
-        if all(p[1] is not None for p in parts):
-            pos_data = np.concatenate([p[1] for p in parts])
-            pos_lens = np.concatenate([p[2] for p in parts])
-        if tombs is not None and len(tombs):
-            # purge: drop tombstoned postings (Lucene merge reclaiming
-            # deletes); a term whose postings vanish leaves the dict
-            alive = ~np.isin(docs, tombs)
-            docs, tfs, norms = docs[alive], tfs[alive], norms[alive]
-            if len(docs) == 0:
-                continue
-            if pos_data is not None:
-                off = np.zeros(len(pos_lens) + 1, dtype=np.int64)
-                np.cumsum(pos_lens, out=off[1:])
-                keep_lens = pos_lens[alive]
-                starts_keep = off[:-1][alive]
-                # gather the surviving postings' byte slices
-                rel = np.arange(int(keep_lens.sum()), dtype=np.int64)
-                run0 = np.zeros(len(keep_lens), dtype=np.int64)
-                np.cumsum(keep_lens[:-1], out=run0[1:])
-                rel -= np.repeat(run0, keep_lens)
-                pos_data = pos_data[np.repeat(starts_keep, keep_lens) + rel]
-                pos_lens = keep_lens
-        from apache___solr_ray import codec
-
-        pos_off = None
-        if pos_data is not None:
-            pos_off = np.zeros(len(pos_lens) + 1, dtype=np.int64)
-            np.cumsum(pos_lens, out=pos_off[1:])
-        terms.append(term)
-        payloads.append(
-            codec.encode_postings(docs, tfs, norms, pos_data=pos_data, pos_off=pos_off)
+    """Merge source segments into one through the phase-B segment encoder."""
+    terms, dfs, views = [], [], []
+    for s in sources:
+        seg_dir = os.path.join(index_dir, "segments", s["name"])
+        t = pq.read_table(
+            os.path.join(seg_dir, "terms.parquet"), columns=["term", "df", "offset", "nbytes"]
         )
-        dfs.append(int(len(docs)))
-        ttfs.append(int(tfs.sum()))
-        max_tfs.append(int(tfs.max()))
-    for r in readers:
-        r.close()
+        with open(os.path.join(seg_dir, "postings.bin"), "rb") as f:
+            buf = f.read()
+        terms.append(t.column("term").combine_chunks())
+        dfs.append(t.column("df").to_numpy())
+        views += [
+            codec.PostingsView(memoryview(buf)[off : off + nb])
+            for off, nb in zip(t.column("offset").to_numpy(), t.column("nbytes").to_numpy())
+        ]
+    # one dictionary over every source's terms, one code per posting
+    vocab = pc.dictionary_encode(pa.concat_arrays(terms))
+    dfs_all = np.concatenate(dfs)
+    codes = np.repeat(vocab.indices.to_numpy(zero_copy_only=False), dfs_all)
+    if views:
+        docs, tfs, norms = codec.decode_postings_concat(views)
+    else:  # every source is an empty segment
+        docs, tfs, norms = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.uint8)
+    cols = {
+        "term": pa.DictionaryArray.from_arrays(pa.array(codes, pa.int32()), vocab.dictionary),
+        "doc_id": docs,
+        "tf": tfs,
+        "norm": norms,
+    }
+    if views and all(v.has_positions for v in views):
+        # per-posting position payloads are self-contained VInt streams, so
+        # they carry over as raw bytes: posting i's payload ends at the
+        # stop bit of its cumulative tf-th value
+        pos = np.concatenate([v.buf[v.p_base : v.p_base + v.p_len] for v in views])
+        off = np.zeros(len(tfs) + 1, dtype=np.int64)
+        off[1:] = np.flatnonzero(pos < 0x80)[np.cumsum(tfs) - 1] + 1
+        cols["pos"] = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), len(tfs), [None, pa.py_buffer(off), pa.py_buffer(pos)]
+        )
+    group = pa.table(cols)
+    if tombs is not None and len(tombs):
+        # purge: drop tombstoned postings (Lucene merge reclaiming deletes);
+        # a term whose postings all vanish leaves the dict
+        group = group.filter(pa.array(~np.isin(docs, tombs)))
     seg_dir = os.path.join(index_dir, "segments", out_name)
-    meta = write_segment(seg_dir, tkey, -1, terms, payloads, dfs, ttfs, max_tfs)
+    meta = build_segment_from_group(group, seg_dir, tkey, -1)
     meta["name"] = out_name
     return meta
 

@@ -87,7 +87,6 @@ def ensure_doc_index(sf_dir: str) -> str:
         os.replace(tmp, pages_path)
     cfg = IndexConfig(
         term_partitions=8,
-        salt_threshold=10_000_000,
         target_docs_per_part=4096,
         text_from_html=False,
     )
@@ -113,7 +112,6 @@ def ensure_doc_index_mf(sf_dir: str) -> str:
     index_dir = os.path.join(base, "index_mf")
     cfg = IndexConfig(
         term_partitions=8,
-        salt_threshold=10_000_000,
         target_docs_per_part=4096,
         text_from_html=False,
         fields=(
@@ -2354,7 +2352,6 @@ def ensure_doc_index_sorted(sf_dir: str) -> str:
     n_rows = pq.ParquetFile(os.path.join(pages_dir, "docs-000000.parquet")).metadata.num_rows
     cfg = IndexConfig(
         term_partitions=8,
-        salt_threshold=10_000_000,
         # ~16 parts at any sf: enough parts that early termination is
         # observable, bounded task count
         target_docs_per_part=max(64, n_rows // 16),

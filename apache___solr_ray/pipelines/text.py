@@ -10,6 +10,7 @@ is conformance-tested against goldens in pytest instead.
 from __future__ import annotations
 
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -1727,8 +1728,6 @@ def _soundex(term: str) -> str:
     commons-codec Soundex encoder — encoder table documented there):
     first letter kept, h/w transparent, vowels separate, adjacent equal
     codes collapse (including across the first letter), pad to 4."""
-    import re
-
     first = term[0]
     rest = term[1:].replace("h", "").replace("w", "")
     tbl = str.maketrans("bfpvcgjkqsxzdtlmnraeiouyhw", "11112222222233455600000000")
@@ -1736,6 +1735,12 @@ def _soundex(term: str) -> str:
     coded = re.sub(r"(.)\1+", r"\1", coded)  # collapse adjacent duplicates
     digits = coded[1:].replace("0", "")[:3]
     return (first.upper() + digits).ljust(4, "0")
+
+
+def _soundex_vocab(terms) -> list[str]:
+    """The terms Soundex encodes: ASCII lowercase letters only, the oracle's
+    ``^[a-z]+$`` (the encoder's translate table is ASCII-only)."""
+    return [t for t in terms if re.fullmatch("[a-z]+", t)]
 
 
 @q(
@@ -1776,7 +1781,7 @@ def phonetic_soundex_codes(sf_dir: str):
     td = termdf_dataset(index_dir)  # global (term, df): one row per term
 
     def enc(df: pd.DataFrame) -> pd.DataFrame:
-        terms = [t for t in df["term"] if t.isalpha()]
+        terms = _soundex_vocab(df["term"])
         codes = pd.Series([_soundex(t) for t in terms], dtype=object)
         g = codes.groupby(codes, sort=False).size().reset_index()
         g.columns = ["code", "n_terms"]

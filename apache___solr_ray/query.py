@@ -44,8 +44,10 @@ from apache___solr_ray.segment import SegmentReader
 
 
 class TermPostings:
-    """All posting parts of one term (unsalted: 1 part; salted: ≤P parts,
-    disjoint doc ranges ordered by doc partition)."""
+    """All posting parts of one term: one view per segment of its tkey that
+    holds it (several when phase B split the tkey into doc-range chunks, or
+    appends added segments). Each view holds a disjoint set of the term's
+    docs; views are ordered by their first block."""
 
     __slots__ = ("term", "views", "df", "ttf")
 
@@ -60,20 +62,15 @@ class TermPostings:
         docs_out, tfs_out, norms_out = [], [], []
         for v in self.views:
             lasts = v.headers["last_doc"].astype(np.int64)
-            if len(lasts) == 0 or lasts[-1] < lo:
-                continue
             b0 = int(np.searchsorted(lasts, lo, side="left"))
-            for bi in range(b0, len(lasts)):
-                d, t, m = v.decode_block(bi)
-                if d[0] > hi:
-                    break
-                sel = (d >= lo) & (d <= hi)
-                if sel.any():
-                    docs_out.append(d[sel])
-                    tfs_out.append(t[sel])
-                    norms_out.append(m[sel])
-                if lasts[bi] >= hi:
-                    break
+            b1 = min(int(np.searchsorted(lasts, hi, side="left")), len(lasts) - 1)
+            if b0 > b1:
+                continue
+            d, t, m = v.decode_blocks(np.arange(b0, b1 + 1, dtype=np.int64))
+            sel = (d >= lo) & (d <= hi)
+            docs_out.append(d[sel])
+            tfs_out.append(t[sel])
+            norms_out.append(m[sel])
         if not docs_out:
             z = np.zeros(0, dtype=np.int64)
             return z, z.copy(), np.zeros(0, dtype=np.uint8)

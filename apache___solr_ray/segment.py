@@ -10,8 +10,12 @@ reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
   VInt deltas + tfs + inline norms in 128-doc blocks with fixed-size
   block-max skip headers)
 - ``meta.json``     — segment identity: tkey (term-hash partition), salt
-  (0 = unsalted; p+1 = head-term sub-list restricted to doc partition p),
-  counts, format version.
+  (the doc-range chunk index within the tkey when phase B splits a bucket
+  past ``max_postings_per_segment``; -1 for a merged segment), counts,
+  format version.
+
+Phase B and merges write segments through one encoder,
+``build_segment_from_group``.
 
 Readers mmap ``postings.bin`` and decode only the blocks the query visits.
 """
@@ -98,10 +102,11 @@ def build_segment_from_group(
 ) -> dict:
     """Encode a (term, doc_id, tf, norm[, pos]) group table into a segment.
 
-    Sorts by (term, doc_id) — Ray's groupby does not guarantee intra-group
-    order (SURVEY §7.4) — then encodes each term run. An optional ``pos``
-    binary column (per-posting VInt position payloads from the analyzer)
-    is carried through by slicing, never re-encoded.
+    Sorts by (term, doc_id) — phase B's rows arrive in (part, batch) order
+    and a merge's in source-segment order — then encodes each term run. An
+    optional ``pos`` binary or large-binary column (per-posting VInt
+    position payloads from the analyzer) is carried through by slicing,
+    never re-encoded.
     """
     # sort by (term, doc_id) WITHOUT a string sort over every posting: the
     # group's distinct-term dictionary is tiny (vocab/term_partitions), so
@@ -135,12 +140,13 @@ def build_segment_from_group(
             taken = taken.combine_chunks()
         # pc.take emits a packed array (offset 0, values in row order), so
         # the data buffer IS the reordered concatenated stream
-        off32 = np.frombuffer(taken.buffers()[1], dtype=np.int32)[
+        off_t = np.int64 if pa.types.is_large_binary(taken.type) else np.int32
+        off = np.frombuffer(taken.buffers()[1], dtype=off_t)[
             taken.offset : taken.offset + len(taken) + 1
         ].astype(np.int64)
         data = np.frombuffer(taken.buffers()[2], dtype=np.uint8)
-        pos_data = data[off32[0] : off32[-1]]
-        pos_off = off32 - off32[0]
+        pos_data = data[off[0] : off[-1]]
+        pos_off = off - off[0]
     payloads = codec.encode_postings_group(
         doc_arr, tf_arr, norm_arr, starts, ends, pos_data=pos_data, pos_off=pos_off
     )

@@ -31,7 +31,6 @@ def main() -> None:
     ap.add_argument("--term-partitions", type=int, default=64)
     ap.add_argument("--target-docs-per-part", type=int, default=65536)
     ap.add_argument("--max-postings-per-segment", type=int, default=16_000_000)
-    ap.add_argument("--shuffle", choices=["storage", "ray"], default="storage")
     ap.add_argument("--no-html", action="store_true", help="index the text column directly")
     ap.add_argument("--merge-target", type=int, default=0, help="if >0, tier-merge to N segs/tkey")
     ap.add_argument("--delete-url", nargs="*", default=[], help="tombstone these uniqueKeys after build")
@@ -52,7 +51,6 @@ def main() -> None:
         term_partitions=args.term_partitions,
         target_docs_per_part=args.target_docs_per_part,
         max_postings_per_segment=args.max_postings_per_segment,
-        shuffle=args.shuffle,
         text_from_html=not args.no_html,
     )
     man = build_index(args.input, args.index_dir, cfg)

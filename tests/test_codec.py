@@ -65,7 +65,7 @@ def test_block_headers_are_skip_data():
     assert int(h["n_docs"].sum()) == n
     # block-max metadata sound: decode each block, check bounds
     for bi in range(view.n_blocks):
-        d, t, m = view.decode_block(bi)
+        d, t, m = view.decode_blocks(np.array([bi]))
         assert int(h[bi]["max_tf"]) == int(t.max())
         assert int(h[bi]["min_norm"]) == int(m.min())
         assert int(h[bi]["last_doc"]) == int(d[-1])
@@ -77,6 +77,6 @@ def test_single_block_decode_without_others():
     tfs = np.ones(n, dtype=np.int64)
     norms = np.zeros(n, dtype=np.uint8)
     view = codec.PostingsView(codec.encode_postings(docs, tfs, norms))
-    d, _, _ = view.decode_block(3)  # decode middle block directly (skip path)
+    d, _, _ = view.decode_blocks(np.array([3]))  # decode middle block directly (skip path)
     lo, hi = 3 * codec.BLOCK, min(n, 4 * codec.BLOCK)
     assert np.array_equal(d, docs[lo:hi])

@@ -61,7 +61,7 @@ def test_postings_roundtrip_property(rows):
     assert v.doc_freq == len(docs)
     # block headers carry exact maxima/minima (the block-max contract)
     for bi in range(v.n_blocks):
-        d_b, t_b, n_b = v.decode_block(bi)
+        d_b, t_b, n_b = v.decode_blocks(np.array([bi]))
         h = v.headers[bi]
         assert int(h["last_doc"]) == int(d_b[-1])
         assert int(h["max_tf"]) == int(t_b.max())
@@ -70,7 +70,7 @@ def test_postings_roundtrip_property(rows):
     if v.n_blocks > 1:
         sub = np.arange(0, v.n_blocks, 2, dtype=np.int64)
         d_s, t_s, n_s = v.decode_blocks(sub)
-        want = np.concatenate([v.decode_block(int(b))[0] for b in sub])
+        want = np.concatenate([v.decode_blocks(np.array([b]))[0] for b in sub])
         assert d_s.tolist() == want.tolist()
 
 

@@ -184,3 +184,12 @@ def test_soundex_published_vectors():
     }
     for term, want in vectors.items():
         assert _soundex(term) == want, term
+
+
+def test_soundex_vocab_is_ascii_letters():
+    """Only ASCII lowercase terms are Soundex-encoded, as in the oracle's
+    ``^[a-z]+$`` filter: non-ASCII letters, digits and mixed terms are out."""
+    from apache___solr_ray.pipelines.text import _soundex_vocab
+
+    terms = ["smith", "café", "naïve", "straße", "x1", "3.14", "o'neil", "a"]
+    assert _soundex_vocab(terms) == ["smith", "a"]

@@ -367,3 +367,46 @@ def test_unapplied_tombstones_surface_in_build_stats(ray_session, tmp_path_facto
         man = build_index(d, idx, cfg)
     assert man["metrics"].get("tombstones_reapplied") == 2
     assert man["metrics"].get("tombstones_unapplied") == 4  # 3 stale + 1 sentinel
+
+
+def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
+    """Merging a doc-range-split build to one segment per tkey writes the
+    same term dictionary and byte-identical postings as building each tkey
+    as one segment (merge and phase B share one encoder). A merge whose
+    postings are all tombstoned writes an empty segment."""
+    import pyarrow.parquet as pq
+
+    from apache___solr_ray.merge import _merge_group
+    from apache___solr_ray.segment import SegmentReader
+
+    d = str(tmp_path_factory.mktemp("pages_eq"))
+    write_pages(d, 500, seed=42, rows_per_file=128)
+    base = dict(term_partitions=3, target_docs_per_part=128)
+    idx_whole = str(tmp_path_factory.mktemp("index_eq_whole"))
+    idx_split = str(tmp_path_factory.mktemp("index_eq_split"))
+    whole = build_index(d, idx_whole, IndexConfig(**base))
+    split = build_index(d, idx_split, IndexConfig(**base, max_postings_per_segment=4000))
+    assert len(split["segments"]) > len(whole["segments"])
+    man = merge_segments(idx_split, target_per_tkey=1, merge_factor=4)
+    merged = {s["tkey"]: s["name"] for s in man["segments"]}
+    assert len(merged) == len(man["segments"])  # one segment per tkey
+    for s in whole["segments"]:
+        a = os.path.join(idx_whole, "segments", s["name"])
+        b = os.path.join(idx_split, "segments", merged[s["tkey"]])
+        assert pq.read_table(os.path.join(a, "terms.parquet")).equals(
+            pq.read_table(os.path.join(b, "terms.parquet"))
+        )
+        with open(os.path.join(a, "postings.bin"), "rb") as fa, open(
+            os.path.join(b, "postings.bin"), "rb"
+        ) as fb:
+            assert fa.read() == fb.read()
+
+    # every doc tombstoned -> the merged tkey is an empty, readable segment
+    src = [s for s in whole["segments"] if s["tkey"] == 0]
+    all_docs = pq.read_table(os.path.join(idx_whole, "docs"), columns=["doc_id"])
+    tombs = np.sort(all_docs.column("doc_id").to_numpy())
+    meta = _merge_group(idx_whole, 0, src, "seg-00000-empty", tombs=tombs)
+    assert (meta["n_terms"], meta["n_postings"], meta["bytes"]) == (0, 0, 0)
+    empty = SegmentReader(os.path.join(idx_whole, "segments", "seg-00000-empty"))
+    assert empty.n_terms == 0 and empty.postings("the") is None
+    empty.close()

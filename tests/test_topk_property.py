@@ -46,7 +46,7 @@ def _vocab(r: IndexReader, prefix: str = "") -> dict[str, list[str]]:
         tp = r.term_postings(t)
         if len(tp.views) > 1:
             shapes["split"].append(t)
-        if any(int(v.decode_block(0)[0][0]) >> 32 >= 1 for v in tp.views):
+        if any(int(v.decode_blocks(np.array([0]))[0][0]) >> 32 >= 1 for v in tp.views):
             shapes["late_part"].append(t)
         if any(_one_byte_streams(v) for v in tp.views):
             shapes["one_byte"].append(t)
