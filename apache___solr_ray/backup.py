@@ -22,9 +22,11 @@ commit — the same property Lucene's incremental backups exploit):
   renames — a killed restore never leaves a half-index behind, mirroring
   the build's segment-commit discipline.
 
-Only COMMITTED state is captured: the file set is enumerated from the
-index directory after checking ``index_manifest.json`` exists (SnapShooter
-snapshots the commit point, never in-flight files)."""
+Only COMMITTED state is captured: the file set is enumerated from
+``index_manifest.json`` — the segment directories it names — plus the
+build's known sidecars (SnapShooter snapshots the commit point's files,
+never in-flight ones). Segments no manifest names and foreign files in the
+index directory are not backed up."""
 
 from __future__ import annotations
 
@@ -52,17 +54,32 @@ def _sha1_file(path: str) -> tuple[str, int]:
     return h.hexdigest(), n
 
 
-def _committed_files(index_dir: str) -> list[str]:
-    """Relative paths of the commit point's files (manifest last so a
-    restored dir is never visible with a manifest but missing bodies)."""
+#: index-directory entries beside the segments that a committed index
+#: reads: phase-A outputs and lineage, collection stats, delete ledgers
+SIDECARS = (
+    "docs", "postings_raw", "termdf", "manifests",
+    "stats.json", "tombstones.json", "purged.json",
+)
+
+
+def _committed_files(index_dir: str, man: dict) -> list[str]:
+    """Relative paths of the commit point's files: the segment directories
+    ``man`` names and the known sidecars, then the manifest last, so a
+    restored dir is never visible with a manifest but missing bodies."""
+    names = [
+        os.path.join("segments", s.get("name") or f"seg-{s['tkey']:05d}-{s['salt']:05d}")
+        for s in man["segments"]
+    ]
     out: list[str] = []
-    for root, _dirs, files in os.walk(index_dir):
-        for f in sorted(files):
-            if f.endswith(".tmp") or ".tmp." in f:
-                continue
-            rel = os.path.relpath(os.path.join(root, f), index_dir)
-            if rel != "index_manifest.json":
-                out.append(rel)
+    for name in [*SIDECARS, *names]:
+        top = os.path.join(index_dir, name)
+        if os.path.isfile(top):
+            out.append(name)
+            continue
+        for root, _dirs, files in os.walk(top):
+            for f in sorted(files):
+                if not (f.endswith(".tmp") or ".tmp." in f):
+                    out.append(os.path.relpath(os.path.join(root, f), index_dir))
     out.append("index_manifest.json")
     return out
 
@@ -78,7 +95,7 @@ def create_backup(index_dir: str, backup_dir: str, name: str) -> dict:
     os.makedirs(pool, exist_ok=True)
     files: dict[str, dict] = {}
     new_bodies = 0
-    for rel in _committed_files(index_dir):
+    for rel in _committed_files(index_dir, man):
         src = os.path.join(index_dir, rel)
         sha, size = _sha1_file(src)
         body = os.path.join(pool, sha)

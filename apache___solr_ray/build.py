@@ -4,8 +4,8 @@ Ray-native restatement of the reference indexing path (SURVEY §3.1:
 ``/update`` → URP chain → analysis → IndexWriter RAM buffer → flushed
 segments → merge), re-planned for batch Parquet input:
 
-Phase A  (per doc-partition; Dataset of partition descriptors →
-``map_batches`` tasks, one per partition):
+Phase A  (per doc-partition; the partition descriptors run as a few
+CPU-sized Ray Data blocks, see ``_run_stage``):
     stream the partition's row groups → HTML→text extract → analyze
     (tokenize/lower/stop) → assign dense doc ids → write
     ``docs/part-*.parquet`` (url, doc_id, doc_len, norm, lang),
@@ -19,17 +19,18 @@ Phase B  (the term-hash shuffle, through shared storage): phase A already
     wrote each part's postings SORTED by tkey with Parquet row-group
     boundaries aligned to tkey runs, and recorded the (row-group, n_rows)
     map per tkey in its lineage manifest. Phase B is then an
-    embarrassingly parallel stage: one task per (tkey, salt) reads exactly
-    its bucket's row groups from every part file (column pruning +
-    row-group pruning — no object-store all-to-all at all) and encodes one
-    segment with ``segment.build_segment_from_group``; merges write
-    through the same encoder. Skew handling is uniform *doc-range
-    splitting*: a bucket whose total postings exceed
-    ``max_postings_per_segment`` is split into contiguous part-range
-    chunks (salt = chunk index) — sub-segments stay doc-ordered, so
-    query-side views concatenate for free. Shuffle bytes ride the shared
-    filesystem that already holds phase A's outputs and the segments, not
-    RAM.
+    embarrassingly parallel stage over the (tkey, salt) segment plan: each
+    segment reads exactly its bucket's row groups from every part file
+    (column pruning + row-group pruning — no object-store all-to-all at
+    all) and is encoded with ``segment.build_segment_from_group``; merges
+    write through the same encoder. Segments run as a few CPU-sized
+    blocks, each looping over its segments, not one task per segment.
+    Skew handling is uniform *doc-range splitting*: a bucket whose total
+    postings exceed ``max_postings_per_segment`` is split into contiguous
+    part-range chunks (salt = chunk index) — sub-segments stay
+    doc-ordered, so query-side views concatenate for free. Shuffle bytes
+    ride the shared filesystem that already holds phase A's outputs and
+    the segments, not RAM.
 
 Commit: ``stats.json`` (docCount, sumTotalTermFreq — the ExactStatsCache
 global stats, reference ``CollectionStats.java:24-27``) and an atomic
@@ -81,6 +82,33 @@ def _limit_threads() -> None:
     if pa.cpu_count() != 1:
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
+
+
+#: blocks per cluster CPU for every build and merge stage: enough to keep
+#: each CPU busy past an uneven block, few enough that Ray Data's per-task
+#: cost stays small beside the work (the bounded merge-thread pool of
+#: Lucene's ConcurrentMergeScheduler, not a task per segment)
+BLOCKS_PER_CPU = 4
+
+
+def _cluster_cpus() -> int:
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def _run_stage(rows: list[dict], fn) -> tuple[list[dict], int]:
+    """Run one build or merge stage: ``rows`` split into
+    ``min(len(rows), BLOCKS_PER_CPU * cluster CPUs)`` Ray Data blocks, each
+    handed whole to ``fn`` (a pyarrow batch → pyarrow table function that
+    loops over its rows). Returns (output rows, blocks dispatched)."""
+    import ray.data as rd
+
+    if not rows:
+        return [], 0
+    n_blocks = min(len(rows), BLOCKS_PER_CPU * _cluster_cpus())
+    ds = rd.from_items(rows, override_num_blocks=n_blocks)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None).take_all(), n_blocks
 
 
 @dataclass(frozen=True)
@@ -531,7 +559,7 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
 def _plan_storage_segments(
     index_dir: str, cfg: IndexConfig, parts: list[dict]
 ) -> list[dict]:
-    """Reduce-side plan of the storage shuffle: one task per (tkey, salt).
+    """Reduce-side plan of the storage shuffle: one segment per (tkey, salt).
 
     Reads the per-part lineage manifests (which carry each part's
     tkey → (row_group, n_rows) map) and chunks every tkey bucket into
@@ -628,9 +656,10 @@ def _make_storage_segment_fn(
     # norm matrices are n_docs bytes TOTAL — when the driver shipped them
     # as per-part object-store refs (norm_refs), a task fetches only its
     # parts from local shared memory instead of re-opening the docs
-    # sidecars from disk per task (map_batches re-deserializes the fn per
-    # task, so an in-closure disk cache never survives). The disk path
-    # stays as the fallback for part counts past the ref-map threshold.
+    # sidecars from disk. map_batches re-deserializes the fn per task, so
+    # the cache lives for one block: every segment of that block shares
+    # it. The disk path stays as the fallback for part counts past the
+    # ref-map threshold.
     norm_cache: dict[int, np.ndarray] = {}
 
     def _norms(part_id: int):
@@ -649,17 +678,19 @@ def _make_storage_segment_fn(
         _limit_threads()
         out = []
         for row in batch.to_pylist():
+            t0 = time.perf_counter()
             tkey, salt, expected = int(row["tkey"]), int(row["salt"]), int(row["expected"])
             seg_dir = os.path.join(index_dir, "segments", f"seg-{tkey:05d}-{salt:05d}")
             existing = read_json(os.path.join(seg_dir, "meta.json"))
-            if (
+            resumed = (
                 existing is not None
                 and existing.get("n_postings") == expected
                 and existing.get("tkey") == tkey
                 and existing.get("salt") == salt
                 and existing.get("lineage") == row["lineage"]
-            ):
-                meta = existing  # resume: built from exactly these inputs
+            )
+            if resumed:
+                meta = existing  # built from exactly these inputs
             else:
                 pieces = []
                 for p, rg in zip(row["paths"], row["rgs"]):
@@ -718,6 +749,8 @@ def _make_storage_segment_fn(
                     # index_fingerprint digests content identity, not just
                     # per-segment counts
                     "lineage": str(row["lineage"]),
+                    "resumed": resumed,
+                    "wall_sec": time.perf_counter() - t0,
                 }
             )
         int_cols = (
@@ -728,6 +761,8 @@ def _make_storage_segment_fn(
             {
                 **{k: pa.array([o[k] for o in out], pa.int64()) for k in int_cols},
                 "lineage": pa.array([o["lineage"] for o in out], pa.string()),
+                "resumed": pa.array([o["resumed"] for o in out], pa.bool_()),
+                "wall_sec": pa.array([o["wall_sec"] for o in out], pa.float64()),
             }
         )
 
@@ -739,6 +774,19 @@ def _make_storage_segment_fn(
 # ---------------------------------------------------------------------------
 
 
+def _spread(secs: list[float]) -> dict:
+    """{sum, p50, max, skew = max/p50} of per-segment seconds (all 0 if none)."""
+    if not secs:
+        return {"sum": 0.0, "p50": 0.0, "max": 0.0, "skew": 0.0}
+    p50, mx = float(np.median(secs)), max(secs)
+    return {
+        "sum": round(sum(secs), 4),
+        "p50": round(p50, 4),
+        "max": round(mx, 4),
+        "skew": round(mx / p50, 3) if p50 > 0 else 0.0,
+    }
+
+
 def build_index(
     input_path: str | list[str],
     index_dir: str,
@@ -746,7 +794,6 @@ def build_index(
 ) -> dict:
     """Run the full build; resumable; returns the committed manifest."""
     import ray
-    import ray.data as rd
 
     t_start = time.time()
     paths = _paths_of(input_path)
@@ -765,16 +812,9 @@ def build_index(
 
     os.makedirs(index_dir, exist_ok=True)
 
-    # ---- Phase A: one task per deterministic doc partition ----
+    # ---- Phase A: the deterministic doc partitions, in CPU-sized blocks ----
     def run_part(batch: pa.Table) -> pa.Table:
-        out = [
-            _process_partition(
-                {k: batch.column(k)[i].as_py() for k in batch.column_names},
-                index_dir,
-                cfg,
-            )
-            for i in range(batch.num_rows)
-        ]
+        out = [_process_partition(desc, index_dir, cfg) for desc in batch.to_pylist()]
         import json
 
         return pa.table(
@@ -795,19 +835,7 @@ def build_index(
             }
         )
 
-    part_ds = rd.from_arrow(
-        pa.table(
-            {
-                "part_id": pa.array([p["part_id"] for p in parts], pa.int64()),
-                "path": pa.array([p["path"] for p in parts], pa.string()),
-                "rg_start": pa.array([p["rg_start"] for p in parts], pa.int64()),
-                "rg_end": pa.array([p["rg_end"] for p in parts], pa.int64()),
-                "n_rows": pa.array([p["n_rows"] for p in parts], pa.int64()),
-                "fingerprint": pa.array([p["fingerprint"] for p in parts], pa.string()),
-            }
-        )
-    ).repartition(len(parts))
-    summaries = part_ds.map_batches(run_part, batch_format="pyarrow", batch_size=1).take_all()
+    summaries, phase_a_tasks = _run_stage(parts, run_part)
     n_docs = sum(s["n_docs"] for s in summaries)
     sum_doc_len = sum(s["sum_doc_len"] for s in summaries)
     phase_a_sec = time.time() - t_start
@@ -828,20 +856,11 @@ def build_index(
             )
             for p in parts
         }
-    seg_summaries = (
-        rd.from_items(seg_tasks)
-        .map_batches(
-            _make_storage_segment_fn(
-                index_dir,
-                n_doc_parts,
-                cfg.store_positions,
-                fields_t,
-                norm_refs,
-            ),
-            batch_format="pyarrow",
-            batch_size=1,
-        )
-        .take_all()
+    seg_summaries, phase_b_tasks = _run_stage(
+        seg_tasks,
+        _make_storage_segment_fn(
+            index_dir, n_doc_parts, cfg.store_positions, fields_t, norm_refs
+        ),
     )
     phase_b_sec = time.time() - t_start - phase_a_sec
 
@@ -886,6 +905,7 @@ def build_index(
         stats["fields"] = {k: field_stats[k] for k in sorted(field_stats)}
     write_json_atomic(os.path.join(index_dir, "stats.json"), stats)
 
+    seg_sec = [float(s["wall_sec"]) for s in seg_summaries if not s["resumed"]]
     man = {
         "config": cfg.fingerprint_full(),
         "input_fingerprints": fingerprints,
@@ -924,6 +944,13 @@ def build_index(
             "total_sec": round(time.time() - t_start, 3),
             "docs_per_sec": round(n_docs / max(1e-9, time.time() - t_start), 1),
             "parts_resumed": int(sum(1 for s in summaries if s["resumed"])),
+            "phase_a_tasks": phase_a_tasks,
+            "phase_b_tasks": phase_b_tasks,
+            "segments_built": len(seg_sec),
+            "segments_resumed": len(seg_summaries) - len(seg_sec),
+            # wall time of the segments built (not resumed); skew = max/p50
+            # shows a straggler segment
+            "phase_b_seg_sec": _spread(seg_sec),
         },
     }
     # re-assert purge-merged deletes BEFORE the commit point: phase B just

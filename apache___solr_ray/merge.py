@@ -21,6 +21,7 @@ tests): merging changes layout, not content.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
@@ -135,8 +136,7 @@ def merge_segments(
     recomputes the live collection stats (docCount, sumTotalTermFreq) and
     clears the tombstone file — Lucene's delete reclamation. Scores change
     accordingly (stats now reflect live docs only), as in Lucene."""
-    import ray.data as rd
-
+    from apache___solr_ray.build import _run_stage
     from apache___solr_ray.deletes import (
         clear_tombstones,
         load_tombstones,
@@ -172,23 +172,18 @@ def merge_segments(
     if not steps:
         return man
 
-    # one task per merge step; steps within a tkey chain (later steps may
-    # consume earlier outputs), so group steps by tkey and run each tkey's
-    # chain inside one task — tkeys merge in parallel, chains stay ordered.
+    # steps within a tkey chain (later steps may consume earlier outputs),
+    # so each tkey's chain runs in order inside one stage row; the tkeys
+    # run as a few CPU-sized blocks in parallel (build._run_stage)
     by_tkey: dict[int, list] = {}
     for st in steps:
         by_tkey.setdefault(st[0], []).append(st)
 
     def run_tkey(batch: pa.Table) -> pa.Table:
-        import json as _json
-
         out = []
-        for i in range(batch.num_rows):
-            tkey = int(batch.column("tkey")[i].as_py())
-            chain = _json.loads(batch.column("steps")[i].as_py())
-            for _, sources, out_name, _ in chain:
-                meta = _merge_group(index_dir, tkey, sources, out_name, tombs=tombs)
-                out.append(meta)
+        for row in batch.to_pylist():
+            for _, sources, out_name, _ in json.loads(row["steps"]):
+                out.append(_merge_group(index_dir, row["tkey"], sources, out_name, tombs=tombs))
         return pa.table(
             {
                 "name": pa.array([m["name"] for m in out], pa.string()),
@@ -199,17 +194,9 @@ def merge_segments(
             }
         )
 
-    import json as _json
-
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "tkey": pa.array(list(by_tkey.keys()), pa.int64()),
-                "steps": pa.array([_json.dumps(v) for v in by_tkey.values()], pa.string()),
-            }
-        )
-    ).repartition(len(by_tkey))
-    merged = ds.map_batches(run_tkey, batch_format="pyarrow", batch_size=1).take_all()
+    merged, _ = _run_stage(
+        [{"tkey": t, "steps": json.dumps(chain)} for t, chain in by_tkey.items()], run_tkey
+    )
     merged_by_name = {m["name"]: m for m in merged}
 
     consumed = {s["name"] for st in steps for s in st[1]}

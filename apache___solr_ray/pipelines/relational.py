@@ -1370,18 +1370,26 @@ def full_outer_join_customers_events(sf_dir: str):
         cust, ev, "full_outer", 8, on=("c_custkey",), right_on=("user_id",)
     )
 
-    def proj(t: pa.Table) -> pa.Table:
-        key = pc.cast(t.column("c_custkey"), pa.int64())  # coalesced by the join
-        n = pc.cast(t.column("n_events"), pa.int64())
-        return pa.table(
-            {
-                "key": key,
-                "has_customer": pc.cast(pc.is_valid(t.column("__c")), pa.int64()),
-                "n_events": pc.fill_null(n, 0),
-            }
-        )
+    return joined.map_batches(_full_outer_proj, batch_format="pyarrow")
 
-    return joined.map_batches(proj, batch_format="pyarrow")
+
+def _full_outer_proj(t: pa.Table) -> pa.Table:
+    """Projection of one full-outer join output block. A block that holds
+    only one side's rows may lack the other side's columns (``n_events``
+    or ``__c``): a missing column reads as nulls, so as 0."""
+
+    def col(name: str, typ: pa.DataType) -> pa.Array:
+        if name in t.column_names:
+            return pc.cast(t.column(name), typ)
+        return pa.nulls(t.num_rows, typ)
+
+    return pa.table(
+        {
+            "key": col("c_custkey", pa.int64()),  # coalesced by the join
+            "has_customer": pc.cast(pc.is_valid(col("__c", pa.int8())), pa.int64()),
+            "n_events": pc.fill_null(col("n_events", pa.int64()), 0),
+        }
+    )
 
 
 @q(

@@ -741,7 +741,21 @@ def test_backup_restore_roundtrip_and_incremental(built, tmp_path):
     idx, _cfg, _man = built
     bdir = str(tmp_path / "backups")
 
-    m1 = bk.create_backup(idx, bdir, "b1")
+    # strays the manifest does not name: neither may be backed up
+    stray_file = os.path.join(idx, "external_boost.txt")
+    stray_seg = os.path.join(idx, "segments", "seg-x")
+    with open(stray_file, "w") as f:
+        f.write("doc://000000000001=2.0\n")
+    os.makedirs(stray_seg)
+    with open(os.path.join(stray_seg, "meta.json"), "w") as f:
+        f.write("{}")
+    try:
+        m1 = bk.create_backup(idx, bdir, "b1")
+    finally:
+        os.remove(stray_file)
+        shutil.rmtree(stray_seg)
+    assert "external_boost.txt" not in m1["files"]
+    assert not [rel for rel in m1["files"] if rel.startswith(os.path.join("segments", "seg-x"))]
     assert m1["new_pool_files"] == len(m1["files"])  # first backup: all new
 
     # incremental: unchanged index -> zero new bodies, same file table
@@ -756,14 +770,19 @@ def test_backup_restore_roundtrip_and_incremental(built, tmp_path):
     got = _term_df_table(dest)
     want = _term_df_table(idx)
     assert got.equals(want)
+    r_got, r_want = IndexReader(dest), IndexReader(idx)
+    for q in QUERIES:
+        d_got, s_got = r_got.topk(q, 10)
+        d_want, s_want = r_want.topk(q, 10)
+        assert d_got.tolist() == d_want.tolist() and s_got.tolist() == s_want.tolist(), q
+    r_got.close()
+    r_want.close()
 
     # restore refuses to clobber
     with _pytest.raises(bk.BackupError):
         bk.restore_backup(bdir, "b1", dest)
 
     # tamper with a pool body -> verify and restore both fail
-    import os
-
     sha = next(iter(m1["files"].values()))["sha1"]
     body = os.path.join(bdir, "pool", sha)
     with open(body, "r+b") as f:
@@ -1012,3 +1031,103 @@ def test_shards_tolerant_skips_failed_shard(built, tmp_path):
     # of propagating (Solr returns partialResults=true with what's left)
     assert partial and n1 == 0 and len(d1) == 0 and len(s1) == 0
     del d0, s0  # baseline only proves the clone was healthy pre-corruption
+
+
+def test_run_stage_runs_each_row_once_in_cpu_sized_blocks(ray_session):
+    """The build/merge stage helper processes every row exactly once and
+    dispatches min(rows, BLOCKS_PER_CPU * CPUs) blocks."""
+    import uuid
+
+    import pyarrow as pa
+
+    from apache___solr_ray import build
+
+    def tag(batch):
+        block = uuid.uuid4().hex
+        return pa.table({"i": batch.column("i"), "block": pa.array([block] * batch.num_rows)})
+
+    cpus = build._cluster_cpus()
+    assert cpus == 4  # the test session's Ray
+    for n in (1, 5, 200):
+        out, n_blocks = build._run_stage([{"i": i} for i in range(n)], tag)
+        assert sorted(r["i"] for r in out) == list(range(n))
+        assert n_blocks == len({r["block"] for r in out}) == min(n, 4 * cpus)
+
+
+def test_build_telemetry_tasks_and_segments(ray_session, built, tmp_path_factory):
+    """index_manifest.metrics counts the blocks each phase dispatched and
+    the segments built or resumed; an upsert rebuilds every segment and
+    re-tokenizes only the new part."""
+    import pyarrow as pa
+
+    from apache___solr_ray import build
+    from apache___solr_ray.update import upsert_pages
+
+    _idx, _cfg, man = built
+    m, n_seg = man["metrics"], man["stats"]["n_segments"]
+    assert m["phase_a_tasks"] <= min(man["stats"]["n_doc_parts"], 4 * build._cluster_cpus())
+    assert m["phase_b_tasks"] <= min(n_seg, 4 * build._cluster_cpus())
+    assert m["segments_built"] + m["segments_resumed"] == n_seg
+    sec = m["phase_b_seg_sec"]
+    assert 0 < sec["p50"] <= sec["max"] <= sec["sum"]
+    assert sec["skew"] == pytest.approx(sec["max"] / sec["p50"], rel=0.01)
+
+    d = str(tmp_path_factory.mktemp("pages_tele"))
+    write_pages(d, 256, seed=7, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_tele"))
+    cfg = IndexConfig(term_partitions=4, target_docs_per_part=128, text_from_html=False)
+    m0 = build_index(d, idx, cfg)["metrics"]
+    assert (m0["segments_built"], m0["segments_resumed"]) == (4, 0)
+    page = pa.table(
+        {
+            "url": pa.array(["doc://tele-new"], pa.string()),
+            # enough distinct terms to reach every term partition
+            "text": pa.array([" ".join(f"w{i}" for i in range(64))], pa.string()),
+            "lang": pa.array(["en"], pa.string()),
+        }
+    )
+    man1 = upsert_pages(d, idx, page, cfg)
+    m1, n_parts = man1["metrics"], man1["stats"]["n_doc_parts"]
+    assert m1["segments_resumed"] == 0
+    assert m1["segments_built"] == man1["stats"]["n_segments"]
+    assert m1["parts_resumed"] == n_parts - 1
+
+
+def test_segments_identical_for_any_block_count(
+    ray_session, corpus_dir, tmp_path_factory, monkeypatch
+):
+    """A build and a purge merge write byte-identical segments whether the
+    stages run as 4 blocks (1 CPU) or one block per segment (64 CPUs)."""
+    from apache___solr_ray import build
+    from apache___solr_ray.deletes import delete_by_url
+    from apache___solr_ray.merge import merge_segments
+
+    cfg = IndexConfig(
+        term_partitions=8, target_docs_per_part=ROWS_PER_FILE, max_postings_per_segment=6000
+    )
+
+    def segment_bytes(idx):
+        root = os.path.join(idx, "segments")
+        out = {}
+        for seg in sorted(os.listdir(root)):
+            for f in ("postings.bin", "terms.parquet", "meta.json"):
+                with open(os.path.join(root, seg, f), "rb") as fh:
+                    out[seg, f] = fh.read()
+        return out
+
+    runs = {}
+    for cpus in (1, 64):
+        monkeypatch.setattr(build, "_cluster_cpus", lambda c=cpus: c)
+        idx = str(tmp_path_factory.mktemp(f"index_cpus{cpus}"))
+        man = build_index(corpus_dir, idx, cfg)
+        assert man["metrics"]["phase_b_tasks"] == min(man["stats"]["n_segments"], 4 * cpus)
+        built_segs = segment_bytes(idx)
+        r = IndexReader(idx)
+        urls = r.urls_for(np.array([0, 1, (1 << 32) + 3, (2 << 32) + 5], dtype=np.int64))
+        r.close()
+        assert delete_by_url(idx, urls) == 4
+        merge_segments(idx, purge_deletes=True)
+        runs[cpus] = built_segs, segment_bytes(idx)
+    assert len(runs[1][0]) > 3 * 8  # salted: more segments than tkeys
+    assert runs[1][0] == runs[64][0]
+    assert runs[1][1] == runs[64][1]

@@ -113,3 +113,22 @@ def test_query_matches_oracle(name, catalog, con, ray_session):
             assert ok.all(), f"{name}.{c}: float values differ\n{aa[~ok].head()}\n{bb[~ok].head()}"
         else:
             assert a.tolist() == b.tolist(), f"{name}.{c}: values differ"
+
+
+def test_full_outer_proj_block_missing_side_columns():
+    """A full-outer join output block that holds one side's rows only may
+    lack the other side's columns; the projection reads them as 0."""
+    from apache___solr_ray.pipelines.relational import _full_outer_proj
+
+    left_only = pa.table(
+        {"c_custkey": pa.array([3, 1], pa.int64()), "__c": pa.array([1, 1], pa.int8())}
+    )
+    assert _full_outer_proj(left_only).to_pydict() == {
+        "key": [3, 1], "has_customer": [1, 1], "n_events": [0, 0],
+    }
+    right_only = pa.table(
+        {"c_custkey": pa.array([7], pa.int64()), "n_events": pa.array([5], pa.int64())}
+    )
+    assert _full_outer_proj(right_only).to_pydict() == {
+        "key": [7], "has_customer": [0], "n_events": [5],
+    }
