@@ -332,8 +332,8 @@ class PostingsView:
     """Lazy decoded view over one term's encoded payload.
 
     Exposes the skip data (block headers) without decoding posting data;
-    blocks decode on demand — range decodes and phrase evaluation read
-    headers to skip blocks outside the docs they need.
+    blocks decode on demand — phrase evaluation reads headers to skip
+    blocks outside the docs it needs.
     """
 
     __slots__ = ("buf", "headers", "d_base", "t_base", "n_base", "p_base", "p_len", "n_off")

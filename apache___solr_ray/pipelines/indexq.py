@@ -483,16 +483,20 @@ def bm25_f64_topk_docs(sf_dir: str):
 
 @q("index_scatter_gather_topk")
 def index_scatter_gather_topk(sf_dir: str):
-    """Distributed query path: doc-range sharded scoring + coordinator merge
-    (QueryComponent.mergeIds analog) — must equal single-evaluator top-k
-    (asserted in pytest; rows-only here)."""
-    from apache___solr_ray.query import scatter_gather_topk
+    """Distributed query path: ``QueryService`` with two doc-range shards
+    and a coordinator merge (QueryComponent.mergeIds analog) — must equal
+    single-evaluator top-k (asserted in pytest; rows-only here)."""
+    from apache___solr_ray.query import QueryService
 
     index_dir = ensure_doc_index(sf_dir)
     idmap = _doc_id_map(index_dir)
+    svc = QueryService(index_dir, n_shards=2)
+    try:
+        hits = svc.topk_many(BM25_QUERIES[:3], 10)
+    finally:
+        svc.shutdown()
     qids, ranks, ids, scores = [], [], [], []
-    for qi, query in enumerate(BM25_QUERIES[:3]):
-        d, s = scatter_gather_topk(index_dir, query, 10, n_shards=2)
+    for qi, (d, s) in enumerate(hits):
         qids.extend([qi] * len(d))
         ranks.extend(range(1, len(d) + 1))
         ids.extend(idmap[int(x)] for x in d)

@@ -1066,7 +1066,7 @@ def _termvectors_entry(sf_dir: str):
 
     import pyarrow.compute as _pc
 
-    from apache___solr_ray import mathexpr
+    from apache___solr_ray import mathexpr, streamexpr
     from apache___solr_ray.analyze import simple_tokenize
     from apache___solr_ray.sources import load
 
@@ -1075,7 +1075,14 @@ def _termvectors_entry(sf_dir: str):
         lambda t: t.filter(_pc.equal(t.column("lang"), "de")),
         batch_format="pyarrow",
     )
-    pdf = ds.select_columns(["doc_id", "text"]).to_pandas().sort_values("doc_id")
+    ds = ds.select_columns(["doc_id", "text"]).materialize()
+    n = ds.count()
+    if n > streamexpr.LET_VECTOR_MAX:
+        raise streamexpr.StreamExprError(
+            f"termVectors input has {n} rows (> LET_VECTOR_MAX); "
+            "tuple-list evaluators are bounded in-memory state"
+        )
+    pdf = ds.to_pandas().sort_values("doc_id")
     tuples = [
         {"id": int(r.doc_id), "terms": simple_tokenize(r.text or "")}
         for r in pdf.itertuples()

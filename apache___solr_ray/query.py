@@ -17,19 +17,21 @@ of ``QueryComponent.mergeIds``):
   (``_topk_batched``). Lucene prunes with block-max WAND instead; on this
   engine's posting lists the bound bookkeeping cost more than the blocks
   it skipped, so no pruning is done. The block headers stay in the format
-  for range decodes and phrase skipping.
+  for phrase skipping.
 
 ``TopKQueryActor`` is the stateful stage: construct once per actor (opens
 the index, caches term dicts / postings views), score query batches in
 ``__call__`` — used via ``Dataset.map_batches(TopKQueryActor, concurrency=N,
-...)``. ``scatter_gather_topk`` additionally doc-range-splits one query
-across Ray tasks and k-way-merges with the reference tie-break — the
-distributed scatter/gather analog.
+...)``. ``QueryService`` is the one distributed serving path: doc-range
+shard actors in replica groups, global df broadcast by the coordinator,
+a deadline and shard tolerance per call, and a k-way merge with the
+reference tie-break.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -41,6 +43,9 @@ from apache___solr_ray.codec import decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
 from apache___solr_ray.manifest import read_json
 from apache___solr_ray.segment import SegmentReader
+
+#: doc-sidecar parts an ``IndexReader`` keeps open for url lookups (LRU)
+DOCS_CACHE_PARTS = 64
 
 
 class TermPostings:
@@ -56,25 +61,6 @@ class TermPostings:
         self.views = views  # list[PostingsView], global doc order across list
         self.df = df
         self.ttf = ttf
-
-    def decode_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode postings with lo <= doc_id <= hi, touching only needed blocks."""
-        docs_out, tfs_out, norms_out = [], [], []
-        for v in self.views:
-            lasts = v.headers["last_doc"].astype(np.int64)
-            b0 = int(np.searchsorted(lasts, lo, side="left"))
-            b1 = min(int(np.searchsorted(lasts, hi, side="left")), len(lasts) - 1)
-            if b0 > b1:
-                continue
-            d, t, m = v.decode_blocks(np.arange(b0, b1 + 1, dtype=np.int64))
-            sel = (d >= lo) & (d <= hi)
-            docs_out.append(d[sel])
-            tfs_out.append(t[sel])
-            norms_out.append(m[sel])
-        if not docs_out:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), np.zeros(0, dtype=np.uint8)
-        return np.concatenate(docs_out), np.concatenate(tfs_out), np.concatenate(norms_out)
 
     def decode_all(self):
         parts = [v.decode_all() for v in self.views]
@@ -120,12 +106,7 @@ class TermPostings:
 class IndexReader:
     """Open a committed index: stats + segment directory, lazy everything."""
 
-    def __init__(
-        self,
-        index_dir: str,
-        cache_docs_parts: int = 64,
-        part_range: tuple[int, int] | None = None,
-    ):
+    def __init__(self, index_dir: str, part_range: tuple[int, int] | None = None):
         self.dir = index_dir
         man = read_json(os.path.join(index_dir, "index_manifest.json"))
         if man is None:
@@ -157,7 +138,6 @@ class IndexReader:
         self._readers: dict[str, SegmentReader] = {}
         self._term_cache: OrderedDict[str, TermPostings | None] = OrderedDict()
         self._docs_cache: OrderedDict[int, pa.Table] = OrderedDict()
-        self._cache_docs_parts = cache_docs_parts
         from apache___solr_ray.deletes import load_tombstones
 
         self.tombstones = load_tombstones(index_dir)
@@ -181,17 +161,20 @@ class IndexReader:
             self._readers[name] = r
         return r
 
+    def _term_readers(self, term: str) -> list[SegmentReader]:
+        """Readers of the segments of the term's tkey."""
+        from apache___solr_ray.build import term_hash
+
+        tkey = int(term_hash(np.array([term], dtype=object))[0] % np.uint64(self.T))
+        return [self._reader(seg["name"]) for seg in self._segments_by_tkey.get(tkey, ())]
+
     def term_postings(self, term: str) -> TermPostings | None:
         hit = self._term_cache.get(term)
         if term in self._term_cache:
             self._term_cache.move_to_end(term)
             return hit
-        from apache___solr_ray.build import term_hash
-
-        tkey = int(term_hash(np.array([term], dtype=object))[0] % np.uint64(self.T))
         views, df, ttf = [], 0, 0
-        for seg in self._segments_by_tkey.get(tkey, ()):
-            r = self._reader(seg["name"])
+        for r in self._term_readers(term):
             v = r.postings(term)
             if v is not None:
                 st = r.term_stats(term)
@@ -242,12 +225,14 @@ class IndexReader:
 
     def term_stats_map(self, query: str) -> dict[str, int]:
         """Global (term -> df) for a query — the ExactStatsCache round-trip
-        payload a coordinator broadcasts to shards."""
-        return {
-            term: tp.df
-            for term in Counter(self.analyzer.analyze(query))
-            if (tp := self.term_postings(term)) is not None
-        }
+        payload a coordinator broadcasts to shards. Reads term dictionaries
+        only: no postings file is opened."""
+        out = {}
+        for term in set(self.analyzer.analyze(query)):
+            df = sum(st[0] for r in self._term_readers(term) if (st := r.term_stats(term)))
+            if df:
+                out[term] = df
+        return out
 
     def topk_exhaustive(
         self, query: str, k: int = 10, field: str | None = None
@@ -846,23 +831,19 @@ class IndexReader:
         df_override: dict[str, int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k restricted to doc partitions [part_lo, part_hi) — the
-        per-shard leg of scatter/gather."""
+        per-shard leg of ``QueryService``, in the same batched pass as
+        ``topk``."""
         scorers = self._scorers(query, df_override=df_override)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        lo, hi = part_lo << 32, (part_hi << 32) - 1
-        docs_list, score_list = [], []
-        for tp, sc in scorers:
-            d, t, m = tp.decode_range(lo, hi)
-            alive = self._alive(d)
-            if alive is not None:
-                d, t, m = d[alive], t[alive], m[alive]
-            if len(d):
-                docs_list.append(d)
-                score_list.append(sc.score(t, m))
-        if not docs_list:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        return _topk_from_candidates(docs_list, score_list, k)
+        lo, hi = part_lo << 32, part_hi << 32
+
+        def keep(docs: np.ndarray) -> np.ndarray:
+            in_range = (docs >= lo) & (docs < hi)
+            alive = self._alive(docs)
+            return in_range if alive is None else in_range & alive
+
+        return _topk_batched(scorers, k, keep)
 
     # -- doc resolution -----------------------------------------------------
 
@@ -943,7 +924,7 @@ class IndexReader:
                 columns=["url", "doc_len"],
             )
             self._docs_cache[part] = t
-            if len(self._docs_cache) > self._cache_docs_parts:
+            if len(self._docs_cache) > DOCS_CACHE_PARTS:
                 self._docs_cache.popitem(last=False)
         return t
 
@@ -1091,9 +1072,8 @@ class TopKQueryActor:
     ``qid, rank, doc_id, url, score``.
     """
 
-    def __init__(self, index_dir: str, resolve_urls: bool = True):
+    def __init__(self, index_dir: str):
         self.reader = IndexReader(index_dir)
-        self.resolve_urls = resolve_urls
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids, ranks, doc_ids, scores = [], [], [], []
@@ -1107,273 +1087,141 @@ class TopKQueryActor:
             ranks.extend(range(1, len(d) + 1))
             doc_ids.extend(d.tolist())
             scores.extend(s.tolist())
-            if self.resolve_urls:
-                urls.extend(self.reader.urls_for(d))
-        cols = {
-            "qid": pa.array(qids, pa.int64()),
-            "rank": pa.array(ranks, pa.int32()),
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "score": pa.array(np.array(scores, dtype=np.float32)),
-        }
-        if self.resolve_urls:
-            cols["url"] = pa.array(urls, pa.string())
-        return pa.table(cols)
+            urls.extend(self.reader.urls_for(d))
+        return pa.table(
+            {
+                "qid": pa.array(qids, pa.int64()),
+                "rank": pa.array(ranks, pa.int32()),
+                "doc_id": pa.array(doc_ids, pa.int64()),
+                "score": pa.array(np.array(scores, dtype=np.float32)),
+                "url": pa.array(urls, pa.string()),
+            }
+        )
 
 
-class ShardedQueryService:
-    """Memory-bounded distributed serving: each actor owns a DOC-RANGE
-    shard and opens only the segments overlapping it — the SolrCloud
-    collection-of-shards architecture (reference: one core per shard,
-    scatter-gather in ``HttpShardHandler`` / ``QueryComponent.mergeIds``).
+class _Shard:
+    """One doc-range shard replica of ``QueryService``: a reader that opens
+    only the segments overlapping parts [lo, hi) and scores with the df
+    the coordinator broadcasts."""
 
-    At 10^12 docs no single node can hold the whole term dictionary set;
-    the doc-range split bounds per-actor memory to its shard's segments
-    (doc-range `salt` chunks written by the storage shuffle align with
-    this: a shard touches ceil(parts/n_shards / chunk) salt files per
-    tkey). Scores are exact: global BM25 stats come from the build
-    (ExactStatsCache semantics), so per-shard scoring + k-way merge is
-    rank- and score-identical to a single evaluator."""
+    def __init__(self, index_dir: str, lo: int, hi: int):
+        self.reader = IndexReader(index_dir, part_range=(lo, hi))
+        self.lo, self.hi = lo, hi
 
-    def __init__(self, index_dir: str, n_shards: int = 4):
-        import ray
+    def topk(self, query: str, k: int, stats: dict[str, int]):
+        return self.reader.topk_range(query, k, self.lo, self.hi, df_override=stats)
 
-        man = read_json(os.path.join(index_dir, "index_manifest.json"))
-        n_parts = man["stats"]["n_doc_parts"]
-        n_shards = max(1, min(n_shards, n_parts))
-        bounds = np.linspace(0, n_parts, n_shards + 1).astype(int)
+    def topk_many(self, queries: list[str], k: int, stats: list[dict[str, int]]):
+        return [self.topk(q, k, st) for q, st in zip(queries, stats)]
 
-        @ray.remote(num_cpus=1)
-        class _Shard:
-            def __init__(self, index_dir: str, lo: int, hi: int):
-                self.reader = IndexReader(index_dir, part_range=(lo, hi))
-                self.lo, self.hi = lo, hi
-
-            def topk(self, query: str, k: int, stats: dict):
-                d, s = self.reader.topk_range(
-                    query, k, self.lo, self.hi, df_override=stats
-                )
-                return d, s
-
-            def ping(self):
-                return True
-
-        self._ray = ray
-        self.actors = [
-            _Shard.remote(index_dir, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        # coordinator-side stats reader: term-dict lookups only (the
-        # ExactStatsCache role); postings are never decoded here
-        self._stats_reader = IndexReader(index_dir)
-
-    def warmup(self) -> None:
-        self._ray.get([a.ping.remote() for a in self.actors])
-
-    def topk(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter to every shard with the global term stats, gather, k-way
-        merge with the reference tie-break — one query, shard-parallel."""
-        stats = self._stats_reader.term_stats_map(query)
-        parts = self._ray.get([a.topk.remote(query, k, stats) for a in self.actors])
-        return merge_topk(parts, k)
-
-    def shutdown(self) -> None:
-        for a in self.actors:
-            self._ray.kill(a)
-        self.actors = []
+    def ping(self) -> bool:
+        return True
 
 
 class QueryService:
-    """Long-lived distributed query serving — the SolrCloud
-    searcher/replica analog (reference: ``SolrIndexSearcher`` held open per
-    core, queries load-balanced across replicas via ``HttpShardHandler``,
+    """Long-lived distributed BM25 serving — the SolrCloud shard × replica
+    layout (reference: ``SearchHandler`` sends a request through
+    ``HttpShardHandler`` to one replica per shard, ``timeAllowed`` and
+    ``shards.tolerant`` ride on that request, ``ExactStatsCache`` supplies
+    global df and ``QueryComponent.mergeIds`` merges;
     ``solr/core/src/java/org/apache/solr/handler/component/SearchHandler.java:219-420``).
 
-    An explicit pool of Ray actors, each holding the whole index open
-    (term dictionaries in memory, postings mmap'd); query batches are
-    round-robin dispatched. Unlike the ``Dataset.map_batches`` path this
-    pool outlives any one dataset execution — the right shape for online
-    serving and for steady-state QPS measurement.
+    The index's doc parts split into ``n_shards`` contiguous ranges; each
+    shard actor opens only the segments overlapping its range. The cluster's
+    CPUs hold ``max(1, CPUs // shards)`` replica groups of every shard, and
+    an actor never reserves more than its share of the CPUs, so more shards
+    than CPUs still schedule. The coordinator reads term dictionaries only
+    (global df, broadcast with every query), so per-shard scores plus the
+    ``merge_topk`` merge are rank- and score-identical to
+    ``IndexReader.topk``.
+
+    A call that times out may leave its actor busy; later calls still
+    return within their own deadline.
     """
 
-    def __init__(self, index_dir: str, n_actors: int = 4):
+    def __init__(self, index_dir: str, n_shards: int = 1):
         import ray
 
-        @ray.remote(num_cpus=1)
-        class _QueryWorker:
-            def __init__(self, index_dir: str):
-                self.inner = TopKQueryActor(index_dir, resolve_urls=False)
-
-            def query_batch(self, qids: list[int], queries: list[str], k: int) -> pa.Table:
-                tbl = pa.table(
-                    {
-                        "qid": pa.array(qids, pa.int64()),
-                        "query": pa.array(queries, pa.string()),
-                        "k": pa.array([k] * len(qids), pa.int32()),
-                    }
-                )
-                return self.inner(tbl)
-
-            def query_many(self, queries: list[str], k: int, passes: int) -> int:
-                """Serve a query list `passes` times; returns total hit rows.
-                The whole loop runs actor-side — one remote call per actor —
-                so a throughput measurement has no driver dispatch on the
-                critical path."""
-                n = 0
-                r = self.inner.reader
-                for _ in range(passes):
-                    for q in queries:
-                        d, _s = r.topk(q, k)
-                        n += len(d)
-                return n
-
-            def ping(self) -> bool:
-                return True
+        from apache___solr_ray.build import _cluster_cpus
 
         self._ray = ray
-        self.actors = [
-            _QueryWorker.remote(index_dir) for _ in range(max(1, n_actors))
+        self._stats = IndexReader(index_dir)
+        n_parts = self._stats.n_doc_parts
+        n_shards = max(1, min(n_shards, n_parts))
+        bounds = np.linspace(0, n_parts, n_shards + 1).astype(int)
+        cpus = _cluster_cpus()
+        n_replicas = max(1, cpus // n_shards)
+        # Ray keeps resources to 1e-4: round the share down so every actor fits
+        share = min(1.0, int(cpus * 10_000 / (n_replicas * n_shards)) / 10_000)
+        shard = ray.remote(_Shard).options(num_cpus=share)
+        self.groups = [
+            [shard.remote(index_dir, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            for _ in range(n_replicas)
         ]
+        self._next = 0
 
     def warmup(self) -> None:
-        """Block until every actor has opened the index."""
-        self._ray.get([a.ping.remote() for a in self.actors])
+        """Block until every actor has opened its shard."""
+        self._ray.get([a.ping.remote() for g in self.groups for a in g])
 
-    def _submit(self, queries: list[str], k: int, batch_size: int):
-        futs = []
-        for i in range(0, len(queries), batch_size):
-            chunk = queries[i : i + batch_size]
-            actor = self.actors[(i // batch_size) % len(self.actors)]
-            futs.append(actor.query_batch.remote(list(range(i, i + len(chunk))), chunk, k))
-        return futs
+    def topk(
+        self,
+        query: str,
+        k: int = 10,
+        deadline_s: float | None = None,
+        tolerant: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, bool, int]:
+        """One query on the next replica group. Returns ``(doc_ids, scores,
+        partial, shards_scored)``.
 
-    def topk_many(self, queries: list[str], k: int = 10, batch_size: int = 8) -> pa.Table:
-        """Score queries across the pool; returns one row per hit."""
-        return pa.concat_tables(self._ray.get(self._submit(queries, k, batch_size)))
-
-    def topk_many_count(self, queries: list[str], k: int = 10, batch_size: int = 8) -> int:
-        """Throughput-measurement variant: total hit rows, no driver concat
-        (the driver should not be part of a QPS measurement)."""
-        return sum(t.num_rows for t in self._ray.get(self._submit(queries, k, batch_size)))
-
-    def bench_qps(self, queries: list[str], k: int = 10, passes: int = 1) -> int:
-        """Throughput measurement: queries are deterministically shuffled
-        and striped across the pool, ONE remote call per actor with the
-        pass loop actor-side — the driver is entirely off the critical
-        path and each actor gets a fair head/tail mix."""
-        perm = np.random.default_rng(0).permutation(len(queries))
-        shuffled = [queries[i] for i in perm]
-        n_act = len(self.actors)
-        futs = [
-            a.query_many.remote(shuffled[ai::n_act], k, passes)
-            for ai, a in enumerate(self.actors)
-        ]
-        return sum(self._ray.get(futs))
-
-    def shutdown(self) -> None:
-        for a in self.actors:
-            self._ray.kill(a)
-        self.actors = []
-
-
-def scatter_gather_topk(index_dir: str, query: str, k: int, n_shards: int = 4):
-    """Distributed single-query evaluation: doc-range shards scored in
-    parallel Ray tasks, coordinator merge. Returns (doc_ids, scores)."""
-    import ray
-
-    reader = IndexReader(index_dir)
-    n_parts = reader.n_doc_parts
-    n_shards = max(1, min(n_shards, n_parts))
-    bounds = np.linspace(0, n_parts, n_shards + 1).astype(int)
-
-    @ray.remote
-    def score_shard(lo: int, hi: int):
-        r = IndexReader(index_dir)
-        try:
-            return r.topk_range(query, k, lo, hi)
-        finally:
-            r.close()
-
-    futs = [
-        score_shard.remote(int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    return merge_topk(ray.get(futs), k)
-
-
-def timed_partial_topk(
-    index_dir: str,
-    query: str,
-    k: int,
-    time_allowed_s: float | None,
-    n_shards: int = 4,
-    tolerant: bool = False,
-):
-    """``timeAllowed`` / partialResults + ``shards.tolerant`` (reference:
-    SolrIndexSearcher wraps collectors in Lucene's TimeLimitingCollector
-    when ``timeAllowed`` is set — an expired budget returns what was
-    collected with ``partialResults=true``; and with
-    ``shards.tolerant=true`` (ShardParams.SHARDS_TOLERANT, used by
-    HttpShardHandler) a FAILED shard is skipped instead of failing the
-    whole request, again flagged partial — solrcloud-distributed docs).
-
-    Distributed form: the doc-range shards of ``scatter_gather_topk`` are
-    dispatched in parallel; the coordinator stops WAITING once the budget
-    expires (one ray.wait bounded by the budget) and merges only the
-    shards that finished; with ``tolerant`` a shard whose task RAISED is
-    dropped from the merge instead of propagating. The budget bounds the
-    whole call: when no shard finishes in time the page is empty and
-    flagged partial (TimeLimitingCollector's zero-collected case).
-    Returns (doc_ids, scores, partial: bool, shards_scored: int).
-    """
-    import ray
-
-    reader = IndexReader(index_dir)
-    n_parts = reader.n_doc_parts
-    reader.close()
-    n_shards = max(1, min(n_shards, n_parts))
-    bounds = np.linspace(0, n_parts, n_shards + 1).astype(int)
-
-    @ray.remote
-    def score_shard(lo: int, hi: int):
-        r = IndexReader(index_dir)
-        try:
-            return r.topk_range(query, k, lo, hi)
-        finally:
-            r.close()
-
-    futs = [
-        score_shard.remote(int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-
-    def gather(refs):
-        """ray.get each ref; with tolerant, count and drop failed shards."""
-        out, failed = [], 0
-        for f in refs:
+        ``deadline_s`` bounds the whole call (Lucene's TimeLimitingCollector
+        behind ``timeAllowed``): shards still running at the deadline are
+        cancelled and the finished ones merged, flagged partial — an empty
+        page when none finished. With ``tolerant`` (``shards.tolerant``) a
+        shard whose call raised, its actor's death included, is dropped
+        and the page flagged partial instead of the call raising."""
+        t_end = None if deadline_s is None else time.monotonic() + deadline_s
+        group = self.groups[self._next % len(self.groups)]
+        self._next += 1
+        stats = self._stats.term_stats_map(query)
+        refs = [a.topk.remote(query, k, stats) for a in group]
+        timeout = None if t_end is None else max(0.0, t_end - time.monotonic())
+        ready, pending = self._ray.wait(refs, num_returns=len(refs), timeout=timeout)
+        for ref in pending:
+            self._ray.cancel(ref)
+        results, failed = [], False
+        for ref in ready:
             try:
-                out.append(ray.get(f))
+                results.append(self._ray.get(ref))
             except Exception:
                 if not tolerant:
                     raise
-                failed += 1
-        return out, failed
-
-    if time_allowed_s is None:
-        results, failed = gather(futs)
+                failed = True
         d, s = merge_topk(results, k)
-        return d, s, failed > 0, len(results)
+        return d, s, bool(pending) or failed, len(results)
 
-    ready, pending = ray.wait(
-        futs, num_returns=len(futs), timeout=max(0.0, time_allowed_s)
-    )
-    for f in pending:
-        ray.cancel(f, force=True)
-    results, failed = gather(ready)
-    d, s = merge_topk(results, k)
-    return d, s, bool(pending) or failed > 0, len(results)
+    def topk_many(self, queries: list[str], k: int = 10) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Throughput path: queries striped across the replica groups, one
+        remote call per actor, df maps computed once per distinct query.
+        Returns one ``(doc_ids, scores)`` per query, in order."""
+        stats = {q: self._stats.term_stats_map(q) for q in set(queries)}
+        n_groups = len(self.groups)
+        stripes = [queries[g::n_groups] for g in range(n_groups)]
+        refs = [
+            [a.topk_many.remote(qs, k, [stats[q] for q in qs]) for a in group]
+            for group, qs in zip(self.groups, stripes)
+        ]
+        out: list = [None] * len(queries)
+        for g, group_refs in enumerate(refs):
+            per_shard = self._ray.get(group_refs)
+            out[g::n_groups] = [merge_topk(list(parts), k) for parts in zip(*per_shard)]
+        return out
+
+    def shutdown(self) -> None:
+        for g in self.groups:
+            for a in g:
+                self._ray.kill(a)
+        self.groups = []
 
 
 def calculate_min_should_match(optional_clause_count: int, spec: str) -> int:

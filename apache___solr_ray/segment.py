@@ -17,7 +17,8 @@ reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
 Phase B and merges write segments through one encoder,
 ``build_segment_from_group``.
 
-Readers mmap ``postings.bin`` and decode only the blocks the query visits.
+Readers load the term dictionary on open, mmap ``postings.bin`` on the
+first postings lookup, and decode only the blocks the query visits.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ class SegmentReader:
         self._ttf = t.column("ttf").to_numpy()
         self._offset = t.column("offset").to_numpy()
         self._nbytes = t.column("nbytes").to_numpy()
-        path = os.path.join(seg_dir, "postings.bin")
-        self._f = open(path, "rb")
-        self._mm = mmap.mmap(self._f.fileno(), 0, access=mmap.ACCESS_READ) if os.path.getsize(path) else b""
+        # postings.bin opens on the first postings() call: df lookups
+        # (term_stats) read the term dictionary only
+        self._f = self._mm = None
 
     @property
     def n_terms(self) -> int:
@@ -188,6 +189,14 @@ class SegmentReader:
         i = self.lookup(term)
         if i < 0:
             return None
+        if self._mm is None:
+            path = os.path.join(self.dir, "postings.bin")
+            self._f = open(path, "rb")
+            self._mm = (
+                mmap.mmap(self._f.fileno(), 0, access=mmap.ACCESS_READ)
+                if os.path.getsize(path)
+                else b""
+            )
         off, nb = int(self._offset[i]), int(self._nbytes[i])
         return codec.PostingsView(memoryview(self._mm)[off : off + nb])
 
@@ -258,7 +267,8 @@ class SegmentReader:
         try:
             if self._mm:
                 self._mm.close()
-            self._f.close()
+            if self._f is not None:
+                self._f.close()
         except Exception:
             pass
 

@@ -17,7 +17,7 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.build import IndexConfig, build_index, plan_partitions
 from apache___solr_ray.corpus import pages_table, write_pages
 from apache___solr_ray.lucene import BM25Scorer, int_to_byte4_array
-from apache___solr_ray.query import IndexReader, TopKQueryActor, merge_topk, scatter_gather_topk
+from apache___solr_ray.query import IndexReader, QueryService, TopKQueryActor, merge_topk
 
 N_DOCS = 600
 ROWS_PER_FILE = 256
@@ -31,6 +31,8 @@ QUERIES = [
     "3.14 1,000",
     "http https utf-8",
 ]
+#: a QUERIES entry whose terms match docs in every doc part
+SERVE_Q = QUERIES[5]
 
 
 @pytest.fixture(scope="module")
@@ -129,14 +131,79 @@ def test_topk_equals_exhaustive(built):
         assert s1.tolist() == s2.tolist(), q
 
 
-def test_scatter_gather_equals_single(built):
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_query_service_equals_single(built, n_shards):
+    """QueryService (doc-range shard actors, broadcast global df, mergeIds)
+    is rank- and score-identical to the single evaluator, per query and
+    striped across replica groups."""
     idx, _, _ = built
     r = IndexReader(idx)
-    for q in QUERIES[:4]:
-        d1, s1 = r.topk(q, 10)
-        d2, s2 = scatter_gather_topk(idx, q, 10, n_shards=3)
-        assert d1.tolist() == d2.tolist()
-        assert s1.tolist() == s2.tolist()
+    want = [r.topk(q, 10) for q in QUERIES]
+    svc = QueryService(idx, n_shards=n_shards)
+    try:
+        svc.warmup()
+        for q, (d1, s1) in zip(QUERIES, want):
+            d2, s2, partial, n = svc.topk(q, 10)
+            assert not partial and n == n_shards, q
+            assert d1.tolist() == d2.tolist(), q
+            assert s1.tolist() == s2.tolist(), q
+        many = svc.topk_many(QUERIES + QUERIES[::-1], 10)
+        for (d1, s1), (d2, s2) in zip(want + want[::-1], many, strict=True):
+            assert d1.tolist() == d2.tolist()
+            assert s1.tolist() == s2.tolist()
+    finally:
+        svc.shutdown()
+
+
+def test_local_df_diverges_and_broadcast_df_matches(built):
+    """LocalStatsCache vs ExactStatsCache: a doc-range shard scoring with
+    its own df ranks differently from the single index, while the same
+    shards scoring with the coordinator's broadcast df merge to exactly
+    IndexReader.topk."""
+    idx, _, man = built
+    assert any(s["salt"] > 0 for s in man["segments"])
+    full = IndexReader(idx)
+    n_parts = full.n_doc_parts
+    assert n_parts == 3
+    shards = [IndexReader(idx, part_range=(p, p + 1)) for p in range(n_parts)]
+    diverged = 0
+    for q in QUERIES:
+        want_d, want_s = full.topk(q, 10)
+        stats = full.term_stats_map(q)
+        local = [sh.topk_range(q, 10, p, p + 1) for p, sh in enumerate(shards)]
+        exact = [sh.topk_range(q, 10, p, p + 1, df_override=stats) for p, sh in enumerate(shards)]
+        d, s = merge_topk(exact, 10)
+        assert d.tolist() == want_d.tolist(), q
+        assert s.tolist() == want_s.tolist(), q
+        diverged += merge_topk(local, 10)[1].tolist() != want_s.tolist()
+    assert diverged >= 1
+
+
+def test_query_service_more_shards_than_cpus(ray_session, tmp_path):
+    """More shards than the session's 4 CPUs: every actor reserves a CPU
+    share, so the service warms up and answers within its deadline."""
+    import threading
+
+    corpus = str(tmp_path / "pages")
+    write_pages(corpus, 384, seed=42, rows_per_file=64)
+    idx = str(tmp_path / "index")
+    build_index(corpus, idx, IndexConfig(term_partitions=2, target_docs_per_part=64))
+    r = IndexReader(idx)
+    n_parts = r.n_doc_parts
+    assert n_parts > 4
+    svc = QueryService(idx, n_shards=n_parts)
+    try:
+        th = threading.Thread(target=svc.warmup, daemon=True)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive(), "shard actors were never scheduled"
+        for q in QUERIES[:3]:
+            d, s, partial, n = svc.topk(q, 10, deadline_s=60)
+            assert not partial and n == n_parts, q
+            want_d, want_s = r.topk(q, 10)
+            assert d.tolist() == want_d.tolist() and s.tolist() == want_s.tolist(), q
+    finally:
+        svc.shutdown()
 
 
 def test_control_vs_distributed_partitioning(ray_session, corpus_dir, built, tmp_path_factory):
@@ -355,27 +422,6 @@ def test_topic_poll_incremental(ray_session, tmp_path_factory):
     # third poll with nothing new
     again, ckpt3 = r2.topic_poll(q_, checkpoint=ckpt2, limit=10**6)
     assert len(again) == 0 and ckpt3 == ckpt2
-
-
-def test_sharded_query_service(built):
-    """ShardedQueryService (doc-range shard actors + mergeIds) must be
-    rank- and score-identical to the single evaluator for every shard
-    count."""
-    from apache___solr_ray.query import ShardedQueryService
-
-    idx, _, _ = built
-    r = IndexReader(idx)
-    for n_shards in (1, 2, 3):
-        svc = ShardedQueryService(idx, n_shards=n_shards)
-        svc.warmup()
-        try:
-            for q in QUERIES[:5]:
-                d1, s1 = r.topk(q, 10)
-                d2, s2 = svc.topk(q, 10)
-                assert d1.tolist() == d2.tolist(), (n_shards, q)
-                assert s1.tolist() == s2.tolist(), (n_shards, q)
-        finally:
-            svc.shutdown()
 
 
 def test_fetch_fields_and_boosted_topk(built):
@@ -891,43 +937,39 @@ def test_termdf_dataset_returns_global_df(built):
 
 def test_time_allowed_partial_results(built):
     """timeAllowed semantics: no budget -> full result identical to the
-    scatter-gather merge with partial=False; zero budget -> partial=True
-    with >= 1 shard merged and every returned doc a real match."""
-    import numpy as np
-
-    from apache___solr_ray.query import scatter_gather_topk, timed_partial_topk
-
+    single evaluator with partial=False; zero budget -> every returned doc
+    a real match, and a page not flagged partial only when every shard
+    beat the budget."""
     idx, _cfg, _man = built
-    full_d, full_s = scatter_gather_topk(idx, "merge join", 10, n_shards=4)
+    r = IndexReader(idx)
+    full_d, full_s = r.topk(SERVE_Q, 10)
+    svc = QueryService(idx, n_shards=3)
+    try:
+        svc.warmup()
+        d, s, partial, n = svc.topk(SERVE_Q, 10)
+        assert not partial and n == 3
+        assert np.array_equal(d, full_d) and np.array_equal(s, full_s)
 
-    d, s, partial, n = timed_partial_topk(idx, "merge join", 10, None, n_shards=4)
-    assert not partial and n >= 1
-    assert np.array_equal(d, full_d) and np.array_equal(s, full_s)
-
-    d2, s2, partial2, n2 = timed_partial_topk(idx, "merge join", 10, 0.0, n_shards=4)
-    # a zero budget may expire before any shard finishes: an empty page
-    # flagged partial (the budget bounds every wait)
-    assert partial2 or n2 == 4
-    assert len(d2) == len(s2)
-    # a partial page may even be empty (the surviving shard had no
-    # matches) — that is Solr's partialResults contract; what must hold:
-    # every returned doc also appears in the full merge's candidate set
-    full_all, _ = scatter_gather_topk(idx, "merge join", 10_000, n_shards=4)
-    assert set(map(int, d2)) <= set(map(int, full_all))
-    if not partial2:  # every shard beat the (zero) budget: full equality
-        assert np.array_equal(d2, full_d)
+        d2, s2, partial2, n2 = svc.topk(SERVE_Q, 10, deadline_s=0.0)
+        # a zero budget may expire before any shard finishes: an empty page
+        # flagged partial (the budget bounds every wait)
+        assert partial2 or n2 == 3
+        assert len(d2) == len(s2)
+        assert set(map(int, d2)) <= set(map(int, r.match_docs(SERVE_Q)))
+        if not partial2:  # every shard beat the (zero) budget: full equality
+            assert np.array_equal(d2, full_d)
+    finally:
+        svc.shutdown()
 
 
 def test_time_allowed_bounds_hung_shards(built, tmp_path):
-    """timeAllowed bounds the whole call, not only the waits after the
-    first shard: every shard of a clone whose postings files are FIFOs
-    blocks in open() past the budget, and the call returns on time with an
-    empty page flagged partial."""
-    import shutil
+    """The deadline bounds the whole call: every shard of a clone whose
+    postings files are FIFOs blocks in open(), and each call returns on
+    time with an empty page flagged partial — also the calls that land on
+    actors still stuck in an earlier call. The coordinator's df lookups
+    read term dictionaries only, so they never touch the FIFOs."""
     import threading
     import time
-
-    from apache___solr_ray.query import timed_partial_topk
 
     idx, _cfg, _man = built
     clone = str(tmp_path / "clone")
@@ -938,22 +980,29 @@ def test_time_allowed_bounds_hung_shards(built, tmp_path):
         os.remove(path)
         os.mkfifo(path)
         fifos.append(path)
-    out = {}
+    svc = QueryService(clone, n_shards=2)
+    out = {"res": []}
 
     def call():
-        t0 = time.monotonic()
-        out["res"] = timed_partial_topk(clone, "merge join", 10, 0.5, n_shards=2)
-        out["elapsed"] = time.monotonic() - t0
+        out["df"] = IndexReader(clone).term_stats_map(SERVE_Q)
+        svc.warmup()
+        for _ in range(3):  # both replica groups, then a busy one again
+            t0 = time.monotonic()
+            res = svc.topk(SERVE_Q, 10, deadline_s=0.5)
+            out["res"].append((res, time.monotonic() - t0))
 
     th = threading.Thread(target=call, daemon=True)
     th.start()
-    th.join(timeout=60)
+    th.join(timeout=90)
     try:
-        assert not th.is_alive(), "timed_partial_topk waited past its budget"
-        d, s, partial, n = out["res"]
-        assert partial and n == 0 and len(d) == 0 and len(s) == 0
-        assert out["elapsed"] < 30
+        assert not th.is_alive(), "QueryService.topk waited past its deadline"
+        assert out["df"] == IndexReader(idx).term_stats_map(SERVE_Q) != {}
+        assert len(out["res"]) == 3
+        for (d, s, partial, n), elapsed in out["res"]:
+            assert partial and n == 0 and len(d) == 0 and len(s) == 0
+            assert elapsed < 10
     finally:
+        svc.shutdown()
         for path in fifos:  # release any reader still blocked in open()
             try:
                 os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
@@ -986,51 +1035,58 @@ def test_mm_spec_calculator_reference_vectors(ray_session):
 
 
 def test_shards_tolerant_skips_failed_shard(built, tmp_path):
-    """shards.tolerant=true (ShardParams.SHARDS_TOLERANT): REAL failure
-    injection — clone the index via backup/restore, corrupt one docs
-    part so exactly the shards covering it fail, then the tolerant merge
-    must return the healthy shards' results flagged partial, while the
-    intolerant path raises."""
-    import numpy as np
-    import pytest as _pytest
+    """shards.tolerant=true (ShardParams.SHARDS_TOLERANT): REAL failures —
+    a killed shard actor, and a clone (via backup/restore) whose postings
+    are corrupt so every shard call raises. The intolerant call raises;
+    the tolerant call returns the healthy shards' results flagged
+    partial."""
+    import glob
+
+    import ray
 
     from apache___solr_ray import backup as bk
-    from apache___solr_ray.query import IndexReader, timed_partial_topk
 
     idx, _cfg, _man = built
     bdir = str(tmp_path / "b")
     bk.create_backup(idx, bdir, "t")
     clone = str(tmp_path / "clone")
     bk.restore_backup(bdir, "t", clone)
-
     r = IndexReader(clone)
-    n_parts = r.n_doc_parts
-    r.close()
-    assert n_parts >= 2
-    # full healthy baseline first
-    d0, s0, p0, n0 = timed_partial_topk(clone, "merge join", 10, None, n_shards=2)
-    assert not p0 and n0 == 2
+    assert r.n_doc_parts >= 2
+    half = r.n_doc_parts // 2  # the shard bounds of n_shards=2
 
-    # corrupt every segment's postings so shard tasks raise on decode
-    import glob
-    import os
+    svc = QueryService(clone, n_shards=2)
+    try:
+        d0, s0, p0, n0 = svc.topk(SERVE_Q, 10)
+        assert not p0 and n0 == 2
+        assert d0.tolist() == r.topk(SERVE_Q, 10)[0].tolist()
+        for group in svc.groups:  # the first shard dies in every replica group
+            ray.kill(group[0])
+        with pytest.raises(ray.exceptions.RayActorError):
+            svc.topk(SERVE_Q, 10)
+        d1, s1, partial, n1 = svc.topk(SERVE_Q, 10, tolerant=True)
+        assert partial and n1 == 1 and len(d1) > 0
+        assert ((d1 >> 32) >= half).all()  # only the surviving shard's docs
+    finally:
+        svc.shutdown()
 
-    victims = glob.glob(os.path.join(clone, "segments", "*", "*"))
+    # corrupt every segment's postings: shard calls raise on decode, the
+    # coordinator (term dictionaries only) still serves df
+    victims = glob.glob(os.path.join(clone, "segments", "*", "postings.bin"))
     assert victims
     for v in victims:
         with open(v, "wb") as f:
             f.write(b"corrupt")
-
-    with _pytest.raises(Exception):
-        timed_partial_topk(clone, "merge join", 10, None, n_shards=2)
-
-    d1, s1, partial, n1 = timed_partial_topk(
-        clone, "merge join", 10, None, n_shards=2, tolerant=True
-    )
-    # every shard failed: tolerant returns the empty partial page instead
-    # of propagating (Solr returns partialResults=true with what's left)
-    assert partial and n1 == 0 and len(d1) == 0 and len(s1) == 0
-    del d0, s0  # baseline only proves the clone was healthy pre-corruption
+    svc = QueryService(clone, n_shards=2)
+    try:
+        with pytest.raises(Exception):
+            svc.topk(SERVE_Q, 10)
+        d2, s2, partial, n2 = svc.topk(SERVE_Q, 10, tolerant=True)
+        # every shard failed: tolerant returns the empty partial page instead
+        # of propagating (Solr returns partialResults=true with what's left)
+        assert partial and n2 == 0 and len(d2) == 0 and len(s2) == 0
+    finally:
+        svc.shutdown()
 
 
 def test_run_stage_runs_each_row_once_in_cpu_sized_blocks(ray_session):

@@ -159,6 +159,15 @@ def test_let_vector_guard(ray_session, monkeypatch):
         stream_expr(SF, 'let(a=col(search(events, q="*:*", fl="value"), "value"), mean(a))')
 
 
+def test_termvectors_entry_guard_before_collect(ray_session, monkeypatch):
+    import apache___solr_ray.streamexpr as se
+    from apache___solr_ray.pipelines.streamq import QUERIES
+
+    monkeypatch.setattr(se, "LET_VECTOR_MAX", 3)
+    with pytest.raises(StreamExprError, match="LET_VECTOR_MAX"):
+        QUERIES["stream_termvectors_tfidf"](SF)
+
+
 def test_cartesian_requires_list_column(ray_session):
     with pytest.raises(Exception, match="not multivalued"):
         stream_expr(
