@@ -12,12 +12,13 @@ of ``QueryComponent.mergeIds``):
   sum per Lucene's DisjunctionSumScorer (float64 accumulate → float32);
 - top-k ties break by ascending doc_id (Lucene single-index collector
   order, the conformance rule fixed in SURVEY §7.4);
-- evaluation is **exhaustive and batched**: ``topk`` decodes, scores and
-  accumulates every posting of every query term in one vectorized pass
-  (``_topk_batched``). Lucene prunes with block-max WAND instead; on this
-  engine's posting lists the bound bookkeeping cost more than the blocks
-  it skipped, so no pruning is done. The block headers stay in the format
-  for phrase skipping.
+- evaluation is **exhaustive and batched**: every BM25 entry point scores
+  through one kernel, ``_score_all``: one vectorized decode-and-score pass
+  over every query term's postings, summed per doc in a candidate-sized
+  accumulator; ``merge_topk`` is the one top-k selection. Lucene prunes
+  with block-max WAND instead; on this engine's posting lists the bound
+  bookkeeping cost more than the blocks it skipped, so no pruning is
+  done. The block headers stay in the format for phrase skipping.
 
 ``TopKQueryActor`` is the stateful stage: construct once per actor (opens
 the index, caches term dicts / postings views), score query batches in
@@ -152,6 +153,17 @@ class IndexReader:
             return None
         return t[np.minimum(np.searchsorted(t, doc_ids), len(t) - 1)] != doc_ids
 
+    def _alive_and(self, allowed):
+        """``_score_all``'s ``keep``: the ``allowed(doc_ids)`` mask ANDed
+        with the live-docs mask."""
+
+        def keep(doc_ids: np.ndarray) -> np.ndarray:
+            mask = allowed(doc_ids)
+            alive = self._alive(doc_ids)
+            return mask if alive is None else mask & alive
+
+        return keep
+
     # -- segment access -----------------------------------------------------
 
     def _reader(self, name: str) -> SegmentReader:
@@ -237,7 +249,8 @@ class IndexReader:
     def topk_exhaustive(
         self, query: str, k: int = 10, field: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode-everything scorer: the correctness baseline."""
+        """Decode-everything scorer: the correctness baseline. Per-term decode
+        and score, and its own ``np.add.at`` sum in scorer order."""
         scorers = self._scorers(query, field=field)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
@@ -248,8 +261,11 @@ class IndexReader:
             if alive is not None:
                 d, t, m = d[alive], t[alive], m[alive]
             docs_list.append(d)
-            score_list.append(sc.score(t, m))
-        return _topk_from_candidates(docs_list, score_list, k)
+            score_list.append(sc.score(t, m).astype(np.float64))
+        uniq, inv = np.unique(np.concatenate(docs_list), return_inverse=True)
+        acc = np.zeros(len(uniq), dtype=np.float64)
+        np.add.at(acc, inv, np.concatenate(score_list))
+        return merge_topk([(uniq, acc.astype(np.float32))], k)
 
     def match_docs(self, query: str, mode: str = "or") -> np.ndarray:
         """Exact matching doc-id set for a boolean query — the DocSet analog
@@ -515,8 +531,7 @@ class IndexReader:
         toks = self.analyzer.analyze(phrase)
         dfs = [tp.df for t in toks if (tp := self.term_postings(t)) is not None]
         sc = BM25Scorer(dfs, self.doc_count, self.sum_total_tf)
-        scores = sc.score(freq, norms)
-        return _topk_from_candidates([docs], [scores], k)
+        return merge_topk([(docs, sc.score(freq, norms))], k)
 
     def expand_prefix(self, prefix: str) -> list[str]:
         """Indexed terms with the prefix — PrefixQuery term expansion. Every
@@ -663,16 +678,7 @@ class IndexReader:
         scorers = self._scorers(query)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        docs_list, score_list = [], []
-        for tp, sc in scorers:
-            d, t, m = tp.decode_all()
-            keep = allowed(d)
-            alive = self._alive(d)
-            if alive is not None:
-                keep = keep & alive
-            docs_list.append(d[keep])
-            score_list.append(sc.score(t[keep], m[keep]))
-        return _topk_from_candidates(docs_list, score_list, k)
+        return merge_topk([_score_all(scorers, self._alive_and(allowed))], k)
 
     def topk_and(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
         """Conjunctive (+term +term) top-k: BM25 disjunctive-sum scores
@@ -691,16 +697,8 @@ class IndexReader:
         scorers = self._scorers(query)
         if not scorers:
             return {}
-        docs_list, score_list = [], []
-        for tp, sc in scorers:
-            d, t, m = tp.decode_all()
-            alive = self._alive(d)
-            if alive is not None:
-                d, t, m = d[alive], t[alive], m[alive]
-            docs_list.append(d)
-            score_list.append(sc.score(t, m))
-        d_all, s_all = _topk_from_candidates(docs_list, score_list, 10**9)
-        groups: dict[str, list[int]] = {}
+        d_all, s_all = _score_all(scorers, self._alive)
+        d_all, s_all = merge_topk([(d_all, s_all)], len(d_all))
         parts = d_all >> np.int64(32)
         rows = d_all & np.int64(0xFFFFFFFF)
         vals = np.empty(len(d_all), dtype=object)
@@ -739,7 +737,7 @@ class IndexReader:
         scorers = self._scorers(query, field=field)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        return _topk_batched(scorers, k, self._alive)
+        return merge_topk([_score_all(scorers, self._alive)], k)
 
     def cursor_page(
         self,
@@ -757,20 +755,12 @@ class IndexReader:
         scorers = self._scorers(query, field=field)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32), None
-        docs_list, score_list = [], []
-        for tp, sc in scorers:
-            d, t, m = tp.decode_all()
-            alive = self._alive(d)
-            if alive is not None:
-                d, t, m = d[alive], t[alive], m[alive]
-            docs_list.append(d)
-            score_list.append(sc.score(t, m))
-        d_all, s_all = _topk_from_candidates(docs_list, score_list, 1 << 62)
+        d_all, s_all = _score_all(scorers, self._alive)
         if cursor is not None:
             c_s = np.float32(cursor[0])
             after = (s_all < c_s) | ((s_all == c_s) & (d_all > cursor[1]))
             d_all, s_all = d_all[after], s_all[after]
-        d_out, s_out = d_all[:k], s_all[:k]
+        d_out, s_out = merge_topk([(d_all, s_all)], k)
         nxt = (float(s_out[-1]), int(d_out[-1])) if len(d_out) == k else None
         return d_out, s_out, nxt
 
@@ -786,41 +776,33 @@ class IndexReader:
         listed field contributes ``boost_f * BM25_f(term)`` with that
         field's own df/docCount/avgdl; the term's score per doc is Lucene's
         DisjunctionMaxQuery combination ``max + tie * (sum - max)``; terms
-        then sum (default-OR). Scores accumulate in float64 and round-trip
-        through float32 like the single-field path."""
+        then sum (default-OR). The combination runs in float64 and rounds
+        to float32 per term; terms sum in float64 in query order through
+        ``_score_all``'s sum step."""
         counts = Counter(self.analyzer.analyze(query))
         docs_list, score_list = [], []
         for tok, n in counts.items():
-            per_field: list[tuple[np.ndarray, np.ndarray]] = []
+            # one scorer per call: each field keeps its own norm table
+            per_field = []
             for fname, boost in qf.items():
                 tp = self.term_postings(f"{fname}:{tok}")
                 if tp is None:
                     continue
                 dc, stf = self._field_collection_stats(fname)
                 sc = BM25Scorer(tp.df, dc, stf, boost=float(n) * float(boost))
-                d, t, m = tp.decode_all()
-                alive = self._alive(d)
-                if alive is not None:
-                    d, t, m = d[alive], t[alive], m[alive]
-                if len(d):
-                    per_field.append((d, sc.score(t, m).astype(np.float64)))
+                per_field.append(_score_all([(tp, sc)], self._alive))
             if not per_field:
                 continue
-            if len(per_field) == 1:
-                uniq, comb = per_field[0]
-            else:
-                all_d = np.concatenate([d for d, _ in per_field])
-                all_s = np.concatenate([s for _, s in per_field])
-                uniq, inv = np.unique(all_d, return_inverse=True)
-                mx = np.full(len(uniq), -np.inf)
-                np.maximum.at(mx, inv, all_s)
-                sm = np.bincount(inv, weights=all_s, minlength=len(uniq))
-                comb = mx + tie * (sm - mx)
+            uniq, inv = np.unique(np.concatenate([d for d, _ in per_field]), return_inverse=True)
+            all_s = np.concatenate([s for _, s in per_field]).astype(np.float64)
+            mx = np.full(len(uniq), -np.inf)
+            np.maximum.at(mx, inv, all_s)
+            sm = np.bincount(inv, weights=all_s, minlength=len(uniq))
             docs_list.append(uniq)
-            score_list.append(np.asarray(comb, dtype=np.float32))
+            score_list.append((mx + tie * (sm - mx)).astype(np.float32))
         if not docs_list:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        return _topk_from_candidates(docs_list, score_list, k)
+        return merge_topk([_sum_by_doc(np.concatenate(docs_list), np.concatenate(score_list))], k)
 
     def topk_range(
         self,
@@ -837,13 +819,8 @@ class IndexReader:
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
         lo, hi = part_lo << 32, part_hi << 32
-
-        def keep(docs: np.ndarray) -> np.ndarray:
-            in_range = (docs >= lo) & (docs < hi)
-            alive = self._alive(docs)
-            return in_range if alive is None else in_range & alive
-
-        return _topk_batched(scorers, k, keep)
+        keep = self._alive_and(lambda docs: (docs >= lo) & (docs < hi))
+        return merge_topk([_score_all(scorers, keep)], k)
 
     # -- doc resolution -----------------------------------------------------
 
@@ -968,18 +945,9 @@ class IndexReader:
         scorers = self._scorers(query)
         if not scorers:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        docs_list, score_list = [], []
-        for tp, sc in scorers:
-            d, t, m = tp.decode_all()
-            alive = self._alive(d)
-            if alive is not None:
-                d, t, m = d[alive], t[alive], m[alive]
-            docs_list.append(d)
-            score_list.append(sc.score(t, m))
-        d_all, s_all = _topk_from_candidates(docs_list, score_list, 10**9)
+        d_all, s_all = _score_all(scorers, self._alive)
         boosted = (s_all.astype(np.float64) * boost_fn(d_all)).astype(np.float32)
-        order = np.lexsort((d_all, -boosted.astype(np.float64)))[:k]
-        return d_all[order], boosted[order]
+        return merge_topk([(d_all, boosted)], k)
 
     def urls_for(self, doc_ids: np.ndarray) -> list[str]:
         out = []
@@ -993,72 +961,57 @@ class IndexReader:
             r.close()
 
 
-def _topk_from_candidates(docs_list, score_list, k) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-term (doc, score_f32) candidates: float64-accumulate per doc
-    (DisjunctionSumScorer), cast float32, order by (score desc, doc asc).
-
-    Accumulation uses a dense bincount keyed on (part, row) when the dense
-    space is small enough (vectorized C, no sort); falls back to the
-    sort-based unique for sparse doc-id spaces (huge part counts)."""
-    all_docs = np.concatenate(docs_list)
-    all_scores = np.concatenate([s.astype(np.float64) for s in score_list])
-    if len(all_docs) == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.float32)
-    parts = all_docs >> np.int64(32)
-    rows = all_docs & np.int64(0xFFFFFFFF)
-    span_p = int(parts.max()) + 1
-    span_r = int(rows.max()) + 1
-    if span_p * span_r <= 1 << 23:  # ≤ 8M-slot dense space (64 MB f64)
-        key = parts * span_r + rows
-        acc = np.bincount(key, weights=all_scores, minlength=span_p * span_r)
-        nz = np.flatnonzero(acc)
-        uniq = (nz // span_r) * (1 << 32) + nz % span_r
-        final = acc[nz].astype(np.float32)
-    else:
-        uniq, inv = np.unique(all_docs, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inv, all_scores)
-        final = acc.astype(np.float32)
-    if k < len(final):
-        # exact pre-cut: keep every candidate scoring >= the k-th best
-        # (ties at the boundary all survive, so doc-asc tie-break is exact)
-        kth = np.partition(final, len(final) - k)[len(final) - k]
-        keep = final >= kth
-        uniq, final = uniq[keep], final[keep]
-    order = np.lexsort((uniq, -final.astype(np.float64)))[:k]
-    return uniq[order], final[order]
-
-
-def _topk_batched(scorers, k, alive_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Score a whole query in one decode-score-accumulate pass.
+def _score_all(scorers, keep) -> tuple[np.ndarray, np.ndarray]:
+    """BM25-score a whole query in one pass: every matching doc once, doc
+    ids ascending, with its float32 score sum (Lucene's
+    DisjunctionSumScorer: float64 accumulate, cast to float32).
 
     Every posting of every query term decodes at once
     (``codec.decode_postings_concat``) and scores with one float32
     expression in ``BM25Scorer.score``'s op order: each term's ``weight``
     repeated over its postings, and the normInverse table all of a query's
-    scorers share (one field, one avgdl). Terms stay in ``scorers`` order,
-    so ``_topk_from_candidates`` adds the same float64 values per doc in
-    the same order as ``topk_exhaustive``: scores are bit-identical."""
+    scorers share (one field, one avgdl). ``keep(docs)`` returns a bool
+    mask of the postings to keep, or None for all. Terms stay in
+    ``scorers`` order, so each doc adds the same float64 values in the same
+    order as ``topk_exhaustive``: scores are bit-identical."""
     docs, tfs, norms = decode_postings_concat([v for tp, _ in scorers for v in tp.views])
     counts = [sum(v.doc_freq for v in tp.views) for tp, _ in scorers]
     weight = np.repeat(np.array([sc.weight for _, sc in scorers], dtype=np.float32), counts)
     norm_inv = scorers[0][1].cache[norms]
     scores = weight - weight / (np.float32(1.0) + tfs.astype(np.float32) * norm_inv)
-    alive = alive_fn(docs)
-    if alive is not None:
-        docs, scores = docs[alive], scores[alive]
-    return _topk_from_candidates([docs], [scores], k)
+    mask = keep(docs)
+    if mask is not None:
+        docs, scores = docs[mask], scores[mask]
+    return _sum_by_doc(docs, scores)
+
+
+def _sum_by_doc(docs: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum float32 ``scores`` per doc id: ``(unique docs ascending, float32
+    sums)``. A stable sort keeps each doc's addends in input order and
+    ``np.bincount`` adds them sequentially in float64 (``np.add.reduceat``
+    would sum runs longer than 8 pairwise and change the low bits)."""
+    order = np.argsort(docs, kind="stable")
+    docs = docs[order]
+    first = np.diff(docs, prepend=-1) != 0
+    sums = np.bincount(np.cumsum(first) - 1, weights=scores[order].astype(np.float64))
+    return docs[first], sums.astype(np.float32)
 
 
 def merge_topk(
     results: list[tuple[np.ndarray, np.ndarray]], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinator k-way merge with the reference tie-break (score desc,
-    doc_id asc) — the QueryComponent.mergeIds analog (reference
-    ``ShardFieldSortedHitQueue.java:82-107``; our deterministic tie-break is
-    doc-id ascending, matching the single-index Lucene collector)."""
+    """The one top-k selection, of every scoring entry point and of the
+    coordinator's shard merge (QueryComponent.mergeIds, reference
+    ``ShardFieldSortedHitQueue.java:82-107``): score desc, then doc_id asc,
+    matching the single-index Lucene collector."""
     docs = np.concatenate([r[0] for r in results]) if results else np.zeros(0, np.int64)
     scores = np.concatenate([r[1] for r in results]) if results else np.zeros(0, np.float32)
+    if 0 < k < len(scores):
+        # exact pre-cut: keep every candidate scoring >= the k-th best
+        # (ties at the boundary all survive, so doc-asc tie-break is exact)
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        docs, scores = docs[keep], scores[keep]
     order = np.lexsort((docs, -scores.astype(np.float64)))[:k]
     return docs[order], scores[order]
 
@@ -1131,7 +1084,8 @@ class QueryService:
     CPUs hold ``max(1, CPUs // shards)`` replica groups of every shard, and
     an actor never reserves more than its share of the CPUs, so more shards
     than CPUs still schedule. The coordinator reads term dictionaries only
-    (global df, broadcast with every query), so per-shard scores plus the
+    (global df, broadcast with every query when there is more than one
+    shard), so per-shard scores plus the
     ``merge_topk`` merge are rank- and score-identical to
     ``IndexReader.topk``.
 
@@ -1164,6 +1118,11 @@ class QueryService:
         """Block until every actor has opened its shard."""
         self._ray.get([a.ping.remote() for g in self.groups for a in g])
 
+    def _global_df(self, query: str) -> dict[str, int]:
+        """The df map broadcast with a query: empty with one shard, whose
+        local df is already global."""
+        return self._stats.term_stats_map(query) if len(self.groups[0]) > 1 else {}
+
     def topk(
         self,
         query: str,
@@ -1183,7 +1142,7 @@ class QueryService:
         t_end = None if deadline_s is None else time.monotonic() + deadline_s
         group = self.groups[self._next % len(self.groups)]
         self._next += 1
-        stats = self._stats.term_stats_map(query)
+        stats = self._global_df(query)
         refs = [a.topk.remote(query, k, stats) for a in group]
         timeout = None if t_end is None else max(0.0, t_end - time.monotonic())
         ready, pending = self._ray.wait(refs, num_returns=len(refs), timeout=timeout)
@@ -1204,7 +1163,7 @@ class QueryService:
         """Throughput path: queries striped across the replica groups, one
         remote call per actor, df maps computed once per distinct query.
         Returns one ``(doc_ids, scores)`` per query, in order."""
-        stats = {q: self._stats.term_stats_map(q) for q in set(queries)}
+        stats = {q: self._global_df(q) for q in set(queries)}
         n_groups = len(self.groups)
         stripes = [queries[g::n_groups] for g in range(n_groups)]
         refs = [

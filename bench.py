@@ -2,10 +2,16 @@
 """Benchmark driver: headline index-build + BM25 query pipeline, plus the
 operator catalog, over $GRAFT_SF_DIR (default /root/testdata/sf0.1).
 
-Prints ONE JSON line:
+Writes the full result to $GRAFT_BENCH_DIR/bench_full.json:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "build": {...}, "query": {...}}
+   "build": {...}, "build_nopos": {...}, "query": {...}}
+and prints, as the last stdout line, a summary of it under 1.5 kB:
+  {"metric": ..., "value": ..., "unit": "sec", "sf": ..., "num_cpus": N,
+   "build": {...}, "query": {...},
+   "catalog": {"entries": n, "total_sec": s, "failed": n_failed,
+               "slowest": {name: sec, ... (5)}, "full_json": path}}
+(a failed catalog entry times -1.0).
 
 Modes:
   python bench.py             full run (headline + catalog) at $RAY_GRAFT_CPUS
@@ -50,6 +56,7 @@ SCALING_N_PAGES = int(os.environ.get("GRAFT_SCALING_PAGES", "600000"))
 BENCH_DIR = os.environ.get("GRAFT_BENCH_DIR", "/tmp/graft_bench")
 N_BENCH_QUERIES = 256
 QUERY_PASSES = 4
+FULL_JSON = "bench_full.json"
 
 
 def _sf_of(sf_dir: str) -> float:
@@ -207,6 +214,22 @@ def run_catalog(sf_dir: str) -> dict[str, float]:
             continue
         timings[name] = round(time.time() - t0, 3)
     return timings
+
+
+def summarize(out: dict, full_path: str) -> dict:
+    """The stdout line of a full run: the headline fields as they are, and
+    the catalog reduced to its entry count, total seconds, failures, five
+    slowest entries and the path of the full JSON."""
+    timings = out["queries"]
+    summary = {k: out[k] for k in ("metric", "value", "unit", "sf", "num_cpus", "build", "query")}
+    summary["catalog"] = {
+        "entries": len(timings),
+        "total_sec": round(sum(v for v in timings.values() if v > 0), 3),
+        "failed": sum(v < 0 for v in timings.values()),
+        "slowest": dict(sorted(timings.items(), key=lambda kv: -kv[1])[:5]),
+        "full_json": full_path,
+    }
+    return summary
 
 
 def _spawn_worker(sf_dir: str, num_cpus: int) -> dict:
@@ -374,7 +397,11 @@ def main() -> None:
         "build_nopos": h["build_nopos"],
         "query": {k: h[k] for k in ("n_queries", "query_sec", "qps")},
     }
-    print(json.dumps(out))
+    full_path = os.path.join(BENCH_DIR, FULL_JSON)
+    os.makedirs(BENCH_DIR, exist_ok=True)
+    with open(full_path, "w") as f:
+        json.dump(out, f)
+    print(json.dumps(summarize(out, full_path)))
 
 
 if __name__ == "__main__":

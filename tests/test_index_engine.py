@@ -155,6 +155,28 @@ def test_query_service_equals_single(built, n_shards):
         svc.shutdown()
 
 
+def test_query_service_one_shard_skips_df_broadcast(built):
+    """With one shard, local df is global df: the coordinator broadcasts an
+    empty df map and never reads term dictionaries, and the answers still
+    equal IndexReader.topk."""
+    idx, _, _ = built
+    r = IndexReader(idx)
+    want = [r.topk(q, 10) for q in QUERIES]
+    svc = QueryService(idx, n_shards=1)
+
+    def no_df(query):
+        raise AssertionError(f"df map computed for {query!r} with one shard")
+
+    svc._stats.term_stats_map = no_df
+    try:
+        got = [svc.topk(q, 10)[:2] for q in QUERIES] + svc.topk_many(QUERIES, 10)
+        for (d1, s1), (d2, s2) in zip(want + want, got, strict=True):
+            assert d1.tolist() == d2.tolist()
+            assert s1.tolist() == s2.tolist()
+    finally:
+        svc.shutdown()
+
+
 def test_local_df_diverges_and_broadcast_df_matches(built):
     """LocalStatsCache vs ExactStatsCache: a doc-range shard scoring with
     its own df ranks differently from the single index, while the same

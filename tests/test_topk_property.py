@@ -5,9 +5,16 @@ split over several segment views, views in doc partitions >= 1 (first
 delta >= 2^32), delta/tf streams of only one-byte values, tombstones
 (including a term whose every posting is deleted), duplicate query terms
 (boost n), ``field=`` queries on a multi-field schema, k at or above the
-match count, and unknown terms."""
+match count, and unknown terms.
+
+Every other BM25 entry point scores through the same kernel
+(``query._score_all``); each is checked against the answer derived from
+``topk_exhaustive``, and ``topk_dismax`` against a per-field oracle. The
+kernel's per-doc sum is checked bit for bit against sequential
+``np.add.at`` on inputs where a pairwise sum rounds differently."""
 
 import os
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -18,7 +25,8 @@ from hypothesis import strategies as st
 
 from apache___solr_ray.build import FieldSpec, IndexConfig, build_index
 from apache___solr_ray.corpus import write_pages
-from apache___solr_ray.query import IndexReader
+from apache___solr_ray.lucene import BM25Scorer
+from apache___solr_ray.query import IndexReader, _sum_by_doc
 
 UNKNOWN = ["no_such_term_xyzzy", "qqqzzz"]
 K_CHOICES = [1, 3, 10, 100, 10**6]
@@ -32,6 +40,24 @@ def _assert_same(r: IndexReader, terms: list[str], k: int, field: str | None = N
     assert s1.dtype == s2.dtype == np.float32
     assert s1.view(np.uint32).tolist() == s2.view(np.uint32).tolist(), (q, k, field)
     return d1
+
+
+def _assert_ranked(got, want, what):
+    """Same docs in the same order, bit-identical float32 scores."""
+    (d1, s1), (d2, s2) = got, want
+    assert d1.tolist() == d2.tolist(), what
+    assert s1.dtype == s2.dtype == np.float32, what
+    assert s1.view(np.uint32).tolist() == s2.view(np.uint32).tolist(), what
+
+
+def _max_terms_matched(r: IndexReader, terms: list[str]) -> int:
+    docs = np.concatenate([r.term_postings(t).decode_all()[0] for t in terms])
+    return int(np.unique(docs, return_counts=True)[1].max())
+
+
+def _tombstone(r: IndexReader, terms: list[str], frac: float, seed: int) -> None:
+    docs = np.unique(np.concatenate([r.term_postings(t).decode_all()[0] for t in terms]))
+    r.tombstones = np.sort(docs[np.random.default_rng(seed).random(len(docs)) < frac])
 
 
 def _one_byte_streams(v) -> bool:
@@ -190,3 +216,171 @@ def test_topk_equals_exhaustive_field_property(field_index, words, field, k):
     # indices past the vocabulary are unknown terms
     terms = [vocab[i] if i < len(vocab) else f"x{i}" for i in words]
     _assert_same(r, terms, k, field=field)
+
+
+@pytest.mark.parametrize("deleted_frac", [0.0, 0.3])
+def test_entry_points_equal_exhaustive(text_index, deleted_frac):
+    """``topk``, ``topk_filtered``, ``topk_and``, ``topk_range`` (global df
+    on a doc-range reader), ``topk_boosted``, ``grouped_topk`` and three
+    ``cursor_page`` pages equal what ``topk_exhaustive(q, 10**9)`` implies,
+    rank for rank and bit for bit, with and without tombstones. The first
+    query has twelve head terms and some doc matches at least nine of
+    them, so docs sum nine or more addends."""
+    r, shapes, rare = text_index
+    head = shapes["head"]
+    wide = head[:12]
+    assert _max_terms_matched(r, wide) >= 9
+    queries = [
+        " ".join(wide),
+        " ".join(shapes["split"][:3] + rare[:2]),
+        f"{head[0]} {head[0]} {rare[3]} {UNKNOWN[0]}",
+        f"{shapes['late_part'][0]} {shapes['one_byte'][0]}",
+    ]
+    shard = IndexReader(r.dir, part_range=(1, 3))
+    lo, hi = 1 << 32, 3 << 32
+
+    def allowed(d):
+        return (d & 3) != 1
+
+    def boost(d):
+        return 1.0 / (1.0 + (d & 0xFF) / 64.0)
+
+    saved = r.tombstones
+    try:
+        if deleted_frac:
+            _tombstone(r, head, deleted_frac, seed=1)
+        shard.tombstones = r.tombstones
+        for q in queries:
+            d_all, s_all = r.topk_exhaustive(q, 10**9)
+            must = np.isin(d_all, r.match_docs(q, mode="and"))
+            in_range = (d_all >= lo) & (d_all < hi)
+            boosted = (s_all.astype(np.float64) * boost(d_all)).astype(np.float32)
+            by_boost = np.lexsort((d_all, -boosted.astype(np.float64)))
+            for k in (1, 10, 10**6):
+                _assert_ranked(r.topk(q, k), (d_all[:k], s_all[:k]), ("topk", q, k))
+                m = allowed(d_all)
+                _assert_ranked(
+                    r.topk_filtered(q, k, allowed), (d_all[m][:k], s_all[m][:k]), ("filtered", q, k)
+                )
+                _assert_ranked(r.topk_and(q, k), (d_all[must][:k], s_all[must][:k]), ("and", q, k))
+                _assert_ranked(
+                    shard.topk_range(q, k, 1, 3, df_override=r.term_stats_map(q)),
+                    (d_all[in_range][:k], s_all[in_range][:k]),
+                    ("range", q, k),
+                )
+                _assert_ranked(
+                    r.topk_boosted(q, k, boost),
+                    (d_all[by_boost][:k], boosted[by_boost][:k]),
+                    ("boosted", q, k),
+                )
+            langs = np.asarray(r.fetch_fields(d_all, ["lang"]).column("lang").to_pylist(), object)
+            groups = r.grouped_topk(q, "lang", k_per_group=3)
+            assert sorted(groups) == sorted(set(langs.tolist())), q
+            for g, got in groups.items():
+                m = langs == g
+                _assert_ranked(got, (d_all[m][:3], s_all[m][:3]), ("grouped", q, g))
+            pages, cursor = [], None
+            for _ in range(3):
+                d, s, cursor = r.cursor_page(q, 7, cursor)
+                pages.append((d, s))
+                if cursor is None:
+                    break
+            got = (np.concatenate([d for d, _ in pages]), np.concatenate([s for _, s in pages]))
+            _assert_ranked(got, (d_all[:21], s_all[:21]), ("cursor", q))
+    finally:
+        r.tombstones = saved
+
+
+def _dismax_oracle(r: IndexReader, query: str, qf: dict[str, float], tie: float):
+    """Per-field decode and score, as in ``test_multifield``'s dismax test,
+    with the engine's rounding: per term ``max + tie * (sum - max)`` over
+    the fields in ``qf`` order in float64, rounded to float32, then terms
+    summed in float64 in query order. Ranked by (score desc, doc asc)."""
+    acc: dict[int, float] = {}
+    for tok, n in Counter(r.analyzer.analyze(query)).items():
+        per_doc: dict[int, list[float]] = {}
+        for fname, boost in qf.items():
+            tp = r.term_postings(f"{fname}:{tok}")
+            if tp is None:
+                continue
+            fs = r.field_stats[fname]
+            sc = BM25Scorer(tp.df, fs["doc_count"], fs["sum_total_tf"], boost=n * boost)
+            d, tf, nm = tp.decode_all()
+            live = ~np.isin(d, r.tombstones)
+            for di, s in zip(d[live], sc.score(tf[live], nm[live])):
+                per_doc.setdefault(int(di), []).append(float(s))
+        for di, ss in per_doc.items():
+            comb = np.float32(max(ss) + tie * (sum(ss) - max(ss)))
+            acc[di] = acc.get(di, 0.0) + float(comb)
+    ranked = sorted(acc.items(), key=lambda kv: (-np.float32(kv[1]), kv[0]))
+    return (
+        np.array([d for d, _ in ranked], dtype=np.int64),
+        np.array([v for _, v in ranked], dtype=np.float64).astype(np.float32),
+    )
+
+
+@pytest.mark.parametrize("deleted_frac", [0.0, 0.3])
+def test_dismax_equals_per_field_oracle(field_index, deleted_frac):
+    r, vocab = field_index
+    saved = r.tombstones
+    try:
+        if deleted_frac:
+            _tombstone(r, [f"all:{w}" for w in vocab], deleted_frac, seed=2)
+        for query in ["w1 w7", "w3 w3 w12 w30 x99", " ".join(vocab[:10])]:
+            for qf in ({"title": 2.0, "body": 1.0}, {"body": 1.0, "all": 0.5, "title": 3.0}):
+                for tie in (0.0, 0.3):
+                    d_all, s_all = _dismax_oracle(r, query, qf, tie)
+                    for k in (10, 10**6):
+                        _assert_ranked(
+                            r.topk_dismax(query, qf=qf, k=k, tie=tie),
+                            (d_all[:k], s_all[:k]),
+                            (query, qf, tie, k),
+                        )
+    finally:
+        r.tombstones = saved
+
+
+def test_sum_by_doc_adds_in_input_order():
+    """``_score_all``'s per-doc sum equals sequential ``np.add.at`` bit for
+    bit. Addends are float32 from 2^-45 to 2^11, nine to forty per doc,
+    laid out like concatenated posting lists (one addend of every doc,
+    then the next). Half the docs are built so that a pairwise sum (what
+    ``np.add.reduceat`` does for runs longer than 8) rounds differently:
+    ``big + half_ulp`` sits on a float32 rounding tie that sixteen 2^-44
+    addends cross only when they are first added to each other."""
+    rng = np.random.default_rng(0)
+    n_docs = 4000
+    rows = []
+    for i in range(n_docs):
+        if i % 2:
+            n = int(rng.integers(9, 41))
+            rows.append(np.exp2(rng.uniform(-45, 11, n)).astype(np.float32))
+        else:
+            # an even float32 mantissa: the tie rounds down, the crossed tie up
+            big = np.float32(1024 + 2 * rng.integers(0, 2**22) * 2.0**-13)
+            half_ulp = np.float32(2.0**-14)
+            rows.append(np.array([big, half_ulp] + [2.0**-44] * 16, dtype=np.float32))
+    width = max(len(v) for v in rows)
+    grid = np.full((width, n_docs), np.nan, dtype=np.float32)
+    for j, v in enumerate(rows):
+        grid[: len(v), j] = v
+    doc_ids = (np.arange(n_docs, dtype=np.int64) * 5 + 7) | (np.int64(2) << 32)
+    docs = np.broadcast_to(doc_ids, grid.shape).ravel()
+    scores = grid.ravel()
+    present = ~np.isnan(scores)
+    docs, scores = docs[present], scores[present]
+
+    uniq, inv = np.unique(docs, return_inverse=True)
+    acc = np.zeros(len(uniq), dtype=np.float64)
+    np.add.at(acc, inv, scores.astype(np.float64))
+    want = acc.astype(np.float32)
+
+    got_d, got_s = _sum_by_doc(docs, scores)
+    assert got_d.tolist() == uniq.tolist()
+    assert got_s.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+
+    # the inputs tell the orders apart: a pairwise reduce misses on them
+    order = np.argsort(docs, kind="stable")
+    starts = np.flatnonzero(np.diff(docs[order], prepend=-1))
+    pairwise = np.add.reduceat(scores[order].astype(np.float64), starts).astype(np.float32)
+    assert (pairwise.view(np.uint32) != want.view(np.uint32)).sum() >= n_docs // 4
