@@ -35,6 +35,7 @@ import os
 import shutil
 
 from apache___solr_ray.manifest import index_fingerprint, read_json, write_json_atomic
+from apache___solr_ray.segment import segment_name
 
 
 class BackupError(RuntimeError):
@@ -57,7 +58,7 @@ def _sha1_file(path: str) -> tuple[str, int]:
 #: index-directory entries beside the segments that a committed index
 #: reads: phase-A outputs and lineage, collection stats, delete ledgers
 SIDECARS = (
-    "docs", "postings_raw", "termdf", "manifests",
+    "docs", "postings_raw", "manifests",
     "stats.json", "tombstones.json", "purged.json",
 )
 
@@ -66,10 +67,7 @@ def _committed_files(index_dir: str, man: dict) -> list[str]:
     """Relative paths of the commit point's files: the segment directories
     ``man`` names and the known sidecars, then the manifest last, so a
     restored dir is never visible with a manifest but missing bodies."""
-    names = [
-        os.path.join("segments", s.get("name") or f"seg-{s['tkey']:05d}-{s['salt']:05d}")
-        for s in man["segments"]
-    ]
+    names = [os.path.join("segments", segment_name(s)) for s in man["segments"]]
     out: list[str] = []
     for name in [*SIDECARS, *names]:
         top = os.path.join(index_dir, name)

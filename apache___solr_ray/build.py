@@ -8,9 +8,11 @@ Phase A  (per doc-partition; the partition descriptors run as a few
 CPU-sized Ray Data blocks, see ``_run_stage``):
     stream the partition's row groups → HTML→text extract → analyze
     (tokenize/lower/stop) → assign dense doc ids → write
-    ``docs/part-*.parquet`` (url, doc_id, doc_len, norm, lang),
-    ``postings_raw/part-*.parquet`` (term, doc_id, tf, norm) and
-    ``termdf/part-*.parquet`` (term, df partial), plus a lineage manifest.
+    ``docs/part-*.parquet`` (url, doc_id, doc_len, norm, lang) and
+    ``postings_raw/part-*.parquet`` (term, doc_id, tf, norm), plus a
+    lineage manifest. Term statistics are not written here: the committed
+    segments' term dictionaries are the one vocabulary
+    (``IndexReader.term_dict``), so a merge can never leave them stale.
     A partition whose manifest matches its input fingerprint is skipped on
     resume — the "no re-tokenizing completed partitions" checkpoint; the
     persisted postings_raw is the Lucene flushed-segment analog.
@@ -337,7 +339,6 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
     urls: list[pa.Array] = []
     langs: list[pa.Array] = []
     lens: list[np.ndarray] = []
-    df_partials: list[pa.Table] = []
     # per-field collection stats (Lucene CollectionStatistics per field:
     # docCount = docs with ≥1 token in the field, sumTotalTermFreq)
     f_sum_len: dict[str, int] = {fs.name: 0 for fs in cfg.fields}
@@ -410,18 +411,6 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
                 cols["pos"] = pos_arr
             post_batches.append(pa.table(cols, schema=post_schema))
             n_postings += len(doc_idx)
-            # partial df: terms are unique per (doc, term) already, so df is
-            # a bincount over dictionary codes — vectorized, no Python loop
-            df_partials.append(
-                pa.table(
-                    {
-                        "term": denc.dictionary,  # already field-prefixed
-                        "df": pa.array(
-                            np.bincount(codes, minlength=len(vocab)), pa.int64()
-                        ),
-                    }
-                )
-            )
         urls.append(tbl.column("url").combine_chunks())
         langs.append(tbl.column("lang").combine_chunks())
         lens.append(total_len)
@@ -513,29 +502,12 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
     pq.write_table(pa.table(docs_cols), tmp)
     os.replace(tmp, docs_path)
 
-    tdf_path = os.path.join(index_dir, "termdf", f"part-{part_id:06d}.parquet")
-    os.makedirs(os.path.dirname(tdf_path), exist_ok=True)
-    tmp = tdf_path + ".tmp"
-    if df_partials:
-        tdf = (
-            pa.concat_tables(df_partials)
-            .group_by("term")
-            .aggregate([("df", "sum")])
-            .rename_columns(["term", "df"])
-            .sort_by("term")
-        )
-    else:
-        tdf = pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
-    pq.write_table(tdf, tmp)
-    os.replace(tmp, tdf_path)
-
     summary = {
         "part_id": part_id,
         "input_fingerprint": part_fp,
         "n_docs": int(row_base),
         "sum_doc_len": int(doc_len_all.sum()),
         "n_postings": int(n_postings),
-        "n_terms_partial": tdf.num_rows,
         "tkey_rgs": tkey_rgs,
         "postings_raw_bytes": os.path.getsize(post_path),
         "sort_min": float(sort_all.min()) if sort_all is not None and len(sort_all) else None,

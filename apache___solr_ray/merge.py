@@ -32,7 +32,7 @@ import pyarrow.parquet as pq
 
 from apache___solr_ray import codec
 from apache___solr_ray.manifest import read_json, write_json_atomic
-from apache___solr_ray.segment import build_segment_from_group
+from apache___solr_ray.segment import build_segment_from_group, segment_name
 
 
 def _merge_group(index_dir: str, tkey: int, sources: list[dict], out_name: str, tombs=None) -> dict:
@@ -150,7 +150,7 @@ def merge_segments(
     tombs = load_tombstones(index_dir) if purge_deletes else None
     segments = [dict(s) for s in man["segments"]]
     for s in segments:
-        s.setdefault("name", f"seg-{s['tkey']:05d}-{s['salt']:05d}")
+        s["name"] = segment_name(s)
     if purge_deletes and (tombs is None or len(tombs) == 0):
         purge_deletes = False
         tombs = None

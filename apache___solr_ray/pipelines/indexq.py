@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -152,38 +151,28 @@ def index_term_df(sf_dir: str):
 
 def _term_df_table(index_dir: str) -> pa.Table:
     from apache___solr_ray.query import IndexReader
-    from apache___solr_ray.segment import SegmentReader
 
-    r = IndexReader(index_dir)
-    agg: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = SegmentReader(os.path.join(index_dir, "segments", seg["name"]))
-            for term, df, ttf in sr.iter_terms():
-                a = agg[term]
-                a[0] += df
-                a[1] += ttf
-            sr.close()
-    terms = sorted(agg)
-    return pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "df": pa.array([agg[t][0] for t in terms], pa.int64()),
-            "ttf": pa.array([agg[t][1] for t in terms], pa.int64()),
-        }
-    )
+    return IndexReader(index_dir).term_dict()
 
 
 def termdf_dataset(index_dir: str):
     """The committed term dictionary as a Dataset of GLOBAL (term, df)
-    rows. The ``termdf`` sidecar holds one row per (term, segment part) —
-    partial df per doc-disjoint part — so consumers must combine partials
-    first: one groupby-Sum here (doc parts are disjoint, salted
-    sub-segments split by doc range, so Sum is the exact combine)."""
+    rows, read straight from the manifest's segment ``terms.parquet``
+    files, so vocabulary-wide entries stay distributed. Salted segments of
+    one tkey hold doc-disjoint slices of a term, so one groupby-Sum is the
+    exact combine (the same sum ``IndexReader.term_dict`` takes)."""
     import ray
     from ray.data.aggregate import Sum
 
-    td = ray.data.read_parquet(os.path.join(index_dir, "termdf"))
+    from apache___solr_ray.manifest import read_json
+    from apache___solr_ray.segment import segment_name
+
+    man = read_json(os.path.join(index_dir, "index_manifest.json"))
+    paths = [
+        os.path.join(index_dir, "segments", segment_name(s), "terms.parquet")
+        for s in man["segments"]
+    ]
+    td = ray.data.read_parquet(paths, columns=["term", "df"])
     return td.groupby("term").aggregate(Sum("df", alias_name="df"))
 
 
@@ -205,9 +194,10 @@ def index_luke_field_summary(sf_dir: str):
     /admin/luke reports per-field index metadata — docs, distinct terms,
     totals, topTerms — straight from the index, never from stored source).
     Same discipline here: num_docs and sum_total_tf come from the commit's
-    ``stats.json``, num_terms and the top-5 topTerms from the ``termdf``
-    sidecar read AS A DATASET (count() is block-metadata, top-5 is a
-    distributed sort+limit) — nothing re-tokenizes the corpus."""
+    ``stats.json``, num_terms and the top-5 topTerms from the committed
+    term dictionaries read AS A DATASET by ``termdf_dataset`` (count() is
+    block-metadata, top-5 is a distributed sort+limit) — nothing
+    re-tokenizes the corpus."""
     import json
 
     import ray
@@ -640,28 +630,10 @@ def index_rerank_topk(sf_dir: str):
 )
 def terms_prefix_enum(sf_dir: str):
     """TermsComponent analog (reference TermsComponent.java javadoc:
-    enumerate indexed terms with a prefix + their df) served from the
-    sorted term dictionaries — term-dict scan only, no postings decoded."""
-    from apache___solr_ray.query import IndexReader
-    from apache___solr_ray.segment import SegmentReader
-
-    index_dir = ensure_doc_index(sf_dir)
-    r = IndexReader(index_dir)
-    agg: dict[str, int] = defaultdict(int)
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = SegmentReader(os.path.join(index_dir, "segments", seg["name"]))
-            ts, dfs = sr.terms_with_prefix_stats("s")
-            for term, df in zip(ts, dfs):
-                agg[term] += int(df)
-            sr.close()
-    terms = sorted(agg)
-    return pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "df": pa.array([agg[t] for t in terms], pa.int64()),
-        }
-    )
+    enumerate indexed terms with a prefix + their df) served from
+    ``IndexReader.term_dict`` — no postings decoded."""
+    td = _term_df_table(ensure_doc_index(sf_dir))
+    return td.filter(pc.starts_with(td["term"], "s")).select(["term", "df"])
 
 
 @q(
@@ -739,28 +711,7 @@ def index_term_df_merged(sf_dir: str):
     sub-segments k-way merged to one per tkey) — must still equal DuckDB
     recounting from raw text: the merge-preserves-content invariant as an
     oracle-checked driver query."""
-    from apache___solr_ray.query import IndexReader
-    from apache___solr_ray.segment import SegmentReader
-
-    index_dir = ensure_merged_index(sf_dir)
-    r = IndexReader(index_dir)
-    agg: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = SegmentReader(os.path.join(index_dir, "segments", seg["name"]))
-            for term, df, ttf in sr.iter_terms():
-                a = agg[term]
-                a[0] += df
-                a[1] += ttf
-            sr.close()
-    terms = sorted(agg)
-    return pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "df": pa.array([agg[t][0] for t in terms], pa.int64()),
-            "ttf": pa.array([agg[t][1] for t in terms], pa.int64()),
-        }
-    )
+    return _term_df_table(ensure_merged_index(sf_dir))
 
 
 @q(
@@ -1268,29 +1219,14 @@ def index_field_df(sf_dir: str):
     ``<field>:<term>`` must equal DuckDB recounting each field's source
     column, including the ``all`` copyField fan-in of text+source
     (reference IndexSchema.java per-field terms, DocumentBuilder copyField)."""
-    from apache___solr_ray.query import IndexReader
-    from apache___solr_ray.segment import SegmentReader
-
-    index_dir = ensure_doc_index_mf(sf_dir)
-    r = IndexReader(index_dir)
-    agg: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = SegmentReader(os.path.join(index_dir, "segments", seg["name"]))
-            for term, df, ttf in sr.iter_terms():
-                a = agg[term]
-                a[0] += df
-                a[1] += ttf
-            sr.close()
-    keys = sorted(agg)
-    fields = [k.split(":", 1)[0] for k in keys]
-    terms = [k.split(":", 1)[1] for k in keys]
+    td = _term_df_table(ensure_doc_index_mf(sf_dir))
+    key = pc.split_pattern(td["term"], ":", max_splits=1)
     return pa.table(
         {
-            "field": pa.array(fields, pa.string()),
-            "term": pa.array(terms, pa.string()),
-            "df": pa.array([agg[k][0] for k in keys], pa.int64()),
-            "ttf": pa.array([agg[k][1] for k in keys], pa.int64()),
+            "field": pc.list_element(key, 0),
+            "term": pc.list_element(key, 1),
+            "df": td["df"],
+            "ttf": td["ttf"],
         }
     )
 
@@ -1684,26 +1620,13 @@ def index_payload_func(sf_dir: str):
 
 
 def _suggest_like(sf_dir: str, like: str) -> pa.Table:
-    from apache___solr_ray.query import IndexReader
-    from apache___solr_ray.segment import SegmentReader
-
-    index_dir = ensure_doc_index(sf_dir)
-    r = IndexReader(index_dir)
-    agg: dict[str, int] = defaultdict(int)
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = SegmentReader(os.path.join(index_dir, "segments", seg["name"]))
-            ts, _dfs, ttfs = sr.terms_matching_like_stats(like)
-            for term, ttf in zip(ts, ttfs):
-                agg[term] += int(ttf)
-            sr.close()
-    top = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    return pa.table(
-        {
-            "term": pa.array([t for t, _ in top], pa.string()),
-            "weight": pa.array([w for _, w in top], pa.int64()),
-        }
+    td = _term_df_table(ensure_doc_index(sf_dir))
+    top = (
+        td.filter(pc.match_like(td["term"], like))
+        .sort_by([("ttf", "descending"), ("term", "ascending")])
+        .slice(0, 10)
     )
+    return pa.table({"term": top["term"], "weight": top["ttf"]})
 
 
 @q(
@@ -1718,8 +1641,8 @@ def _suggest_like(sf_dir: str, like: str) -> pa.Table:
 def suggest_prefix(sf_dir: str):
     """Suggester, prefix mode (reference SuggestComponent.java /
     AnalyzingSuggester: complete a typed prefix, weight = collection
-    frequency): sorted-term-dict range scan per segment (binary search,
-    no postings decoded), ttf-weighted top-10."""
+    frequency): a LIKE filter over ``IndexReader.term_dict`` (no postings
+    decoded), ttf-weighted top-10."""
     return _suggest_like(sf_dir, "st%")
 
 
@@ -1735,7 +1658,7 @@ def suggest_prefix(sf_dir: str):
 def suggest_infix(sf_dir: str):
     """Suggester, infix mode (reference AnalyzingInfixSuggester via
     SuggestComponent: match INSIDE the term): vectorized LIKE scan over
-    each segment's term dictionary with stats, ttf-weighted top-10."""
+    ``IndexReader.term_dict`` with stats, ttf-weighted top-10."""
     return _suggest_like(sf_dir, "%erg%")
 
 # -- term vectors (per-doc postings view) ------------------------------------
@@ -1761,9 +1684,9 @@ def index_term_vectors(sf_dir: str):
     solr/core/src/java/org/apache/solr/handler/component/TermVectorComponent.java:
     per-document term vectors — tf + positions per term for requested
     docs). The reference reads per-doc vectors stored at index time; this
-    engine derives them from the inverted postings: sweep the sorted term
-    dictionaries (header scan only) and decode, per term, ONLY the blocks
-    that can contain a requested doc (``positions_for_docs`` skip
+    engine derives them from the inverted postings: sweep
+    ``IndexReader.term_dict`` (header scan only) and decode, per term, ONLY
+    the blocks that can contain a requested doc (``positions_for_docs`` skip
     behavior), so postings/position bytes touched stay proportional to the
     requested docs, not the corpus. At web scale a stored per-doc vector
     sidecar (like the docs sidecar) would replace the vocab sweep; the
@@ -1776,18 +1699,12 @@ def index_term_vectors(sf_dir: str):
     inv = {v: k for k, v in idmap.items()}
     eng = np.array(sorted(inv[w] for w in _TV_DOCS), dtype=np.int64)
 
-    vocab: set[str] = set()
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = r._reader(seg["name"])
-            for term, _df, _ttf in sr.iter_terms():
-                vocab.add(term)
-
+    vocab = r.term_dict()["term"].to_numpy(zero_copy_only=False)
     id_out: list[int] = []
     t_out: list[str] = []
     tf_out: list[int] = []
     p_out: list[str] = []
-    for t in sorted(vocab):
+    for t in vocab:
         tp = r.term_postings(t)
         if tp is None:
             continue
@@ -2409,30 +2326,9 @@ def sorted_topk_nchars(sf_dir: str):
 def terms_regex_enum(sf_dir: str):
     """TermsComponent regex mode (reference TermsComponent.java
     ``terms.regex``): enumerate indexed terms matching a regex + df,
-    from the sorted term dictionaries (no postings decoded)."""
-    import re as _re
-
-    from apache___solr_ray.query import IndexReader
-    from apache___solr_ray.segment import SegmentReader
-
-    index_dir = ensure_doc_index(sf_dir)
-    r = IndexReader(index_dir)
-    rx = _re.compile("a")
-    agg: dict[str, int] = defaultdict(int)
-    for segs in r._segments_by_tkey.values():
-        for seg in segs:
-            sr = SegmentReader(os.path.join(index_dir, "segments", seg["name"]))
-            for term, df, _ttf in sr.iter_terms():
-                if rx.search(term):
-                    agg[term] += int(df)
-            sr.close()
-    terms = sorted(agg)
-    return pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "df": pa.array([agg[t] for t in terms], pa.int64()),
-        }
-    )
+    from ``IndexReader.term_dict`` (no postings decoded)."""
+    td = _term_df_table(ensure_doc_index(sf_dir))
+    return td.filter(pc.match_substring_regex(td["term"], "a")).select(["term", "df"])
 
 
 # -- edismax pf (phrase-fields boost) -----------------------------------------

@@ -1766,13 +1766,13 @@ def _soundex_vocab(terms) -> list[str]:
 def phonetic_soundex_codes(sf_dir: str):
     """Phonetic analysis (reference PhoneticFilterFactory.java — Soundex/
     Metaphone token encoding so 'smith' and 'smyth' co-match). Encodes the
-    DISTINCT alphabetic vocabulary (the termdf sidecar stays a Dataset —
-    per batch the encoder is pure string table lookups) and reports every
-    code with its distinct-term count — terms sharing a code are the
-    classes a phonetic field conflates at query time, and hashing ALL
-    codes oracle-checks the encoder on the whole vocabulary. Oracle
-    mirrors the encoder with the same translate/collapse/pad pipeline in
-    SQL."""
+    DISTINCT alphabetic vocabulary (``termdf_dataset``: the committed term
+    dictionaries stay a Dataset — per batch the encoder is pure string
+    table lookups) and reports every code with its distinct-term count —
+    terms sharing a code are the classes a phonetic field conflates at
+    query time, and hashing ALL codes oracle-checks the encoder on the
+    whole vocabulary. Oracle mirrors the encoder with the same
+    translate/collapse/pad pipeline in SQL."""
     from ray.data.aggregate import Sum
 
     from apache___solr_ray.pipelines.indexq import ensure_doc_index, termdf_dataset
@@ -1835,11 +1835,11 @@ def spellcheck_collate(sf_dir: str):
     best correction, then RE-QUERIES the index to report the collation's
     verified hit count — a suggestion is only useful if the corrected
     query actually matches). Query: 'mergr joim tabl'. Per term the
-    vocabulary stays a Dataset (the termdf sidecar): vectorized edit-
-    distance-1 prefilters + exact check per batch, distributed sort by
-    (df desc, term) picks the best correction; the collation's hits come
-    from a conjunctive posting-set intersection (`match_docs` AND) —
-    exactly the collator's internal re-query."""
+    vocabulary stays a Dataset (``termdf_dataset`` over the committed term
+    dictionaries): vectorized edit-distance-1 prefilters + exact check per
+    batch, distributed sort by (df desc, term) picks the best correction;
+    the collation's hits come from a conjunctive posting-set intersection
+    (`match_docs` AND) — exactly the collator's internal re-query."""
     import ray
 
     from apache___solr_ray.pipelines.indexq import ensure_doc_index
@@ -1851,7 +1851,7 @@ def spellcheck_collate(sf_dir: str):
 
     corrections: list[str] = []
     for miss in _COLLATE_MISSPELLED:
-        td = termdf_dataset(index_dir)  # global df (sidecar rows are per-part partials)
+        td = termdf_dataset(index_dir)  # global (term, df): one row per term
 
         def cand(df: pd.DataFrame, _q=miss) -> pd.DataFrame:
             m = (df["term"].str.len() - len(_q)).abs() <= 1

@@ -18,7 +18,11 @@ Phase B and merges write segments through one encoder,
 ``build_segment_from_group``.
 
 Readers load the term dictionary on open, mmap ``postings.bin`` on the
-first postings lookup, and decode only the blocks the query visits.
+first postings lookup, and decode only the blocks the query visits. A
+reader answers point lookups (``lookup``, ``postings``, ``term_stats``) and
+has one enumeration, ``terms_table``; vocabulary-wide readers (prefix,
+wildcard and fuzzy rewrites, TermsComponent, suggesters, Luke) go through
+``IndexReader.term_dict``, which sums these tables over segments.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ TERMS_SCHEMA = pa.schema(
         ("nbytes", pa.int64()),
     ]
 )
+
+
+def segment_name(entry: dict) -> str:
+    """Directory name under ``segments/`` of one index-manifest entry
+    (entries without a ``name`` are phase-B segments: tkey and salt)."""
+    return entry.get("name") or f"seg-{entry['tkey']:05d}-{entry['salt']:05d}"
 
 
 def write_segment(
@@ -160,12 +170,15 @@ def build_segment_from_group(
 
 
 class SegmentReader:
-    """Open one segment: term dict in memory, postings mmap'd, lazy blocks."""
+    """Open one segment: term dict in memory, postings mmap'd, lazy blocks.
+
+    Serving reads the dictionary by point lookup only; ``terms_table`` is
+    the one way to enumerate it."""
 
     def __init__(self, seg_dir: str):
         self.dir = seg_dir
         t = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
-        self._terms = np.asarray(t.column("term").to_pylist(), dtype=object)
+        self._terms = t.column("term").to_numpy(zero_copy_only=False)
         self._df = t.column("df").to_numpy()
         self._ttf = t.column("ttf").to_numpy()
         self._offset = t.column("offset").to_numpy()
@@ -207,61 +220,12 @@ class SegmentReader:
             return None
         return int(self._df[i]), int(self._ttf[i])
 
-    def iter_terms(self):
-        for i in range(len(self._terms)):
-            yield self._terms[i], int(self._df[i]), int(self._ttf[i])
-
-    # -- vectorized term-dict expansion (MultiTermQuery rewrites) ----------
-
-    def terms_with_prefix(self, prefix: str) -> np.ndarray:
-        """Sorted-dict range scan: two binary searches, no per-term Python
-        (Lucene PrefixQuery seeks the TermsEnum to the prefix the same way)."""
-        lo = int(np.searchsorted(self._terms, prefix, side="left"))
-        succ = _prefix_successor(prefix)
-        hi = (
-            int(np.searchsorted(self._terms, succ, side="left"))
-            if succ is not None
-            else len(self._terms)
+    def terms_table(self) -> pa.Table:
+        """This segment's slice of the vocabulary as (term, df, ttf), in
+        term order — the one enumeration ``IndexReader.term_dict`` sums."""
+        return pa.table(
+            {"term": pa.array(self._terms, pa.string()), "df": self._df, "ttf": self._ttf}
         )
-        return self._terms[lo:hi]
-
-    def terms_with_prefix_stats(self, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-        """(terms, dfs) in the prefix range — the TermsComponent payload."""
-        lo = int(np.searchsorted(self._terms, prefix, side="left"))
-        succ = _prefix_successor(prefix)
-        hi = (
-            int(np.searchsorted(self._terms, succ, side="left"))
-            if succ is not None
-            else len(self._terms)
-        )
-        return self._terms[lo:hi], self._df[lo:hi]
-
-    def _terms_arrow(self) -> pa.Array:
-        a = getattr(self, "_terms_pa", None)
-        if a is None:
-            a = self._terms_pa = pa.array(self._terms, pa.string())
-        return a
-
-    def terms_matching_like(self, like: str) -> np.ndarray:
-        """Wildcard expansion via the C-level SQL-LIKE kernel (``%``/``_``)."""
-        mask = pc.match_like(self._terms_arrow(), like).to_numpy(zero_copy_only=False)
-        return self._terms[mask]
-
-    def terms_matching_like_stats(
-        self, like: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(terms, dfs, ttfs) matching a LIKE pattern — the infix-suggester
-        payload (AnalyzingInfixSuggester matches inside the term; weight
-        comes from the stored stats, no postings decoded)."""
-        mask = pc.match_like(self._terms_arrow(), like).to_numpy(zero_copy_only=False)
-        return self._terms[mask], self._df[mask], self._ttf[mask]
-
-    def terms_within_edit1(self, target: str, dist_fn) -> np.ndarray:
-        """Fuzzy expansion: vectorized length-window prefilter (edit distance
-        ≥ |len difference|), then ``dist_fn`` only on survivors."""
-        lens = pc.utf8_length(self._terms_arrow()).to_numpy(zero_copy_only=False)
-        cand = self._terms[np.abs(lens - len(target)) <= 1]
-        return cand[[bool(dist_fn(t, target)) for t in cand]]
 
     def close(self):
         try:
@@ -271,13 +235,3 @@ class SegmentReader:
                 self._f.close()
         except Exception:
             pass
-
-
-def _prefix_successor(prefix: str) -> str | None:
-    """Smallest string greater than every string with this prefix (exact
-    upper bound for the dict range scan); None = prefix is all U+10FFFF."""
-    for i in range(len(prefix) - 1, -1, -1):
-        c = ord(prefix[i])
-        if c < 0x10FFFF:
-            return prefix[:i] + chr(c + 1)
-    return None

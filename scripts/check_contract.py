@@ -1,7 +1,7 @@
 """Driver-contract checker: run queries() vs oracle_sql() side by side
 (sf dir via CHECK_SF, default sf0.01), compare columns, rows and values -
-the local rehearsal of the round correctness gate. Run FROM /root/repo;
-pass query names as argv to subset."""
+the local rehearsal of the round correctness gate. Runs from any working
+directory; pass query names as argv to subset."""
 import os, sys, time, traceback
 import duckdb
 import numpy as np
@@ -9,7 +9,10 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+# Ray workers import the package too: they inherit PYTHONPATH, not sys.path
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [ROOT, os.environ.get("PYTHONPATH")]))
 SF = os.environ.get("CHECK_SF", "/root/testdata/sf0.01")
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 

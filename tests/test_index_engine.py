@@ -942,10 +942,10 @@ def test_json_query_dsl_algebra(built):
 
 
 def test_termdf_dataset_returns_global_df(built):
-    """The termdf sidecar stores one row per (term, part) with PARTIAL df
-    (regression: consumers that read it raw double-count at any scale
-    with >1 doc part). termdf_dataset must return one row per term whose
-    df equals the segment-summed global term dictionary."""
+    """Doc-range-split segments each hold a PARTIAL df for their slice of a
+    term (regression: consumers that read the rows raw double-count at any
+    scale with >1 doc part). termdf_dataset must return one row per term
+    whose df equals the segment-summed global term dictionary."""
     from apache___solr_ray.pipelines.indexq import _term_df_table, termdf_dataset
 
     idx, _cfg, _man = built
@@ -955,6 +955,36 @@ def test_termdf_dataset_returns_global_df(built):
     merged = got.merge(want[["term", "df"]], on="term", suffixes=("", "_want"))
     assert len(merged) == len(want)
     assert (merged["df"] == merged["df_want"]).all()
+
+
+def test_termdf_dataset_tracks_purge_merge(ray_session, tmp_path_factory):
+    """A purge merge rewrites the term dictionaries; every vocabulary reader
+    must follow it. termdf_dataset (the distributed vocabulary behind Luke,
+    phonetic and spellcheck entries) equals ``IndexReader.term_dict`` row
+    for row, and Luke's num_terms (``termdf_dataset(...).count()``) equals
+    its row count — no term whose every posting was purged survives."""
+    import pyarrow.parquet as pq
+
+    from apache___solr_ray.deletes import delete_by_url
+    from apache___solr_ray.merge import merge_segments
+    from apache___solr_ray.pipelines.indexq import termdf_dataset
+
+    d = str(tmp_path_factory.mktemp("pages_purge_vocab"))
+    write_pages(d, 400, seed=5, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_purge_vocab"))
+    build_index(d, idx, IndexConfig(term_partitions=3, target_docs_per_part=128))
+    before = IndexReader(idx).term_dict()
+    urls = pq.read_table(os.path.join(idx, "docs"), columns=["url"]).column("url").to_pylist()
+    victims = sorted(np.random.default_rng(5).choice(urls, size=len(urls) // 4, replace=False))
+    assert delete_by_url(idx, victims) == len(victims)
+    merge_segments(idx, purge_deletes=True)
+
+    want = IndexReader(idx).term_dict()
+    assert want.num_rows < before.num_rows  # the purge dropped whole terms
+    got = termdf_dataset(idx).to_pandas().sort_values("term").reset_index(drop=True)
+    assert got["term"].tolist() == want["term"].to_pylist()
+    assert got["df"].tolist() == want["df"].to_pylist()
+    assert termdf_dataset(idx).count() == want.num_rows
 
 
 def test_time_allowed_partial_results(built):

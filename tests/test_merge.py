@@ -409,4 +409,5 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     assert (meta["n_terms"], meta["n_postings"], meta["bytes"]) == (0, 0, 0)
     empty = SegmentReader(os.path.join(idx_whole, "segments", "seg-00000-empty"))
     assert empty.n_terms == 0 and empty.postings("the") is None
+    assert empty.terms_table().num_rows == 0
     empty.close()
