@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import time
 import pyarrow.compute as pc
 from dataclasses import dataclass, field
@@ -69,7 +70,7 @@ from apache___solr_ray.manifest import (
     read_json,
     write_json_atomic,
 )
-from apache___solr_ray.segment import build_segment_from_group
+from apache___solr_ray.segment import build_segment_from_group, segment_name
 
 HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
 
@@ -622,28 +623,18 @@ def _make_storage_segment_fn(
     n_doc_parts: int,
     store_positions: bool = False,
     field_names: tuple[str, ...] = (),
-    norm_refs: dict | None = None,
 ):
     read_cols = ["term", "row", "tf"] + (["pos"] if store_positions else [])
-    # norm matrices are n_docs bytes TOTAL — when the driver shipped them
-    # as per-part object-store refs (norm_refs), a task fetches only its
-    # parts from local shared memory instead of re-opening the docs
-    # sidecars from disk. map_batches re-deserializes the fn per task, so
-    # the cache lives for one block: every segment of that block shares
-    # it. The disk path stays as the fallback for part counts past the
-    # ref-map threshold.
+    # each part's norm matrix is read from its docs sidecar once per block:
+    # map_batches re-deserializes the fn per task, so every segment of a
+    # block shares this cache
     norm_cache: dict[int, np.ndarray] = {}
 
     def _norms(part_id: int):
         if part_id not in norm_cache:
             if len(norm_cache) > 512:
                 norm_cache.clear()
-            if norm_refs is not None and part_id in norm_refs:
-                import ray
-
-                norm_cache[part_id] = ray.get(norm_refs[part_id])
-            else:
-                norm_cache[part_id] = _load_part_norms(index_dir, part_id, field_names)
+            norm_cache[part_id] = _load_part_norms(index_dir, part_id, field_names)
         return norm_cache[part_id]
 
     def build_one(batch: pa.Table) -> pa.Table:
@@ -765,8 +756,6 @@ def build_index(
     cfg: IndexConfig = IndexConfig(),
 ) -> dict:
     """Run the full build; resumable; returns the committed manifest."""
-    import ray
-
     t_start = time.time()
     paths = _paths_of(input_path)
     parts = plan_partitions(paths, cfg.target_docs_per_part)
@@ -816,22 +805,10 @@ def build_index(
     # in the plan, so no head-term detection is needed ----
     n_doc_parts = len(parts)
     seg_tasks = _plan_storage_segments(index_dir, cfg, parts)
-    # ship the per-part norm matrices once via the object store (n_docs
-    # bytes total); past 4096 parts the driver must not hold them all —
-    # tasks fall back to reading the docs sidecars directly
-    fields_t = tuple(f.name for f in cfg.fields)
-    norm_refs = None
-    if n_doc_parts <= 4096:
-        norm_refs = {
-            int(p["part_id"]): ray.put(
-                _load_part_norms(index_dir, int(p["part_id"]), fields_t)
-            )
-            for p in parts
-        }
     seg_summaries, phase_b_tasks = _run_stage(
         seg_tasks,
         _make_storage_segment_fn(
-            index_dir, n_doc_parts, cfg.store_positions, fields_t, norm_refs
+            index_dir, n_doc_parts, cfg.store_positions, tuple(f.name for f in cfg.fields)
         ),
     )
     phase_b_sec = time.time() - t_start - phase_a_sec
@@ -939,4 +916,11 @@ def build_index(
         # partition reappears. Recorded in build stats so callers can gate.
         man["metrics"]["tombstones_unapplied"] = n_unapplied
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
+    # only after the commit point moves: drop the segment directories the
+    # previous commit named and this one does not (a purge merge's outputs,
+    # salts of an older layout); a crash before this leaves harmless garbage
+    if committed is not None:
+        live = {s["name"] for s in man["segments"]}
+        for name in {segment_name(s) for s in committed["segments"]} - live:
+            shutil.rmtree(os.path.join(index_dir, "segments", name), ignore_errors=True)
     return man

@@ -9,6 +9,11 @@ Tombstones live in ``tombstones.json`` (sorted doc ids, written atomically);
 readers load them at open and mask candidates before scores accumulate.
 ``merge.merge_segments(purge_deletes=True)`` physically drops tombstoned
 postings, recomputes live stats and clears the tombstone file.
+
+Doc columns (url, doc_len) are read through ``IndexReader.doc_column`` /
+``doc_values``, so only the doc parts of the committed manifest count: a
+stale part file a re-partitioning rebuild left in ``docs/`` can neither
+gain a tombstone nor shift the purge stats.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from apache___solr_ray.manifest import read_json, write_json_atomic
 
@@ -37,13 +41,14 @@ def delete_by_url(index_dir: str, urls: list[str]) -> int:
     """Tombstone the docs with these urls (uniqueKey deletes). Returns the
     number of newly tombstoned docs. Unknown urls are ignored (Solr's
     deleteById of a missing id is a no-op)."""
+    from apache___solr_ray.query import IndexReader
+
+    reader = IndexReader(index_dir)
     want = pa.array(sorted(set(urls)), pa.string())
     found: list[int] = []
-    docs_dir = os.path.join(index_dir, "docs")
-    for f in sorted(os.listdir(docs_dir)):
-        t = pq.read_table(os.path.join(docs_dir, f), columns=["url", "doc_id"])
-        hit = t.filter(pc.is_in(t.column("url"), value_set=want))
-        found.extend(int(x) for x in hit.column("doc_id").to_pylist())
+    for p in range(reader.n_doc_parts):
+        rows = pc.indices_nonzero(pc.is_in(reader.doc_column(p, "url"), value_set=want))
+        found.extend((p << 32) + r for r in rows.to_pylist())
     existing = load_tombstones(index_dir)
     merged = sorted(set(existing.tolist()) | set(found))
     write_json_atomic(
@@ -142,19 +147,14 @@ def reapply_purged(index_dir: str, current_fingerprints: list[str]) -> tuple[int
 
 
 def tombstoned_doc_lens(index_dir: str, tombs: np.ndarray) -> tuple[int, int]:
-    """(n_docs, sum_doc_len) of the tombstoned set — what a purge subtracts
-    from the live collection stats."""
+    """(n_docs, sum_doc_len) of the tombstoned docs inside the committed doc
+    parts — what a purge subtracts from the live collection stats. A
+    tombstone outside them names no indexed doc, so it counts for
+    nothing."""
+    from apache___solr_ray.query import IndexReader
+
+    reader = IndexReader(index_dir)
+    tombs = tombs[tombs < np.int64(reader.n_doc_parts) << np.int64(32)]
     if len(tombs) == 0:
         return 0, 0
-    parts = tombs >> np.int64(32)
-    rows = tombs & np.int64(0xFFFFFFFF)
-    total = 0
-    for part in np.unique(parts):
-        t = pq.read_table(
-            os.path.join(index_dir, "docs", f"part-{int(part):06d}.parquet"),
-            columns=["doc_len"],
-        )
-        total += int(
-            pc.sum(t.column("doc_len").take(pa.array(rows[parts == part]))).as_py()
-        )
-    return len(tombs), total
+    return len(tombs), int(pc.sum(reader.doc_values(tombs, "doc_len")).as_py())

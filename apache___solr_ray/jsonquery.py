@@ -25,15 +25,13 @@ Evaluation maps each node onto the engine's existing primitives:
 
 Set algebra runs on the query coordinator over posting-derived id sets
 (exactly the reference's per-shard BooleanQuery evaluation); the corpus
-is touched only through postings and cached per-part sidecar masks.
+is touched only through postings and the committed doc-sidecar columns
+``IndexReader.doc_values`` reads (and caches) for candidate ids.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pyarrow.parquet as pq
 
 __all__ = ["json_query_docs", "JsonQueryError"]
 
@@ -43,16 +41,13 @@ class JsonQueryError(ValueError):
 
 
 def _all_docs(reader) -> np.ndarray:
-    """Every live engine doc id — the *:* fallback for mask-only queries."""
-    ids = []
-    part = 0
-    while True:
-        path = os.path.join(reader.dir, "docs", f"part-{part:06d}.parquet")
-        if not os.path.exists(path):
-            break
-        n = pq.ParquetFile(path).metadata.num_rows
-        ids.append((np.int64(part) << np.int64(32)) | np.arange(n, dtype=np.int64))
-        part += 1
+    """Every live engine doc id — the *:* fallback for mask-only queries:
+    the rows of the doc parts the committed manifest names
+    (``range(reader.n_doc_parts)``), read through ``doc_column``."""
+    ids = [
+        (np.int64(part) << np.int64(32)) + np.arange(len(reader.doc_column(part, "doc_len")))
+        for part in range(reader.n_doc_parts)
+    ]
     if not ids:
         return np.zeros(0, np.int64)
     out = np.concatenate(ids)

@@ -173,18 +173,6 @@ class BM25Scorer:
         one = np.float32(1.0)
         return self.weight - self.weight / (one + freq * norm_inv)
 
-    def max_score(self, max_tf: int, min_norm_byte: int) -> float:
-        """Upper bound on this term's score for any posting with tf <= max_tf
-        and norm byte >= min_norm_byte (score is increasing in tf and in
-        normInverse; normInverse is decreasing in the norm byte) — the impact
-        bound a block header's (max_tf, min_norm) implies."""
-        return float(
-            self.score(
-                np.array([max_tf], dtype=np.int64),
-                np.array([min_norm_byte], dtype=np.uint8),
-            )[0]
-        )
-
 
 def sum_term_scores(per_term_scores: list[np.ndarray]) -> np.ndarray:
     """Sum float32 per-term scores in float64, cast to float32.

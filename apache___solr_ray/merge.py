@@ -5,11 +5,16 @@ The reference merges flushed segments tier-by-tier in background threads
 ``solr/core/src/java/org/apache/solr/index/DefaultMergePolicyFactory.java:42``,
 ``SolrIndexConfig.java:262-265``). Here the same role is played by a Ray
 Data stage over term partitions: within each tkey, while a tkey holds more
-than ``target_per_tkey`` segments, the ``merge_factor`` smallest-by-bytes
-segments are merged into a new immutable segment: every source segment is
-decoded whole into one (term, doc_id, tf, norm[, pos]) table — position
-payloads carry over as raw bytes — purged deletes are dropped with one mask,
-and the table is written by ``segment.build_segment_from_group``, the
+than ``target_per_tkey`` segments, the run of ``merge_factor`` doc-adjacent
+segments with the fewest bytes is merged into a new immutable segment
+(Lucene ``LogMergePolicy``'s adjacency rule: a tkey's segments hold
+disjoint doc ranges, and folding only neighbours keeps every term's views
+in doc order, which the phrase paths binary-search). A merged segment
+covers the union of its sources' doc partitions (``part_lo``, ``part_hi``),
+so doc-range shards still open only overlapping segments. Every source
+segment is decoded whole into one (term, doc_id, tf, norm[, pos]) table —
+position payloads carry over as raw bytes — purged deletes are dropped with
+one mask, and the table is written by ``segment.build_segment_from_group``, the
 encoder phase B uses (Lucene's SegmentMerger likewise writes through the
 flush codec). The index manifest is atomically re-committed and
 only then are the source segment directories deleted — a crash between
@@ -86,11 +91,23 @@ def _merge_group(index_dir: str, tkey: int, sources: list[dict], out_name: str, 
     return meta
 
 
+def _part_span(sources: list[dict]) -> dict:
+    """``part_lo`` / ``part_hi`` covering every source, or {} when a source
+    carries no range (readers then treat the segment as covering all)."""
+    if not all("part_lo" in s and "part_hi" in s for s in sources):
+        return {}
+    return {
+        "part_lo": min(int(s["part_lo"]) for s in sources),
+        "part_hi": max(int(s["part_hi"]) for s in sources),
+    }
+
+
 def plan_merges(
     segments: list[dict], target_per_tkey: int, merge_factor: int
 ) -> list[tuple[int, list[dict], str, list[dict]]]:
-    """Pure planning (deterministic, unit-testable): per tkey, repeatedly
-    fold the merge_factor smallest segments until <= target remain.
+    """Pure planning (deterministic, unit-testable): per tkey, in doc order
+    (``part_lo``, then salt), repeatedly fold the window of merge_factor
+    adjacent segments with the smallest byte sum until <= target remain.
 
     Returns [(tkey, final_segment_entries, ...)]-style merge steps:
     (tkey, sources, out_name, remaining_after).
@@ -100,11 +117,13 @@ def plan_merges(
     for s in segments:
         by_tkey.setdefault(s["tkey"], []).append(dict(s))
     for tkey, segs in sorted(by_tkey.items()):
+        segs.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"], s["name"]))
         gen = 0
         while len(segs) > target_per_tkey:
-            segs.sort(key=lambda s: (s["bytes"], s["name"]))
             n = min(merge_factor, len(segs) - target_per_tkey + 1)
-            sources = segs[:n]
+            csum = np.cumsum([0] + [s["bytes"] for s in segs])
+            i = int(np.argmin(csum[n:] - csum[:-n]))
+            sources = segs[i : i + n]
             out_name = f"seg-{tkey:05d}-m{gen:04d}"
             while any(s["name"] == out_name for s in segs):
                 gen += 1
@@ -117,9 +136,10 @@ def plan_merges(
                 "n_terms": 0,
                 "n_postings": sum(s["n_postings"] for s in sources),
                 "skey": -1,
+                **_part_span(sources),
             }
             steps.append((tkey, sources, out_name, None))
-            segs = segs[n:] + [placeholder]
+            segs = segs[:i] + [placeholder] + segs[i + n :]
             gen += 1
     return steps
 
@@ -212,6 +232,7 @@ def merge_segments(
             lineage_by_name.get(s["name"], str(s.get("name", ""))) for s in sources
         )
         lineage_by_name[out_name] = "m:" + _hashlib.sha1(combined.encode()).hexdigest()
+    span_by_name = {out_name: _part_span(sources) for _, sources, out_name, _ in steps}
     new_entries = [
         {
             "skey": -1,
@@ -222,6 +243,7 @@ def merge_segments(
             "n_postings": int(m["n_postings"]),
             "bytes": int(m["bytes"]),
             "lineage": lineage_by_name.get(n, ""),
+            **span_by_name[n],
         }
         for n, m in merged_by_name.items()
         if n not in consumed  # intermediate merge outputs may themselves be consumed

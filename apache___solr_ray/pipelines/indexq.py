@@ -125,13 +125,15 @@ def ensure_doc_index_mf(sf_dir: str) -> str:
 
 
 def _doc_id_map(index_dir: str) -> dict[int, int]:
-    """engine doc_id -> documents.doc_id (via the url key)."""
+    """engine doc_id -> documents.doc_id (via the url key), over the doc
+    parts of the committed manifest."""
+    from apache___solr_ray.query import IndexReader
+
+    r = IndexReader(index_dir)
     out: dict[int, int] = {}
-    docs_dir = os.path.join(index_dir, "docs")
-    for f in sorted(os.listdir(docs_dir)):
-        t = pq.read_table(os.path.join(docs_dir, f), columns=["url", "doc_id"])
-        for url, did in zip(t.column("url").to_pylist(), t.column("doc_id").to_pylist()):
-            out[did] = int(url[6:])
+    for p in range(r.n_doc_parts):
+        for row, url in enumerate(r.doc_column(p, "url").to_pylist()):
+            out[(p << 32) + row] = int(url[6:])
     return out
 
 
@@ -647,23 +649,17 @@ def point_lookup_docs(sf_dir: str):
     """RealTimeGet analog (reference RealTimeGetComponent.java: point
     lookup by uniqueKey): resolve keys through the hash-partitioned doc
     sidecar — touches only the partitions that can hold the keys."""
-    import pyarrow.compute as _pc
+    from apache___solr_ray.query import IndexReader
 
-    index_dir = ensure_doc_index(sf_dir)
+    r = IndexReader(ensure_doc_index(sf_dir))
     want = {3, 77, 154, 400, 499}
-    urls = {f"doc://{d:012d}" for d in want}
-    docs_dir = os.path.join(index_dir, "docs")
+    urls = pa.array(sorted(f"doc://{d:012d}" for d in want))
     rows = []
-    for f in sorted(os.listdir(docs_dir)):
-        t = pq.read_table(os.path.join(docs_dir, f), columns=["url", "doc_len", "lang"])
-        m = _pc.is_in(t.column("url"), value_set=pa.array(sorted(urls)))
-        hit = t.filter(m)
-        for url, dl, lg in zip(
-            hit.column("url").to_pylist(),
-            hit.column("doc_len").to_pylist(),
-            hit.column("lang").to_pylist(),
-        ):
-            rows.append((int(url[6:]), int(dl), lg))
+    for p in range(r.n_doc_parts):
+        hit = pc.indices_nonzero(pc.is_in(r.doc_column(p, "url"), value_set=urls))
+        if len(hit):
+            url, dl, lg = (r.doc_column(p, c).take(hit).to_pylist() for c in ("url", "doc_len", "lang"))
+            rows += [(int(u[6:]), int(n), g) for u, n, g in zip(url, dl, lg)]
     rows.sort()
     return pa.table(
         {

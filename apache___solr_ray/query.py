@@ -18,7 +18,12 @@ of ``QueryComponent.mergeIds``):
   accumulator; ``merge_topk`` is the one top-k selection. Lucene prunes
   with block-max WAND instead; on this engine's posting lists the bound
   bookkeeping cost more than the blocks it skipped, so no pruning is
-  done. The block headers stay in the format for phrase skipping.
+  done. The block headers stay in the format for phrase skipping;
+- per-doc columns (stored fields, facet, filter, group and sort values)
+  are read only through ``IndexReader.doc_column`` / ``doc_values``, over
+  the doc parts the committed manifest names — the reader of one commit
+  point, like Lucene's stored-fields and docValues readers — never
+  whatever the ``docs/`` directory holds.
 
 ``TopKQueryActor`` is the stateful stage: construct once per actor (opens
 the index, caches term dicts / postings views), score query batches in
@@ -46,7 +51,7 @@ from apache___solr_ray.lucene import BM25Scorer
 from apache___solr_ray.manifest import read_json
 from apache___solr_ray.segment import SegmentReader, segment_name
 
-#: doc-sidecar parts an ``IndexReader`` keeps open for url lookups (LRU)
+#: (part, column) doc-sidecar arrays an ``IndexReader`` keeps (LRU)
 DOCS_CACHE_PARTS = 64
 
 _TERM_DICT_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()), ("ttf", pa.int64())])
@@ -147,7 +152,7 @@ class IndexReader:
         self._readers: dict[str, SegmentReader] = {}
         self._term_dict: pa.Table | None = None
         self._term_cache: OrderedDict[str, TermPostings | None] = OrderedDict()
-        self._docs_cache: OrderedDict[int, pa.Table] = OrderedDict()
+        self._docs_cache: OrderedDict[tuple[int, str], pa.Array] = OrderedDict()
         from apache___solr_ray.deletes import load_tombstones
 
         self.tombstones = load_tombstones(index_dir)
@@ -613,43 +618,15 @@ class IndexReader:
     def facet_by(self, doc_ids: np.ndarray, column: str) -> dict[str, int]:
         """Facet counts of a doc set over a stored doc-sidecar column —
         search + facet (FacetComponent over a DocSet)."""
-        from collections import Counter as _C
-
-        agg: _C = _C()
-        parts = doc_ids >> np.int64(32)
-        rows = doc_ids & np.int64(0xFFFFFFFF)
-        for part in np.unique(parts):
-            t = pq.read_table(
-                os.path.join(self.dir, "docs", f"part-{int(part):06d}.parquet"),
-                columns=[column],
-            )
-            vals = t.column(column).take(pa.array(rows[parts == part])).to_pylist()
-            agg.update(vals)
-        return dict(agg)
+        return dict(Counter(self.doc_values(doc_ids, column).to_pylist()))
 
     def doc_filter_mask(self, column: str, value: str):
         """Vectorized doc-id -> bool filter from a doc-sidecar column (the
-        `fq` filter-query analog; at scale this is a per-part bitset cached
-        like the reference's filterCache)."""
-        masks: dict[int, np.ndarray] = {}
+        `fq` filter-query analog). Null values never match."""
 
         def allowed(doc_ids: np.ndarray) -> np.ndarray:
-            parts = doc_ids >> np.int64(32)
-            rows = doc_ids & np.int64(0xFFFFFFFF)
-            out = np.zeros(len(doc_ids), dtype=bool)
-            for part in np.unique(parts):
-                p = int(part)
-                if p not in masks:
-                    t = pq.read_table(
-                        os.path.join(self.dir, "docs", f"part-{p:06d}.parquet"),
-                        columns=[column],
-                    )
-                    masks[p] = np.asarray(
-                        pc.equal(t.column(column), value).to_numpy(zero_copy_only=False)
-                    )
-                sel = parts == part
-                out[sel] = masks[p][rows[sel]]
-            return out
+            m = pc.equal(self.doc_values(doc_ids, column), value)
+            return pc.fill_null(m, False).to_numpy(zero_copy_only=False)
 
         return allowed
 
@@ -657,37 +634,15 @@ class IndexReader:
         """Numeric/date range filter over a doc-sidecar (docValues) column —
         the `frange` / point-field range-query analog (reference
         FunctionRangeQParserPlugin.java, IntPointField.java). Bounds are
-        inclusive; None = unbounded. Per-part bool masks are computed once
-        with Arrow kernels and cached (the filterCache shape)."""
-        masks: dict[int, np.ndarray] = {}
+        inclusive; None = unbounded; a null value fails a set bound."""
 
         def allowed(doc_ids: np.ndarray) -> np.ndarray:
-            parts = doc_ids >> np.int64(32)
-            rows = doc_ids & np.int64(0xFFFFFFFF)
-            out = np.zeros(len(doc_ids), dtype=bool)
-            for part in np.unique(parts):
-                p = int(part)
-                if p not in masks:
-                    t = pq.read_table(
-                        os.path.join(self.dir, "docs", f"part-{p:06d}.parquet"),
-                        columns=[column],
-                    )
-                    col = t.column(column)
-                    m = None
-                    if lo is not None:
-                        m = pc.greater_equal(col, lo)
-                    if hi is not None:
-                        mh = pc.less_equal(col, hi)
-                        m = mh if m is None else pc.and_(m, mh)
-                    if m is None:
-                        masks[p] = np.ones(len(col), dtype=bool)
-                    else:
-                        masks[p] = np.asarray(
-                            pc.fill_null(m, False).to_numpy(zero_copy_only=False)
-                        )
-                sel = parts == part
-                out[sel] = masks[p][rows[sel]]
-            return out
+            vals = self.doc_values(doc_ids, column)
+            m = np.ones(len(vals), dtype=bool)
+            for op, bound in ((pc.greater_equal, lo), (pc.less_equal, hi)):
+                if bound is not None:
+                    m &= pc.fill_null(op(vals, bound), False).to_numpy(zero_copy_only=False)
+            return m
 
         return allowed
 
@@ -720,18 +675,7 @@ class IndexReader:
             return {}
         d_all, s_all = _score_all(scorers, self._alive)
         d_all, s_all = merge_topk([(d_all, s_all)], len(d_all))
-        parts = d_all >> np.int64(32)
-        rows = d_all & np.int64(0xFFFFFFFF)
-        vals = np.empty(len(d_all), dtype=object)
-        for part in np.unique(parts):
-            t = pq.read_table(
-                os.path.join(self.dir, "docs", f"part-{int(part):06d}.parquet"),
-                columns=[group_col],
-            )
-            sel = parts == part
-            vals[sel] = np.asarray(
-                t.column(group_col).take(pa.array(rows[sel])).to_pylist(), dtype=object
-            )
+        vals = np.array(self.doc_values(d_all, group_col).to_pylist(), dtype=object)
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for g in sorted(set(vals.tolist())):
             m = vals == g
@@ -883,12 +827,9 @@ class IndexReader:
             bound = p["sort_max"] if desc else p["sort_min"]
             if kth is not None and n_cands >= k and (bound < kth if desc else bound > kth):
                 break  # no remaining part can reach the top-k
-            t = pq.read_table(
-                os.path.join(self.dir, "docs", f"part-{int(p['part_id']):06d}.parquet"),
-                columns=["doc_id", "sortv"],
-            )
-            d = t.column("doc_id").to_numpy()
-            v = t.column("sortv").to_numpy()
+            part = int(p["part_id"])
+            v = self.doc_column(part, "sortv").to_numpy(zero_copy_only=False)
+            d = (np.int64(part) << np.int64(32)) + np.arange(len(v), dtype=np.int64)
             alive = self._alive(d)
             if alive is not None:
                 d, v = d[alive], v[alive]
@@ -914,48 +855,52 @@ class IndexReader:
         order = np.lexsort((d_all, -v_all if desc else v_all))[:k]
         return d_all[order], v_all[order], metrics
 
-    def _docs_part(self, part: int) -> pa.Table:
-        t = self._docs_cache.get(part)
-        if t is None:
-            t = pq.read_table(
-                os.path.join(self.dir, "docs", f"part-{part:06d}.parquet"),
-                columns=["url", "doc_len"],
-            )
-            self._docs_cache[part] = t
+    def doc_column(self, part: int, column: str) -> pa.Array:
+        """One column of one committed doc part, row-aligned with the part's
+        local doc ids (``doc_id = part << 32 | row``). The only reader of
+        the ``docs/`` sidecar: a part outside the manifest's
+        ``[0, n_doc_parts)`` raises ``IndexError`` whatever the directory
+        holds. LRU-cached per (part, column)."""
+        part = int(part)
+        if not 0 <= part < self.n_doc_parts:
+            raise IndexError(f"doc part {part} is not in the committed [0, {self.n_doc_parts})")
+        key = (part, column)
+        col = self._docs_cache.get(key)
+        if col is None:
+            path = os.path.join(self.dir, "docs", f"part-{part:06d}.parquet")
+            col = pq.read_table(path, columns=[column]).column(column).combine_chunks()
+            self._docs_cache[key] = col
             if len(self._docs_cache) > DOCS_CACHE_PARTS:
                 self._docs_cache.popitem(last=False)
-        return t
+        else:
+            self._docs_cache.move_to_end(key)
+        return col
+
+    def doc_values(self, doc_ids: np.ndarray, column: str) -> pa.Array:
+        """A doc-sidecar column's values for ``doc_ids``, in the caller's
+        order (docValues lookup): ids group by part with a stable sort, one
+        ``take`` per part, and one ``take`` restores the input order."""
+        doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        if len(doc_ids) == 0:
+            return self.doc_column(0, column).slice(0, 0)
+        parts = doc_ids >> np.int64(32)
+        order = np.argsort(parts, kind="stable")
+        rows = (doc_ids & np.int64(0xFFFFFFFF))[order]
+        bounds = np.flatnonzero(np.diff(parts[order])) + 1
+        pieces = [
+            self.doc_column(parts[order[a]], column).take(pa.array(rows[a:b]))
+            for a, b in zip(np.r_[0, bounds], np.r_[bounds, len(order)])
+        ]
+        inv = np.empty(len(order), dtype=np.int64)
+        inv[order] = np.arange(len(order))
+        return pa.concat_arrays(pieces).take(pa.array(inv))
 
     def fetch_fields(self, doc_ids: np.ndarray, columns: list[str]) -> pa.Table:
         """Stored-field retrieval for winning ids — the STAGE_GET_FIELDS
         leg of the distributed query (reference QueryComponent: fields are
         fetched only for merged top-k ids, never during scoring). Returns
         one row per doc id, in the given order."""
-        parts = doc_ids >> np.int64(32)
-        rows = doc_ids & np.int64(0xFFFFFFFF)
-        # group ids by part, one vectorized take per part, then restore the
-        # caller's order with one final take (no per-cell Python)
-        order = np.argsort(parts, kind="stable")
-        inv = np.empty(len(order), dtype=np.int64)
-        inv[order] = np.arange(len(order))
-        pieces: list[pa.Table] = []
-        sorted_parts = parts[order]
-        sorted_rows = rows[order]
-        bounds = np.flatnonzero(np.diff(sorted_parts) != 0) + 1
-        starts = np.concatenate([[0], bounds]).astype(np.int64)
-        ends = np.concatenate([bounds, [len(sorted_parts)]]).astype(np.int64)
-        for s, e in zip(starts, ends):
-            if s == e:
-                continue
-            part = int(sorted_parts[s])
-            t = pq.read_table(
-                os.path.join(self.dir, "docs", f"part-{part:06d}.parquet"),
-                columns=columns,
-            )
-            pieces.append(t.take(pa.array(sorted_rows[s:e])))
-        if not pieces:
-            return pa.table({c: pa.array([]) for c in columns})
-        return pa.concat_tables(pieces).take(pa.array(inv))
+        return pa.table({c: self.doc_values(doc_ids, c) for c in columns})
 
     def topk_boosted(self, query: str, k: int, boost_fn) -> tuple[np.ndarray, np.ndarray]:
         """Function-query boosting (the `boost`/`func` parser analog,
@@ -971,11 +916,7 @@ class IndexReader:
         return merge_topk([(d_all, boosted)], k)
 
     def urls_for(self, doc_ids: np.ndarray) -> list[str]:
-        out = []
-        for d in doc_ids:
-            part, row = int(d) >> 32, int(d) & 0xFFFFFFFF
-            out.append(self._docs_part(part).column("url")[row].as_py())
-        return out
+        return self.doc_values(doc_ids, "url").to_pylist()
 
     def close(self):
         for r in self._readers.values():

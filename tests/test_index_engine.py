@@ -11,7 +11,10 @@ import shutil
 from collections import Counter
 
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.build import IndexConfig, build_index, plan_partitions
@@ -466,6 +469,72 @@ def test_fetch_fields_and_boosted_topk(built):
     order = np.lexsort((d_all, -want.astype(np.float64)))[:10]
     assert db.tolist() == d_all[order].tolist()
     assert sb.tolist() == want[order].tolist()
+
+
+@pytest.fixture(scope="module")
+def doc_rows(built):
+    """Every committed doc's sidecar row by doc id, read straight from the
+    part files: the per-id oracle of ``doc_values``."""
+    t = pq.read_table(os.path.join(built[0], "docs"))
+    return {row["doc_id"]: row for row in t.to_pylist()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, N_DOCS - 1), max_size=60),
+    col=st.sampled_from(["url", "doc_len", "lang"]),
+)
+def test_doc_values_equal_per_id_lookup(built, doc_rows, picks, col):
+    """Unsorted, duplicated ids from several parts (or none) come back in
+    the caller's order, each equal to a per-id lookup."""
+    r = IndexReader(built[0])
+    ids = np.array(sorted(doc_rows), dtype=np.int64)[picks]
+    got = r.doc_values(ids, col)
+    assert got.type == r.doc_column(0, col).type
+    assert got.to_pylist() == [doc_rows[int(d)][col] for d in ids]
+    t = r.fetch_fields(ids, ["url", col])
+    assert t.column("url").to_pylist() == [doc_rows[int(d)]["url"] for d in ids]
+    assert t.column(col).to_pylist() == got.to_pylist()
+
+
+def test_doc_column_reads_only_committed_parts(built, doc_rows):
+    r = IndexReader(built[0])
+    assert r.n_doc_parts > 1
+    ids = np.array(sorted(doc_rows, reverse=True) * 2, dtype=np.int64)
+    assert r.urls_for(ids) == [doc_rows[int(d)]["url"] for d in ids]
+    assert len(r.doc_column(r.n_doc_parts - 1, "url")) > 0
+    for part in (-1, r.n_doc_parts):
+        with pytest.raises(IndexError):
+            r.doc_column(part, "url")
+    with pytest.raises(IndexError):
+        r.doc_values(np.array([r.n_doc_parts << 32], dtype=np.int64), "url")
+
+
+def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
+    """A rebuild with bigger doc parts leaves the old layout's extra part
+    files in ``docs/``. Only the committed parts count: a delete by url
+    tombstones one doc, a mask-only JSON query enumerates at most
+    ``doc_count`` docs, and the purge merge subtracts one doc."""
+    from apache___solr_ray.deletes import delete_by_url, load_tombstones
+    from apache___solr_ray.jsonquery import json_query_docs
+    from apache___solr_ray.merge import merge_segments
+
+    d = str(tmp_path_factory.mktemp("pages_stale"))
+    write_pages(d, 600, seed=42, rows_per_file=600, row_group_size=100)
+    idx = str(tmp_path_factory.mktemp("index_stale"))
+    build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=128))
+    man = build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=1024))
+    assert man["stats"]["n_doc_parts"] == 1
+    assert len(os.listdir(os.path.join(idx, "docs"))) > 1  # stale parts on disk
+
+    url = IndexReader(idx).urls_for(np.array([350], dtype=np.int64))[0]
+    assert delete_by_url(idx, [url]) == 1
+    assert load_tombstones(idx).tolist() == [350]
+    r = IndexReader(idx)
+    ids = json_query_docs(r, {"range": {"f": "doc_len", "lower": 0}})
+    assert len(ids) <= r.doc_count and 350 not in ids.tolist()
+    man = merge_segments(idx, purge_deletes=True)
+    assert man["stats"]["doc_count"] == 599
 
 
 def test_cursor_pages_equal_topk_prefix(built):

@@ -80,17 +80,6 @@ def test_bm25_score_monotonicity():
     assert s_short[0] > s_long[0]
 
 
-def test_bm25_max_score_is_bound():
-    sc = lucene.BM25Scorer(doc_freq=50, doc_count=10_000, sum_total_tf=1_000_000)
-    rng = np.random.default_rng(7)
-    tfs = rng.integers(1, 20, 200)
-    lens = rng.integers(20, 2000, 200)
-    norms = lucene.int_to_byte4_array(lens)
-    scores = sc.score(tfs, norms)
-    bound = sc.max_score(int(tfs.max()), int(norms.min()))
-    assert bound >= float(scores.max())
-
-
 def test_sum_term_scores_float64_accumulate():
     a = np.array([0.1], dtype=np.float32)
     b = np.array([0.2], dtype=np.float32)

@@ -411,3 +411,114 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     assert empty.n_terms == 0 and empty.postings("the") is None
     assert empty.terms_table().num_rows == 0
     empty.close()
+
+
+def _phrase_sample(texts: list[str], n: int, seed: int) -> list[str]:
+    """``n`` distinct two-word phrases that occur in ``texts``."""
+    from apache___solr_ray.analyze import Analyzer
+
+    an, rng, out = Analyzer(), np.random.default_rng(seed), set()
+    while len(out) < n:
+        toks = an.analyze(texts[int(rng.integers(len(texts)))])
+        if len(toks) > 1:
+            i = int(rng.integers(len(toks) - 1))
+            out.add(f"{toks[i]} {toks[i + 1]}")
+    return sorted(out)
+
+
+def test_partial_merge_folds_only_doc_adjacent_segments(ray_session, tmp_path_factory):
+    """A tkey whose middle doc-range segment is its largest: a partial merge
+    must fold neighbours, not the two smallest (salts 0 and 2), or term
+    views stop being doc-ascending and the phrase paths break. Merged
+    entries carry their doc range, so doc-range readers skip them."""
+    import pyarrow.parquet as pq
+
+    from apache___solr_ray.corpus import pages_table
+
+    d = str(tmp_path_factory.mktemp("pages_adj"))
+    pages = pages_table(700, seed=42)
+    with pq.ParquetWriter(os.path.join(d, "pages.parquet"), pages.schema) as w:
+        start = 0
+        for n in (100, 100, 300, 100, 100):  # one row group (= one part) each
+            w.write_table(pages.slice(start, n), row_group_size=n)
+            start += n
+    idx = str(tmp_path_factory.mktemp("index_adj"))
+    cfg = IndexConfig(term_partitions=2, target_docs_per_part=100, max_postings_per_segment=10000)
+    man = build_index(d, idx, cfg)
+    tk0 = sorted((s for s in man["segments"] if s["tkey"] == 0), key=lambda s: s["salt"])
+    sizes = [s["bytes"] for s in tk0]
+    assert len(tk0) == 3 and sizes[1] > max(sizes[0], sizes[2])  # the layout under test
+
+    phrases = _phrase_sample(pages.column("text").to_pylist(), 60, seed=3)
+
+    def answers():
+        r = IndexReader(idx)
+        return {
+            p: (
+                r.phrase_freqs(p)[0].tolist(),
+                r.span_near_docs(p, slop=1).tolist(),
+                [a.tolist() for a in r.topk_phrase(p, 10)],
+            )
+            for p in phrases
+        }
+
+    before = answers()
+    man = merge_segments(idx, target_per_tkey=2, merge_factor=2)
+    assert answers() == before
+
+    r = IndexReader(idx)
+    for term in sorted({t for p in phrases for t in p.split()}):
+        tp = r.term_postings(term)
+        if tp is not None:
+            assert np.all(np.diff(tp.decode_all()[0]) > 0), term
+    merged = [s for s in man["segments"] if s["salt"] == -1]
+    assert merged
+    for s in merged:
+        assert 0 <= s["part_lo"] < s["part_hi"] <= man["stats"]["n_doc_parts"]
+    tk0 = sorted((s["part_lo"], s["part_hi"]) for s in man["segments"] if s["tkey"] == 0)
+    assert tk0 == [(0, 3), (3, 5)]
+    shard = IndexReader(idx, part_range=(4, 5))
+    opened = {s["name"] for segs in shard._segments_by_tkey.values() for s in segs}
+    assert opened == {
+        s["name"] for s in man["segments"] if s["part_lo"] < 5 and s["part_hi"] > 4
+    }
+
+
+def test_segment_dirs_equal_committed_segments(ray_session, tmp_path_factory):
+    """A purge merge followed by an upsert un-commits the merged segments;
+    the upsert's build removes their directories, so after every step the
+    directories under ``segments/`` are exactly the manifest's names."""
+    import pyarrow as pa
+
+    from apache___solr_ray.deletes import delete_by_url
+    from apache___solr_ray.segment import segment_name
+    from apache___solr_ray.update import upsert_pages
+
+    d = str(tmp_path_factory.mktemp("pages_dirs"))
+    write_pages(d, 256, seed=42, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_dirs"))
+    cfg = IndexConfig(
+        term_partitions=2,
+        target_docs_per_part=128,
+        max_postings_per_segment=3000,
+        text_from_html=False,
+    )
+    build_index(d, idx, cfg)
+
+    def assert_dirs_committed(man):
+        names = {segment_name(s) for s in man["segments"]}
+        assert set(os.listdir(os.path.join(idx, "segments"))) == names
+
+    r = IndexReader(idx)
+    urls = r.urls_for(np.array([3, (1 << 32) + 7], dtype=np.int64))
+    assert delete_by_url(idx, urls[:1]) == 1
+    assert_dirs_committed(merge_segments(idx, purge_deletes=True))
+    new = pa.table(
+        {
+            "url": pa.array([urls[1]], pa.string()),
+            "text": pa.array(["zzdirstoken fresh content"], pa.string()),
+            "lang": pa.array(["en"], pa.string()),
+        }
+    )
+    assert_dirs_committed(upsert_pages(d, idx, new, cfg))
+    assert_dirs_committed(merge_segments(idx, target_per_tkey=1, merge_factor=4))
