@@ -56,11 +56,9 @@ def _sha1_file(path: str) -> tuple[str, int]:
 
 
 #: index-directory entries beside the segments that a committed index
-#: reads: phase-A outputs and lineage, collection stats, delete ledgers
-SIDECARS = (
-    "docs", "postings_raw", "manifests",
-    "stats.json", "tombstones.json", "purged.json",
-)
+#: reads: phase-A outputs and lineage (collection stats and the delete set
+#: ride in ``index_manifest.json``)
+SIDECARS = ("docs", "postings_raw", "manifests")
 
 
 def _committed_files(index_dir: str, man: dict) -> list[str]:

@@ -8,7 +8,8 @@ Phase A  (per doc-partition; the partition descriptors run as a few
 CPU-sized Ray Data blocks, see ``_run_stage``):
     stream the partition's row groups → HTML→text extract → analyze
     (tokenize/lower/stop) → assign dense doc ids → write
-    ``docs/part-*.parquet`` (url, doc_id, doc_len, norm, lang) and
+    ``docs/part-*.parquet`` (url, doc_id, doc_len, norm, lang, and
+    ``len_f_<field>`` per named field) and
     ``postings_raw/part-*.parquet`` (term, doc_id, tf, norm), plus a
     lineage manifest. Term statistics are not written here: the committed
     segments' term dictionaries are the one vocabulary
@@ -34,9 +35,11 @@ Phase B  (the term-hash shuffle, through shared storage): phase A already
     ride the shared filesystem that already holds phase A's outputs and
     the segments, not RAM.
 
-Commit: ``stats.json`` (docCount, sumTotalTermFreq — the ExactStatsCache
-global stats, reference ``CollectionStats.java:24-27``) and an atomic
-``index_manifest.json`` (the segments_N pointer-swap analog).
+Commit: one atomic ``index_manifest.json`` swap (the segments_N
+pointer-swap analog) naming the segments, the collection stats (the
+ExactStatsCache global stats, reference ``CollectionStats.java:24-27``),
+which count deleted docs until a purge merge as Lucene's do, and the
+delete set, carried over from the previous commit (``_carry_deletes``).
 
 Doc-id assignment: ``doc_id = part_id << 32 | row_in_partition`` where
 partitions are deterministic (sorted file paths × row-group ranges). Unlike
@@ -50,6 +53,7 @@ order does, and that is fixed by the deterministic partition plan.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import time
@@ -65,6 +69,7 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.extract import extract_batch
 from apache___solr_ray.lucene import int_to_byte4_array
 from apache___solr_ray.manifest import (
+    collection_stats,
     input_fingerprint,
     is_valid,
     read_json,
@@ -166,7 +171,7 @@ class IndexConfig:
             f"T={self.term_partitions};"
             f"part={self.target_docs_per_part};stop={sorted(self.stopwords)};"
             f"html={self.text_from_html};pos={int(self.store_positions)};"
-            f"flds=[{';'.join(f.key() for f in self.fields)}];fmt=7"
+            f"flds=[{';'.join(f.key() for f in self.fields)}];fmt=8"
             + (f";sort={self.sort_field}:{int(self.sort_desc)}" if self.sort_field else "")
         )
 
@@ -486,13 +491,13 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
         if langs
         else pa.array([], pa.string()),
     }
-    # per-named-field norms (per-(field, doc) quantized lengths): the
-    # reduce side derives each posting's norm from these via the vocab's
-    # field prefix instead of shipping a byte per posting
+    # per-named-field exact lengths: the reduce side quantizes them into
+    # each posting's norm via the vocab's field prefix instead of shipping
+    # a byte per posting, and a purge subtracts them from the field stats
     for fs in cfg.fields:
         fl = flen_acc.get(fs.name) or []
         fl_all = np.concatenate(fl) if fl else np.zeros(row_base, np.int64)
-        docs_cols[f"norm_f_{fs.name}"] = pa.array(int_to_byte4_array(fl_all))
+        docs_cols[f"len_f_{fs.name}"] = pa.array(fl_all, pa.int32())
     sort_all = np.concatenate(svals) if svals else None
     if cfg.sort_field:
         # the sort docvalue rides in the sidecar, in (sorted) row order —
@@ -611,11 +616,12 @@ def _field_ids_of_dictionary(vocab, field_names: tuple[str, ...]) -> np.ndarray:
 
 def _load_part_norms(index_dir: str, part_id: int, field_names: tuple[str, ...]):
     """(1 + n_fields, n_docs) uint8 norm matrix from the docs sidecar."""
-    cols = ["norm"] + [f"norm_f_{f}" for f in field_names]
+    cols = ["norm"] + [f"len_f_{f}" for f in field_names]
     dt = pq.read_table(
         os.path.join(index_dir, "docs", f"part-{part_id:06d}.parquet"), columns=cols
     )
-    return np.stack([dt.column(c).to_numpy() for c in cols])
+    lens = [dt.column(c).to_numpy() for c in cols[1:]]
+    return np.stack([dt.column("norm").to_numpy(), *map(int_to_byte4_array, lens)])
 
 
 def _make_storage_segment_fn(
@@ -750,6 +756,29 @@ def _spread(secs: list[float]) -> dict:
     }
 
 
+def _carry_deletes(index_dir: str, deletes: dict, parts: list[dict]) -> dict:
+    """The previous commit's delete set in the layout of ``parts``: an
+    entry whose part left the layout (a re-partition, a changed file) is
+    re-keyed by url over the new parts cut from the same corpus file; one
+    whose file is gone drops."""
+    from apache___solr_ray.deletes import add_deletes
+
+    fps = {p["fingerprint"] for p in parts}
+    out = {fp: d for fp, d in deletes.items() if fp in fps}
+    lost: dict[str, set[str]] = {}
+    for fp, d in deletes.items():
+        if fp not in fps:
+            # keyed by the corpus file's basename (manifest.input_fingerprint)
+            lost.setdefault(fp.rsplit(":", 3)[0], set()).update(d["urls"])
+    for p in parts:
+        urls = lost.get(os.path.basename(p["path"]))
+        if urls:
+            path = os.path.join(index_dir, "docs", f"part-{int(p['part_id']):06d}.parquet")
+            col = pq.read_table(path, columns=["url"]).column("url").combine_chunks()
+            add_deletes(out, p["fingerprint"], col, pa.array(sorted(urls), pa.string()))
+    return out
+
+
 def build_index(
     input_path: str | list[str],
     index_dir: str,
@@ -776,8 +805,6 @@ def build_index(
     # ---- Phase A: the deterministic doc partitions, in CPU-sized blocks ----
     def run_part(batch: pa.Table) -> pa.Table:
         out = [_process_partition(desc, index_dir, cfg) for desc in batch.to_pylist()]
-        import json
-
         return pa.table(
             {
                 "part_id": pa.array([s["part_id"] for s in out], pa.int64()),
@@ -797,8 +824,8 @@ def build_index(
         )
 
     summaries, phase_a_tasks = _run_stage(parts, run_part)
+    summaries = [dict(s, field_stats=json.loads(s["field_stats"])) for s in summaries]
     n_docs = sum(s["n_docs"] for s in summaries)
-    sum_doc_len = sum(s["sum_doc_len"] for s in summaries)
     phase_a_sec = time.time() - t_start
 
     # ---- Phase B: skew is handled uniformly by doc-range bucket splitting
@@ -813,22 +840,9 @@ def build_index(
     )
     phase_b_sec = time.time() - t_start - phase_a_sec
 
-    field_stats: dict[str, dict[str, int]] = {}
-    if cfg.fields:
-        import json
-
-        for s in summaries:
-            for fname, fs_ in json.loads(s.get("field_stats") or "{}").items():
-                agg_f = field_stats.setdefault(
-                    fname, {"doc_count": 0, "sum_total_tf": 0}
-                )
-                agg_f["doc_count"] += int(fs_["doc_count"])
-                agg_f["sum_total_tf"] += int(fs_["sum_total_tf"])
-
     stats = {
         "field": "text",
-        "doc_count": int(n_docs),
-        "sum_total_tf": int(sum_doc_len),
+        **collection_stats(summaries),
         "n_doc_parts": n_doc_parts,
         "term_partitions": cfg.term_partitions,
         "n_segments": len(seg_summaries),
@@ -850,15 +864,13 @@ def build_index(
             ),
             key=lambda r: r["part_id"],
         )
-    if field_stats:
-        stats["fields"] = {k: field_stats[k] for k in sorted(field_stats)}
-    write_json_atomic(os.path.join(index_dir, "stats.json"), stats)
 
     seg_sec = [float(s["wall_sec"]) for s in seg_summaries if not s["resumed"]]
     man = {
         "config": cfg.fingerprint_full(),
         "input_fingerprints": fingerprints,
         "stats": stats,
+        "deletes": _carry_deletes(index_dir, (committed or {}).get("deletes") or {}, parts),
         "segments": sorted(
             [
                 dict(
@@ -902,19 +914,6 @@ def build_index(
             "phase_b_seg_sec": _spread(seg_sec),
         },
     }
-    # re-assert purge-merged deletes BEFORE the commit point: phase B just
-    # rebuilt segments from postings_raw, which still contains any docs a
-    # previous purge-merge physically reclaimed (deletes.record_purged)
-    from apache___solr_ray.deletes import reapply_purged
-
-    n_reapplied, n_unapplied = reapply_purged(index_dir, fingerprints)
-    if n_reapplied:
-        man["metrics"]["tombstones_reapplied"] = n_reapplied
-    if n_unapplied:
-        # loud signal: purged docs whose partitions are not in this layout
-        # could NOT be re-asserted — they are live again until the ledger
-        # partition reappears. Recorded in build stats so callers can gate.
-        man["metrics"]["tombstones_unapplied"] = n_unapplied
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
     # only after the commit point moves: drop the segment directories the
     # previous commit named and this one does not (a purge merge's outputs,

@@ -5,15 +5,25 @@ matching immediately, but collection statistics (docCount,
 sumTotalTermFreq, df) are unchanged until a merge reclaims the postings,
 exactly like Lucene liveDocs + merge).
 
-Tombstones live in ``tombstones.json`` (sorted doc ids, written atomically);
-readers load them at open and mask candidates before scores accumulate.
-``merge.merge_segments(purge_deletes=True)`` physically drops tombstoned
-postings, recomputes live stats and clears the tombstone file.
+The delete set is part of the commit point, as Lucene's liveDocs
+generations are named by ``segments_N``: ``index_manifest.json`` holds
+``"deletes": {fp: {"rows": [...], "urls": [...]}}``, keyed by the input
+fingerprint of each doc part (an entry of the manifest's
+``input_fingerprints``) and the row within it, so a corpus file that sorts
+before the existing ones cannot shift a delete onto another doc. ``urls``
+is aligned with ``rows``; ``build.build_index`` uses it to re-key a part
+whose fingerprint leaves the layout (a re-partition, a changed file).
+Readers resolve the set to positional ids (``deleted_ids``) from the
+manifest they already parse, and mask candidates before scores accumulate.
 
-Doc columns (url, doc_len) are read through ``IndexReader.doc_column`` /
-``doc_values``, so only the doc parts of the committed manifest count: a
-stale part file a re-partitioning rebuild left in ``docs/`` can neither
-gain a tombstone nor shift the purge stats.
+``merge.merge_segments(purge_deletes=True)`` drops the deleted docs'
+postings and commits the live stats (``live_stats``), but keeps the set:
+the corpus and ``postings_raw`` still hold the docs, so a later rebuild
+masks them without re-applying anything.
+
+Doc columns (url) are read through ``IndexReader.doc_column``, so only the
+doc parts of the committed manifest count: a stale part file a
+re-partitioning rebuild left in ``docs/`` cannot gain a delete.
 """
 
 from __future__ import annotations
@@ -24,137 +34,90 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from apache___solr_ray.manifest import read_json, write_json_atomic
-
-TOMBSTONE_FILE = "tombstones.json"
-PURGED_FILE = "purged.json"
+from apache___solr_ray.manifest import collection_stats, read_json, write_json_atomic
 
 
-def load_tombstones(index_dir: str) -> np.ndarray:
-    d = read_json(os.path.join(index_dir, TOMBSTONE_FILE))
-    if not d or not d.get("doc_ids"):
-        return np.zeros(0, dtype=np.int64)
-    return np.array(sorted(set(d["doc_ids"])), dtype=np.int64)
+def deleted_ids(man: dict) -> np.ndarray:
+    """Sorted positional doc ids of the manifest's delete set:
+    ``(i << 32) + row`` for each fingerprint at position ``i`` of
+    ``input_fingerprints``. An entry whose fingerprint is not in the
+    layout names no indexed doc. Each entry's rows are sorted and unique
+    (``add_deletes``) and entries are taken in layout order, so the ids
+    need no sort."""
+    deletes = man.get("deletes") or {}
+    return np.array(
+        [
+            (i << 32) + row
+            for i, fp in enumerate(man.get("input_fingerprints") or [])
+            for row in deletes.get(fp, {}).get("rows", ())
+        ],
+        np.int64,
+    )
+
+
+def add_deletes(deletes: dict, fp: str, urls: pa.Array, want: pa.Array) -> int:
+    """Add the rows of one doc part whose url (``urls``, the part's url
+    column) is in ``want`` to ``deletes[fp]``, keeping rows sorted and
+    ``urls`` aligned. Returns the number of newly deleted rows."""
+    rows = pc.indices_nonzero(pc.is_in(urls, value_set=want))
+    if len(rows) == 0:
+        return 0
+    old = deletes.get(fp) or {"rows": [], "urls": []}
+    by_row = dict(zip(old["rows"], old["urls"]))
+    n_old = len(by_row)
+    by_row.update(zip(rows.to_pylist(), pc.take(urls, rows).to_pylist()))
+    ordered = sorted(by_row)
+    deletes[fp] = {"rows": ordered, "urls": [by_row[r] for r in ordered]}
+    return len(by_row) - n_old
 
 
 def delete_by_url(index_dir: str, urls: list[str]) -> int:
-    """Tombstone the docs with these urls (uniqueKey deletes). Returns the
-    number of newly tombstoned docs. Unknown urls are ignored (Solr's
-    deleteById of a missing id is a no-op)."""
+    """Delete the docs with these urls (uniqueKey deletes) in one manifest
+    swap. Returns the number of newly deleted docs. Unknown urls are
+    ignored (Solr's deleteById of a missing id is a no-op)."""
     from apache___solr_ray.query import IndexReader
 
     reader = IndexReader(index_dir)
+    man = dict(reader.manifest)
+    deletes = dict(man.get("deletes") or {})
     want = pa.array(sorted(set(urls)), pa.string())
-    found: list[int] = []
-    for p in range(reader.n_doc_parts):
-        rows = pc.indices_nonzero(pc.is_in(reader.doc_column(p, "url"), value_set=want))
-        found.extend((p << 32) + r for r in rows.to_pylist())
-    existing = load_tombstones(index_dir)
-    merged = sorted(set(existing.tolist()) | set(found))
-    write_json_atomic(
-        os.path.join(index_dir, TOMBSTONE_FILE), {"doc_ids": merged}
+    n_new = sum(
+        add_deletes(deletes, fp, reader.doc_column(p, "url"), want)
+        for p, fp in enumerate(man["input_fingerprints"])
     )
-    return len(merged) - len(existing)
+    reader.close()
+    if n_new:
+        man["deletes"] = deletes
+        write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
+    return n_new
 
 
 def clear_tombstones(index_dir: str) -> None:
-    write_json_atomic(os.path.join(index_dir, TOMBSTONE_FILE), {"doc_ids": []})
+    """Empty the committed delete set (undo every delete)."""
+    path = os.path.join(index_dir, "index_manifest.json")
+    man = read_json(path)
+    if man is None:
+        raise FileNotFoundError(f"no committed index at {index_dir}")
+    man["deletes"] = {}
+    write_json_atomic(path, man)
 
 
-_UNKNOWN_FP = "__unknown_partition__"
-
-
-def record_purged(index_dir: str, doc_ids, input_fingerprints: list[str]) -> None:
-    """Durable purge ledger: remember which docs a purge-merge physically
-    reclaimed, keyed by the *input fingerprint* of the doc partition each
-    id belongs to plus the row WITHIN that partition (never the positional
-    part id — a later corpus file that sorts before existing ones shifts
-    part ids, but (fingerprint, row) still names the same source row). A
-    later ``build_index`` (append / upsert) rebuilds segments from
-    ``postings_raw`` — which still contains the purged docs — so the
-    ledger lets it re-apply the deletes as tombstones instead of silently
-    resurrecting them. Ids whose partition cannot be fingerprinted are
-    kept under a sentinel key and surfaced with a warning rather than
-    silently dropped."""
-    import warnings
-
-    ledger = read_json(os.path.join(index_dir, PURGED_FILE)) or {}
-    by_fp: dict[str, list[int]] = {k: list(v) for k, v in ledger.get("by_fp", {}).items()}
-    for d in doc_ids:
-        part, row = int(d) >> 32, int(d) & 0xFFFFFFFF
-        if part < len(input_fingerprints):
-            by_fp.setdefault(input_fingerprints[part], []).append(row)
-        else:
-            warnings.warn(
-                f"record_purged: doc {int(d)} falls outside the {len(input_fingerprints)}"
-                " known input partitions; kept under the unknown-partition sentinel"
-            )
-            by_fp.setdefault(_UNKNOWN_FP, []).append(int(d))
-    by_fp = {k: sorted(set(v)) for k, v in by_fp.items()}
-    write_json_atomic(os.path.join(index_dir, PURGED_FILE), {"by_fp": by_fp})
-
-
-def reapply_purged(index_dir: str, current_fingerprints: list[str]) -> tuple[int, int]:
-    """Re-assert purged deletes after a rebuild: every ledger partition
-    whose input-fingerprint appears in the current build has its rows
-    mapped to that partition's CURRENT positional id and merged back into
-    ``tombstones.json`` (the docs exist again in the rebuilt segments and
-    must stay dead). Entries whose fingerprint is absent from the current
-    build are KEPT in the ledger (the partition may reappear in a later
-    layout) and reported with a warning — never silently pruned. Returns
-    ``(n_reapplied, n_unapplied)``; a non-zero second element means purged
-    docs that could NOT be re-asserted in this layout (unknown-partition
-    sentinel or stale fingerprints) — callers must surface it in build
-    stats / fail loudly rather than rely on the warning."""
-    import warnings
-
-    ledger = read_json(os.path.join(index_dir, PURGED_FILE))
-    if not ledger:
-        return 0, 0
-    by_fp = ledger.get("by_fp")
-    if by_fp is None and ledger.get("entries"):
-        # migrate a pre-v3 positional ledger: its doc ids were only valid
-        # for the layout it was written under; treat as unknown-partition
-        by_fp = {_UNKNOWN_FP: sorted(int(k) for k in ledger["entries"])}
-    if not by_fp:
-        return 0, 0
-    pos_of = {fp: i for i, fp in enumerate(current_fingerprints)}
-    reapply: list[int] = []
-    stale: list[str] = []
-    n_unapplied = 0
-    for fp, rows in by_fp.items():
-        if fp == _UNKNOWN_FP:
-            stale.append(fp)
-            n_unapplied += len(rows)
-            continue
-        pos = pos_of.get(fp)
-        if pos is None:
-            stale.append(fp)
-            n_unapplied += len(rows)
-            continue
-        reapply.extend((pos << 32) + int(r) for r in rows)
-    if stale:
-        warnings.warn(
-            "reapply_purged: purge-ledger partitions not in the current build "
-            f"(kept, not re-applied): {stale[:4]}{'...' if len(stale) > 4 else ''}"
-        )
-    if reapply:
-        existing = load_tombstones(index_dir)
-        merged = sorted(set(existing.tolist()) | set(reapply))
-        write_json_atomic(os.path.join(index_dir, TOMBSTONE_FILE), {"doc_ids": merged})
-    write_json_atomic(os.path.join(index_dir, PURGED_FILE), {"by_fp": by_fp})
-    return len(reapply), n_unapplied
-
-
-def tombstoned_doc_lens(index_dir: str, tombs: np.ndarray) -> tuple[int, int]:
-    """(n_docs, sum_doc_len) of the tombstoned docs inside the committed doc
-    parts — what a purge subtracts from the live collection stats. A
-    tombstone outside them names no indexed doc, so it counts for
-    nothing."""
+def live_stats(index_dir: str) -> tuple[dict, np.ndarray]:
+    """(live collection stats, deleted doc ids) of the committed index: the
+    stats of the committed parts' lineage manifests minus the deleted
+    docs' lengths from the docs sidecar."""
     from apache___solr_ray.query import IndexReader
 
     reader = IndexReader(index_dir)
-    tombs = tombs[tombs < np.int64(reader.n_doc_parts) << np.int64(32)]
-    if len(tombs) == 0:
-        return 0, 0
-    return len(tombs), int(pc.sum(reader.doc_values(tombs, "doc_len")).as_py())
+    parts = [
+        read_json(os.path.join(index_dir, "manifests", f"part-{p:06d}.json"))
+        for p in range(reader.n_doc_parts)
+    ]
+    tombs = reader.tombstones
+
+    def lens(col: str) -> np.ndarray:
+        return reader.doc_values(tombs, col).to_numpy(zero_copy_only=False)
+
+    live = collection_stats(parts, lens if len(tombs) else None)
+    reader.close()
+    return live, tombs

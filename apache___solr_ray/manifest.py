@@ -53,6 +53,36 @@ def input_fingerprint(path: str, row_group_start: int, row_group_end: int, n_row
     return f"{os.path.basename(path)}:{row_group_start}-{row_group_end}:{n_rows}:{size}"
 
 
+def collection_stats(summaries: list[dict], deleted_lens=None) -> dict:
+    """Collection statistics of phase-A part summaries (the parts' lineage
+    manifests): docCount and sumTotalTermFreq, plus ``fields`` — per named
+    field, docCount (docs with a token in it) and sumTotalTermFreq (Lucene
+    CollectionStatistics). ``deleted_lens(column)``, when given, returns
+    the deleted docs' values of a docs-sidecar length column (``doc_len``,
+    ``len_f_<field>``), and their contribution is subtracted: the live
+    stats a purge merge commits."""
+    stats = {"doc_count": 0, "sum_total_tf": 0}
+    fields: dict[str, dict[str, int]] = {}
+    for s in summaries:
+        stats["doc_count"] += int(s["n_docs"])
+        stats["sum_total_tf"] += int(s["sum_doc_len"])
+        for fname, fs in (s.get("field_stats") or {}).items():
+            agg = fields.setdefault(fname, {"doc_count": 0, "sum_total_tf": 0})
+            agg["doc_count"] += int(fs["doc_count"])
+            agg["sum_total_tf"] += int(fs["sum_total_tf"])
+    if deleted_lens is not None:
+        lens = deleted_lens("doc_len")
+        stats["doc_count"] -= len(lens)
+        stats["sum_total_tf"] -= int(lens.sum())
+        for fname, agg in fields.items():
+            lens = deleted_lens(f"len_f_{fname}")
+            agg["doc_count"] -= int((lens > 0).sum())
+            agg["sum_total_tf"] -= int(lens.sum())
+    if fields:
+        stats["fields"] = {k: fields[k] for k in sorted(fields)}
+    return stats
+
+
 def is_valid(manifest_path: str, fingerprint: str) -> dict[str, Any] | None:
     """Return the manifest dict iff it exists and matches the fingerprint."""
     m = read_json(manifest_path)
@@ -66,13 +96,14 @@ def index_fingerprint(index_dir: str) -> str:
     the PeerSync / IndexFingerprint analog (reference
     solr/core/src/java/org/apache/solr/update/IndexFingerprint.java:
     replicas compare a cheap digest before deciding to sync). Computed
-    from committed METADATA only (segment identities + posting counts +
-    lineage/checksums + live tombstones), never by re-reading postings —
-    O(#segments) at any corpus size. Two indexes built from the same
-    inputs with the same config fingerprint identically; any append,
-    delete, purge or config change diverges."""
+    from the committed manifest only (segment identities + posting counts +
+    lineage/checksums + the delete set resolved to positional ids), never
+    by re-reading postings — O(#segments) at any corpus size. Two indexes
+    built from the same inputs with the same config fingerprint
+    identically; any append, delete, purge or config change diverges."""
     import hashlib
-    import os
+
+    from apache___solr_ray.deletes import deleted_ids
 
     man = read_json(os.path.join(index_dir, "index_manifest.json"))
     if man is None:
@@ -86,8 +117,5 @@ def index_fingerprint(index_dir: str) -> str:
         )
     stats = man.get("stats", {})
     h.update(f"{stats.get('doc_count')}:{stats.get('sum_total_tf')};".encode())
-    from apache___solr_ray.deletes import load_tombstones
-
-    tombs = load_tombstones(index_dir)
-    h.update(",".join(str(int(t)) for t in sorted(tombs)).encode())
+    h.update(",".join(str(int(t)) for t in deleted_ids(man)).encode())
     return h.hexdigest()

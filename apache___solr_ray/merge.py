@@ -13,12 +13,18 @@ in doc order, which the phrase paths binary-search). A merged segment
 covers the union of its sources' doc partitions (``part_lo``, ``part_hi``),
 so doc-range shards still open only overlapping segments. Every source
 segment is decoded whole into one (term, doc_id, tf, norm[, pos]) table —
-position payloads carry over as raw bytes — purged deletes are dropped with
-one mask, and the table is written by ``segment.build_segment_from_group``, the
-encoder phase B uses (Lucene's SegmentMerger likewise writes through the
-flush codec). The index manifest is atomically re-committed and
-only then are the source segment directories deleted — a crash between
-commit and delete leaves harmless garbage, never a broken index.
+position payloads carry over as raw bytes — and the table is written by
+``segment.build_segment_from_group``, the encoder phase B uses (Lucene's
+SegmentMerger likewise writes through the flush codec). The index manifest
+is atomically re-committed and only then are the source segment
+directories deleted — a crash between commit and delete leaves harmless
+garbage, never a broken index.
+
+A purge (``purge_deletes``) rewrites every segment without the deleted
+docs' postings and commits the live stats (``deletes.live_stats``) in its
+one manifest write. It keeps the delete set: the corpus and
+``postings_raw`` still hold those docs. The live stats are a function of
+the corpus and the delete set, so a re-run after a kill commits the same.
 
 Query results are bit-identical before and after merging (asserted by
 tests): merging changes layout, not content.
@@ -152,28 +158,26 @@ def merge_segments(
 ) -> dict:
     """Run the tiered merge as a Ray Data stage; returns the new manifest.
 
-    With ``purge_deletes`` the merge physically drops tombstoned postings,
-    recomputes the live collection stats (docCount, sumTotalTermFreq) and
-    clears the tombstone file — Lucene's delete reclamation. Scores change
-    accordingly (stats now reflect live docs only), as in Lucene."""
+    With ``purge_deletes`` the merge physically drops the deleted docs'
+    postings and commits the live collection stats (docCount,
+    sumTotalTermFreq, per field) — Lucene's delete reclamation; the delete
+    set stays committed. Scores change accordingly (stats now reflect live
+    docs only), as in Lucene. A purge with nothing left to reclaim runs as
+    a plain tiered merge."""
     from apache___solr_ray.build import _run_stage
-    from apache___solr_ray.deletes import (
-        clear_tombstones,
-        load_tombstones,
-        record_purged,
-        tombstoned_doc_lens,
-    )
+    from apache___solr_ray.deletes import live_stats
 
     man = read_json(os.path.join(index_dir, "index_manifest.json"))
     if man is None:
         raise FileNotFoundError(f"no committed index at {index_dir}")
-    tombs = load_tombstones(index_dir) if purge_deletes else None
     segments = [dict(s) for s in man["segments"]]
     for s in segments:
         s["name"] = segment_name(s)
-    if purge_deletes and (tombs is None or len(tombs) == 0):
-        purge_deletes = False
-        tombs = None
+    tombs = None
+    if purge_deletes:
+        live, tombs = live_stats(index_dir)
+        if all(man["stats"].get(k) == v for k, v in live.items()):
+            purge_deletes, tombs = False, None  # no deletes, or already purged
     if purge_deletes:
         # purging must touch EVERY segment: force a full merge per tkey,
         # including self-rewrites of tkeys that already hold one segment
@@ -250,23 +254,10 @@ def merge_segments(
     ]
     man = dict(man)
     man["segments"] = sorted(survivors + new_entries, key=lambda s: (s["tkey"], s["name"]))
-    stats = dict(man["stats"])
-    stats["n_segments"] = len(man["segments"])
+    man["stats"] = dict(man["stats"], n_segments=len(man["segments"]))
     if purge_deletes:
-        # live stats after reclaiming deletes (Lucene per-segment stats of
-        # the merged index): remove the tombstoned docs' contribution
-        n_del, len_del = tombstoned_doc_lens(index_dir, tombs)
-        stats["doc_count"] = int(stats["doc_count"]) - n_del
-        stats["sum_total_tf"] = int(stats["sum_total_tf"]) - len_del
-    man["stats"] = stats
+        man["stats"].update(live)
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
-    if purge_deletes:
-        # postings_raw still holds the reclaimed docs; a later rebuild from
-        # it must not resurrect them — persist the purge in the ledger that
-        # build_index re-applies (deletes.reapply_purged) before clearing
-        # the live tombstone mask
-        record_purged(index_dir, tombs, man.get("input_fingerprints") or [])
-        clear_tombstones(index_dir)
     # only after the commit point moves do we delete consumed segments
     for name in consumed:
         shutil.rmtree(os.path.join(index_dir, "segments", name), ignore_errors=True)

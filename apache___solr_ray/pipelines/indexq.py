@@ -196,17 +196,14 @@ def index_luke_field_summary(sf_dir: str):
     /admin/luke reports per-field index metadata — docs, distinct terms,
     totals, topTerms — straight from the index, never from stored source).
     Same discipline here: num_docs and sum_total_tf come from the commit's
-    ``stats.json``, num_terms and the top-5 topTerms from the committed
-    term dictionaries read AS A DATASET by ``termdf_dataset`` (count() is
-    block-metadata, top-5 is a distributed sort+limit) — nothing
-    re-tokenizes the corpus."""
-    import json
-
-    import ray
+    manifest stats (``IndexReader.stats``), num_terms and the top-5
+    topTerms from the committed term dictionaries read AS A DATASET by
+    ``termdf_dataset`` (count() is block-metadata, top-5 is a distributed
+    sort+limit) — nothing re-tokenizes the corpus."""
+    from apache___solr_ray.query import IndexReader
 
     index_dir = ensure_doc_index(sf_dir)
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        stats = json.load(f)
+    stats = IndexReader(index_dir).stats
     td = termdf_dataset(index_dir)
     n_terms = td.count()
     top5 = td.sort(["df", "term"], descending=[True, False]).limit(5).take_all()

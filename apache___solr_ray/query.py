@@ -153,15 +153,15 @@ class IndexReader:
         self._term_dict: pa.Table | None = None
         self._term_cache: OrderedDict[str, TermPostings | None] = OrderedDict()
         self._docs_cache: OrderedDict[tuple[int, str], pa.Array] = OrderedDict()
-        from apache___solr_ray.deletes import load_tombstones
+        from apache___solr_ray.deletes import deleted_ids
 
-        self.tombstones = load_tombstones(index_dir)
+        self.tombstones = deleted_ids(man)
         self.analyzer = Analyzer()  # same default chain as the build
 
     def _alive(self, doc_ids: np.ndarray) -> np.ndarray | None:
         """Bool mask of non-tombstoned docs, or None when nothing is
         deleted (Lucene liveDocs). ``tombstones`` is sorted and unique
-        (``load_tombstones``): one binary search per doc id."""
+        (``deletes.deleted_ids``): one binary search per doc id."""
         t = self.tombstones
         if len(t) == 0:
             return None

@@ -3,13 +3,15 @@
 (``solr/core/src/java/org/apache/solr/update/DirectUpdateHandler2.java:453-530``:
 ``overwrite`` → updateDocument = atomic delete-old + add-new).
 
-Batch restatement: tombstone the existing doc ids for the incoming urls,
-append the new rows as a NEW corpus partition file, and re-run the build —
-which resumes every untouched partition (lineage manifests) and only
-tokenizes the appended one. Old versions stop matching instantly
-(tombstones); a later ``merge_segments(purge_deletes=True)`` reclaims them.
-Appended files sort after the original ``pages-*`` files, so existing
-part ids — and therefore doc ids and untouched segments — are stable.
+Batch restatement: delete the existing docs for the incoming urls (one
+manifest swap, ``deletes.delete_by_url``), append the new rows as a NEW
+corpus partition file, and re-run the build — which resumes every
+untouched partition (lineage manifests), only tokenizes the appended one
+and carries the delete set into its commit. Old versions stop matching
+instantly; a later ``merge_segments(purge_deletes=True)`` reclaims their
+postings and they stay deleted. Appended files sort after the original
+``pages-*`` files, so existing part ids — and therefore doc ids and
+untouched segments — are stable.
 """
 
 from __future__ import annotations

@@ -515,7 +515,7 @@ def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
     files in ``docs/``. Only the committed parts count: a delete by url
     tombstones one doc, a mask-only JSON query enumerates at most
     ``doc_count`` docs, and the purge merge subtracts one doc."""
-    from apache___solr_ray.deletes import delete_by_url, load_tombstones
+    from apache___solr_ray.deletes import delete_by_url
     from apache___solr_ray.jsonquery import json_query_docs
     from apache___solr_ray.merge import merge_segments
 
@@ -529,8 +529,8 @@ def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
 
     url = IndexReader(idx).urls_for(np.array([350], dtype=np.int64))[0]
     assert delete_by_url(idx, [url]) == 1
-    assert load_tombstones(idx).tolist() == [350]
     r = IndexReader(idx)
+    assert r.tombstones.tolist() == [350]
     ids = json_query_docs(r, {"range": {"f": "doc_len", "lower": 0}})
     assert len(ids) <= r.doc_count and 350 not in ids.tolist()
     man = merge_segments(idx, purge_deletes=True)
@@ -929,6 +929,22 @@ def test_backup_restore_roundtrip_and_incremental(built, tmp_path):
         bk.verify_backup(bdir, "b1")
     with _pytest.raises(bk.BackupError):
         bk.restore_backup(bdir, "b1", str(tmp_path / "restored2"))
+
+    # the delete set is part of the commit: a restored index masks the
+    # same docs as its source
+    from apache___solr_ray.deletes import clear_tombstones, delete_by_url
+
+    urls = IndexReader(idx).urls_for(np.array([2, (1 << 32) + 4], dtype=np.int64))
+    try:
+        assert delete_by_url(idx, urls) == 2
+        bdir3 = str(tmp_path / "backups3")  # b1's pool body was tampered above
+        bk.create_backup(idx, bdir3, "b3")
+        dest3 = str(tmp_path / "restored3")
+        assert bk.restore_backup(bdir3, "b3", dest3) == index_fingerprint(idx)
+        assert IndexReader(dest3).tombstones.tolist() == [2, (1 << 32) + 4]
+        assert IndexReader(dest3).tombstones.tolist() == IndexReader(idx).tombstones.tolist()
+    finally:
+        clear_tombstones(idx)
 
 
 def test_json_query_dsl_algebra(built):

@@ -87,11 +87,11 @@ def test_merge_preserves_results(merged_index):
 def test_deletes_tombstone_and_purge(ray_session, tmp_path_factory):
     """DeleteStream semantics: tombstoned docs stop matching immediately
     with UNCHANGED stats/scores for the others (Lucene liveDocs); a merge
-    with purge_deletes reclaims the postings, updates live stats and clears
-    tombstones."""
+    with purge_deletes reclaims the postings and updates live stats, and
+    the committed delete set stays."""
     import numpy as np
 
-    from apache___solr_ray.deletes import delete_by_url, load_tombstones
+    from apache___solr_ray.deletes import delete_by_url
     from apache___solr_ray.merge import merge_segments
 
     d = str(tmp_path_factory.mktemp("pages_del"))
@@ -123,12 +123,11 @@ def test_deletes_tombstone_and_purge(ray_session, tmp_path_factory):
 
     # purge
     man = merge_segments(idx, purge_deletes=True)
-    assert len(load_tombstones(idx)) == 0
     assert man["stats"]["doc_count"] == 400 - 3
     r2 = IndexReader(idx)
-    # tombstone file empty, no reader-side masking active, yet the docs are
-    # physically absent from every term's postings
-    assert len(r2.tombstones) == 0
+    # the delete set persists, and the docs are physically absent from
+    # every term's postings
+    assert r2.tombstones.tolist() == sorted(d0[:3].tolist())
     for term in ("the", "fast", "data"):
         tp = r2.term_postings(term)
         if tp is not None:
@@ -144,9 +143,9 @@ def test_purge_survives_rebuild(ray_session, tmp_path_factory):
     """Durable deletes: after merge_segments(purge_deletes=True), the corpus
     and postings_raw still contain the reclaimed docs — a later append +
     build_index rebuilds segments from postings_raw and must NOT resurrect
-    them. The purge ledger (deletes.record_purged) re-applies the deletes
-    as tombstones at the next commit (reapply_purged)."""
-    from apache___solr_ray.deletes import delete_by_url, load_tombstones
+    them. The purge keeps the committed delete set, and the rebuild
+    carries it into its commit."""
+    from apache___solr_ray.deletes import delete_by_url
     from apache___solr_ray.merge import merge_segments
 
     d = str(tmp_path_factory.mktemp("pages_pr"))
@@ -161,23 +160,21 @@ def test_purge_survives_rebuild(ray_session, tmp_path_factory):
     victims = r0.urls_for(d0[:2])
     assert delete_by_url(idx, victims) == 2
     merge_segments(idx, purge_deletes=True)
-    assert len(load_tombstones(idx)) == 0  # physically reclaimed
 
     # append new docs -> build_index rebuilds segments from postings_raw,
     # which still carries the purged docs
     write_pages(d, 384, seed=42, rows_per_file=128)
-    man = build_index(d, idx, cfg)
-    assert man["metrics"].get("tombstones_reapplied") == 2
+    build_index(d, idx, cfg)
 
     r1 = IndexReader(idx)
     hits = set(r1.match_docs(q_, "or").tolist())
     assert not set(d0[:2].tolist()) & hits, "purged docs resurrected by rebuild"
     dd, _ = r1.topk(q_, 20)
     assert not set(d0[:2].tolist()) & set(dd.tolist())
-    # the re-applied tombstones are live again until the next purge
-    assert set(load_tombstones(idx).tolist()) == set(d0[:2].tolist())
+    # the carried delete set masks them
+    assert set(r1.tombstones.tolist()) == set(d0[:2].tolist())
 
-    # second purge reclaims them again and the ledger stays consistent
+    # second purge reclaims them again
     merge_segments(idx, purge_deletes=True)
     r2 = IndexReader(idx)
     assert not set(d0[:2].tolist()) & set(r2.match_docs(q_, "or").tolist())
@@ -329,44 +326,6 @@ def test_index_fingerprint_peersync(ray_session, tmp_path_factory):
     write_pages(d, 384, seed=42, rows_per_file=128)  # append a partition
     build_index(d, idx_b, cfg)
     assert index_fingerprint(idx_b) != fp_b  # append diverges
-
-
-def test_unapplied_tombstones_surface_in_build_stats(ray_session, tmp_path_factory):
-    """Purge-ledger partitions whose input fingerprint is NOT in the
-    current layout (stale fp or the unknown-partition sentinel) must
-    surface as metrics.tombstones_unapplied in the commit manifest — a
-    loud count, not just a warning (round-4 advice)."""
-    import json
-    import os
-    import warnings
-
-    from apache___solr_ray.deletes import PURGED_FILE, delete_by_url
-    from apache___solr_ray.merge import merge_segments
-
-    d = str(tmp_path_factory.mktemp("pages_ua"))
-    write_pages(d, 256, seed=7, rows_per_file=128)
-    idx = str(tmp_path_factory.mktemp("index_ua"))
-    cfg = IndexConfig(term_partitions=2, target_docs_per_part=128, max_postings_per_segment=5000)
-    build_index(d, idx, cfg)
-
-    r0 = IndexReader(idx)
-    d0, _ = r0.topk("the fast data", 10)
-    assert delete_by_url(idx, r0.urls_for(d0[:2])) == 2
-    merge_segments(idx, purge_deletes=True)
-
-    # tamper: add a stale-fingerprint partition and sentinel rows
-    p = os.path.join(idx, PURGED_FILE)
-    led = json.load(open(p))
-    led["by_fp"]["deadbeef-not-a-current-partition"] = [0, 1, 2]
-    led["by_fp"]["__unknown_partition__"] = [999]
-    json.dump(led, open(p, "w"))
-
-    write_pages(d, 384, seed=7, rows_per_file=128)  # force a real rebuild
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        man = build_index(d, idx, cfg)
-    assert man["metrics"].get("tombstones_reapplied") == 2
-    assert man["metrics"].get("tombstones_unapplied") == 4  # 3 stale + 1 sentinel
 
 
 def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):

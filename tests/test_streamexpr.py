@@ -509,7 +509,7 @@ def test_select_replace_operation(ray_session):
 def test_delete_stream_tombstones(ray_session):
     import shutil
 
-    from apache___solr_ray.deletes import clear_tombstones, load_tombstones
+    from apache___solr_ray.deletes import clear_tombstones
     from apache___solr_ray.pipelines.indexq import ensure_doc_index
     from apache___solr_ray.query import IndexReader
 
@@ -521,7 +521,7 @@ def test_delete_stream_tombstones(ray_session):
     url = f"doc://{int(before[0]):012d}"
     out = stream_expr(SF, f'delete(documents, tuple(url="{url}"))').to_pandas()
     assert out.totalDeleted[0] == 1.0
-    assert int(before[0]) in set(load_tombstones(idx).tolist())
+    assert int(before[0]) in set(IndexReader(idx).tombstones.tolist())
     # a FRESH reader no longer returns the tombstoned doc
     after = IndexReader(idx).topk("data", k=5)[0]
     assert int(before[0]) not in set(int(x) for x in after)
