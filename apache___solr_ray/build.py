@@ -75,9 +75,12 @@ from apache___solr_ray.manifest import (
     read_json,
     write_json_atomic,
 )
-from apache___solr_ray.segment import build_segment_from_group, segment_name
-
-HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
+from apache___solr_ray.segment import (
+    FORMAT_VERSION,
+    build_segment_from_group,
+    segment_name,
+    term_hash,
+)
 
 
 def _limit_threads() -> None:
@@ -176,10 +179,14 @@ class IndexConfig:
         )
 
     def fingerprint_full(self) -> str:
-        """Adds phase-B-only knobs — used by the committed index manifest
-        (segment layout), while per-part manifests use ``fingerprint()`` so
-        phase-A outputs survive a phase-B reconfiguration."""
-        return f"{self.fingerprint()};maxpost={self.max_postings_per_segment}"
+        """Adds phase-B-only knobs and the segment format — used by the
+        committed index manifest (segment layout), while per-part manifests
+        use ``fingerprint()`` so phase-A outputs survive a phase-B
+        reconfiguration or a segment format change."""
+        return (
+            f"{self.fingerprint()};maxpost={self.max_postings_per_segment};"
+            f"seg={FORMAT_VERSION}"
+        )
 
 
 def _schema_columns(cfg: IndexConfig) -> list[str]:
@@ -233,16 +240,6 @@ def _field_texts(tbl: pa.Table, cfg: IndexConfig) -> list[tuple[str, pa.Array]]:
             raise ValueError(f"field {fs.name!r} has no source and no copy_sources")
         out.append((fs.name, txt))
     return out
-
-
-def term_hash(terms: np.ndarray) -> np.ndarray:
-    """Deterministic vectorized 64-bit hash of term strings.
-
-    pandas' hash_array with a fixed key — vectorized, stable across runs and
-    processes. (The reference's router murmur3 is provided in lucene.py for
-    parity; the choice of hash affects only placement, never scores.)
-    """
-    return pd.util.hash_array(np.asarray(terms, dtype=object), hash_key=HASH_KEY, categorize=False)
 
 
 def plan_partitions(paths: list[str], target_docs: int) -> list[dict]:

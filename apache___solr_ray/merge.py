@@ -39,29 +39,21 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from apache___solr_ray import codec
 from apache___solr_ray.manifest import read_json, write_json_atomic
-from apache___solr_ray.segment import build_segment_from_group, segment_name
+from apache___solr_ray.segment import SegmentReader, build_segment_from_group, segment_name
 
 
 def _merge_group(index_dir: str, tkey: int, sources: list[dict], out_name: str, tombs=None) -> dict:
     """Merge source segments into one through the phase-B segment encoder."""
     terms, dfs, views = [], [], []
     for s in sources:
-        seg_dir = os.path.join(index_dir, "segments", s["name"])
-        t = pq.read_table(
-            os.path.join(seg_dir, "terms.parquet"), columns=["term", "df", "offset", "nbytes"]
-        )
-        with open(os.path.join(seg_dir, "postings.bin"), "rb") as f:
-            buf = f.read()
+        r = SegmentReader(os.path.join(index_dir, "segments", s["name"]))
+        t = r.terms_table()
         terms.append(t.column("term").combine_chunks())
         dfs.append(t.column("df").to_numpy())
-        views += [
-            codec.PostingsView(memoryview(buf)[off : off + nb])
-            for off, nb in zip(t.column("offset").to_numpy(), t.column("nbytes").to_numpy())
-        ]
+        views += r.postings_views()
     # one dictionary over every source's terms, one code per posting
     vocab = pc.dictionary_encode(pa.concat_arrays(terms))
     dfs_all = np.concatenate(dfs)

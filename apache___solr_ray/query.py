@@ -49,12 +49,10 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.codec import decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
 from apache___solr_ray.manifest import read_json
-from apache___solr_ray.segment import SegmentReader, segment_name
+from apache___solr_ray.segment import TERMS_SCHEMA, SegmentReader, segment_name, term_hash
 
 #: (part, column) doc-sidecar arrays an ``IndexReader`` keeps (LRU)
 DOCS_CACHE_PARTS = 64
-
-_TERM_DICT_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()), ("ttf", pa.int64())])
 
 
 def _str_list(terms: pa.ChunkedArray) -> list[str]:
@@ -187,11 +185,10 @@ class IndexReader:
             self._readers[name] = r
         return r
 
-    def _term_readers(self, term: str) -> list[SegmentReader]:
-        """Readers of the segments of the term's tkey."""
-        from apache___solr_ray.build import term_hash
-
-        tkey = int(term_hash(np.array([term], dtype=object))[0] % np.uint64(self.T))
+    def _term_readers(self, h: np.uint64) -> list[SegmentReader]:
+        """Readers of the segments of the tkey of the term whose
+        ``term_hash`` is ``h``."""
+        tkey = int(h % np.uint64(self.T))
         return [self._reader(seg["name"]) for seg in self._segments_by_tkey.get(tkey, ())]
 
     def term_dict(self) -> pa.Table:
@@ -206,27 +203,31 @@ class IndexReader:
                 for segs in self._segments_by_tkey.values()
                 for seg in segs
             ]
-            t = pa.concat_tables(tables) if tables else _TERM_DICT_SCHEMA.empty_table()
+            t = pa.concat_tables(tables) if tables else TERMS_SCHEMA.empty_table()
             self._term_dict = (
                 t.group_by("term")
                 .aggregate([("df", "sum"), ("ttf", "sum")])
                 .select(["term", "df_sum", "ttf_sum"])
-                .rename_columns(_TERM_DICT_SCHEMA.names)
+                .rename_columns(TERMS_SCHEMA.names)
                 .sort_by("term")
                 .combine_chunks()
             )
         return self._term_dict
 
-    def term_postings(self, term: str) -> TermPostings | None:
+    def term_postings(self, term: str, h: np.uint64 | None = None) -> TermPostings | None:
+        """All of a term's postings (``h``: its ``term_hash``, when the
+        caller has it), through an LRU term cache."""
         hit = self._term_cache.get(term)
         if term in self._term_cache:
             self._term_cache.move_to_end(term)
             return hit
+        if h is None:
+            h = term_hash(np.array([term], dtype=object))[0]
         views, df, ttf = [], 0, 0
-        for r in self._term_readers(term):
-            v = r.postings(term)
+        for r in self._term_readers(h):
+            v = r.postings(term, h)
             if v is not None:
-                st = r.term_stats(term)
+                st = r.term_stats(term, h)
                 views.append(v)
                 df += st[0]
                 ttf += st[1]
@@ -256,13 +257,15 @@ class IndexReader:
         df_override: dict[str, int] | None = None,
         field: str | None = None,
     ) -> list[tuple[TermPostings, BM25Scorer]]:
-        counts = Counter(self.analyzer.analyze(query))
-        dc, stf = self._field_collection_stats(field)
         prefix = f"{field}:" if field else ""
+        counts = Counter([prefix + tok for tok in self.analyzer.analyze(query)])
+        dc, stf = self._field_collection_stats(field)
+        # one term_hash call for every query term the term cache lacks
+        miss = [term for term in counts if term not in self._term_cache]
+        hashes = dict(zip(miss, term_hash(np.array(miss, dtype=object)))) if miss else {}
         out = []
-        for tok, n in counts.items():
-            term = prefix + tok
-            tp = self.term_postings(term)
+        for term, n in counts.items():
+            tp = self.term_postings(term, hashes.get(term))
             if tp is not None:
                 # n duplicate query terms == n identical clauses == boost n;
                 # df_override carries GLOBAL df for doc-range-sharded readers
@@ -277,8 +280,9 @@ class IndexReader:
         payload a coordinator broadcasts to shards. Reads term dictionaries
         only: no postings file is opened."""
         out = {}
-        for term in set(self.analyzer.analyze(query)):
-            df = sum(st[0] for r in self._term_readers(term) if (st := r.term_stats(term)))
+        terms = list(set(self.analyzer.analyze(query)))
+        for term, h in zip(terms, term_hash(np.array(terms, dtype=object))):
+            df = sum(st[0] for r in self._term_readers(h) if (st := r.term_stats(term, h)))
             if df:
                 out[term] = df
         return out
@@ -919,8 +923,12 @@ class IndexReader:
         return self.doc_values(doc_ids, "url").to_pylist()
 
     def close(self):
+        """Drop the cached views, then unmap every open segment."""
+        self._term_cache.clear()
+        self._term_dict = None
         for r in self._readers.values():
             r.close()
+        self._readers.clear()
 
 
 def _score_all(scorers, keep) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,15 @@
-"""Segment files: sorted term dictionary + block-compressed postings.
+"""Segment files: hash-indexed term dictionary + block-compressed postings.
 
 The Ray-native analog of a Lucene segment ([Lucene 10.4 library] semantics;
 reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
 242-289``): an immutable directory written by one shuffle task holding
 
-- ``terms.parquet`` — the sorted term dictionary (binary-searchable; plays
-  the FST's role): term, df, ttf, max_tf, offset, nbytes
+- ``terms.bin``     — the term dictionary (plays the FST's role), one raw
+  little-endian file of 8-byte aligned sections: a header (magic, version,
+  n_terms, n_string_bytes); the ascending 64-bit ``term_hash`` of every
+  term with its lexical row (the hash index); then in lexical order df,
+  ttf (u32), the ``postings.bin`` offsets (u64, n+1) and the terms as an
+  Arrow string column (i32 offsets, n+1, then UTF-8 bytes)
 - ``postings.bin``  — concatenated per-term payloads (codec.py layout:
   VInt deltas + tfs + inline norms in 128-doc blocks with fixed-size
   block-max skip headers)
@@ -17,12 +21,16 @@ reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
 Phase B and merges write segments through one encoder,
 ``build_segment_from_group``.
 
-Readers load the term dictionary on open, mmap ``postings.bin`` on the
-first postings lookup, and decode only the blocks the query visits. A
-reader answers point lookups (``lookup``, ``postings``, ``term_stats``) and
-has one enumeration, ``terms_table``; vocabulary-wide readers (prefix,
-wildcard and fuzzy rewrites, TermsComponent, suggesters, Luke) go through
-``IndexReader.term_dict``, which sums these tables over segments.
+Readers memory-map ``terms.bin`` on open and take numpy views of its
+sections, so opening a segment builds no Python object per term (Lucene
+likewise keeps only a small terms index in memory). A point lookup
+(``lookup``, ``postings``, ``term_stats``) is one binary search on the
+hashes plus a bytes comparison at the matched row; ``postings.bin`` is
+mapped on the first postings lookup, and only the blocks the query visits
+decode. A reader has one enumeration, ``terms_table``; vocabulary-wide
+readers (prefix, wildcard and fuzzy rewrites, TermsComponent, suggesters,
+Luke) go through ``IndexReader.term_dict``, which sums these tables over
+segments.
 """
 
 from __future__ import annotations
@@ -31,31 +39,90 @@ import mmap
 import os
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from apache___solr_ray import codec
 from apache___solr_ray.manifest import write_json_atomic
 
-FORMAT_VERSION = 2  # v2: optional per-posting position stream in the codec
+# v2: optional per-posting position stream in the codec
+# v3: the term dictionary is terms.bin (hash-indexed, memory-mapped)
+FORMAT_VERSION = 3
 
-TERMS_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("df", pa.int64()),
-        ("ttf", pa.int64()),
-        ("max_tf", pa.int32()),
-        ("offset", pa.int64()),
-        ("nbytes", pa.int64()),
-    ]
+HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
+
+#: the schema of ``SegmentReader.terms_table`` (and of ``IndexReader.term_dict``)
+TERMS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()), ("ttf", pa.int64())])
+
+_MAGIC = int.from_bytes(b"RAYTERMS", "little")
+_HEADER_BYTES = 32
+#: terms.bin sections after the header: (name, dtype, entries beyond n_terms)
+_SECTIONS = (
+    ("hash", "<u8", 0),
+    ("row", "<i4", 0),
+    ("df", "<u4", 0),
+    ("ttf", "<u4", 0),
+    ("offset", "<u8", 1),
+    ("soff", "<i4", 1),
 )
+
+
+def term_hash(terms: np.ndarray) -> np.ndarray:
+    """Deterministic vectorized 64-bit hash of term strings.
+
+    pandas' hash_array with a fixed key — vectorized, stable across runs and
+    processes. It routes a term to its tkey (``hash % term_partitions``) and
+    keys each segment's hash index. (The reference's router murmur3 is
+    provided in lucene.py for parity; the choice of hash affects only
+    placement, never scores.)
+    """
+    return pd.util.hash_array(np.asarray(terms, dtype=object), hash_key=HASH_KEY, categorize=False)
+
+
+def _layout(n: int) -> tuple[list[tuple[str, str, int, int]], int]:
+    """terms.bin section offsets for ``n`` terms: ``[(name, dtype, count,
+    byte offset)]`` and the offset of the string bytes."""
+    out, pos = [], _HEADER_BYTES
+    for name, dt, extra in _SECTIONS:
+        out.append((name, dt, n + extra, pos))
+        pos += -(-np.dtype(dt).itemsize * (n + extra) // 8) * 8
+    return out, pos
 
 
 def segment_name(entry: dict) -> str:
     """Directory name under ``segments/`` of one index-manifest entry
     (entries without a ``name`` are phase-B segments: tkey and salt)."""
     return entry.get("name") or f"seg-{entry['tkey']:05d}-{entry['salt']:05d}"
+
+
+def _write_terms(path: str, terms, dfs, ttfs, offsets: np.ndarray) -> None:
+    """Write ``terms.bin`` (layout in the module docstring) for lexically
+    sorted ``terms`` with their stats and ``postings.bin`` offsets."""
+    n = len(terms)
+    if n and max(int(np.max(dfs)), int(np.max(ttfs))) >= 2**32:
+        raise ValueError("a term's df or ttf does not fit terms.bin's u32")
+    arr = pa.array(terms, pa.string())  # freshly built: buffer offsets start at 0
+    soff = np.frombuffer(arr.buffers()[1], np.int32, n + 1)
+    n_str = int(soff[-1])
+    h = term_hash(terms)
+    row = np.argsort(h, kind="stable")
+    cols = {
+        "hash": h[row],
+        "row": row,
+        "df": dfs,
+        "ttf": ttfs,
+        "offset": offsets,
+        "soff": soff,
+    }
+    sections, str_pos = _layout(n)
+    with open(path, "wb") as f:
+        f.write(np.array([_MAGIC, FORMAT_VERSION, n, n_str], "<u8").tobytes())
+        for name, dt, _count, pos in sections:
+            f.write(b"\0" * (pos - f.tell()))
+            f.write(np.asarray(cols[name], dtype=dt).tobytes())
+        f.write(b"\0" * (str_pos - f.tell()))
+        f.write(memoryview(arr.buffers()[2])[:n_str])
 
 
 def write_segment(
@@ -66,10 +133,10 @@ def write_segment(
     payloads: list[bytes],
     dfs: list[int],
     ttfs: list[int],
-    max_tfs: list[int],
     extra_meta: dict | None = None,
 ) -> dict:
-    """Write one immutable segment directory atomically (tmp dir + rename)."""
+    """Write one immutable segment directory atomically (tmp dir + rename).
+    ``terms`` are in lexical (UTF-8 byte) order, ``payloads`` aligned."""
     tmp = seg_dir + ".tmp"
     os.makedirs(tmp, exist_ok=True)
     offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
@@ -77,18 +144,7 @@ def write_segment(
     with open(os.path.join(tmp, "postings.bin"), "wb") as f:
         for p in payloads:
             f.write(p)
-    tbl = pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "df": pa.array(dfs, pa.int64()),
-            "ttf": pa.array(ttfs, pa.int64()),
-            "max_tf": pa.array(max_tfs, pa.int32()),
-            "offset": pa.array(offsets[:-1]),
-            "nbytes": pa.array(np.diff(offsets)),
-        },
-        schema=TERMS_SCHEMA,
-    )
-    pq.write_table(tbl, os.path.join(tmp, "terms.parquet"))
+    _write_terms(os.path.join(tmp, "terms.bin"), terms, dfs, ttfs, offsets)
     meta = {
         "version": FORMAT_VERSION,
         "tkey": int(tkey),
@@ -163,75 +219,111 @@ def build_segment_from_group(
     )
     dfs = (ends - starts).astype(np.int64)
     ttfs = np.add.reduceat(tf_arr, starts) if len(starts) else np.zeros(0, np.int64)
-    max_tfs = np.maximum.reduceat(tf_arr, starts) if len(starts) else np.zeros(0, np.int64)
-    return write_segment(
-        seg_dir, tkey, salt, terms_list, payloads, dfs, ttfs, max_tfs, extra_meta=extra_meta
-    )
+    return write_segment(seg_dir, tkey, salt, terms_list, payloads, dfs, ttfs, extra_meta=extra_meta)
 
 
 class SegmentReader:
-    """Open one segment: term dict in memory, postings mmap'd, lazy blocks.
+    """Open one segment: ``terms.bin`` and ``postings.bin`` memory-mapped,
+    lazy blocks.
 
     Serving reads the dictionary by point lookup only; ``terms_table`` is
-    the one way to enumerate it."""
+    the one way to enumerate it. Every lookup takes an optional
+    precomputed ``term_hash`` of the term (an ``np.uint64``), so a caller
+    hashes a whole query's terms in one call."""
 
     def __init__(self, seg_dir: str):
         self.dir = seg_dir
-        t = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
-        self._terms = t.column("term").to_numpy(zero_copy_only=False)
-        self._df = t.column("df").to_numpy()
-        self._ttf = t.column("ttf").to_numpy()
-        self._offset = t.column("offset").to_numpy()
-        self._nbytes = t.column("nbytes").to_numpy()
-        # postings.bin opens on the first postings() call: df lookups
+        try:
+            with open(os.path.join(seg_dir, "terms.bin"), "rb") as f:
+                self._tm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except FileNotFoundError:
+            raise RuntimeError(
+                f"segment {seg_dir} has no terms.bin: it predates segment format "
+                f"v{FORMAT_VERSION}; rebuild the index (build_index re-encodes every segment)"
+            ) from None
+        magic, version, n, n_str = np.frombuffer(self._tm, "<u8", 4).tolist()
+        if magic != _MAGIC or version != FORMAT_VERSION:
+            raise RuntimeError(
+                f"{seg_dir}/terms.bin is not segment format v{FORMAT_VERSION}; rebuild the index"
+            )
+        sections, str_pos = _layout(n)
+        for name, dt, count, pos in sections:
+            setattr(self, "_" + name, np.frombuffer(self._tm, dt, count, pos))
+        self._strings = memoryview(self._tm)[str_pos : str_pos + n_str]
+        # postings.bin maps on the first postings() call: df lookups
         # (term_stats) read the term dictionary only
-        self._f = self._mm = None
+        self._pm = None
 
     @property
     def n_terms(self) -> int:
-        return len(self._terms)
+        return len(self._df)
 
-    def lookup(self, term: str) -> int:
-        """Binary search the sorted term dict; -1 if absent."""
-        i = int(np.searchsorted(self._terms, term))
-        if i < len(self._terms) and self._terms[i] == term:
-            return i
+    def lookup(self, term: str, h: np.uint64 | None = None) -> int:
+        """Lexical row of ``term``, or -1 if absent: a binary search on the
+        sorted hashes, then a bytes comparison at each row whose hash
+        matches, so a hash collision never returns another term."""
+        if h is None:
+            h = term_hash(np.array([term], dtype=object))[0]
+        hashes = self._hash
+        i = int(hashes.searchsorted(h))
+        key = term.encode()
+        while i < len(hashes) and hashes[i] == h:
+            r = int(self._row[i])
+            if self._strings[int(self._soff[r]) : int(self._soff[r + 1])] == key:
+                return r
+            i += 1
         return -1
 
-    def postings(self, term: str) -> codec.PostingsView | None:
-        i = self.lookup(term)
+    def postings(self, term: str, h: np.uint64 | None = None) -> codec.PostingsView | None:
+        i = self.lookup(term, h)
         if i < 0:
             return None
-        if self._mm is None:
-            path = os.path.join(self.dir, "postings.bin")
-            self._f = open(path, "rb")
-            self._mm = (
-                mmap.mmap(self._f.fileno(), 0, access=mmap.ACCESS_READ)
-                if os.path.getsize(path)
-                else b""
-            )
-        off, nb = int(self._offset[i]), int(self._nbytes[i])
-        return codec.PostingsView(memoryview(self._mm)[off : off + nb])
+        off, end = int(self._offset[i]), int(self._offset[i + 1])
+        return codec.PostingsView(self._postings_buf()[off:end])
 
-    def term_stats(self, term: str) -> tuple[int, int] | None:
+    def _postings_buf(self) -> memoryview:
+        """``postings.bin``, mapped on first use."""
+        if self._pm is None:
+            with open(os.path.join(self.dir, "postings.bin"), "rb") as f:
+                size = os.fstat(f.fileno()).st_size
+                self._pm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+        return memoryview(self._pm)
+
+    def term_stats(self, term: str, h: np.uint64 | None = None) -> tuple[int, int] | None:
         """-> (df, ttf) for this segment's slice of the term."""
-        i = self.lookup(term)
+        i = self.lookup(term, h)
         if i < 0:
             return None
         return int(self._df[i]), int(self._ttf[i])
 
     def terms_table(self) -> pa.Table:
         """This segment's slice of the vocabulary as (term, df, ttf), in
-        term order — the one enumeration ``IndexReader.term_dict`` sums."""
+        term order — the one enumeration ``IndexReader.term_dict`` sums.
+        The term column is a view of the mapped file, not a copy."""
+        term = pa.StringArray.from_buffers(
+            self.n_terms, pa.py_buffer(self._soff), pa.py_buffer(self._strings)
+        )
         return pa.table(
-            {"term": pa.array(self._terms, pa.string()), "df": self._df, "ttf": self._ttf}
+            [term, pa.array(self._df, pa.int64()), pa.array(self._ttf, pa.int64())],
+            schema=TERMS_SCHEMA,
         )
 
+    def postings_views(self) -> list[codec.PostingsView]:
+        """Every term's postings, in term order (a merge's input)."""
+        buf = self._postings_buf()
+        off = self._offset.tolist()
+        return [codec.PostingsView(buf[a:b]) for a, b in zip(off[:-1], off[1:])]
+
     def close(self):
-        try:
-            if self._mm:
-                self._mm.close()
-            if self._f is not None:
-                self._f.close()
-        except Exception:
-            pass
+        """Unmap both files. A map that a caller still holds a view of (a
+        ``PostingsView``, a ``terms_table``) unmaps when that view is freed."""
+        for name, _dt, _extra in _SECTIONS:
+            setattr(self, "_" + name, None)
+        self._strings = None
+        for m in (self._tm, self._pm):
+            if isinstance(m, mmap.mmap):
+                try:
+                    m.close()
+                except BufferError:
+                    pass
+        self._tm = self._pm = None

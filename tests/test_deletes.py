@@ -139,7 +139,7 @@ def test_purge_after_kill_recommits_the_same(ray_session, tmp_path_factory, monk
     assert got["stats"] == want["stats"] and got["stats"]["doc_count"] == 397
     assert got["segments"] == want["segments"]
     for s in want["segments"]:
-        for f in ("postings.bin", "terms.parquet"):
+        for f in ("postings.bin", "terms.bin"):
             with open(os.path.join(once, "segments", s["name"], f), "rb") as a, open(
                 os.path.join(killed, "segments", s["name"], f), "rb"
             ) as b:

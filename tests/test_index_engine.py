@@ -1303,7 +1303,7 @@ def test_segments_identical_for_any_block_count(
         root = os.path.join(idx, "segments")
         out = {}
         for seg in sorted(os.listdir(root)):
-            for f in ("postings.bin", "terms.parquet", "meta.json"):
+            for f in ("postings.bin", "terms.bin", "meta.json"):
                 with open(os.path.join(root, seg, f), "rb") as fh:
                     out[seg, f] = fh.read()
         return out

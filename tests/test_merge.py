@@ -352,13 +352,9 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     for s in whole["segments"]:
         a = os.path.join(idx_whole, "segments", s["name"])
         b = os.path.join(idx_split, "segments", merged[s["tkey"]])
-        assert pq.read_table(os.path.join(a, "terms.parquet")).equals(
-            pq.read_table(os.path.join(b, "terms.parquet"))
-        )
-        with open(os.path.join(a, "postings.bin"), "rb") as fa, open(
-            os.path.join(b, "postings.bin"), "rb"
-        ) as fb:
-            assert fa.read() == fb.read()
+        for f in ("terms.bin", "postings.bin"):
+            with open(os.path.join(a, f), "rb") as fa, open(os.path.join(b, f), "rb") as fb:
+                assert fa.read() == fb.read()
 
     # every doc tombstoned -> the merged tkey is an empty, readable segment
     src = [s for s in whole["segments"] if s["tkey"] == 0]

@@ -1,0 +1,228 @@
+"""The segment term dictionary (``terms.bin``): hash-indexed point lookups,
+collision safety, the cost of opening a segment, unmapping on close, and
+the segment format in the build lineage."""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+from apache___solr_ray import merge, query, segment
+from apache___solr_ray.build import IndexConfig, build_index
+from apache___solr_ray.corpus import write_pages
+from apache___solr_ray.query import IndexReader
+from apache___solr_ray.segment import SegmentReader, build_segment_from_group, write_segment
+
+STORED = ["", "apple", "applesauce", "b", "strasse", "zebra", "日本語", "ω"]
+ABSENT = ["appl", "apples", "applesaucex", "straße", "日本", "zebr", "c", "日本語x"]
+
+
+def _group(terms: list[str], seed: int = 0) -> pa.Table:
+    """A (term, doc_id, tf, norm) table with 1-3 postings per term."""
+    rng = np.random.default_rng(seed)
+    rows = {"term": [], "doc_id": [], "tf": [], "norm": []}
+    for t in terms:
+        docs = np.sort(rng.choice(1000, size=int(rng.integers(1, 4)), replace=False))
+        for d in docs:
+            rows["term"].append(t)
+            rows["doc_id"].append(int(d))
+            rows["tf"].append(int(rng.integers(1, 5)))
+            rows["norm"].append(int(rng.integers(0, 256)))
+    return pa.table(
+        {
+            "term": pa.array(rows["term"], pa.string()),
+            "doc_id": pa.array(rows["doc_id"], pa.int64()),
+            "tf": pa.array(rows["tf"], pa.int64()),
+            "norm": pa.array(rows["norm"], pa.uint8()),
+        }
+    )
+
+
+def _vocab(n: int, seed: int = 0) -> list[str]:
+    rng = np.random.default_rng(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    out = {"".join(rng.choice(letters, size=int(rng.integers(2, 10)))) for _ in range(n * 2)}
+    return sorted(out)[:n]
+
+
+def _check_lookups(seg_dir: str, group: pa.Table) -> None:
+    r = SegmentReader(seg_dir)
+    tbl = r.terms_table()
+    terms = tbl.column("term").to_pylist()
+    assert terms == sorted(set(group.column("term").to_pylist()), key=str.encode)
+    for row, t in enumerate(terms):
+        assert r.lookup(t) == row, t
+        h = segment.term_hash(np.array([t], dtype=object))[0]
+        assert r.lookup(t, h) == row, t
+        docs = group.filter(pc.equal(group.column("term"), t)).column("doc_id")
+        assert r.postings(t, h).decode_all()[0].tolist() == sorted(docs.to_pylist())
+        assert r.term_stats(t) == (tbl.column("df")[row].as_py(), tbl.column("ttf")[row].as_py())
+    for t in ABSENT:
+        assert r.lookup(t) == -1, t
+        assert r.postings(t) is None and r.term_stats(t) is None
+    r.close()
+
+
+def test_every_term_looks_up_to_its_lexical_row(tmp_path):
+    g = _group(STORED + _vocab(500))
+    build_segment_from_group(g, str(tmp_path / "seg"), 0, 0)
+    _check_lookups(str(tmp_path / "seg"), g)
+
+
+def test_hash_collisions_never_return_another_term(tmp_path, monkeypatch):
+    """A 2-bit hash puts ~n/4 terms on each hash value: lookups still find
+    exactly their own row, and absent terms none."""
+    orig = segment.term_hash
+    monkeypatch.setattr(segment, "term_hash", lambda t: orig(t) % np.uint64(4))
+    g = _group(STORED + _vocab(200), seed=1)
+    build_segment_from_group(g, str(tmp_path / "seg"), 0, 0)
+    r = SegmentReader(str(tmp_path / "seg"))
+    assert len(np.unique(r._hash)) <= 4
+    r.close()
+    _check_lookups(str(tmp_path / "seg"), g)
+
+
+def test_empty_segment_and_u32_stats(tmp_path):
+    write_segment(str(tmp_path / "empty"), 0, 0, [], [], [], [])
+    r = SegmentReader(str(tmp_path / "empty"))
+    assert r.n_terms == 0 and r.lookup("") == -1 and r.postings("a") is None
+    assert r.terms_table().num_rows == 0 and r.postings_views() == []
+    r.close()
+    with pytest.raises(ValueError, match="u32"):
+        write_segment(str(tmp_path / "big"), 0, 0, ["a"], [b"x"], [1], [2**32])
+
+
+def test_open_allocates_no_python_object_per_term(tmp_path):
+    terms = _vocab(12_000, seed=2)
+    assert len(terms) >= 10_000
+    g = _group(terms, seed=2)
+    seg_dir = str(tmp_path / "seg")
+    build_segment_from_group(g, seg_dir, 0, 0)
+    SegmentReader(seg_dir).close()  # warm imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        r = SegmentReader(seg_dir)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert r.n_terms == len(terms)
+    assert peak < 64 * 1024, peak
+    r.close()
+
+
+@pytest.fixture(scope="module")
+def small_index(ray_session, tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("pages_dict"))
+    write_pages(d, 300, seed=11, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_dict"))
+    cfg = IndexConfig(term_partitions=4, target_docs_per_part=128)
+    man = build_index(d, idx, cfg)
+    return d, idx, cfg, man
+
+
+def _queries(idx: str, n: int, seed: int) -> list[str]:
+    r = IndexReader(idx)
+    vocab = np.array(r.term_dict().column("term").to_pylist(), dtype=object)
+    r.close()
+    rng = np.random.default_rng(seed)
+    return [" ".join(rng.choice(vocab, size=int(rng.integers(1, 4)))) for _ in range(n)]
+
+
+def _segment_fds(idx: str) -> list[str]:
+    root = os.path.join(idx, "segments")
+    out = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", fd))
+        except OSError:
+            continue
+        if target.startswith(root):
+            out.append(target)
+    return out
+
+
+def test_close_unmaps_every_segment(small_index):
+    _d, idx, _cfg, _man = small_index
+    r = IndexReader(idx)
+    for q in _queries(idx, 20, seed=3):
+        r.topk(q, 10)
+        r.term_stats_map(q)
+    assert r.term_dict().num_rows > 0
+    assert _segment_fds(idx)  # the maps hold their files open
+    r.close()
+    assert _segment_fds(idx) == []
+
+
+def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_factory, monkeypatch):
+    """Every segment re-encoded under a 2-bit ``term_hash`` (kept equal
+    modulo the 4 term partitions, so tkey routing is unchanged) answers
+    exactly as before, and ``topk`` equals ``topk_exhaustive``."""
+    import shutil
+
+    d, _idx, cfg, _man = small_index
+    idx = str(tmp_path_factory.mktemp("index_dict_2bit"))
+    man = build_index(d, idx, cfg)
+    qs = _queries(idx, 40, seed=4)
+    r = IndexReader(idx)
+    want = [r.topk(q, 10) for q in qs]
+    r.close()
+
+    orig = segment.term_hash
+    two_bit = lambda t: orig(t) % np.uint64(4)  # noqa: E731
+    monkeypatch.setattr(segment, "term_hash", two_bit)
+    monkeypatch.setattr(query, "term_hash", two_bit)
+    for s in man["segments"]:
+        merge._merge_group(idx, s["tkey"], [s], s["name"] + "-2bit")
+        seg_dir = os.path.join(idx, "segments", s["name"])
+        shutil.rmtree(seg_dir)
+        os.rename(seg_dir + "-2bit", seg_dir)
+    r = IndexReader(idx)
+    assert len(np.unique(r._reader(man["segments"][0]["name"])._hash)) <= 4
+    for q, (wd, ws) in zip(qs, want):
+        got_d, got_s = r.topk(q, 10)
+        ex_d, ex_s = r.topk_exhaustive(q, 10)
+        assert got_d.tolist() == ex_d.tolist() == wd.tolist(), q
+        assert got_s.tobytes() == ex_s.tobytes() == ws.tobytes(), q
+    r.close()
+
+
+def test_segment_format_change_reencodes_segments_and_resumes_phase_a(
+    small_index, tmp_path_factory, monkeypatch
+):
+    """An index committed under an older segment format (no ``seg=`` in its
+    config, no ``terms.bin``) is re-encoded segment by segment on the next
+    build; the phase-A outputs are reused as they are."""
+    d, _idx, cfg, _man = small_index
+    idx = str(tmp_path_factory.mktemp("index_dict_v2"))
+    with monkeypatch.context() as m:
+        m.setattr(
+            IndexConfig,
+            "fingerprint_full",
+            lambda self: f"{self.fingerprint()};maxpost={self.max_postings_per_segment}",
+        )
+        old = build_index(d, idx, cfg)
+    for s in old["segments"]:
+        os.remove(os.path.join(idx, "segments", s["name"], "terms.bin"))
+    seg_dir = os.path.join(idx, "segments", old["segments"][0]["name"])
+    with pytest.raises(RuntimeError, match=r"format v3.*rebuild"):
+        SegmentReader(seg_dir)
+
+    raw = os.path.join(idx, "postings_raw")
+    stamps = {f: os.stat(os.path.join(raw, f)).st_mtime_ns for f in os.listdir(raw)}
+    new = build_index(d, idx, cfg)
+    m = new["metrics"]
+    assert m["parts_resumed"] == new["stats"]["n_doc_parts"]
+    assert m["segments_resumed"] == 0 and m["segments_built"] == len(new["segments"])
+    assert {f: os.stat(os.path.join(raw, f)).st_mtime_ns for f in os.listdir(raw)} == stamps
+    assert new["config"] == cfg.fingerprint_full()
+    assert new["config"].endswith(f";seg={segment.FORMAT_VERSION}")
+    r = IndexReader(idx)
+    for q in _queries(idx, 10, seed=5):
+        a, b = r.topk(q, 10), r.topk_exhaustive(q, 10)
+        assert a[0].tolist() == b[0].tolist()
+    r.close()
