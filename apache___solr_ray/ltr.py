@@ -10,10 +10,12 @@ org.apache.solr.ltr.model.LinearModel#score = dot(weights, features)).
 
 This engine mirrors that surface: feature extractors are vectorized
 closures over (IndexReader, candidate doc ids, first-pass scores) that
-return one float64 column each; extraction happens ONLY for the reranked
-window (reference semantics: LTRScoringQuery wraps the top reRankDocs),
-so model cost is O(N), never O(corpus). Scores use the f64 rescoring path
-(quantized norms, DOUBLE math) so a SQL oracle can mirror bit-for-bit.
+return one float64 column each, for the reranked window only (reference
+semantics: LTRScoringQuery wraps the top reRankDocs). ``SolrFeature``
+reads its query's scores from ``lucene.bm25_f64_columns``, the f64
+rescoring path (quantized norms, DOUBLE math) that the catalog's first
+passes use too, so a SQL oracle can mirror it bit-for-bit, and looks the
+window up in them with one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -55,24 +57,14 @@ class SolrFeature(Feature):
     name: str = "solrFeature"
 
     def extract(self, reader, doc_ids, first_pass):
-        from apache___solr_ray.lucene import bm25_f64_scores
+        from apache___solr_ray.lucene import bm25_f64_columns
 
-        terms = reader.analyzer.analyze(self.query)
-        avgdl = reader.sum_total_tf / reader.doc_count
-        out = np.zeros(len(doc_ids), dtype=np.float64)
-        order = np.argsort(doc_ids, kind="stable")
-        sorted_ids = doc_ids[order]
-        for t in dict.fromkeys(terms):
-            tp = reader.term_postings(t)
-            if tp is None:
-                continue
-            docs, tfs, norms = tp.decode_all()
-            s = bm25_f64_scores(tfs, norms, tp.df, reader.doc_count, avgdl)
-            # align postings (sorted by doc) to the candidate window
-            pos = np.searchsorted(sorted_ids, docs)
-            ok = (pos < len(sorted_ids)) & (sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == docs)
-            np.add.at(out, order[pos[ok]], s[ok])
-        return out
+        ids, cols = bm25_f64_columns(reader, reader.analyzer.analyze(self.query))
+        if len(ids) == 0:
+            return np.zeros(len(doc_ids), dtype=np.float64)
+        s = sum(cols.values(), np.zeros(len(ids), dtype=np.float64))  # term order
+        pos = np.minimum(np.searchsorted(ids, doc_ids), len(ids) - 1)
+        return np.where(ids[pos] == doc_ids, s[pos], 0.0)
 
 
 @dataclass

@@ -242,13 +242,39 @@ def bm25_f64_scores(
     tfs: np.ndarray, norms: np.ndarray, df: int, doc_count: int, avgdl: float
 ) -> np.ndarray:
     """The f64 RESCORING variant of BM25 (quantized SmallFloat doc lengths
-    but DOUBLE arithmetic, k1=1.2 b=0.75) — the single definition shared by
-    every oracle-mirrorable scoring path (indexq._f64_term_score_cols, LTR
-    SolrFeature); DuckDB mirrors these exact IEEE ops. The float32 Lucene
-    serving path stays in BM25Scorer."""
+    but DOUBLE arithmetic, k1=1.2 b=0.75), called only by
+    ``bm25_f64_columns``; DuckDB mirrors these exact IEEE ops. The float32
+    Lucene serving path stays in BM25Scorer."""
     import math
 
     qdl = LENGTH_TABLE[norms.astype(np.uint8)].astype(np.float64)
     idf_ = math.log(1 + (doc_count - df + 0.5) / (df + 0.5))
     tff = tfs.astype(np.float64)
     return idf_ * tff / (tff + 1.2 * (0.25 + 0.75 * qdl / avgdl))
+
+
+def bm25_f64_columns(reader, terms) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-term f64 BM25 over a reader's live docs — the one builder behind
+    every oracle-mirrorable rescoring path (the catalog's f64 top-k
+    entries, LTR ``SolrFeature``). Returns ``(ids, cols)``: the engine doc
+    ids holding any of ``terms``, ascending, and one float64 column per
+    distinct term aligned to ``ids`` (0.0 where the term is absent).
+    Callers sum columns in term order, as the SQL mirrors do."""
+    avgdl = reader.sum_total_tf / reader.doc_count
+    per_term: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for t in dict.fromkeys(terms):
+        tp = reader.term_postings(t)
+        if tp is None:
+            per_term[t] = (np.zeros(0, np.int64), np.zeros(0, np.float64))
+            continue
+        docs, tfs, norms = tp.decode_all()
+        alive = reader._alive(docs)
+        if alive is not None:
+            docs, tfs, norms = docs[alive], tfs[alive], norms[alive]
+        per_term[t] = (docs, bm25_f64_scores(tfs, norms, tp.df, reader.doc_count, avgdl))
+    ids = np.unique(np.concatenate([np.zeros(0, np.int64), *(d for d, _ in per_term.values())]))
+    cols = {}
+    for t, (docs, s) in per_term.items():
+        cols[t] = np.zeros(len(ids), dtype=np.float64)
+        cols[t][np.searchsorted(ids, docs)] = s
+    return ids, cols

@@ -124,17 +124,16 @@ def ensure_doc_index_mf(sf_dir: str) -> str:
     return index_dir
 
 
-def _doc_id_map(index_dir: str) -> dict[int, int]:
-    """engine doc_id -> documents.doc_id (via the url key), over the doc
-    parts of the committed manifest."""
-    from apache___solr_ray.query import IndexReader
+def _url_ids(urls: pa.Array) -> np.ndarray:
+    """documents.doc_id of ``doc://<doc_id>`` url keys, as int64."""
+    return pc.cast(pc.utf8_slice_codeunits(urls, 6), pa.int64()).to_numpy()
 
-    r = IndexReader(index_dir)
-    out: dict[int, int] = {}
-    for p in range(r.n_doc_parts):
-        for row, url in enumerate(r.doc_column(p, "url").to_pylist()):
-            out[(p << 32) + row] = int(url[6:])
-    return out
+
+def _ext_ids(r, docs: np.ndarray) -> np.ndarray:
+    """documents.doc_id of engine ``docs``, in the caller's order: one
+    ``IndexReader.doc_values(docs, "url")`` read. Engine order need not be
+    documents.doc_id order, so a tie-break by doc_id sorts these."""
+    return _url_ids(r.doc_values(docs, "url"))
 
 
 @q(
@@ -263,6 +262,7 @@ def ttl_expired_live_term_df(sf_dir: str):
     from apache___solr_ray.datemath import parse_date_math
     from apache___solr_ray.deletes import delete_by_url
     from apache___solr_ray.merge import merge_segments
+    from apache___solr_ray.query import IndexReader
 
     hit = _TTL_CACHE.get(sf_dir)
     if hit is None:
@@ -277,20 +277,17 @@ def ttl_expired_live_term_df(sf_dir: str):
             shutil.rmtree(clone)
         bk.restore_backup(bdir, "ttl_base", clone)
 
-        idmap = _doc_id_map(clone)
+        r = IndexReader(clone)
         anchor = datetime(2024, 1, 1)
         now = datetime(2024, 2, 1)
         cutoff = parse_date_math("NOW/DAY", now)
         # one date-math evaluation per distinct TTL bucket (60), never per doc
-        expired_bucket = [
-            parse_date_math(f"NOW+{b}DAYS", anchor) < cutoff for b in range(60)
-        ]
-        expired_urls = [
-            f"doc://{ext:012d}"
-            for ext in idmap.values()
-            if expired_bucket[ext % 60]
-        ]
-        n = delete_by_url(clone, expired_urls)
+        expired_bucket = np.array(
+            [parse_date_math(f"NOW+{b}DAYS", anchor) < cutoff for b in range(60)]
+        )
+        urls = pa.concat_arrays([r.doc_column(p, "url") for p in range(r.n_doc_parts)])
+        expired_urls = urls.filter(pa.array(expired_bucket[_url_ids(urls) % 60]))
+        n = delete_by_url(clone, expired_urls.to_pylist())
         assert n > 0
         merge_segments(clone, target_per_tkey=1, merge_factor=4, purge_deletes=True)
         _TTL_CACHE[sf_dir] = hit = clone
@@ -346,7 +343,6 @@ def index_term_postings(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     terms_out, ids_out, tfs_out = [], [], []
     for term in POSTINGS_TERMS:
         tp = r.term_postings(term)
@@ -354,7 +350,7 @@ def index_term_postings(sf_dir: str):
             continue
         docs, tfs, _ = tp.decode_all()
         terms_out.extend([term] * len(docs))
-        ids_out.extend(idmap[int(d)] for d in docs)
+        ids_out.extend(_ext_ids(r, docs).tolist())
         tfs_out.extend(int(x) for x in tfs)
     return pa.table(
         {
@@ -374,13 +370,12 @@ def bm25_topk_docs(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     qids, ranks, ids, scores = [], [], [], []
     for qi, query in enumerate(BM25_QUERIES):
         d, s = r.topk(query, 10)
         qids.extend([qi] * len(d))
         ranks.extend(range(1, len(d) + 1))
-        ids.extend(idmap[int(x)] for x in d)
+        ids.extend(_ext_ids(r, d).tolist())
         scores.extend(np.round(s.astype(np.float64), 4).tolist())
     return pa.table(
         {
@@ -450,13 +445,12 @@ def bm25_f64_topk_docs(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     qids: list[int] = []
     ranks: list[int] = []
     dids: list[int] = []
     scores: list[float] = []
     for qi, qterms in enumerate(_BM25_F64_QUERIES):
-        ids, cols = _f64_term_score_cols(r, idmap, qterms)
+        ids, cols = _f64_term_score_cols(r, qterms)
         s = np.zeros(len(ids), dtype=np.float64)
         for t in dict.fromkeys(qterms):
             s = s + cols[t]
@@ -482,10 +476,10 @@ def index_scatter_gather_topk(sf_dir: str):
     """Distributed query path: ``QueryService`` with two doc-range shards
     and a coordinator merge (QueryComponent.mergeIds analog) — must equal
     single-evaluator top-k (asserted in pytest; rows-only here)."""
-    from apache___solr_ray.query import QueryService
+    from apache___solr_ray.query import IndexReader, QueryService
 
     index_dir = ensure_doc_index(sf_dir)
-    idmap = _doc_id_map(index_dir)
+    r = IndexReader(index_dir)
     svc = QueryService(index_dir, n_shards=2)
     try:
         hits = svc.topk_many(BM25_QUERIES[:3], 10)
@@ -495,7 +489,7 @@ def index_scatter_gather_topk(sf_dir: str):
     for qi, (d, s) in enumerate(hits):
         qids.extend([qi] * len(d))
         ranks.extend(range(1, len(d) + 1))
-        ids.extend(idmap[int(x)] for x in d)
+        ids.extend(_ext_ids(r, d).tolist())
         scores.extend(np.round(s.astype(np.float64), 4).tolist())
     return pa.table(
         {
@@ -514,40 +508,15 @@ _RERANK_SECOND = ["hash", "join"]
 _RERANK_DOCS, _RERANK_WEIGHT = 50, 2.0
 
 
-def _f64_term_score_cols(r, idmap, terms):
-    """Per-term float64 BM25 over the index — quantized doc lengths
-    (SmallFloat norm bytes) but DOUBLE arithmetic, so DuckDB can mirror
-    the computation IEEE-op-for-op (the float32 Lucene path stays in
-    ``topk``; this is the oracle-mirrorable rescoring variant).
+def _f64_term_score_cols(r, terms):
+    """``lucene.bm25_f64_columns`` keyed by documents.doc_id: (sorted
+    documents.doc_id array, {term: aligned float64 score column})."""
+    from apache___solr_ray.lucene import bm25_f64_columns
 
-    Returns (sorted documents.doc_id array, {term: aligned score col})."""
-    from apache___solr_ray.lucene import bm25_f64_scores
-
-    avgdl = r.sum_total_tf / r.doc_count
-    per_term: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for t in dict.fromkeys(terms):
-        tp = r.term_postings(t)
-        if tp is None:
-            per_term[t] = (np.zeros(0, np.int64), np.zeros(0, np.float64))
-            continue
-        docs, tfs, norms = tp.decode_all()
-        alive = r._alive(docs)  # liveDocs filter — match topk/span/payload paths
-        if alive is not None:
-            docs, tfs, norms = docs[alive], tfs[alive], norms[alive]
-        s = bm25_f64_scores(tfs, norms, tp.df, r.doc_count, avgdl)
-        if idmap is None:  # engine doc-id space (identity)
-            mapped = docs.astype(np.int64)
-        else:
-            mapped = np.array([idmap[int(d)] for d in docs], dtype=np.int64)
-        order = np.argsort(mapped, kind="stable")
-        per_term[t] = (mapped[order], s[order])
-    all_ids = np.unique(np.concatenate([m for m, _ in per_term.values()]))
-    cols = {}
-    for t, (m, s) in per_term.items():
-        col = np.zeros(len(all_ids), dtype=np.float64)
-        col[np.searchsorted(all_ids, m)] = s
-        cols[t] = col
-    return all_ids, cols
+    eng, cols = bm25_f64_columns(r, terms)
+    ext = _ext_ids(r, eng)
+    order = np.argsort(ext)
+    return ext[order], {t: c[order] for t, c in cols.items()}
 
 
 def _rerank_oracle_sql() -> str:
@@ -602,8 +571,7 @@ def index_rerank_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _RERANK_MAIN + _RERANK_SECOND)
+    ids, cols = _f64_term_score_cols(r, _RERANK_MAIN + _RERANK_SECOND)
     s1 = cols[_RERANK_MAIN[0]].copy()
     for t in _RERANK_MAIN[1:]:
         s1 = s1 + cols[t]
@@ -759,10 +727,8 @@ def index_boolean_and_match(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     docs = r.match_docs("merge join the", mode="and")
-    ids = sorted(idmap[int(d)] for d in docs)
-    return pa.table({"doc_id": pa.array(ids, pa.int64())})
+    return pa.table({"doc_id": pa.array(np.sort(_ext_ids(r, docs)), pa.int64())})
 
 
 @q(
@@ -839,7 +805,6 @@ def json_query_bool_docs(sf_dir: str):
     from apache___solr_ray.query import IndexReader
 
     r = IndexReader(ensure_doc_index(sf_dir))
-    idmap = _doc_id_map(r.dir)
     docs = json_query_docs(
         r,
         {
@@ -850,8 +815,7 @@ def json_query_bool_docs(sf_dir: str):
             }
         },
     )
-    ids = sorted(idmap[int(d)] for d in docs)
-    return pa.table({"doc_id": pa.array(ids, pa.int64())})
+    return pa.table({"doc_id": pa.array(np.sort(_ext_ids(r, docs)), pa.int64())})
 
 
 @q(
@@ -872,7 +836,6 @@ def json_query_should_mm_docs(sf_dir: str):
     from apache___solr_ray.query import IndexReader
 
     r = IndexReader(ensure_doc_index(sf_dir))
-    idmap = _doc_id_map(r.dir)
     docs = json_query_docs(
         r,
         {
@@ -887,8 +850,7 @@ def json_query_should_mm_docs(sf_dir: str):
             }
         },
     )
-    ids = sorted(idmap[int(d)] for d in docs)
-    return pa.table({"doc_id": pa.array(ids, pa.int64())})
+    return pa.table({"doc_id": pa.array(np.sort(_ext_ids(r, docs)), pa.int64())})
 
 
 @q(
@@ -919,14 +881,13 @@ def bm25_topk_lang_en(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     allowed = r.doc_filter_mask("lang", "en")
     qids, ranks, ids, scores = [], [], [], []
     for qi, query in enumerate(BM25_QUERIES):
         d, s = r.topk_filtered(query, 10, allowed)
         qids.extend([qi] * len(d))
         ranks.extend(range(1, len(d) + 1))
-        ids.extend(idmap[int(x)] for x in d)
+        ids.extend(_ext_ids(r, d).tolist())
         scores.extend(np.round(s.astype(np.float64), 4).tolist())
     return pa.table(
         {
@@ -946,15 +907,14 @@ def index_grouped_topk_lang(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     qids, langs, ranks, ids, scores = [], [], [], [], []
     for qi, query in enumerate(BM25_QUERIES[:3]):
         for lang, (d, s) in r.grouped_topk(query, "lang", k_per_group=3).items():
-            for rk, (x, sc) in enumerate(zip(d, s), 1):
+            for rk, (x, sc) in enumerate(zip(_ext_ids(r, d).tolist(), s), 1):
                 qids.append(qi)
                 langs.append(lang)
                 ranks.append(rk)
-                ids.append(idmap[int(x)])
+                ids.append(x)
                 scores.append(round(float(sc), 4))
     return pa.table(
         {
@@ -1018,26 +978,21 @@ def index_fuzzy_match_count(sf_dir: str):
     """,
 )
 def index_min_match_2of3(sf_dir: str):
-    """Minimum-should-match (edismax `mm=2`): docs containing at least 2 of
-    the 3 query terms — per-term posting sets counted per doc (one bincount
-    over the union, no per-doc loop)."""
-    from apache___solr_ray.query import IndexReader
+    """Minimum-should-match (edismax `mm=2`): live docs containing at least
+    2 of the 3 query terms — ``IndexReader.match_docs`` with
+    ``min_should_match``, which counts each doc's matching terms."""
+    return _mm_docs(sf_dir, "merge spark vector", "2")
 
-    index_dir = ensure_doc_index(sf_dir)
-    r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    sets = []
-    for term in ("merge", "spark", "vector"):
-        tp = r.term_postings(term)
-        if tp is not None:
-            sets.append(tp.decode_all()[0])
-    if not sets:
-        return pa.table({"doc_id": pa.array([], pa.int64())})
-    allc = np.concatenate(sets)
-    uniq, cnt = np.unique(allc, return_counts=True)
-    hits = uniq[cnt >= 2]
-    ids = sorted(idmap[int(d)] for d in hits)
-    return pa.table({"doc_id": pa.array(ids, pa.int64())})
+
+def _mm_docs(sf_dir: str, query: str, mm: str) -> pa.Table:
+    """documents.doc_id of the docs matching ``query`` under the ``mm``
+    spec, ascending."""
+    from apache___solr_ray.query import IndexReader, calculate_min_should_match
+
+    r = IndexReader(ensure_doc_index(sf_dir))
+    need = calculate_min_should_match(len(query.split()), mm)
+    docs = r.match_docs(query, min_should_match=need)
+    return pa.table({"doc_id": pa.array(np.sort(_ext_ids(r, docs)), pa.int64())})
 
 
 @q(
@@ -1054,26 +1009,8 @@ def index_mm_spec_docs(sf_dir: str):
     conditional ``upper<spec`` chains). Query: 4 should terms with
     ``mm=2<-25%`` — above 2 clauses, leave 25% unmatched → mm resolves
     to 3-of-4 (the port is vector-tested against the reference's own
-    unit-test table). Same one-bincount evaluation as mm=2."""
-    from apache___solr_ray.query import IndexReader, calculate_min_should_match
-
-    terms = ("merge", "spark", "vector", "window")
-    mm = calculate_min_should_match(len(terms), "2<-25%")
-    index_dir = ensure_doc_index(sf_dir)
-    r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    sets = []
-    for term in terms:
-        tp = r.term_postings(term)
-        if tp is not None:
-            sets.append(tp.decode_all()[0])
-    if not sets:
-        return pa.table({"doc_id": pa.array([], pa.int64())})
-    allc = np.concatenate(sets)
-    uniq, cnt = np.unique(allc, return_counts=True)
-    hits = uniq[cnt >= mm]
-    ids = sorted(idmap[int(d)] for d in hits)
-    return pa.table({"doc_id": pa.array(ids, pa.int64())})
+    unit-test table). Evaluated by the same ``match_docs`` count as mm=2."""
+    return _mm_docs(sf_dir, "merge spark vector window", "2<-25%")
 
 
 @q(
@@ -1150,13 +1087,12 @@ def index_phrase_freqs(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     ph_out, id_out, f_out = [], [], []
     for terms in PHRASE_SET:
         label = " ".join(terms)
         docs, freqs, _ = r.phrase_freqs(label)
         ph_out.extend([label] * len(docs))
-        id_out.extend(idmap[int(d)] for d in docs)
+        id_out.extend(_ext_ids(r, docs).tolist())
         f_out.extend(int(f) for f in freqs)
     return pa.table(
         {
@@ -1175,13 +1111,12 @@ def index_phrase_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     rows = []
     for terms in PHRASE_SET:
         label = " ".join(terms)
         docs, scores = r.topk_phrase(label, 10)
-        for rank, (d, s) in enumerate(zip(docs, scores), 1):
-            rows.append((label, rank, idmap[int(d)], float(s)))
+        for rank, (d, s) in enumerate(zip(_ext_ids(r, docs).tolist(), scores), 1):
+            rows.append((label, rank, d, float(s)))
     return pa.table(
         {
             "phrase": pa.array([x[0] for x in rows], pa.string()),
@@ -1240,14 +1175,13 @@ def index_dismax_topk(sf_dir: str):
 
     index_dir = ensure_doc_index_mf(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     rows = []
     for qi, query in enumerate(["fast merge src3", "spark src11 window"]):
         docs, scores = r.topk_dismax(
             query, qf={"text": 1.0, "src": 2.0}, k=10, tie=0.1
         )
-        for rank, (d, s) in enumerate(zip(docs, scores), 1):
-            rows.append((qi, rank, idmap[int(d)], round(float(s), 4)))
+        for rank, (d, s) in enumerate(zip(_ext_ids(r, docs).tolist(), scores), 1):
+            rows.append((qi, rank, d, round(float(s), 4)))
     return pa.table(
         {
             "qid": pa.array([x[0] for x in rows], pa.int64()),
@@ -1281,15 +1215,13 @@ def index_range_filter(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     docs = r.match_docs("merge", mode="or")
     keep = r.doc_range_mask("doc_len", 40, 120)(docs)
     docs = docs[keep]
     lens = r.fetch_fields(docs, ["doc_len"]).column("doc_len").to_numpy() if len(docs) else np.zeros(0, np.int64)
-    ids = [idmap[int(d)] for d in docs]
     return pa.table(
         {
-            "doc_id": pa.array(ids, pa.int64()),
+            "doc_id": pa.array(_ext_ids(r, docs), pa.int64()),
             "doc_len": pa.array(lens.astype(np.int64), pa.int64()),
         }
     )
@@ -1303,14 +1235,13 @@ def index_frange_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     docs, scores = r.topk_filtered(
         "fast merge join", 10, r.doc_range_mask("doc_len", 40, 120)
     )
     return pa.table(
         {
             "rank": pa.array(range(1, len(docs) + 1), pa.int64()),
-            "doc_id": pa.array([idmap[int(d)] for d in docs], pa.int64()),
+            "doc_id": pa.array(_ext_ids(r, docs), pa.int64()),
             "score": pa.array(np.round(scores.astype(np.float64), 4), pa.float64()),
         }
     )
@@ -1325,13 +1256,12 @@ def index_cursor_pages(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     rows = []
     cursor = None
     for page in range(3):
         d, s, cursor = r.cursor_page("fast merge join", 5, cursor)
-        for rank, (x, sc) in enumerate(zip(d, s), 1):
-            rows.append((page, rank, idmap[int(x)], round(float(sc), 4)))
+        for rank, (x, sc) in enumerate(zip(_ext_ids(r, d).tolist(), s), 1):
+            rows.append((page, rank, x, round(float(sc), 4)))
         if cursor is None:
             break
     return pa.table(
@@ -1388,13 +1318,12 @@ def index_span_near_docs(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     sp_out, id_out = [], []
     for terms, slop in SPAN_SET:
         label = f"{' '.join(terms)}~{slop}"
         docs = r.span_near_docs(" ".join(terms), slop=slop)
         sp_out.extend([label] * len(docs))
-        id_out.extend(idmap[int(d)] for d in docs)
+        id_out.extend(_ext_ids(r, docs).tolist())
     return pa.table(
         {
             "span": pa.array(sp_out, pa.string()),
@@ -1452,12 +1381,11 @@ def index_complex_phrase_docs(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     ph_out, id_out = [], []
     for phrase, slop in COMPLEX_PHRASES:
         docs = r.complex_phrase_docs(phrase, slop=slop)
         ph_out.extend([f"{phrase}~{slop}"] * len(docs))
-        id_out.extend(idmap[int(d)] for d in docs)
+        id_out.extend(_ext_ids(r, docs).tolist())
     return pa.table(
         {
             "cphrase": pa.array(ph_out, pa.string()),
@@ -1490,12 +1418,11 @@ def index_payload_scores(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     t_out, id_out, s_out, m_out = [], [], [], []
     for term in PAYLOAD_TERMS:
         docs, sums, mins = r.payload_scores(term)
         t_out.extend([term] * len(docs))
-        id_out.extend(idmap[int(d)] for d in docs)
+        id_out.extend(_ext_ids(r, docs).tolist())
         s_out.extend(int(x) for x in sums)
         m_out.extend(int(x) for x in mins)
     return pa.table(
@@ -1542,7 +1469,6 @@ def func_termfreq_norm_idf(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     tp = r.term_postings("merge")
     if tp is None:
         return pa.table(
@@ -1558,7 +1484,7 @@ def func_termfreq_norm_idf(sf_dir: str):
     idf = np.floor(idf * 1_000_000 + 0.5) / 1_000_000
     return pa.table(
         {
-            "doc_id": pa.array([idmap[int(d)] for d in docs], pa.int64()),
+            "doc_id": pa.array(_ext_ids(r, docs), pa.int64()),
             "tf": pa.array(tfs.astype(np.int64)),
             "qdl": pa.array(qdl),
             "idf": pa.array(np.full(len(docs), idf), pa.float64()),
@@ -1597,9 +1523,8 @@ def index_payload_func(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     docs, sums, _mins = r.payload_scores("merge")
-    pay = {int(idmap[int(d)]): float(s) for d, s in zip(docs, sums)}
+    pay = {d: float(s) for d, s in zip(_ext_ids(r, docs).tolist(), sums)}
     ref = ray.put(pay)
 
     ds = load(sf_dir, "documents", columns=["doc_id"])
@@ -1695,9 +1620,12 @@ def index_term_vectors(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    inv = {v: k for k, v in idmap.items()}
-    eng = np.array(sorted(inv[w] for w in _TV_DOCS), dtype=np.int64)
+    want = pa.array([f"doc://{d:012d}" for d in _TV_DOCS])
+    eng = []
+    for p in range(r.n_doc_parts):
+        hit = pc.indices_nonzero(pc.is_in(r.doc_column(p, "url"), value_set=want))
+        eng.extend((p << 32) + i for i in hit.to_pylist())
+    eng = np.array(eng, dtype=np.int64)
 
     vocab = r.term_dict()["term"].to_numpy(zero_copy_only=False)
     id_out: list[int] = []
@@ -1716,8 +1644,8 @@ def index_term_vectors(sf_dir: str):
         order = np.argsort(starts)
         uniq, starts = uniq[order], starts[order]
         ends = np.concatenate([starts[1:], [len(docs)]])
-        for d, s, e in zip(uniq, starts, ends):
-            id_out.append(idmap[int(d)])
+        for d, s, e in zip(_ext_ids(r, uniq).tolist(), starts, ends):
+            id_out.append(d)
             t_out.append(t)
             tf_out.append(int(e - s))
             p_out.append(",".join(str(int(p)) for p in pos[s:e]))
@@ -1797,8 +1725,7 @@ def index_elevated_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _ELEV_QUERY_TERMS)
+    ids, cols = _f64_term_score_cols(r, _ELEV_QUERY_TERMS)
     s = cols[_ELEV_QUERY_TERMS[0]].copy()
     for t in _ELEV_QUERY_TERMS[1:]:
         s = s + cols[t]
@@ -1856,8 +1783,7 @@ def index_rerank_multiply_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _RERANK_MAIN + _RERANK_SECOND)
+    ids, cols = _f64_term_score_cols(r, _RERANK_MAIN + _RERANK_SECOND)
     s1 = cols[_RERANK_MAIN[0]].copy()
     for t in _RERANK_MAIN[1:]:
         s1 = s1 + cols[t]
@@ -1918,8 +1844,7 @@ def index_rerank_scaled_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _RERANK_MAIN + _RERANK_SECOND)
+    ids, cols = _f64_term_score_cols(r, _RERANK_MAIN + _RERANK_SECOND)
     s1 = cols[_RERANK_MAIN[0]].copy()
     for t in _RERANK_MAIN[1:]:
         s1 = s1 + cols[t]
@@ -2010,11 +1935,12 @@ def external_file_boost_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
 
     ext_path = os.path.join(index_dir, "external_boost.txt")
     if not os.path.exists(ext_path):
-        ext_ids = sorted(idmap.values())
+        ext_ids = np.sort(
+            np.concatenate([_url_ids(r.doc_column(p, "url")) for p in range(r.n_doc_parts)])
+        ).tolist()
         write_external_floats(
             ext_path,
             (
@@ -2024,7 +1950,7 @@ def external_file_boost_topk(sf_dir: str):
         )
     ext = load_external_floats(ext_path)
 
-    ids, cols = _f64_term_score_cols(r, idmap, ["fast", "join"])
+    ids, cols = _f64_term_score_cols(r, ["fast", "join"])
     s1 = cols["fast"] + cols["join"]
     m = s1 > 0
     ids_c, s1_c = ids[m], s1[m]
@@ -2105,14 +2031,14 @@ def ltr_linear_rerank_topk(sf_dir: str):
         OriginalScoreFeature,
         SolrFeature,
     )
+    from apache___solr_ray.lucene import bm25_f64_columns
     from apache___solr_ray.query import IndexReader
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     # first pass in ENGINE id space (so feature extractors can read the
     # index / sidecar directly), mapped to documents.doc_id only at output
-    eng_ids, cols = _f64_term_score_cols(r, None, _LTR_FIRST)
+    eng_ids, cols = bm25_f64_columns(r, _LTR_FIRST)
     s1 = cols[_LTR_FIRST[0]].copy()
     for t in _LTR_FIRST[1:]:
         s1 = s1 + cols[t]
@@ -2120,7 +2046,7 @@ def ltr_linear_rerank_topk(sf_dir: str):
     ids_c, s1_c = eng_ids[cand], s1[cand]
     # window by (score desc, EXTERNAL doc id asc) to mirror the oracle's
     # deterministic tie-break in documents.doc_id space
-    ext_c = np.array([idmap[int(d)] for d in ids_c], dtype=np.int64)
+    ext_c = _ext_ids(r, ids_c)
     top = np.lexsort((ext_c, -s1_c))[:_LTR_WINDOW]
     model = LinearModel(
         features=[
@@ -2217,18 +2143,18 @@ def ltr_trees_rerank_topk(sf_dir: str):
         OriginalScoreFeature,
         SolrFeature,
     )
+    from apache___solr_ray.lucene import bm25_f64_columns
     from apache___solr_ray.query import IndexReader
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    eng_ids, cols = _f64_term_score_cols(r, None, _LTR_FIRST)
+    eng_ids, cols = bm25_f64_columns(r, _LTR_FIRST)
     s1 = cols[_LTR_FIRST[0]].copy()
     for t in _LTR_FIRST[1:]:
         s1 = s1 + cols[t]
     cand = s1 > 0
     ids_c, s1_c = eng_ids[cand], s1[cand]
-    ext_c = np.array([idmap[int(d)] for d in ids_c], dtype=np.int64)
+    ext_c = _ext_ids(r, ids_c)
     top = np.lexsort((ext_c, -s1_c))[:_LTR_WINDOW]
     model = MultipleAdditiveTreesModel(
         features=[
@@ -2305,11 +2231,10 @@ def sorted_topk_nchars(sf_dir: str):
 
     index_dir = ensure_doc_index_sorted(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     d, v, _m = r.sorted_topk(20)
     return pa.table(
         {
-            "doc_id": pa.array([idmap[int(x)] for x in d], pa.int64()),
+            "doc_id": pa.array(_ext_ids(r, d), pa.int64()),
             "sortv": pa.array(v, pa.float64()),
         }
     )
@@ -2400,46 +2325,18 @@ def index_edismax_pf_topk(sf_dir: str):
     (phrase tf = exact-phrase freq from codec-v2 positions, idf = summed
     clause idfs — Lucene PhraseWeight). f64 rescoring path; DuckDB mirrors
     the position self-join and the blend bit-for-bit."""
-    import math
-
-    from apache___solr_ray.lucene import LENGTH_TABLE
     from apache___solr_ray.query import IndexReader
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _PF_TERMS)
+    ids, cols = _f64_term_score_cols(r, _PF_TERMS)
     s = cols[_PF_TERMS[0]].copy()
     for t in _PF_TERMS[1:]:
         s = s + cols[t]
 
     cand = s > 0  # candidates are main-query matches, pre-boost
-    pdocs, pfreqs, pnorms = r.phrase_freqs(" ".join(_PF_TERMS))
-    if len(pdocs):
-        avgdl = r.sum_total_tf / r.doc_count
-        idf = 0.0
-        for t in _PF_TERMS:
-            tp = r.term_postings(t)
-            idf += math.log(1 + (r.doc_count - tp.df + 0.5) / (tp.df + 0.5))
-        qdl = LENGTH_TABLE[pnorms.astype(np.uint8)].astype(np.float64)
-        ptf = pfreqs.astype(np.float64)
-        p = idf * ptf / (ptf + 1.2 * (0.25 + 0.75 * qdl / avgdl))
-        mapped = np.array([idmap[int(d)] for d in pdocs], dtype=np.int64)
-        pos = np.searchsorted(ids, mapped)
-        ok = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == mapped)
-        np.add.at(s, pos[ok], _PF_WEIGHT * p[ok])
-
-    ids_c, s_c = ids[cand], s[cand]
-    final = np.lexsort((ids_c, -s_c))[:10]
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(final) + 1, dtype=np.int64)),
-            "doc_id": pa.array(ids_c[final], pa.int64()),
-            "score": pa.array(
-                np.floor(s_c[final] * 10000 + 0.5) / 10000.0, pa.float64()
-            ),
-        }
-    )
+    s = s + _PF_WEIGHT * _phrase_boost_scores(r, ids, _PF_TERMS)
+    return _rank_table(ids, s, cand)
 
 
 # -- edismax pf2/pf3 (bigram/trigram phrase boosts) + bq/bf --------------------
@@ -2536,7 +2433,7 @@ def _edismax_pf23_oracle_sql() -> str:
     """
 
 
-def _phrase_boost_scores(r, idmap, ids, terms: list[str]) -> np.ndarray:
+def _phrase_boost_scores(r, ids, terms: list[str]) -> np.ndarray:
     """Lucene PhraseWeight BM25 for one gram, aligned to ``ids``."""
     import math
 
@@ -2556,7 +2453,7 @@ def _phrase_boost_scores(r, idmap, ids, terms: list[str]) -> np.ndarray:
     qdl = LENGTH_TABLE[pnorms.astype(np.uint8)].astype(np.float64)
     ptf = pfreqs.astype(np.float64)
     p = idf * ptf / (ptf + 1.2 * (0.25 + 0.75 * qdl / avgdl))
-    mapped = np.array([idmap[int(d)] for d in pdocs], dtype=np.int64)
+    mapped = _ext_ids(r, pdocs)
     pos = np.searchsorted(ids, mapped)
     ok = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == mapped)
     np.add.at(out, pos[ok], p[ok])
@@ -2590,15 +2487,14 @@ def index_edismax_pf23_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _PF23_TERMS)
+    ids, cols = _f64_term_score_cols(r, _PF23_TERMS)
     s = cols[_PF23_TERMS[0]].copy()
     for t in _PF23_TERMS[1:]:
         s = s + cols[t]
     cand = s > 0
     for i in range(len(_PF23_TERMS) - 1):
-        s = s + _PF2_WEIGHT * _phrase_boost_scores(r, idmap, ids, _PF23_TERMS[i : i + 2])
-    s = s + _PF3_WEIGHT * _phrase_boost_scores(r, idmap, ids, _PF23_TERMS)
+        s = s + _PF2_WEIGHT * _phrase_boost_scores(r, ids, _PF23_TERMS[i : i + 2])
+    s = s + _PF3_WEIGHT * _phrase_boost_scores(r, ids, _PF23_TERMS)
     return _rank_table(ids, s, cand)
 
 
@@ -2630,8 +2526,7 @@ def index_edismax_bq_bf_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, [*_BQBF_TERMS, _BQ_TERM])
+    ids, cols = _f64_term_score_cols(r, [*_BQBF_TERMS, _BQ_TERM])
     s = cols[_BQBF_TERMS[0]].copy()
     for t in _BQBF_TERMS[1:]:
         s = s + cols[t]
@@ -2729,15 +2624,14 @@ def sorted_cursor_pages(sf_dir: str):
 
     index_dir = ensure_doc_index_sorted(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     pages, cursor = [], None
     for pg in range(3):
         d, v, _m = r.sorted_topk(7, after=cursor)
         if len(d) == 0:
             break
         cursor = (float(v[-1]), int(d[-1]))
-        for dd, vv in zip(d, v):
-            pages.append((pg, idmap[int(dd)], float(vv)))
+        for dd, vv in zip(_ext_ids(r, d).tolist(), v):
+            pages.append((pg, dd, float(vv)))
     return pa.table(
         {
             "page": pa.array([p for p, _, _ in pages], pa.int64()),
@@ -2783,8 +2677,7 @@ def index_explain_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
-    ids, cols = _f64_term_score_cols(r, idmap, _RERANK_MAIN)
+    ids, cols = _f64_term_score_cols(r, _RERANK_MAIN)
     total = cols[_RERANK_MAIN[0]].copy()
     for t in _RERANK_MAIN[1:]:
         total = total + cols[t]

@@ -1834,43 +1834,26 @@ def spellcheck_collate(sf_dir: str):
     ``spellcheck.collate`` replaces every misspelled query term with its
     best correction, then RE-QUERIES the index to report the collation's
     verified hit count — a suggestion is only useful if the corrected
-    query actually matches). Query: 'mergr joim tabl'. Per term the
-    vocabulary stays a Dataset (``termdf_dataset`` over the committed term
-    dictionaries): vectorized edit-distance-1 prefilters + exact check per
-    batch, distributed sort by (df desc, term) picks the best correction;
-    the collation's hits come from a conjunctive posting-set intersection
-    (`match_docs` AND) — exactly the collator's internal re-query."""
-    import ray
-
+    query actually matches). Query: 'mergr joim tabl'. One
+    ``IndexReader`` serves it all: per misspelled term, ``expand_fuzzy1``
+    takes the edit-distance-1 candidates from the committed term
+    dictionary and the best by (df desc, term) comes from ``term_dict``;
+    the collation's hits come from a conjunctive ``match_docs`` (AND) —
+    exactly the collator's internal re-query."""
     from apache___solr_ray.pipelines.indexq import ensure_doc_index
     from apache___solr_ray.query import IndexReader
 
-    index_dir = ensure_doc_index(sf_dir)
-
-    from apache___solr_ray.pipelines.indexq import termdf_dataset
-
+    r = IndexReader(ensure_doc_index(sf_dir))
+    td = r.term_dict()
     corrections: list[str] = []
     for miss in _COLLATE_MISSPELLED:
-        td = termdf_dataset(index_dir)  # global (term, df): one row per term
-
-        def cand(df: pd.DataFrame, _q=miss) -> pd.DataFrame:
-            m = (df["term"].str.len() - len(_q)).abs() <= 1
-            m &= (df["term"].str[0] == _q[0]) | (df["term"].str[-1] == _q[-1])
-            sub = df[m]
-            if len(sub) == 0:
-                return sub
-            return sub[[_levenshtein1(t, _q) for t in sub["term"]]]
-
-        best = (
-            td.map_batches(cand, batch_format="pandas")
-            .sort(["df", "term"], descending=[True, False])
-            .limit(1)
-            .take_all()
+        cands = pa.array(r.expand_fuzzy1(miss, _levenshtein1), pa.string())
+        best = td.filter(pc.is_in(td["term"], value_set=cands)).sort_by(
+            [("df", "descending"), ("term", "ascending")]
         )
-        corrections.append(best[0]["term"] if best else miss)
+        corrections.append(best["term"][0].as_py() if best.num_rows else miss)
 
     collation = " ".join(corrections)
-    r = IndexReader(index_dir)
     hits = len(r.match_docs(collation, mode="and"))
     return pa.table(
         {

@@ -225,12 +225,11 @@ class IndexReader:
             h = term_hash(np.array([term], dtype=object))[0]
         views, df, ttf = [], 0, 0
         for r in self._term_readers(h):
-            v = r.postings(term, h)
-            if v is not None:
-                st = r.term_stats(term, h)
-                views.append(v)
-                df += st[0]
-                ttf += st[1]
+            hit = r.postings(term, h)
+            if hit is not None:
+                views.append(hit[0])
+                df += hit[1]
+                ttf += hit[2]
         # a term's views hold disjoint doc ranges (each posting row lands in
         # exactly one segment); order them by doc range for global doc order
         views.sort(key=lambda v: int(v.headers["last_doc"][0]) if len(v.headers) else 0)
@@ -308,24 +307,20 @@ class IndexReader:
         np.add.at(acc, inv, np.concatenate(score_list))
         return merge_topk([(uniq, acc.astype(np.float32))], k)
 
-    def match_docs(self, query: str, mode: str = "or") -> np.ndarray:
-        """Exact matching doc-id set for a boolean query — the DocSet analog
-        (reference DocSet.java / the `lucene` parser's default-OR vs
-        required-AND clause semantics). No scoring, just set algebra over
-        decoded postings: union for "or", intersection for "and"."""
-        counts = Counter(self.analyzer.analyze(query))
-        sets = []
-        for term in counts:
-            tp = self.term_postings(term)
-            sets.append(tp.decode_all()[0] if tp is not None else np.zeros(0, np.int64))
-        if not sets:
-            return np.zeros(0, np.int64)
-        if mode == "or":
-            out = np.unique(np.concatenate(sets))
-        else:
-            out = sets[0]
-            for s in sets[1:]:
-                out = out[np.isin(out, s, assume_unique=True)]
+    def match_docs(
+        self, query: str, mode: str = "or", min_should_match: int | None = None
+    ) -> np.ndarray:
+        """Exact matching live doc ids, ascending, of a boolean query — the
+        DocSet analog (reference DocSet.java / the `lucene` parser's
+        default-OR vs required-AND clauses, edismax ``mm``). No scoring: a
+        doc matches when at least ``min_should_match`` distinct analyzed
+        terms hold it (default: 1 for "or", all of them for "and")."""
+        terms = dict.fromkeys(self.analyzer.analyze(query))
+        if min_should_match is None:
+            min_should_match = len(terms) if mode == "and" else 1
+        sets = [tp.decode_all()[0] for t in terms if (tp := self.term_postings(t)) is not None]
+        docs, counts = np.unique(np.concatenate([np.zeros(0, np.int64), *sets]), return_counts=True)
+        out = docs[counts >= min_should_match]
         alive = self._alive(out)
         return out if alive is None else out[alive]
 

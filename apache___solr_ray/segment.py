@@ -274,12 +274,16 @@ class SegmentReader:
             i += 1
         return -1
 
-    def postings(self, term: str, h: np.uint64 | None = None) -> codec.PostingsView | None:
+    def postings(
+        self, term: str, h: np.uint64 | None = None
+    ) -> tuple[codec.PostingsView, int, int] | None:
+        """-> (view, df, ttf) of this segment's slice of the term: one lookup."""
         i = self.lookup(term, h)
         if i < 0:
             return None
         off, end = int(self._offset[i]), int(self._offset[i + 1])
-        return codec.PostingsView(self._postings_buf()[off:end])
+        view = codec.PostingsView(self._postings_buf()[off:end])
+        return view, int(self._df[i]), int(self._ttf[i])
 
     def _postings_buf(self) -> memoryview:
         """``postings.bin``, mapped on first use."""

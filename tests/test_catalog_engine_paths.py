@@ -1,0 +1,58 @@
+"""Catalog entries call the engine's readers, not private copies of them.
+
+Scans the package source: the per-index doc-id dict is gone, the float64
+BM25 per-term loop has one home (``lucene.bm25_f64_columns``), and whole
+posting lists are decoded outside the engine (``query.py``, ``codec.py``)
+only by the named entries below, each of which needs every posting.
+"""
+
+import ast
+import pathlib
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "apache___solr_ray"
+
+#: (module path under the package, function) -> why it decodes whole postings
+DECODE_ALL_ALLOWED = {
+    ("lucene.py", "bm25_f64_columns"): "the f64 BM25 columns score every live posting of each term",
+    ("pipelines/indexq.py", "index_term_postings"): "its oracle is every (term, doc_id, tf) posting",
+    ("pipelines/indexq.py", "func_termfreq_norm_idf"): "termfreq()/norm() read each posting's tf and norm",
+}
+
+
+def _calls(name_of):
+    """(module path, innermost enclosing function) of every call whose
+    callee ``name_of(func)`` returns truthy, over the package source."""
+    out = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+
+        def visit(node, fn):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Call) and name_of(child.func):
+                    out.append((rel, fn))
+                visit(child, fn)
+
+        visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_doc_id_map_is_gone():
+    hits = [p for p in PKG.rglob("*.py") if "_doc_id_map" in p.read_text()]
+    assert hits == []
+
+
+def test_f64_bm25_scores_only_from_the_column_builder():
+    calls = _calls(
+        lambda f: (isinstance(f, ast.Name) and f.id == "bm25_f64_scores")
+        or (isinstance(f, ast.Attribute) and f.attr == "bm25_f64_scores")
+    )
+    assert calls == [("lucene.py", "bm25_f64_columns")]
+
+
+def test_decode_all_outside_the_engine_only_in_named_oracles():
+    calls = _calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "decode_all")
+    outside = {c for c in calls if c[0] not in ("query.py", "codec.py")}
+    assert outside == set(DECODE_ALL_ALLOWED)

@@ -399,6 +399,43 @@ def test_boolean_and_and_filtered_topk(built, corpus_dir):
         assert s_f.tolist() == s_e.tolist(), q_
 
 
+def test_match_docs_min_should_match_equals_brute_count(built, corpus_dir, tmp_path):
+    """``match_docs(min_should_match=m)`` keeps the docs holding at least m
+    distinct query terms (a brute-force per-doc count over the raw corpus)
+    for m = 1, 2 and all terms; "or" and "and" are m = 1 and m = all. A
+    deleted doc that matches 2 of 3 terms drops out."""
+    from apache___solr_ray.deletes import delete_by_url
+
+    idx, _, _ = built
+    pages = pages_table(N_DOCS, seed=42)
+    analyzer = Analyzer()
+    toks = [set(analyzer.analyze(t)) for t in pages.column("text").to_pylist()]
+    parts = plan_partitions(
+        sorted(os.path.join(corpus_dir, f) for f in os.listdir(corpus_dir)), ROWS_PER_FILE
+    )
+    doc_ids = np.concatenate(
+        [(p["part_id"] << 32) + np.arange(p["n_rows"], dtype=np.int64) for p in parts]
+    )
+    q_ = "vesube goso mudsaruzit goso"
+    terms = set(analyzer.analyze(q_))
+    assert len(terms) == 3
+    count = np.array([len(terms & tk) for tk in toks])
+    assert (np.bincount(count, minlength=4) > 0).all()  # every count 0-3 occurs
+    r = IndexReader(idx)
+    for m in (1, 2, 3):
+        want = np.sort(doc_ids[count >= m]).tolist()
+        assert r.match_docs(q_, min_should_match=m).tolist() == want, m
+    assert r.match_docs(q_, mode="or").tolist() == np.sort(doc_ids[count >= 1]).tolist()
+    assert r.match_docs(q_, mode="and").tolist() == np.sort(doc_ids[count >= 3]).tolist()
+
+    copy = str(tmp_path / "index")
+    shutil.copytree(idx, copy)
+    victim = int(doc_ids[np.flatnonzero(count == 2)[0]])
+    assert delete_by_url(copy, IndexReader(copy).urls_for(np.array([victim]))) == 1
+    got = IndexReader(copy).match_docs(q_, min_should_match=2).tolist()
+    assert got == [d for d in np.sort(doc_ids[count >= 2]).tolist() if d != victim]
+
+
 def test_grouped_topk(built, corpus_dir):
     """Result grouping: per-lang top-3 equals brute-force per-lang ranking."""
     idx, _, _ = built
@@ -714,16 +751,12 @@ def test_sorted_index_early_termination(ray_session):
     and visits strictly fewer parts than the total (early termination)."""
     import pyarrow.parquet as pq
 
-    from apache___solr_ray.pipelines.indexq import (
-        _doc_id_map,
-        ensure_doc_index_sorted,
-    )
+    from apache___solr_ray.pipelines.indexq import _ext_ids, ensure_doc_index_sorted
     from apache___solr_ray.query import IndexReader
 
     sf = "/root/testdata/sf0.001"
     index_dir = ensure_doc_index_sorted(sf)
     r = IndexReader(index_dir)
-    idmap = _doc_id_map(index_dir)
     d, v, m = r.sorted_topk(10)
     assert m["parts_visited"] < m["parts_total"], m
     assert m["rows_scanned"] <= m["parts_visited"] * 10
@@ -733,8 +766,30 @@ def test_sorted_index_early_termination(ray_session):
         zip(t["n_chars"].to_pylist(), t["doc_id"].to_pylist()),
         key=lambda x: (-x[0], x[1]),
     )[:10]
-    assert [idmap[int(x)] for x in d] == [doc for _, doc in rows]
+    assert _ext_ids(r, d).tolist() == [doc for _, doc in rows]
     assert v.tolist() == [float(nc) for nc, _ in rows]
+
+
+def test_ext_ids_equal_per_row_url_parse(ray_session):
+    """``_ext_ids`` over an index of several doc parts whose rows are not
+    in documents.doc_id order: unsorted, duplicated engine ids come back
+    in the caller's order, each equal to its own row's url parse."""
+    from apache___solr_ray.pipelines.indexq import _ext_ids, ensure_doc_index_sorted
+
+    r = IndexReader(ensure_doc_index_sorted("/root/testdata/sf0.001"))
+    assert r.n_doc_parts >= 2
+    per_row = {
+        (p << 32) + row: int(url[len("doc://") :])
+        for p in range(r.n_doc_parts)
+        for row, url in enumerate(r.doc_column(p, "url").to_pylist())
+    }
+    engine = np.array(sorted(per_row), dtype=np.int64)
+    assert np.diff([per_row[int(d)] for d in engine]).min() < 0  # engine order != doc_id order
+    ids = np.random.default_rng(0).choice(engine, size=3 * len(engine))
+    got = _ext_ids(r, ids)
+    assert got.dtype == np.int64
+    assert got.tolist() == [per_row[int(d)] for d in ids]
+    assert _ext_ids(r, ids[:0]).tolist() == []
 
 
 def test_sorted_cursor_pages_equal_topk_prefix(ray_session):

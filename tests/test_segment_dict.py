@@ -58,8 +58,10 @@ def _check_lookups(seg_dir: str, group: pa.Table) -> None:
         h = segment.term_hash(np.array([t], dtype=object))[0]
         assert r.lookup(t, h) == row, t
         docs = group.filter(pc.equal(group.column("term"), t)).column("doc_id")
-        assert r.postings(t, h).decode_all()[0].tolist() == sorted(docs.to_pylist())
-        assert r.term_stats(t) == (tbl.column("df")[row].as_py(), tbl.column("ttf")[row].as_py())
+        view, df, ttf = r.postings(t, h)
+        assert view.decode_all()[0].tolist() == sorted(docs.to_pylist())
+        assert r.term_stats(t) == (df, ttf)
+        assert (df, ttf) == (tbl.column("df")[row].as_py(), tbl.column("ttf")[row].as_py())
     for t in ABSENT:
         assert r.lookup(t) == -1, t
         assert r.postings(t) is None and r.term_stats(t) is None
@@ -144,6 +146,37 @@ def _segment_fds(idx: str) -> list[str]:
         if target.startswith(root):
             out.append(target)
     return out
+
+
+def test_term_postings_looks_up_once_per_segment(small_index, tmp_path_factory, monkeypatch):
+    """``IndexReader.term_postings`` makes one ``SegmentReader.lookup`` in
+    each segment of the term's tkey (the view, df and ttf come from that
+    one row), and none for a cached term."""
+    d, _idx, _cfg, _man = small_index
+    idx = str(tmp_path_factory.mktemp("index_dict_split"))
+    cfg = IndexConfig(term_partitions=2, target_docs_per_part=128, max_postings_per_segment=1500)
+    build_index(d, idx, cfg)
+    r = IndexReader(idx)
+    td = r.term_dict()
+    terms = td.column("term").to_pylist()[::7] + ["no_such_term_xyzzy"]
+    calls = []
+    orig = SegmentReader.lookup
+    monkeypatch.setattr(
+        SegmentReader, "lookup", lambda self, t, h=None: calls.append(self.dir) or orig(self, t, h)
+    )
+    df_of = dict(zip(td.column("term").to_pylist(), td.column("df").to_pylist()))
+    most = 0
+    for t in terms:
+        calls.clear()
+        tp = r.term_postings(t)
+        segs = r._term_readers(segment.term_hash(np.array([t], dtype=object))[0])
+        assert sorted(calls) == sorted(s.dir for s in segs), t
+        most = max(most, len(segs))
+        assert (tp.df if tp else 0) == df_of.get(t, 0), t
+        calls.clear()
+        assert r.term_postings(t) is tp and calls == []
+    assert most >= 2  # some tkey is split into several segments
+    r.close()
 
 
 def test_close_unmaps_every_segment(small_index):
