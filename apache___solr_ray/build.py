@@ -174,7 +174,7 @@ class IndexConfig:
             f"T={self.term_partitions};"
             f"part={self.target_docs_per_part};stop={sorted(self.stopwords)};"
             f"html={self.text_from_html};pos={int(self.store_positions)};"
-            f"flds=[{';'.join(f.key() for f in self.fields)}];fmt=8"
+            f"flds=[{';'.join(f.key() for f in self.fields)}];fmt=9"
             + (f";sort={self.sort_field}:{int(self.sort_desc)}" if self.sort_field else "")
         )
 
@@ -481,7 +481,6 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
         "url": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in urls])
         if urls
         else pa.array([], pa.string()),
-        "doc_id": pa.array((part_id << 32) + np.arange(row_base, dtype=np.int64)),
         "doc_len": pa.array(doc_len_all, pa.int64()),
         "norm": pa.array(int_to_byte4_array(doc_len_all)),
         "lang": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in langs])
@@ -640,7 +639,30 @@ def _make_storage_segment_fn(
             norm_cache[part_id] = _load_part_norms(index_dir, part_id, field_names)
         return norm_cache[part_id]
 
+    # each postings_raw part file is opened once per block (a block's
+    # segments read row groups of the same parts) and closed when it ends
+    part_files: dict[str, pq.ParquetFile] = {}
+
+    def _part_file(path: str) -> pq.ParquetFile:
+        f = part_files.get(path)
+        if f is None:
+            # read_dictionary keeps terms dictionary-encoded end to end
+            # (segment encode sorts the dictionary, not the postings
+            # strings): materializing dense strings here measured 2.3×
+            # slower at 32-way — phase B is memory-bandwidth-bound, so
+            # decompressed width is wall time
+            f = part_files[path] = pq.ParquetFile(path, read_dictionary=["term"])
+        return f
+
     def build_one(batch: pa.Table) -> pa.Table:
+        try:
+            return _build_block(batch)
+        finally:
+            for f in part_files.values():
+                f.close()
+            part_files.clear()
+
+    def _build_block(batch: pa.Table) -> pa.Table:
         _limit_threads()
         out = []
         for row in batch.to_pylist():
@@ -660,14 +682,7 @@ def _make_storage_segment_fn(
             else:
                 pieces = []
                 for p, rg in zip(row["paths"], row["rgs"]):
-                    # read_dictionary keeps terms dictionary-encoded end to
-                    # end (segment encode sorts the dictionary, not the
-                    # postings strings): materializing dense strings here
-                    # measured 2.3× slower at 32-way — phase B is memory-
-                    # bandwidth-bound, so decompressed width is wall time
-                    t = pq.ParquetFile(p, read_dictionary=["term"]).read_row_groups(
-                        [rg], columns=read_cols
-                    )
+                    t = _part_file(p).read_row_groups([rg], columns=read_cols)
                     part_id = int(os.path.basename(p)[len("part-") : -len(".parquet")])
                     rows_np = t.column("row").combine_chunks().to_numpy()
                     doc = (part_id << 32) + rows_np.astype(np.int64)

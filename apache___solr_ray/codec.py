@@ -8,12 +8,13 @@ as a numpy-codable layout.
 
 Per-term payload::
 
-    u16 n_blocks
-    u32 d_len            (delta VInt stream length in bytes)
-    u32 t_len            (tf VInt stream length in bytes)
-    u32 p_len            (position VInt stream length in bytes; 0 = field
+    VInt n_blocks        (ceil(df / BLOCK))
+    VInt d_len           (delta VInt stream length in bytes)
+    VInt t_len           (tf VInt stream length in bytes)
+    VInt p_len           (position VInt stream length in bytes; 0 = field
                           indexed without positions — omitTermFreqAndPositions)
-    n_blocks × block header (fixed 27 bytes → this IS the skip data):
+    n_blocks × block header, ONLY when n_blocks > 1 (fixed 27 bytes → this
+    IS the skip data):
         u64  last_doc_id  (inclusive; enables binary-search skipping)
         u32  d_off        (block's byte offset within the delta stream)
         u32  t_off        (block's byte offset within the tf stream)
@@ -33,6 +34,13 @@ Per-term payload::
                    raw bytes without re-encoding. Laid out LAST so BM25
                    evaluation never touches it; only phrase queries pay.)
 
+A term of at most ``BLOCK`` postings (nearly every term of a segment) is one
+block and stores no header: there is nothing to skip within it, as Lucene
+writes no skip or impact data for a term with fewer than ``BLOCK_SIZE``
+docs. Its df is the norm section's length, ``len(payload) - n_base -
+p_len``, and ``PostingsView.headers`` derives its one header from a decode
+when a caller asks for it.
+
 Scoring needs (tf, norm) per posting; storing the norm byte inline (as
 Lucene's impact lists pair (freq, norm)) means query evaluation never
 touches a doc-side norms table — essential at 10^12 docs where a global
@@ -40,7 +48,8 @@ norms array cannot be broadcast.
 
 Both encode and decode are numpy-vectorized (no per-posting Python); the
 group encoder ``encode_postings_group`` VInt-codes an entire shuffle group
-(hundreds of thousands of postings) in one pass and only slices per term.
+(hundreds of thousands of postings), preludes included, in one pass and
+only slices per term.
 """
 
 from __future__ import annotations
@@ -60,7 +69,6 @@ _HEADER_DTYPE = np.dtype(
     ]
 )
 HEADER_BYTES = _HEADER_DTYPE.itemsize  # 27
-_PRELUDE = 2 + 4 + 4 + 4  # u16 n_blocks, u32 d_len, u32 t_len, u32 p_len
 
 
 def _varint_lengths(v: np.ndarray) -> np.ndarray:
@@ -148,8 +156,8 @@ def encode_postings_group(
 
     ``doc_ids``/``tfs``/``norms`` are the whole group's columns sorted by
     (term, doc_id); ``starts``/``ends`` delimit each term's run. The VInt
-    math runs once over the full arrays; the per-term Python work is six
-    buffer slices + one join.
+    math, the preludes' included, runs once over the full arrays; the
+    per-term Python work is six buffer slices and their concatenation.
 
     ``pos_data``/``pos_off``: optional per-posting position payloads —
     ``pos_data`` is a uint8 array of already-VInt-gap-encoded positions in
@@ -188,8 +196,6 @@ def encode_postings_group(
     # per-term block layout, all vectorized
     dfs = ends - starts
     nb = (dfs + BLOCK - 1) // BLOCK
-    if nb.max(initial=0) > 0xFFFF:
-        raise ValueError("term posting list too long for one part (use salting)")
     total_blocks = int(nb.sum())
     term_of_block = np.repeat(np.arange(n_terms, dtype=np.int64), nb)
     first_block = np.zeros(n_terms + 1, dtype=np.int64)
@@ -210,35 +216,48 @@ def encode_postings_group(
         pos_off = np.asarray(pos_off, dtype=np.int64)
         headers["p_off"] = (pos_off[bs] - pos_off[starts[term_of_block]]).astype(np.uint32)
         p_bytes = pos_data.tobytes() if isinstance(pos_data, np.ndarray) else bytes(pos_data)
+    # only multi-block terms keep their headers
+    multi = nb > 1
+    hdr_bytes = headers[multi[term_of_block]].tobytes()
+    h_pos = np.zeros(n_terms + 1, dtype=np.int64)
+    np.cumsum(np.where(multi, nb, 0) * HEADER_BYTES, out=h_pos[1:])
+
+    # every term's four prelude VInts in one pass
+    prelude = np.zeros((n_terms, 4), dtype=np.int64)
+    prelude[:, 0] = nb
+    prelude[:, 1] = d_pos[ends] - d_pos[starts]
+    prelude[:, 2] = t_pos[ends] - t_pos[starts]
+    if pos_data is not None:
+        prelude[:, 3] = pos_off[ends] - pos_off[starts]
+    if prelude[:, 1:].max() >= 2**32:
+        raise ValueError("term posting list too long for one segment (use salting)")
+    pre = prelude.ravel().astype(np.uint64)
+    pre_len = _varint_lengths(pre)
+    pre_pos = np.zeros(len(pre) + 1, dtype=np.int64)
+    np.cumsum(pre_len, out=pre_pos[1:])
+    pre_bytes = _varint_fill(pre, pre_len, pre_pos).tobytes()
 
     d_bytes = d_stream.tobytes()
     t_bytes = t_stream.tobytes()
     n_bytes = norms.tobytes()
-    hdr_bytes = headers.tobytes()
 
-    out: list[bytes] = []
-    for i in range(n_terms):
-        s, e = starts[i], ends[i]
-        dl = int(d_pos[e] - d_pos[s])
-        tl = int(t_pos[e] - t_pos[s])
-        pl = int(pos_off[e] - pos_off[s]) if pos_data is not None else 0
-        prelude = (
-            int(nb[i]).to_bytes(2, "little")
-            + dl.to_bytes(4, "little")
-            + tl.to_bytes(4, "little")
-            + pl.to_bytes(4, "little")
-        )
-        payload = (
-            prelude
-            + hdr_bytes[first_block[i] * HEADER_BYTES : first_block[i + 1] * HEADER_BYTES]
-            + d_bytes[d_pos[s] : d_pos[e]]
-            + t_bytes[t_pos[s] : t_pos[e]]
-            + n_bytes[s:e]
-        )
-        if pos_data is not None:
-            payload += p_bytes[pos_off[s] : pos_off[e]]
-        out.append(payload)
-    return out
+    pp, hp = pre_pos[::4].tolist(), h_pos.tolist()
+    ds, de = d_pos[starts].tolist(), d_pos[ends].tolist()
+    ts, te = t_pos[starts].tolist(), t_pos[ends].tolist()
+    ns, ne = starts.tolist(), ends.tolist()
+    if pos_data is None:
+        p_bytes, ps, pe = b"", [0] * n_terms, [0] * n_terms
+    else:
+        ps, pe = pos_off[starts].tolist(), pos_off[ends].tolist()
+    return [
+        pre_bytes[pp[i] : pp[i + 1]]
+        + hdr_bytes[hp[i] : hp[i + 1]]
+        + d_bytes[ds[i] : de[i]]
+        + t_bytes[ts[i] : te[i]]
+        + n_bytes[ns[i] : ne[i]]
+        + p_bytes[ps[i] : pe[i]]
+        for i in range(n_terms)
+    ]
 
 
 def encode_postings(
@@ -328,46 +347,73 @@ def decode_postings_concat(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return docs.view(np.int64), tfs.astype(np.int64) + 1, norms
 
 
+def _read_prelude(payload) -> tuple[int, int, int, int, int]:
+    """A payload's four prelude VInts (n_blocks, d_len, t_len, p_len) and
+    the byte offset after them. Four small values: plain Python is faster
+    here than any numpy call."""
+    out, i = [], 0
+    for _ in range(4):
+        b = payload[i]
+        i += 1
+        v, shift = b & 0x7F, 7
+        while b & 0x80:
+            b = payload[i]
+            i += 1
+            v |= (b & 0x7F) << shift
+            shift += 7
+        out.append(v)
+    return out[0], out[1], out[2], out[3], i
+
+
 class PostingsView:
     """Lazy decoded view over one term's encoded payload.
 
     Exposes the skip data (block headers) without decoding posting data;
     blocks decode on demand — phrase evaluation reads headers to skip
-    blocks outside the docs it needs.
+    blocks outside the docs it needs. A single-block payload stores no
+    header: ``headers`` derives it from one decode on first use, and
+    ``doc_freq``, ``decode_blocks`` and ``decode_postings_concat`` never
+    need it.
     """
 
-    __slots__ = ("buf", "headers", "d_base", "t_base", "n_base", "p_base", "p_len", "n_off")
+    __slots__ = ("buf", "n_blocks", "d_base", "t_base", "n_base", "p_base", "p_len", "_headers")
 
     def __init__(self, payload: memoryview | bytes):
+        n_blocks, d_len, t_len, p_len, pos = _read_prelude(payload)
         buf = np.frombuffer(payload, dtype=np.uint8)
-        n_blocks = int(np.frombuffer(payload[:2], dtype="<u2")[0])
-        d_len = int(np.frombuffer(payload[2:6], dtype="<u4")[0])
-        t_len = int(np.frombuffer(payload[6:10], dtype="<u4")[0])
-        p_len = int(np.frombuffer(payload[10:14], dtype="<u4")[0])
-        self.headers = np.frombuffer(
-            payload[_PRELUDE : _PRELUDE + n_blocks * HEADER_BYTES], dtype=_HEADER_DTYPE
-        )
-        self.d_base = _PRELUDE + n_blocks * HEADER_BYTES
-        self.t_base = self.d_base + d_len
+        self._headers = None
+        if n_blocks > 1:
+            end = pos + n_blocks * HEADER_BYTES
+            self._headers = buf[pos:end].view(_HEADER_DTYPE)
+            pos = end
+        self.n_blocks = n_blocks
+        self.d_base = pos
+        self.t_base = pos + d_len
         self.n_base = self.t_base + t_len
-        n_off = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(self.headers["n_docs"].astype(np.int64), out=n_off[1:])
-        self.n_off = n_off
-        self.p_base = self.n_base + int(n_off[-1])
+        self.p_base = len(buf) - p_len
         self.p_len = p_len
         self.buf = buf
+
+    @property
+    def headers(self) -> np.ndarray:
+        """Per-block skip data (``_HEADER_DTYPE``, one row per block)."""
+        if self._headers is None:  # a single block: derive its header
+            docs, tfs, norms = self.decode_all()
+            h = np.zeros(1, dtype=_HEADER_DTYPE)
+            h["last_doc"] = docs[-1]
+            h["n_docs"] = len(docs)
+            h["max_tf"] = tfs.max()
+            h["min_norm"] = norms.min()
+            self._headers = h
+        return self._headers
 
     @property
     def has_positions(self) -> bool:
         return self.p_len > 0
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.headers)
-
-    @property
     def doc_freq(self) -> int:
-        return int(self.n_off[-1])
+        return self.p_base - self.n_base  # one norm byte per posting
 
     def decode_blocks(self, bis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode MANY blocks with two vectorized varint passes.
@@ -379,6 +425,12 @@ class PostingsView:
         if n_sel == 0:
             z = np.zeros(0, dtype=np.int64)
             return z, z.copy(), np.zeros(0, dtype=np.uint8)
+        if self.n_blocks == 1:  # the whole streams, no header
+            n = self.doc_freq
+            deltas = _decode_exact(self.buf[self.d_base : self.t_base], n)
+            tfs = _decode_exact(self.buf[self.t_base : self.n_base], n)
+            norms = self.buf[self.n_base : self.p_base].copy()
+            return np.cumsum(deltas.astype(np.int64)), tfs.astype(np.int64) + 1, norms
         h = self.headers
         nd = h["n_docs"][bis].astype(np.int64)
         total = int(nd.sum())
@@ -396,9 +448,9 @@ class PostingsView:
         )
         deltas, _ = varint_decode(dbuf, total)
         tfs, _ = varint_decode(tbuf, total)
-        norms = np.concatenate(
-            [self.buf[self.n_base + self.n_off[b] : self.n_base + self.n_off[b + 1]] for b in bis]
-        ).copy()
+        # every block but the last holds BLOCK postings
+        n_lo = self.n_base + bis * BLOCK
+        norms = np.concatenate([self.buf[a : a + k] for a, k in zip(n_lo, nd)])
         # docs: per block, base(prev block's last_doc, 0 for block 0) + cumsum
         starts = np.zeros(n_sel, dtype=np.int64)
         np.cumsum(nd[:-1], out=starts[1:])
@@ -425,10 +477,12 @@ class PostingsView:
             raise ValueError("segment was built without positions")
         if len(bis) == 0:
             return np.zeros(0, dtype=np.int64)
-        h = self.headers
-        p_off = h["p_off"].astype(np.int64)
-        p_ends = np.concatenate([p_off[1:], [self.p_len]])
-        pbuf = np.concatenate(
-            [self.buf[self.p_base + p_off[b] : self.p_base + p_ends[b]] for b in bis]
-        )
+        if self.n_blocks == 1:
+            pbuf = self.buf[self.p_base :]
+        else:
+            p_off = self.headers["p_off"].astype(np.int64)
+            p_ends = np.concatenate([p_off[1:], [self.p_len]])
+            pbuf = np.concatenate(
+                [self.buf[self.p_base + p_off[b] : self.p_base + p_ends[b]] for b in bis]
+            )
         return decode_position_stream(pbuf, tfs.astype(np.int64))

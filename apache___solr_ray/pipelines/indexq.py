@@ -2559,12 +2559,12 @@ def suggest_prefix_context(sf_dir: str):
     ``suggest.cfq``: suggestions restricted to documents matching a
     context filter — here lang='en'). Served from the multi-context path:
     docs are filtered by the context docvalue first, then term weights are
-    recounted over the filtered stream (one tokenize + groupby over the
-    context subset; at scale the context filter prunes at the read via the
-    lang column)."""
+    recounted over the filtered stream (one tokenize + count per block over
+    the context subset, then one task sums the blocks' counts and keeps the
+    top 10; at scale the context filter prunes at the read via the lang
+    column). Every stage emits the (term, weight) schema, empty blocks
+    included: Ray's groupby and sort emit schema-less empty blocks."""
     import pyarrow.compute as _pc
-
-    from ray.data.aggregate import Sum
 
     from apache___solr_ray.analyze import SIMPLE_TOKEN_RE
     from apache___solr_ray.sources import load as _load
@@ -2585,20 +2585,15 @@ def suggest_prefix_context(sf_dir: str):
             }
         )
 
-    agg = (
+    def top10(t: pa.Table) -> pa.Table:
+        t = t.group_by("term").aggregate([("weight", "sum")]).select(["term", "weight_sum"])
+        t = t.rename_columns(["term", "weight"])
+        return t.sort_by([("weight", "descending"), ("term", "ascending")]).slice(0, 10)
+
+    return (
         ds.map_batches(toks, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("weight", alias_name="weight"))
-    )
-    out = agg.sort(["weight", "term"], descending=[True, False]).limit(10)
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                "term": t.column("term"),
-                "weight": t.column("weight").cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+        .repartition(1)
+        .map_batches(top10, batch_format="pyarrow", batch_size=None)
     )
 
 

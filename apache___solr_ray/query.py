@@ -18,7 +18,7 @@ of ``QueryComponent.mergeIds``):
   accumulator; ``merge_topk`` is the one top-k selection. Lucene prunes
   with block-max WAND instead; on this engine's posting lists the bound
   bookkeeping cost more than the blocks it skipped, so no pruning is
-  done. The block headers stay in the format for phrase skipping;
+  done. Multi-block terms keep their block headers for phrase skipping;
 - per-doc columns (stored fields, facet, filter, group and sort values)
   are read only through ``IndexReader.doc_column`` / ``doc_values``, over
   the doc parts the committed manifest names — the reader of one commit
@@ -63,8 +63,8 @@ def _str_list(terms: pa.ChunkedArray) -> list[str]:
 class TermPostings:
     """All posting parts of one term: one view per segment of its tkey that
     holds it (several when phase B split the tkey into doc-range chunks, or
-    appends added segments). Each view holds a disjoint set of the term's
-    docs; views are ordered by their first block."""
+    appends added segments). Each view holds a disjoint range of the term's
+    docs; views are in doc order (the reader's segment order)."""
 
     __slots__ = ("term", "views", "df", "ttf")
 
@@ -91,16 +91,13 @@ class TermPostings:
         out_docs: list[np.ndarray] = []
         out_pos: list[np.ndarray] = []
         for v in self.views:
-            lasts = v.headers["last_doc"].astype(np.int64)
-            if len(lasts) == 0:
-                continue
-            cand = docs_sorted[docs_sorted <= lasts[-1]]
-            if len(cand) == 0:
-                continue
-            bis = np.unique(np.searchsorted(lasts, cand, side="left"))
-            bis = bis[bis < len(lasts)]
-            if len(bis) == 0:
-                continue
+            bis = np.zeros(1, dtype=np.int64)  # a single block: decode it
+            if v.n_blocks > 1:
+                lasts = v.headers["last_doc"].astype(np.int64)
+                cand = docs_sorted[docs_sorted <= lasts[-1]]
+                bis = np.unique(np.searchsorted(lasts, cand, side="left"))
+                if len(bis) == 0:
+                    continue
             d, t, _ = v.decode_blocks(bis)
             sel = np.isin(d, docs_sorted, assume_unique=True)
             if not sel.any():
@@ -145,8 +142,10 @@ class IndexReader:
                 if p_hi <= part_range[0] or p_lo >= part_range[1]:
                     continue
             self._segments_by_tkey.setdefault(s["tkey"], []).append(s)
+        # doc order: a tkey's segments cover disjoint, ascending part
+        # ranges (phase-B salts chunk them; merges fold only neighbours)
         for v in self._segments_by_tkey.values():
-            v.sort(key=lambda s: s["salt"])
+            v.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"]))
         self._readers: dict[str, SegmentReader] = {}
         self._term_dict: pa.Table | None = None
         self._term_cache: OrderedDict[str, TermPostings | None] = OrderedDict()
@@ -230,9 +229,6 @@ class IndexReader:
                 views.append(hit[0])
                 df += hit[1]
                 ttf += hit[2]
-        # a term's views hold disjoint doc ranges (each posting row lands in
-        # exactly one segment); order them by doc range for global doc order
-        views.sort(key=lambda v: int(v.headers["last_doc"][0]) if len(v.headers) else 0)
         out = TermPostings(term, views, df, ttf) if views else None
         self._term_cache[term] = out
         if len(self._term_cache) > 4096:

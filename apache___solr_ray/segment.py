@@ -11,7 +11,8 @@ reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
   ttf (u32), the ``postings.bin`` offsets (u64, n+1) and the terms as an
   Arrow string column (i32 offsets, n+1, then UTF-8 bytes)
 - ``postings.bin``  — concatenated per-term payloads (codec.py layout:
-  VInt deltas + tfs + inline norms in 128-doc blocks with fixed-size
+  a VInt prelude, then VInt deltas + tfs + inline norms in 128-doc
+  blocks; only a term of more than one block carries fixed-size
   block-max skip headers)
 - ``meta.json``     — segment identity: tkey (term-hash partition), salt
   (the doc-range chunk index within the tkey when phase B splits a bucket
@@ -48,7 +49,8 @@ from apache___solr_ray.manifest import write_json_atomic
 
 # v2: optional per-posting position stream in the codec
 # v3: the term dictionary is terms.bin (hash-indexed, memory-mapped)
-FORMAT_VERSION = 3
+# v4: VInt payload prelude; a single-block term stores no block header
+FORMAT_VERSION = 4
 
 HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
 

@@ -16,7 +16,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [ROOT, os.environ.get("P
 SF = os.environ.get("CHECK_SF", "/root/testdata/sf0.01")
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
-ray.init(address="local", num_cpus=32, include_dashboard=False, ignore_reinit_error=True)
+# The CPUs one checked entry needs at once: multimodal_resize_plan chains two
+# actor pools of at least one 1-CPU actor each, and its read tasks need a
+# third CPU (on 2 it waits for one forever). Above the host's CPUs Ray only
+# starts idle workers.
+MIN_CPUS = 3
+ray.init(address="local", num_cpus=max(len(os.sched_getaffinity(0)), MIN_CPUS),
+         include_dashboard=False, ignore_reinit_error=True)
 
 import __ray_entry__ as E
 

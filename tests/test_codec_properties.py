@@ -2,21 +2,32 @@
 posting list — huge doc-id gaps (cross-partition: part_id << 32), tf up to
 int32, many blocks, single-posting lists — the group encoder equals the
 single-term encoder payload-for-payload, and the whole-stream decode of
-many views equals their concatenated per-block decodes."""
+many views equals their concatenated per-block decodes. Single-block
+payloads (no stored header) round-trip with and without positions, their
+derived header equals the one the payload used to store, and the phrase
+path decodes them once."""
+
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apache___solr_ray.codec import (
+    _HEADER_DTYPE,
     BLOCK,
+    HEADER_BYTES,
     PostingsView,
     decode_postings_concat,
+    encode_position_gaps,
     encode_postings,
     encode_postings_group,
     varint_decode,
     varint_encode,
 )
+from apache___solr_ray.query import IndexReader, TermPostings
+from apache___solr_ray.segment import SegmentReader, segment_name
 
 
 @given(
@@ -122,3 +133,136 @@ def test_decode_concat_equals_decode_blocks(term_lists, small):
     for g, want, dtype in zip(got, zip(*parts), (np.int64, np.int64, np.uint8)):
         assert g.dtype == dtype
         assert g.tolist() == np.concatenate(want).tolist()
+
+
+# -- single-block payloads (no stored header) ---------------------------------
+
+DFS = (1, 2, 127, 128, 129, 256, 257)
+
+
+def _term_data(df: int, seed: int):
+    """Ascending doc ids with part bits, tfs, norms and each posting's
+    ascending positions (``tf`` of them)."""
+    rng = np.random.default_rng(seed)
+    docs = np.cumsum(rng.integers(1, 400, df)).astype(np.int64) + (np.int64(3) << 32)
+    tfs = rng.integers(1, 6, df).astype(np.int64)
+    tfs[rng.integers(df)] = 300  # one tf past a one-byte VInt
+    norms = rng.integers(0, 256, df).astype(np.uint8)
+    pos = [np.sort(rng.choice(5000, size=int(t), replace=False)) for t in tfs]
+    return docs, tfs, norms, pos
+
+
+def _encode(docs, tfs, norms, pos, with_pos: bool) -> bytes:
+    if not with_pos:
+        return encode_postings(docs, tfs, norms)
+    streams = [encode_position_gaps(p, np.zeros(1, dtype=np.int64)) for p in pos]
+    pos_off = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in streams], out=pos_off[1:])
+    return encode_postings(docs, tfs, norms, pos_data=np.concatenate(streams), pos_off=pos_off)
+
+
+def _old_headers(docs, tfs, norms, pos) -> np.ndarray:
+    """The block headers every payload stored before single-block payloads
+    dropped theirs, rebuilt from the raw postings."""
+    def vint_len(v) -> int:
+        return len(varint_encode(np.array([v], dtype=np.uint64)))
+
+    d_len = np.array([vint_len(d) for d in np.diff(docs, prepend=np.int64(0))])
+    t_len = np.array([vint_len(t - 1) for t in tfs])
+    p_len = np.array([len(encode_position_gaps(p, np.zeros(1, dtype=np.int64))) for p in pos])
+    rows = []
+    for s in range(0, len(docs), BLOCK):
+        e = min(s + BLOCK, len(docs))
+        offs = d_len[:s].sum(), t_len[:s].sum()
+        rows.append((docs[e - 1], *offs, e - s, tfs[s:e].max(), norms[s:e].min(), p_len[:s].sum()))
+    return np.array(rows, dtype=_HEADER_DTYPE)
+
+
+@pytest.mark.parametrize("with_pos", [False, True])
+@pytest.mark.parametrize("df", DFS)
+def test_single_and_multi_block_roundtrip(df, with_pos):
+    docs, tfs, norms, pos = _term_data(df, seed=df)
+    payload = _encode(docs, tfs, norms, pos, with_pos)
+    v = PostingsView(payload)
+    n_blocks = -(-df // BLOCK)
+    assert v.n_blocks == n_blocks and v.doc_freq == df and v.has_positions == with_pos
+    # the streams follow the VInt prelude, and the headers only when there
+    # is more than one block
+    prelude = varint_encode(
+        np.array([n_blocks, v.t_base - v.d_base, v.n_base - v.t_base, v.p_len], dtype=np.uint64)
+    )
+    n_headers = n_blocks if n_blocks > 1 else 0
+    assert payload[: len(prelude)] == prelude.tobytes()
+    assert v.d_base == len(prelude) + n_headers * HEADER_BYTES
+    for got, want in zip(v.decode_all(), (docs, tfs, norms)):
+        assert got.tolist() == want.tolist()
+    for got, want in zip(decode_postings_concat([v, v]), (docs, tfs, norms)):
+        assert got.tolist() == np.concatenate([want, want]).tolist()
+    want_h = _old_headers(docs, tfs, norms, pos)
+    if not with_pos:
+        want_h["p_off"] = 0
+    assert v.headers.tolist() == want_h.tolist()
+    if with_pos:
+        tp = TermPostings("t", [v], df, int(tfs.sum()))
+        pick = np.sort(np.random.default_rng(df).choice(docs, size=max(1, df // 3), replace=False))
+        doc_rep, got_pos = tp.positions_for_docs(pick)
+        sel = np.isin(docs, pick)
+        assert doc_rep.tolist() == np.repeat(docs[sel], tfs[sel]).tolist()
+        assert got_pos.tolist() == np.concatenate([p for p, s in zip(pos, sel) if s]).tolist()
+
+
+@pytest.fixture(scope="module")
+def built_index(ray_session, tmp_path_factory):
+    """A small index with salted doc-range segments (several views per
+    term) and terms of more than one block."""
+    from apache___solr_ray.build import IndexConfig, build_index
+    from apache___solr_ray.corpus import write_pages
+
+    d = str(tmp_path_factory.mktemp("pages_codec"))
+    write_pages(d, 400, seed=13, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_codec"))
+    cfg = IndexConfig(term_partitions=3, target_docs_per_part=128, max_postings_per_segment=8000)
+    man = build_index(d, idx, cfg)
+    return idx, man
+
+
+def test_view_doc_freq_equals_dictionary_df(built_index):
+    idx, man = built_index
+    n_multi = 0
+    for s in man["segments"]:
+        r = SegmentReader(os.path.join(idx, "segments", segment_name(s)))
+        views = r.postings_views()
+        assert [v.doc_freq for v in views] == r.terms_table().column("df").to_pylist()
+        n_multi += sum(v.n_blocks > 1 for v in views)
+        r.close()
+    assert n_multi > 0
+
+
+def test_phrase_path_decodes_a_single_block_view_once(built_index, monkeypatch):
+    """Reading a single-block view's positions decodes it once: the phrase
+    path reads no header of it (deriving one is a decode of its own)."""
+    idx, _ = built_index
+    calls: dict[int, int] = {}
+    orig = PostingsView.decode_blocks
+
+    def counting(self, bis):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return orig(self, bis)
+
+    r = IndexReader(idx)
+    terms = r.term_dict().sort_by([("df", "descending")]).column("term").to_pylist()
+    for a, b in zip(terms[:6], terms[6:12]):
+        docs, freqs, _ = r.phrase_freqs(f"{a} {b}")
+        assert len(docs) == len(freqs)
+    monkeypatch.setattr(PostingsView, "decode_blocks", counting)
+    views = []
+    for t in terms[:12]:
+        tp = r.term_postings(t)
+        cand = tp.decode_all()[0][::3]
+        calls.clear()
+        tp.positions_for_docs(cand)
+        views += tp.views
+        assert all(calls[id(v)] == 1 for v in tp.views if v.n_blocks == 1)
+    assert any(v.n_blocks == 1 for v in views) and any(v.n_blocks > 1 for v in views)
+    assert all(v._headers is None for v in views if v.n_blocks == 1)
+    r.close()

@@ -511,9 +511,15 @@ def test_fetch_fields_and_boosted_topk(built):
 @pytest.fixture(scope="module")
 def doc_rows(built):
     """Every committed doc's sidecar row by doc id, read straight from the
-    part files: the per-id oracle of ``doc_values``."""
-    t = pq.read_table(os.path.join(built[0], "docs"))
-    return {row["doc_id"]: row for row in t.to_pylist()}
+    part files: the per-id oracle of ``doc_values``. A doc's id is
+    ``(part << 32) + row``."""
+    out = {}
+    docs_dir = os.path.join(built[0], "docs")
+    for f in sorted(os.listdir(docs_dir)):
+        part = int(f[len("part-") : -len(".parquet")])
+        rows = pq.read_table(os.path.join(docs_dir, f)).to_pylist()
+        out.update({(part << 32) + i: row for i, row in enumerate(rows)})
+    return out
 
 
 @settings(max_examples=30, deadline=None)

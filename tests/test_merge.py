@@ -358,8 +358,14 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
 
     # every doc tombstoned -> the merged tkey is an empty, readable segment
     src = [s for s in whole["segments"] if s["tkey"] == 0]
-    all_docs = pq.read_table(os.path.join(idx_whole, "docs"), columns=["doc_id"])
-    tombs = np.sort(all_docs.column("doc_id").to_numpy())
+    docs_dir = os.path.join(idx_whole, "docs")
+    tombs = np.sort(
+        [
+            (int(f[len("part-") : -len(".parquet")]) << 32) + row
+            for f in os.listdir(docs_dir)
+            for row in range(pq.ParquetFile(os.path.join(docs_dir, f)).metadata.num_rows)
+        ]
+    ).astype(np.int64)
     meta = _merge_group(idx_whole, 0, src, "seg-00000-empty", tombs=tombs)
     assert (meta["n_terms"], meta["n_postings"], meta["bytes"]) == (0, 0, 0)
     empty = SegmentReader(os.path.join(idx_whole, "segments", "seg-00000-empty"))

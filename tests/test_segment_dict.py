@@ -97,6 +97,20 @@ def test_empty_segment_and_u32_stats(tmp_path):
         write_segment(str(tmp_path / "big"), 0, 0, ["a"], [b"x"], [1], [2**32])
 
 
+def test_older_segment_format_asks_for_a_rebuild(tmp_path):
+    """A segment written at an older format version (its payloads use
+    another codec layout) is refused, not misread."""
+    seg_dir = str(tmp_path / "seg")
+    build_segment_from_group(_group(_vocab(50, seed=4), seed=4), seg_dir, 0, 0)
+    path = os.path.join(seg_dir, "terms.bin")
+    with open(path, "r+b") as f:
+        f.seek(8)  # the header's u64 version, after the magic
+        f.write((segment.FORMAT_VERSION - 1).to_bytes(8, "little"))
+    want = rf"not segment format v{segment.FORMAT_VERSION}; rebuild"
+    with pytest.raises(RuntimeError, match=want):
+        SegmentReader(seg_dir)
+
+
 def test_open_allocates_no_python_object_per_term(tmp_path):
     terms = _vocab(12_000, seed=2)
     assert len(terms) >= 10_000
@@ -242,7 +256,7 @@ def test_segment_format_change_reencodes_segments_and_resumes_phase_a(
     for s in old["segments"]:
         os.remove(os.path.join(idx, "segments", s["name"], "terms.bin"))
     seg_dir = os.path.join(idx, "segments", old["segments"][0]["name"])
-    with pytest.raises(RuntimeError, match=r"format v3.*rebuild"):
+    with pytest.raises(RuntimeError, match=rf"format v{segment.FORMAT_VERSION}.*rebuild"):
         SegmentReader(seg_dir)
 
     raw = os.path.join(idx, "postings_raw")
