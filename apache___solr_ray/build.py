@@ -14,32 +14,42 @@ CPU-sized Ray Data blocks, see ``_run_stage``):
     lineage manifest. Term statistics are not written here: the committed
     segments' term dictionaries are the one vocabulary
     (``IndexReader.term_dict``), so a merge can never leave them stale.
-    A partition whose manifest matches its input fingerprint is skipped on
-    resume — the "no re-tokenizing completed partitions" checkpoint; the
-    persisted postings_raw is the Lucene flushed-segment analog.
+    A partition whose manifest matches its input fingerprint is not
+    dispatched on resume — the "no re-tokenizing completed partitions"
+    checkpoint; the persisted postings_raw is the Lucene flushed-segment
+    analog.
 
 Phase B  (the term-hash shuffle, through shared storage): phase A already
     wrote each part's postings SORTED by tkey with Parquet row-group
     boundaries aligned to tkey runs, and recorded the (row-group, n_rows)
     map per tkey in its lineage manifest. Phase B is then an
     embarrassingly parallel stage over the (tkey, salt) segment plan: each
-    segment reads exactly its bucket's row groups from every part file
+    segment takes exactly its bucket's row groups from every part file
     (column pruning + row-group pruning — no object-store all-to-all at
-    all) and is encoded with ``segment.build_segment_from_group``; merges
-    write through the same encoder. Segments run as a few CPU-sized
-    blocks, each looping over its segments, not one task per segment.
-    Skew handling is uniform *doc-range splitting*: a bucket whose total
+    all). Segments run as a few CPU-sized blocks, not one task per
+    segment, and a block encodes its segments in *encode batches* (Lucene
+    likewise flushes a whole RAM buffer's postings in one pass):
+    consecutive segments whose summed postings stay within
+    ``max_postings_per_segment`` are read with one ``read_row_groups`` per
+    part file, sorted once and encoded with one
+    ``segment.build_segments_from_group`` call, which splits the payloads
+    into segment directories; merges write through the same encoder. Skew
+    handling is uniform *doc-range splitting*: a bucket whose total
     postings exceed ``max_postings_per_segment`` is split into contiguous
     part-range chunks (salt = chunk index) — sub-segments stay
-    doc-ordered, so query-side views concatenate for free. Shuffle bytes
-    ride the shared filesystem that already holds phase A's outputs and
-    the segments, not RAM.
+    doc-ordered, so query-side views concatenate for free — so that cap
+    bounds a batch's memory too. A segment directory is named by its
+    input lineage and never rewritten once committed. Shuffle bytes ride
+    the shared filesystem that already holds phase A's outputs and the
+    segments, not RAM.
 
 Commit: one atomic ``index_manifest.json`` swap (the segments_N
 pointer-swap analog) naming the segments, the collection stats (the
 ExactStatsCache global stats, reference ``CollectionStats.java:24-27``),
 which count deleted docs until a purge merge as Lucene's do, and the
 delete set, carried over from the previous commit (``_carry_deletes``).
+Only after the swap are the segment directories the commit does not name
+removed; readers of the previous commit keep the files they mapped.
 
 Doc-id assignment: ``doc_id = part_id << 32 | row_in_partition`` where
 partitions are deterministic (sorted file paths × row-group ranges). Unlike
@@ -77,8 +87,7 @@ from apache___solr_ray.manifest import (
 )
 from apache___solr_ray.segment import (
     FORMAT_VERSION,
-    build_segment_from_group,
-    segment_name,
+    build_segments_from_group,
     term_hash,
 )
 
@@ -289,18 +298,22 @@ def _paths_of(input_path: str | list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _part_manifest(index_dir: str, part_id: int) -> str:
+    return os.path.join(index_dir, "manifests", f"part-{part_id:06d}.json")
+
+
+def _part_fingerprint(desc: dict, cfg: IndexConfig) -> str:
+    """A part's lineage: its input slice AND the build config, so a config
+    change (e.g. term_partitions, which bakes tkey into postings_raw)
+    invalidates it."""
+    return f"{desc['fingerprint']}|{cfg.fingerprint()}"
+
+
 def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
     _limit_threads()
     part_id = int(desc["part_id"])
-    man_path = os.path.join(index_dir, "manifests", f"part-{part_id:06d}.json")
-    # fingerprint covers input slice AND build config: a config change (e.g.
-    # term_partitions, which bakes tkey into postings_raw) invalidates parts
-    part_fp = f"{desc['fingerprint']}|{cfg.fingerprint()}"
-    existing = is_valid(man_path, part_fp)
-    if existing is not None:
-        existing["resumed"] = True
-        return existing
-
+    man_path = _part_manifest(index_dir, part_id)
+    part_fp = _part_fingerprint(desc, cfg)
     t0 = time.time()
     analyzer = Analyzer(stopwords=cfg.stopwords)
     pf = pq.ParquetFile(desc["path"])
@@ -620,15 +633,45 @@ def _load_part_norms(index_dir: str, part_id: int, field_names: tuple[str, ...])
     return np.stack([dt.column("norm").to_numpy(), *map(int_to_byte4_array, lens)])
 
 
-def _make_storage_segment_fn(
-    index_dir: str,
-    n_doc_parts: int,
-    store_positions: bool = False,
-    field_names: tuple[str, ...] = (),
-):
-    read_cols = ["term", "row", "tf"] + (["pos"] if store_positions else [])
+def _segment_dir_name(tkey: int, salt: int, lineage: str) -> str:
+    """A phase-B segment's directory: named by its input lineage too, so a
+    rebuild of the same (tkey, salt) from other inputs writes a new
+    directory and never rewrites one a commit names."""
+    return f"seg-{tkey:05d}-{salt:05d}-{lineage[:12]}"
+
+
+def _encode_batches(rows: list[dict], cap: int) -> list[list[dict]]:
+    """Consecutive runs of segment rows whose summed ``expected`` postings
+    stay <= ``cap`` (the most one segment may hold); a segment over the cap
+    on its own is a batch of one."""
+    batches: list[list[dict]] = []
+    acc = 0
+    for row in rows:
+        n = int(row["expected"])
+        if not batches or acc + n > cap:
+            batches.append([])
+            acc = 0
+        batches[-1].append(row)
+        acc += n
+    return batches
+
+
+def _part_id_of(path: str) -> int:
+    return int(os.path.basename(path)[len("part-") : -len(".parquet")])
+
+
+#: phase B's output: one row per segment
+_SEGMENT_ROW = pa.schema(
+    [(k, pa.int64()) for k in ("skey", "tkey", "salt", "n_terms", "n_postings", "bytes", "part_lo", "part_hi")]
+    + [("name", pa.string()), ("lineage", pa.string()), ("resumed", pa.bool_()), ("batch_sec", pa.float64())]
+)
+
+
+def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int):
+    field_names = tuple(f.name for f in cfg.fields)
+    read_cols = ["term", "row", "tf"] + (["pos"] if cfg.store_positions else [])
     # each part's norm matrix is read from its docs sidecar once per block:
-    # map_batches re-deserializes the fn per task, so every segment of a
+    # map_batches re-deserializes the fn per task, so every batch of a
     # block shares this cache
     norm_cache: dict[int, np.ndarray] = {}
 
@@ -662,90 +705,97 @@ def _make_storage_segment_fn(
                 f.close()
             part_files.clear()
 
+    def _encode(rows: list[dict]) -> list[dict]:
+        """Build one encode batch's segments: one ``read_row_groups`` and
+        one norm gather per part file, then one sort and one encode."""
+        by_path: dict[str, list[tuple[int, int]]] = {}  # path -> [(row group, segment)]
+        for j, row in enumerate(rows):
+            for p, rg in zip(row["paths"], row["rgs"]):
+                by_path.setdefault(p, []).append((int(rg), j))
+        pieces, segs = [], []
+        for p, pairs in by_path.items():
+            pairs.sort()
+            f = _part_file(p)
+            t = f.read_row_groups([rg for rg, _ in pairs], columns=read_cols)
+            n_rows = [f.metadata.row_group(rg).num_rows for rg, _ in pairs]
+            segs.append(np.repeat(np.array([j for _, j in pairs], np.int64), n_rows))
+            part_id = _part_id_of(p)
+            rows_np = t.column("row").to_numpy()
+            # norm is derived, not shipped: per-(field, doc) value from the
+            # docs sidecar, field resolved on the DICTIONARY (distinct
+            # terms), fanned out by code
+            norms2d = _norms(part_id)
+            term = t.column("term")
+            if field_names:
+                term = term.combine_chunks()
+                fid = _field_ids_of_dictionary(term.dictionary, field_names)
+                norm = norms2d[fid[term.indices.to_numpy(zero_copy_only=False)], rows_np]
+            else:
+                norm = norms2d[0, rows_np]
+            cols = {
+                "term": term,
+                "doc_id": pa.array((part_id << 32) + rows_np.astype(np.int64)),
+                "tf": t.column("tf"),
+                "norm": pa.array(norm),
+            }
+            if cfg.store_positions:
+                cols["pos"] = t.column("pos")
+            pieces.append(pa.table(cols))
+        specs = [
+            (
+                os.path.join(index_dir, "segments", row["name"]),
+                int(row["tkey"]), int(row["salt"]), {"lineage": row["lineage"]},
+            )
+            for row in rows
+        ]
+        group = pa.concat_tables(pieces, promote_options="permissive")
+        return build_segments_from_group(group, np.concatenate(segs), specs)
+
+    def _record(row: dict, meta: dict, resumed: bool, batch_sec: float | None) -> dict:
+        pids = [_part_id_of(p) for p in row["paths"]]
+        return {
+            "skey": int(row["tkey"]) * (n_doc_parts + 1) + int(row["salt"]),
+            "tkey": int(row["tkey"]),
+            "salt": int(row["salt"]),
+            "n_terms": int(meta["n_terms"]),
+            "n_postings": int(meta["n_postings"]),
+            "bytes": int(meta["bytes"]),
+            # covered doc-partition range: lets doc-range-sharded readers
+            # open only overlapping segments
+            "part_lo": min(pids),
+            "part_hi": max(pids) + 1,
+            "name": row["name"],
+            # content lineage, propagated into index_manifest so
+            # index_fingerprint digests content identity, not just
+            # per-segment counts
+            "lineage": str(row["lineage"]),
+            "resumed": resumed,
+            # an encode batch's wall time rides on its first segment's row
+            "batch_sec": batch_sec,
+        }
+
     def _build_block(batch: pa.Table) -> pa.Table:
         _limit_threads()
-        out = []
+        out, todo = [], []
         for row in batch.to_pylist():
-            t0 = time.perf_counter()
-            tkey, salt, expected = int(row["tkey"]), int(row["salt"]), int(row["expected"])
-            seg_dir = os.path.join(index_dir, "segments", f"seg-{tkey:05d}-{salt:05d}")
-            existing = read_json(os.path.join(seg_dir, "meta.json"))
-            resumed = (
+            row["name"] = _segment_dir_name(int(row["tkey"]), int(row["salt"]), row["lineage"])
+            existing = read_json(os.path.join(index_dir, "segments", row["name"], "meta.json"))
+            if (
                 existing is not None
-                and existing.get("n_postings") == expected
-                and existing.get("tkey") == tkey
-                and existing.get("salt") == salt
+                and existing.get("n_postings") == row["expected"]
+                and existing.get("tkey") == row["tkey"]
+                and existing.get("salt") == row["salt"]
                 and existing.get("lineage") == row["lineage"]
-            )
-            if resumed:
-                meta = existing  # built from exactly these inputs
+            ):
+                out.append(_record(row, existing, True, None))  # built from exactly these inputs
             else:
-                pieces = []
-                for p, rg in zip(row["paths"], row["rgs"]):
-                    t = _part_file(p).read_row_groups([rg], columns=read_cols)
-                    part_id = int(os.path.basename(p)[len("part-") : -len(".parquet")])
-                    rows_np = t.column("row").combine_chunks().to_numpy()
-                    doc = (part_id << 32) + rows_np.astype(np.int64)
-                    # norm is derived, not shipped: per-(field, doc) value
-                    # from the docs sidecar, field resolved on the row
-                    # group's DICTIONARY (distinct terms), fanned out by code
-                    term = t.column("term").combine_chunks()
-                    norms2d = _norms(part_id)
-                    if field_names:
-                        fid = _field_ids_of_dictionary(term.dictionary, field_names)
-                        codes = term.indices.to_numpy(zero_copy_only=False)
-                        norm = norms2d[fid[codes], rows_np]
-                    else:
-                        norm = norms2d[0, rows_np]
-                    cols = {
-                        "term": term,
-                        "doc_id": pa.array(doc),
-                        "tf": t.column("tf"),
-                        "norm": pa.array(norm),
-                    }
-                    if store_positions:
-                        cols["pos"] = t.column("pos")
-                    pieces.append(pa.table(cols))
-                group = pa.concat_tables(pieces, promote_options="permissive")
-                meta = build_segment_from_group(
-                    group, seg_dir, tkey, salt, extra_meta={"lineage": row["lineage"]}
-                )
-            pids = [
-                int(os.path.basename(p)[len("part-") : -len(".parquet")])
-                for p in row["paths"]
-            ]
-            out.append(
-                {
-                    "skey": tkey * (n_doc_parts + 1) + salt,
-                    "tkey": tkey,
-                    "salt": salt,
-                    "n_terms": int(meta["n_terms"]),
-                    "n_postings": int(meta["n_postings"]),
-                    "bytes": int(meta["bytes"]),
-                    # covered doc-partition range: lets doc-range-sharded
-                    # readers open only overlapping segments
-                    "part_lo": min(pids),
-                    "part_hi": max(pids) + 1,
-                    # content lineage, propagated into index_manifest so
-                    # index_fingerprint digests content identity, not just
-                    # per-segment counts
-                    "lineage": str(row["lineage"]),
-                    "resumed": resumed,
-                    "wall_sec": time.perf_counter() - t0,
-                }
-            )
-        int_cols = (
-            "skey", "tkey", "salt", "n_terms", "n_postings", "bytes",
-            "part_lo", "part_hi",
-        )
-        return pa.table(
-            {
-                **{k: pa.array([o[k] for o in out], pa.int64()) for k in int_cols},
-                "lineage": pa.array([o["lineage"] for o in out], pa.string()),
-                "resumed": pa.array([o["resumed"] for o in out], pa.bool_()),
-                "wall_sec": pa.array([o["wall_sec"] for o in out], pa.float64()),
-            }
-        )
+                todo.append(row)
+        for rows in _encode_batches(todo, cfg.max_postings_per_segment):
+            t0 = time.perf_counter()
+            metas = _encode(rows)
+            sec = time.perf_counter() - t0
+            out += [_record(r, m, False, None if j else sec) for j, (r, m) in enumerate(zip(rows, metas))]
+        return pa.Table.from_pylist(out, schema=_SEGMENT_ROW)
 
     return build_one
 
@@ -756,7 +806,7 @@ def _make_storage_segment_fn(
 
 
 def _spread(secs: list[float]) -> dict:
-    """{sum, p50, max, skew = max/p50} of per-segment seconds (all 0 if none)."""
+    """{sum, p50, max, skew = max/p50} of per-batch seconds (all 0 if none)."""
     if not secs:
         return {"sum": 0.0, "p50": 0.0, "max": 0.0, "skew": 0.0}
     p50, mx = float(np.median(secs)), max(secs)
@@ -823,7 +873,6 @@ def build_index(
                 "n_docs": pa.array([s["n_docs"] for s in out], pa.int64()),
                 "sum_doc_len": pa.array([s["sum_doc_len"] for s in out], pa.int64()),
                 "n_postings": pa.array([s["n_postings"] for s in out], pa.int64()),
-                "resumed": pa.array([s["resumed"] for s in out], pa.bool_()),
                 "postings_raw_bytes": pa.array(
                     [int(s.get("postings_raw_bytes", 0)) for s in out], pa.int64()
                 ),
@@ -835,8 +884,16 @@ def build_index(
             }
         )
 
-    summaries, phase_a_tasks = _run_stage(parts, run_part)
-    summaries = [dict(s, field_stats=json.loads(s["field_stats"])) for s in summaries]
+    # a part whose lineage manifest validates is not dispatched at all
+    summaries, todo = [], []
+    for p in parts:
+        existing = is_valid(_part_manifest(index_dir, int(p["part_id"])), _part_fingerprint(p, cfg))
+        if existing is None:
+            todo.append(p)
+        else:
+            summaries.append(dict(existing, resumed=True))
+    built, phase_a_tasks = _run_stage(todo, run_part)
+    summaries += [dict(s, field_stats=json.loads(s["field_stats"]), resumed=False) for s in built]
     n_docs = sum(s["n_docs"] for s in summaries)
     phase_a_sec = time.time() - t_start
 
@@ -845,10 +902,7 @@ def build_index(
     n_doc_parts = len(parts)
     seg_tasks = _plan_storage_segments(index_dir, cfg, parts)
     seg_summaries, phase_b_tasks = _run_stage(
-        seg_tasks,
-        _make_storage_segment_fn(
-            index_dir, n_doc_parts, cfg.store_positions, tuple(f.name for f in cfg.fields)
-        ),
+        seg_tasks, _make_storage_segment_fn(index_dir, cfg, n_doc_parts)
     )
     phase_b_sec = time.time() - t_start - phase_a_sec
 
@@ -877,7 +931,8 @@ def build_index(
             key=lambda r: r["part_id"],
         )
 
-    seg_sec = [float(s["wall_sec"]) for s in seg_summaries if not s["resumed"]]
+    n_built = sum(1 for s in seg_summaries if not s["resumed"])
+    batch_sec = [float(s["batch_sec"]) for s in seg_summaries if s["batch_sec"] is not None]
     man = {
         "config": cfg.fingerprint_full(),
         "input_fingerprints": fingerprints,
@@ -892,10 +947,10 @@ def build_index(
                             "skey", "tkey", "salt", "n_terms", "n_postings", "bytes",
                         )
                     },
-                    name=f"seg-{int(s['tkey']):05d}-{int(s['salt']):05d}",
-                    part_lo=int(s.get("part_lo", 0)),
-                    part_hi=int(s.get("part_hi", n_doc_parts)),
-                    lineage=str(s.get("lineage", "")),
+                    name=s["name"],
+                    part_lo=int(s["part_lo"]),
+                    part_hi=int(s["part_hi"]),
+                    lineage=s["lineage"],
                 )
                 for s in seg_summaries
             ],
@@ -919,19 +974,22 @@ def build_index(
             "parts_resumed": int(sum(1 for s in summaries if s["resumed"])),
             "phase_a_tasks": phase_a_tasks,
             "phase_b_tasks": phase_b_tasks,
-            "segments_built": len(seg_sec),
-            "segments_resumed": len(seg_summaries) - len(seg_sec),
-            # wall time of the segments built (not resumed); skew = max/p50
-            # shows a straggler segment
-            "phase_b_seg_sec": _spread(seg_sec),
+            "segments_built": n_built,
+            "segments_resumed": len(seg_summaries) - n_built,
+            # wall time of each encode batch (the segments it built, read,
+            # sorted, encoded and written together); skew = max/p50 shows
+            # a straggler batch
+            "phase_b_batches": len(batch_sec),
+            "phase_b_batch_sec": _spread(batch_sec),
         },
     }
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
-    # only after the commit point moves: drop the segment directories the
-    # previous commit named and this one does not (a purge merge's outputs,
-    # salts of an older layout); a crash before this leaves harmless garbage
-    if committed is not None:
-        live = {s["name"] for s in man["segments"]}
-        for name in {segment_name(s) for s in committed["segments"]} - live:
-            shutil.rmtree(os.path.join(index_dir, "segments", name), ignore_errors=True)
+    # only after the commit point moves: drop every segment directory this
+    # commit does not name (the previous commit's, which its open readers
+    # keep mapped; those an interrupted build left); a crash before this
+    # leaves harmless garbage that the next commit drops
+    seg_root = os.path.join(index_dir, "segments")
+    live = {s["name"] for s in man["segments"]}
+    for name in set(os.listdir(seg_root) if os.path.isdir(seg_root) else ()) - live:
+        shutil.rmtree(os.path.join(seg_root, name), ignore_errors=True)
     return man

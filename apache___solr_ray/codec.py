@@ -347,11 +347,11 @@ def decode_postings_concat(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return docs.view(np.int64), tfs.astype(np.int64) + 1, norms
 
 
-def _read_prelude(payload) -> tuple[int, int, int, int, int]:
-    """A payload's four prelude VInts (n_blocks, d_len, t_len, p_len) and
-    the byte offset after them. Four small values: plain Python is faster
-    here than any numpy call."""
-    out, i = [], 0
+def _read_prelude(payload, i: int = 0) -> tuple[int, int, int, int, int]:
+    """The four prelude VInts (n_blocks, d_len, t_len, p_len) of the
+    payload at byte ``i`` of ``payload`` and the byte offset after them.
+    Four small values: plain Python is faster here than any numpy call."""
+    out = []
     for _ in range(4):
         b = payload[i]
         i += 1
@@ -374,23 +374,29 @@ class PostingsView:
     header: ``headers`` derives it from one decode on first use, and
     ``doc_freq``, ``decode_blocks`` and ``decode_postings_concat`` never
     need it.
+
+    The payload is ``payload[start:end]`` (all of ``payload`` by default).
+    ``buf`` is a uint8 array over the same bytes; a ``SegmentReader``
+    passes one array and one memoryview for all its views, so a view owns
+    no buffer object of its own, only absolute offsets into ``buf``.
     """
 
     __slots__ = ("buf", "n_blocks", "d_base", "t_base", "n_base", "p_base", "p_len", "_headers")
 
-    def __init__(self, payload: memoryview | bytes):
-        n_blocks, d_len, t_len, p_len, pos = _read_prelude(payload)
-        buf = np.frombuffer(payload, dtype=np.uint8)
+    def __init__(self, payload, start: int = 0, end: int | None = None, buf=None):
+        n_blocks, d_len, t_len, p_len, pos = _read_prelude(payload, start)
+        if buf is None:
+            buf = np.frombuffer(payload, dtype=np.uint8)
         self._headers = None
         if n_blocks > 1:
-            end = pos + n_blocks * HEADER_BYTES
-            self._headers = buf[pos:end].view(_HEADER_DTYPE)
-            pos = end
+            h_end = pos + n_blocks * HEADER_BYTES
+            self._headers = buf[pos:h_end].view(_HEADER_DTYPE)
+            pos = h_end
         self.n_blocks = n_blocks
         self.d_base = pos
         self.t_base = pos + d_len
         self.n_base = self.t_base + t_len
-        self.p_base = len(buf) - p_len
+        self.p_base = (len(buf) if end is None else end) - p_len
         self.p_len = p_len
         self.buf = buf
 
@@ -478,7 +484,7 @@ class PostingsView:
         if len(bis) == 0:
             return np.zeros(0, dtype=np.int64)
         if self.n_blocks == 1:
-            pbuf = self.buf[self.p_base :]
+            pbuf = self.buf[self.p_base : self.p_base + self.p_len]
         else:
             p_off = self.headers["p_off"].astype(np.int64)
             p_ends = np.concatenate([p_off[1:], [self.p_len]])

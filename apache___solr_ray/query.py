@@ -113,13 +113,13 @@ class TermPostings:
 
 
 class IndexReader:
-    """Open a committed index: stats + segment directory, lazy everything."""
+    """Open a committed index: stats, and every segment it reads (both
+    files mapped), so the reader answers from its own commit point whatever
+    later commits remove; postings decode lazily."""
 
     def __init__(self, index_dir: str, part_range: tuple[int, int] | None = None):
         self.dir = index_dir
-        man = read_json(os.path.join(index_dir, "index_manifest.json"))
-        if man is None:
-            raise FileNotFoundError(f"no committed index at {index_dir}")
+        man = self._open(part_range)
         self.manifest = man
         self.stats = man["stats"]
         self.doc_count = self.stats["doc_count"]
@@ -129,24 +129,6 @@ class IndexReader:
         self.field_stats: dict[str, dict] = self.stats.get("fields") or {}
         self.n_doc_parts = self.stats["n_doc_parts"]
         self.T = self.stats["term_partitions"]
-        self._segments_by_tkey: dict[int, list[dict]] = {}
-        for s in man["segments"]:
-            s = dict(s)
-            s["name"] = segment_name(s)
-            if part_range is not None:
-                # doc-range-sharded reader: skip segments whose covered doc
-                # partitions don't overlap the shard (memory bound = shard's
-                # segments only; manifests without ranges keep everything)
-                p_lo = int(s.get("part_lo", 0))
-                p_hi = int(s.get("part_hi", self.n_doc_parts))
-                if p_hi <= part_range[0] or p_lo >= part_range[1]:
-                    continue
-            self._segments_by_tkey.setdefault(s["tkey"], []).append(s)
-        # doc order: a tkey's segments cover disjoint, ascending part
-        # ranges (phase-B salts chunk them; merges fold only neighbours)
-        for v in self._segments_by_tkey.values():
-            v.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"]))
-        self._readers: dict[str, SegmentReader] = {}
         self._term_dict: pa.Table | None = None
         self._term_cache: OrderedDict[str, TermPostings | None] = OrderedDict()
         self._docs_cache: OrderedDict[tuple[int, str], pa.Array] = OrderedDict()
@@ -177,18 +159,54 @@ class IndexReader:
 
     # -- segment access -----------------------------------------------------
 
-    def _reader(self, name: str) -> SegmentReader:
-        r = self._readers.get(name)
-        if r is None:
-            r = SegmentReader(os.path.join(self.dir, "segments", name))
-            self._readers[name] = r
-        return r
+    def _open(self, part_range: tuple[int, int] | None) -> dict:
+        """Read the committed manifest and open every segment of it that
+        the reader will read; returns the manifest. Segments are
+        write-once, but a commit that lands between the manifest read and
+        the opens removes the previous commit's directories: then the
+        manifest is read once more."""
+        for attempt in (0, 1):
+            man = read_json(os.path.join(self.dir, "index_manifest.json"))
+            if man is None:
+                raise FileNotFoundError(f"no committed index at {self.dir}")
+            n_parts = man["stats"]["n_doc_parts"]
+            self._segments_by_tkey: dict[int, list[dict]] = {}
+            for s in man["segments"]:
+                s = dict(s)
+                s["name"] = segment_name(s)
+                if part_range is not None:
+                    # doc-range-sharded reader: skip segments whose covered
+                    # doc partitions don't overlap the shard (memory bound =
+                    # shard's segments only; manifests without ranges keep
+                    # everything)
+                    p_lo = int(s.get("part_lo", 0))
+                    p_hi = int(s.get("part_hi", n_parts))
+                    if p_hi <= part_range[0] or p_lo >= part_range[1]:
+                        continue
+                self._segments_by_tkey.setdefault(s["tkey"], []).append(s)
+            # doc order: a tkey's segments cover disjoint, ascending part
+            # ranges (phase-B salts chunk them; merges fold only neighbours)
+            for v in self._segments_by_tkey.values():
+                v.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"]))
+            self._readers: dict[str, SegmentReader] = {}
+            try:
+                for segs in self._segments_by_tkey.values():
+                    for s in segs:
+                        self._readers[s["name"]] = SegmentReader(
+                            os.path.join(self.dir, "segments", s["name"])
+                        )
+                return man
+            except FileNotFoundError:
+                for r in self._readers.values():
+                    r.close()
+                if attempt:
+                    raise
 
     def _term_readers(self, h: np.uint64) -> list[SegmentReader]:
         """Readers of the segments of the tkey of the term whose
         ``term_hash`` is ``h``."""
         tkey = int(h % np.uint64(self.T))
-        return [self._reader(seg["name"]) for seg in self._segments_by_tkey.get(tkey, ())]
+        return [self._readers[seg["name"]] for seg in self._segments_by_tkey.get(tkey, ())]
 
     def term_dict(self) -> pa.Table:
         """The vocabulary of the open segments as (term, df, ttf), one row
@@ -197,11 +215,7 @@ class IndexReader:
         the per-segment sum is exact. Built on first use and cached for the
         reader's lifetime; BM25 serving never builds it."""
         if self._term_dict is None:
-            tables = [
-                self._reader(seg["name"]).terms_table()
-                for segs in self._segments_by_tkey.values()
-                for seg in segs
-            ]
+            tables = [r.terms_table() for r in self._readers.values()]
             t = pa.concat_tables(tables) if tables else TERMS_SCHEMA.empty_table()
             self._term_dict = (
                 t.group_by("term")

@@ -2,7 +2,7 @@
 
 The Ray-native analog of a Lucene segment ([Lucene 10.4 library] semantics;
 reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
-242-289``): an immutable directory written by one shuffle task holding
+242-289``): a write-once directory holding
 
 - ``terms.bin``     — the term dictionary (plays the FST's role), one raw
   little-endian file of 8-byte aligned sections: a header (magic, version,
@@ -20,14 +20,20 @@ reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
   format version.
 
 Phase B and merges write segments through one encoder,
-``build_segment_from_group``.
+``build_segments_from_group``: a phase-B encode batch passes several
+segments' rows at once, and ``build_segment_from_group`` (a merge's
+output) is its one-segment call. A segment's bytes do not depend on the
+batch it was encoded in. Once a manifest names a directory, nothing
+rewrites it: phase B names its directories by their input lineage, and a
+merge writes names that the committed manifest does not hold.
 
-Readers memory-map ``terms.bin`` on open and take numpy views of its
-sections, so opening a segment builds no Python object per term (Lucene
-likewise keeps only a small terms index in memory). A point lookup
-(``lookup``, ``postings``, ``term_stats``) is one binary search on the
-hashes plus a bytes comparison at the matched row; ``postings.bin`` is
-mapped on the first postings lookup, and only the blocks the query visits
+Readers memory-map ``terms.bin`` and ``postings.bin`` on open and take
+numpy views of the dictionary's sections, so opening a segment builds no
+Python object per term (Lucene likewise keeps only a small terms index in
+memory), and a reader keeps reading the files it opened after a later
+commit removes their directory. A point lookup (``lookup``, ``postings``,
+``term_stats``) is one binary search on the hashes plus a bytes
+comparison at the matched row, and only the blocks the query visits
 decode. A reader has one enumeration, ``terms_table``; vocabulary-wide
 readers (prefix, wildcard and fuzzy rewrites, TermsComponent, suggesters,
 Luke) go through ``IndexReader.term_dict``, which sums these tables over
@@ -38,6 +44,8 @@ from __future__ import annotations
 
 import mmap
 import os
+import shutil
+import stat
 
 import numpy as np
 import pandas as pd
@@ -92,6 +100,15 @@ def _layout(n: int) -> tuple[list[tuple[str, str, int, int]], int]:
     return out, pos
 
 
+def _map(path: str) -> mmap.mmap | bytes:
+    """A read-only map of the file (``b""`` when it is empty: an empty
+    file cannot be mapped)."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 def segment_name(entry: dict) -> str:
     """Directory name under ``segments/`` of one index-manifest entry
     (entries without a ``name`` are phase-B segments: tkey and salt)."""
@@ -138,7 +155,9 @@ def write_segment(
     extra_meta: dict | None = None,
 ) -> dict:
     """Write one immutable segment directory atomically (tmp dir + rename).
-    ``terms`` are in lexical (UTF-8 byte) order, ``payloads`` aligned."""
+    ``terms`` are in lexical (UTF-8 byte) order, ``payloads`` aligned. A
+    directory already at ``seg_dir`` is one that no commit names (left by
+    an interrupted build), and is replaced."""
     tmp = seg_dir + ".tmp"
     os.makedirs(tmp, exist_ok=True)
     offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
@@ -159,29 +178,31 @@ def write_segment(
         meta.update(extra_meta)
     write_json_atomic(os.path.join(tmp, "meta.json"), meta)
     if os.path.exists(seg_dir):
-        import shutil
-
         shutil.rmtree(seg_dir)
     os.replace(tmp, seg_dir)
     return meta
 
 
-def build_segment_from_group(
-    group: pa.Table, seg_dir: str, tkey: int, salt: int, extra_meta: dict | None = None
-) -> dict:
-    """Encode a (term, doc_id, tf, norm[, pos]) group table into a segment.
+def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tuple]) -> list[dict]:
+    """Encode a (term, doc_id, tf, norm[, pos]) group table into segments.
 
-    Sorts by (term, doc_id) — phase B's rows arrive in (part, batch) order
-    and a merge's in source-segment order — then encodes each term run. An
-    optional ``pos`` binary or large-binary column (per-posting VInt
-    position payloads from the analyzer) is carried through by slicing,
-    never re-encoded.
+    ``seg[i]`` is the index into ``specs`` of the segment row ``i`` belongs
+    to; ``specs[j]`` is segment j's ``(seg_dir, tkey, salt, extra_meta)``.
+    One sort orders the rows by (segment, term, doc_id) — phase B's rows
+    arrive in (part, row group) order and a merge's in source-segment order
+    — one ``codec.encode_postings_group`` call encodes every term run of
+    every segment, and the payloads are split at segment boundaries. A
+    term's payload depends on its own postings only, so each segment's
+    bytes equal a build of that segment alone. An optional ``pos`` binary
+    or large-binary column (per-posting VInt position payloads from the
+    analyzer) is carried through by slicing, never re-encoded. Returns the
+    segments' metas, aligned with ``specs``.
     """
     # sort by (term, doc_id) WITHOUT a string sort over every posting: the
     # group's distinct-term dictionary is tiny (vocab/term_partitions), so
     # sort the dictionary once, remap codes to lexicographic ranks, and
-    # lexsort the integer pair (rank, doc_id). UTF-8 byte order == code
-    # point order, so Python str sorting matches Arrow's "ascending".
+    # lexsort the integer triple (segment, rank, doc_id). UTF-8 byte order
+    # == code point order, so Python str sorting matches Arrow's "ascending".
     term_col = group.column("term").combine_chunks()
     denc = term_col if pa.types.is_dictionary(term_col.type) else pc.dictionary_encode(term_col)
     codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -191,13 +212,14 @@ def build_segment_from_group(
     rank[order_v] = np.arange(len(vocab))
     r = rank[codes]
     doc_raw = group.column("doc_id").combine_chunks().to_numpy()
-    idx = np.lexsort((doc_raw, r))
+    seg = np.asarray(seg, dtype=np.int64)
+    idx = np.lexsort((doc_raw, r, seg))
 
     doc_arr = doc_raw[idx]
     tf_arr = group.column("tf").combine_chunks().to_numpy().astype(np.int64)[idx]
     norm_arr = group.column("norm").combine_chunks().to_numpy().astype(np.uint8)[idx]
-    rs = r[idx]
-    change = np.flatnonzero(np.diff(rs) != 0) + 1
+    rs, ss = r[idx], seg[idx]
+    change = np.flatnonzero((np.diff(rs) != 0) | (np.diff(ss) != 0)) + 1
     starts = np.concatenate([[0], change]) if len(rs) else np.zeros(0, np.int64)
     ends = np.concatenate([change, [len(rs)]]) if len(rs) else np.zeros(0, np.int64)
     sorted_vocab = vocab[order_v]
@@ -221,12 +243,29 @@ def build_segment_from_group(
     )
     dfs = (ends - starts).astype(np.int64)
     ttfs = np.add.reduceat(tf_arr, starts) if len(starts) else np.zeros(0, np.int64)
-    return write_segment(seg_dir, tkey, salt, terms_list, payloads, dfs, ttfs, extra_meta=extra_meta)
+    # segment j's term runs are [cut[j], cut[j + 1])
+    cut = np.searchsorted(ss[starts], np.arange(len(specs) + 1)).tolist()
+    return [
+        write_segment(
+            seg_dir, tkey, salt, terms_list[a:b], payloads[a:b], dfs[a:b], ttfs[a:b],
+            extra_meta=extra_meta,
+        )
+        for (seg_dir, tkey, salt, extra_meta), a, b in zip(specs, cut[:-1], cut[1:])
+    ]
+
+
+def build_segment_from_group(
+    group: pa.Table, seg_dir: str, tkey: int, salt: int, extra_meta: dict | None = None
+) -> dict:
+    """Encode a group table into one segment (``build_segments_from_group``
+    with every row in it): a merge's output."""
+    seg = np.zeros(group.num_rows, dtype=np.int64)
+    return build_segments_from_group(group, seg, [(seg_dir, tkey, salt, extra_meta)])[0]
 
 
 class SegmentReader:
-    """Open one segment: ``terms.bin`` and ``postings.bin`` memory-mapped,
-    lazy blocks.
+    """Open one segment: ``terms.bin`` and ``postings.bin`` memory-mapped
+    on open, blocks decoded lazily.
 
     Serving reads the dictionary by point lookup only; ``terms_table`` is
     the one way to enumerate it. Every lookup takes an optional
@@ -236,9 +275,10 @@ class SegmentReader:
     def __init__(self, seg_dir: str):
         self.dir = seg_dir
         try:
-            with open(os.path.join(seg_dir, "terms.bin"), "rb") as f:
-                self._tm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            self._tm = _map(os.path.join(seg_dir, "terms.bin"))
         except FileNotFoundError:
+            if not os.path.isdir(seg_dir):
+                raise  # the directory is gone, not an older format
             raise RuntimeError(
                 f"segment {seg_dir} has no terms.bin: it predates segment format "
                 f"v{FORMAT_VERSION}; rebuild the index (build_index re-encodes every segment)"
@@ -252,9 +292,14 @@ class SegmentReader:
         for name, dt, count, pos in sections:
             setattr(self, "_" + name, np.frombuffer(self._tm, dt, count, pos))
         self._strings = memoryview(self._tm)[str_pos : str_pos + n_str]
-        # postings.bin maps on the first postings() call: df lookups
-        # (term_stats) read the term dictionary only
-        self._pm = None
+        # postings.bin is mapped on open too, so a reader keeps reading the
+        # files it opened even after a later commit removes the directory.
+        # Only a regular file can be mapped ahead of use: anything else (a
+        # pipe, say) is opened on the first postings lookup, so opening a
+        # segment never blocks on it.
+        self._pm = self._pmv = self._pbuf = None
+        if stat.S_ISREG(os.stat(os.path.join(seg_dir, "postings.bin")).st_mode):
+            self._map_postings()
 
     @property
     def n_terms(self) -> int:
@@ -283,17 +328,21 @@ class SegmentReader:
         i = self.lookup(term, h)
         if i < 0:
             return None
-        off, end = int(self._offset[i]), int(self._offset[i + 1])
-        view = codec.PostingsView(self._postings_buf()[off:end])
+        view = self._view(int(self._offset[i]), int(self._offset[i + 1]))
         return view, int(self._df[i]), int(self._ttf[i])
 
-    def _postings_buf(self) -> memoryview:
-        """``postings.bin``, mapped on first use."""
-        if self._pm is None:
-            with open(os.path.join(self.dir, "postings.bin"), "rb") as f:
-                size = os.fstat(f.fileno()).st_size
-                self._pm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
-        return memoryview(self._pm)
+    def _map_postings(self) -> None:
+        self._pm = _map(os.path.join(self.dir, "postings.bin"))
+        self._pmv = memoryview(self._pm)
+        self._pbuf = np.frombuffer(self._pm, np.uint8)
+
+    def _view(self, start: int, end: int) -> codec.PostingsView:
+        """The view of ``postings.bin[start:end]``. Every view of the
+        segment shares the file's one memoryview (a view parses its prelude
+        from it) and one uint8 array (a view decodes from it)."""
+        if self._pbuf is None:
+            self._map_postings()
+        return codec.PostingsView(self._pmv, start, end, self._pbuf)
 
     def term_stats(self, term: str, h: np.uint64 | None = None) -> tuple[int, int] | None:
         """-> (df, ttf) for this segment's slice of the term."""
@@ -316,16 +365,15 @@ class SegmentReader:
 
     def postings_views(self) -> list[codec.PostingsView]:
         """Every term's postings, in term order (a merge's input)."""
-        buf = self._postings_buf()
         off = self._offset.tolist()
-        return [codec.PostingsView(buf[a:b]) for a, b in zip(off[:-1], off[1:])]
+        return [self._view(a, b) for a, b in zip(off[:-1], off[1:])]
 
     def close(self):
         """Unmap both files. A map that a caller still holds a view of (a
         ``PostingsView``, a ``terms_table``) unmaps when that view is freed."""
         for name, _dt, _extra in _SECTIONS:
             setattr(self, "_" + name, None)
-        self._strings = None
+        self._strings = self._pmv = self._pbuf = None
         for m in (self._tm, self._pm):
             if isinstance(m, mmap.mmap):
                 try:

@@ -1309,9 +1309,10 @@ def test_run_stage_runs_each_row_once_in_cpu_sized_blocks(ray_session):
 
 
 def test_build_telemetry_tasks_and_segments(ray_session, built, tmp_path_factory):
-    """index_manifest.metrics counts the blocks each phase dispatched and
-    the segments built or resumed; an upsert rebuilds every segment and
-    re-tokenizes only the new part."""
+    """index_manifest.metrics counts the blocks each phase dispatched, the
+    segments built or resumed and phase B's encode batches; an upsert
+    rebuilds every segment and dispatches and re-tokenizes only the new
+    part."""
     import pyarrow as pa
 
     from apache___solr_ray import build
@@ -1322,7 +1323,8 @@ def test_build_telemetry_tasks_and_segments(ray_session, built, tmp_path_factory
     assert m["phase_a_tasks"] <= min(man["stats"]["n_doc_parts"], 4 * build._cluster_cpus())
     assert m["phase_b_tasks"] <= min(n_seg, 4 * build._cluster_cpus())
     assert m["segments_built"] + m["segments_resumed"] == n_seg
-    sec = m["phase_b_seg_sec"]
+    assert m["phase_b_tasks"] <= m["phase_b_batches"] <= m["segments_built"]
+    sec = m["phase_b_batch_sec"]
     assert 0 < sec["p50"] <= sec["max"] <= sec["sum"]
     assert sec["skew"] == pytest.approx(sec["max"] / sec["p50"], rel=0.01)
 
@@ -1345,6 +1347,7 @@ def test_build_telemetry_tasks_and_segments(ray_session, built, tmp_path_factory
     assert m1["segments_resumed"] == 0
     assert m1["segments_built"] == man1["stats"]["n_segments"]
     assert m1["parts_resumed"] == n_parts - 1
+    assert m1["phase_a_tasks"] == 1
 
 
 def test_segments_identical_for_any_block_count(

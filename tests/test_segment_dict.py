@@ -131,6 +131,33 @@ def test_open_allocates_no_python_object_per_term(tmp_path):
     r.close()
 
 
+def test_cached_views_share_the_segment_buffer(tmp_path):
+    """A ``PostingsView`` owns no buffer of its own: every view of a
+    segment decodes from one uint8 array over ``postings.bin``, so a cached
+    view costs a few hundred bytes of heap (528 B each when every view
+    held its own memoryview and array)."""
+    terms = _vocab(3000, seed=6)
+    g = _group(terms, seed=6)
+    seg_dir = str(tmp_path / "seg")
+    build_segment_from_group(g, seg_dir, 0, 0)
+    r = SegmentReader(seg_dir)
+    r.postings(terms[0])  # warm the lookup path
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        views = [r.postings(t)[0] for t in terms]
+        per_view = (tracemalloc.get_traced_memory()[0] - before) / len(terms)
+    finally:
+        tracemalloc.stop()
+    assert per_view < 256, per_view
+    assert all(v.buf is views[0].buf for v in views)
+    for t, v in zip(terms[:50], views):
+        docs = g.filter(pc.equal(g.column("term"), t)).column("doc_id").to_pylist()
+        assert v.decode_all()[0].tolist() == sorted(docs)
+    del views
+    r.close()
+
+
 @pytest.fixture(scope="module")
 def small_index(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("pages_dict"))
@@ -229,7 +256,7 @@ def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_fact
         shutil.rmtree(seg_dir)
         os.rename(seg_dir + "-2bit", seg_dir)
     r = IndexReader(idx)
-    assert len(np.unique(r._reader(man["segments"][0]["name"])._hash)) <= 4
+    assert len(np.unique(r._readers[man["segments"][0]["name"]]._hash)) <= 4
     for q, (wd, ws) in zip(qs, want):
         got_d, got_s = r.topk(q, 10)
         ex_d, ex_s = r.topk_exhaustive(q, 10)
