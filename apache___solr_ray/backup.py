@@ -23,7 +23,7 @@ commit — the same property Lucene's incremental backups exploit):
   the build's segment-commit discipline.
 
 Only COMMITTED state is captured: the file set is enumerated from
-``index_manifest.json`` — the segment directories it names — plus the
+``index_manifest.json`` — the segment packs it names — plus the
 build's known sidecars (SnapShooter snapshots the commit point's files,
 never in-flight ones). Segments no manifest names and foreign files in the
 index directory are not backed up."""
@@ -35,7 +35,7 @@ import os
 import shutil
 
 from apache___solr_ray.manifest import index_fingerprint, read_json, write_json_atomic
-from apache___solr_ray.segment import segment_name
+from apache___solr_ray.segment import pack_files
 
 
 class BackupError(RuntimeError):
@@ -62,20 +62,16 @@ SIDECARS = ("docs", "postings_raw", "manifests")
 
 
 def _committed_files(index_dir: str, man: dict) -> list[str]:
-    """Relative paths of the commit point's files: the segment directories
-    ``man`` names and the known sidecars, then the manifest last, so a
-    restored dir is never visible with a manifest but missing bodies."""
-    names = [os.path.join("segments", segment_name(s)) for s in man["segments"]]
+    """Relative paths of the commit point's files: the known sidecars and
+    the packs ``man`` names, then the manifest last, so a restored dir is
+    never visible with a manifest but missing bodies."""
     out: list[str] = []
-    for name in [*SIDECARS, *names]:
-        top = os.path.join(index_dir, name)
-        if os.path.isfile(top):
-            out.append(name)
-            continue
-        for root, _dirs, files in os.walk(top):
+    for name in SIDECARS:
+        for root, _dirs, files in os.walk(os.path.join(index_dir, name)):
             for f in sorted(files):
                 if not (f.endswith(".tmp") or ".tmp." in f):
                     out.append(os.path.relpath(os.path.join(root, f), index_dir))
+    out += pack_files(man)
     out.append("index_manifest.json")
     return out
 

@@ -33,13 +33,19 @@ Phase B  (the term-hash shuffle, through shared storage): phase A already
     ``max_postings_per_segment`` are read with one ``read_row_groups`` per
     part file, sorted once and encoded with one
     ``segment.build_segments_from_group`` call, which splits the payloads
-    into segment directories; merges write through the same encoder. Skew
+    into segments, and written as one pack (``segment.write_segment``: a
+    ``.tdict`` of every member's dictionary plus a table of contents, and
+    a ``.post`` of their postings); merges write through the same encoder
+    and writer. Skew
     handling is uniform *doc-range splitting*: a bucket whose total
     postings exceed ``max_postings_per_segment`` is split into contiguous
     part-range chunks (salt = chunk index) — sub-segments stay
     doc-ordered, so query-side views concatenate for free — so that cap
-    bounds a batch's memory too. A segment directory is named by its
-    input lineage and never rewritten once committed. Shuffle bytes ride
+    bounds a batch's memory too. A segment is named by its input lineage
+    and a pack is never rewritten once committed. The driver resumes, and
+    does not dispatch, every planned segment that a whole pack on disk
+    holds (the committed ``packs`` map, then the table of contents of any
+    uncommitted pack). Shuffle bytes ride
     the shared filesystem that already holds phase A's outputs and the
     segments, not RAM.
 
@@ -48,8 +54,8 @@ pointer-swap analog) naming the segments, the collection stats (the
 ExactStatsCache global stats, reference ``CollectionStats.java:24-27``),
 which count deleted docs until a purge merge as Lucene's do, and the
 delete set, carried over from the previous commit (``_carry_deletes``).
-Only after the swap are the segment directories the commit does not name
-removed; readers of the previous commit keep the files they mapped.
+Only after the swap are the files under ``segments/`` that the commit does
+not name removed; readers of the previous commit keep the files they mapped.
 
 Doc-id assignment: ``doc_id = part_id << 32 | row_in_partition`` where
 partitions are deterministic (sorted file paths × row-group ranges). Unlike
@@ -65,7 +71,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 import pyarrow.compute as pc
 from dataclasses import dataclass, field
@@ -88,7 +93,11 @@ from apache___solr_ray.manifest import (
 from apache___solr_ray.segment import (
     FORMAT_VERSION,
     build_segments_from_group,
+    drop_uncommitted,
+    packs_map,
+    stored_segments,
     term_hash,
+    write_segment,
 )
 
 
@@ -569,7 +578,7 @@ def _plan_storage_segments(
         # identity of the exact inputs that feed this segment: the build
         # config (codec/analysis knobs) plus which parts, which row groups,
         # how many postings, and each part's INPUT fingerprint — so a stale
-        # seg dir from a different corpus OR config can never be resumed
+        # segment from a different corpus OR config can never be resumed
         # just because posting counts coincide
         h = hashlib.sha1()
         h.update(cfg.fingerprint_full().encode())
@@ -633,10 +642,10 @@ def _load_part_norms(index_dir: str, part_id: int, field_names: tuple[str, ...])
     return np.stack([dt.column("norm").to_numpy(), *map(int_to_byte4_array, lens)])
 
 
-def _segment_dir_name(tkey: int, salt: int, lineage: str) -> str:
-    """A phase-B segment's directory: named by its input lineage too, so a
+def _segment_name(tkey: int, salt: int, lineage: str) -> str:
+    """A phase-B segment's name: named by its input lineage too, so a
     rebuild of the same (tkey, salt) from other inputs writes a new
-    directory and never rewrites one a commit names."""
+    segment and never rewrites one a commit names."""
     return f"seg-{tkey:05d}-{salt:05d}-{lineage[:12]}"
 
 
@@ -660,11 +669,39 @@ def _part_id_of(path: str) -> int:
     return int(os.path.basename(path)[len("part-") : -len(".parquet")])
 
 
-#: phase B's output: one row per segment
+#: phase B's output: one row per segment built
 _SEGMENT_ROW = pa.schema(
     [(k, pa.int64()) for k in ("skey", "tkey", "salt", "n_terms", "n_postings", "bytes", "part_lo", "part_hi")]
-    + [("name", pa.string()), ("lineage", pa.string()), ("resumed", pa.bool_()), ("batch_sec", pa.float64())]
+    + [("name", pa.string()), ("lineage", pa.string())]
+    + [("pack", pa.string()), ("tdict_off", pa.int64()), ("post_off", pa.int64())]
+    + [(k, pa.float64()) for k in ("batch_sec", "read_sec", "encode_sec", "write_sec")]
 )
+
+
+def _segment_record(row: dict, entry: dict, n_doc_parts: int) -> dict:
+    """A planned segment's manifest entry, with its pack location: ``entry``
+    is its stored entry (a resumed segment) or the pack writer's."""
+    pids = [_part_id_of(p) for p in row["paths"]]
+    return {
+        "skey": int(row["tkey"]) * (n_doc_parts + 1) + int(row["salt"]),
+        "tkey": int(row["tkey"]),
+        "salt": int(row["salt"]),
+        "n_terms": int(entry["n_terms"]),
+        "n_postings": int(entry["n_postings"]),
+        "bytes": int(entry["bytes"]),
+        # covered doc-partition range: lets doc-range-sharded readers
+        # open only overlapping segments
+        "part_lo": min(pids),
+        "part_hi": max(pids) + 1,
+        "name": row["name"],
+        # content lineage, propagated into index_manifest so
+        # index_fingerprint digests content identity, not just
+        # per-segment counts
+        "lineage": str(row["lineage"]),
+        "pack": entry["pack"],
+        "tdict_off": int(entry["tdict_off"]),
+        "post_off": int(entry["post_off"]),
+    }
 
 
 def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int):
@@ -705,9 +742,10 @@ def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int)
                 f.close()
             part_files.clear()
 
-    def _encode(rows: list[dict]) -> list[dict]:
-        """Build one encode batch's segments: one ``read_row_groups`` and
-        one norm gather per part file, then one sort and one encode."""
+    def _read(rows: list[dict]) -> tuple[pa.Table, np.ndarray]:
+        """One encode batch's postings: one ``read_row_groups`` and one
+        norm gather per part file. Returns the group table and each row's
+        index into ``rows``."""
         by_path: dict[str, list[tuple[int, int]]] = {}  # path -> [(row group, segment)]
         for j, row in enumerate(rows):
             for p, rg in zip(row["paths"], row["rgs"]):
@@ -741,63 +779,55 @@ def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int)
             if cfg.store_positions:
                 cols["pos"] = t.column("pos")
             pieces.append(pa.table(cols))
-        specs = [
-            (
-                os.path.join(index_dir, "segments", row["name"]),
-                int(row["tkey"]), int(row["salt"]), {"lineage": row["lineage"]},
-            )
-            for row in rows
-        ]
-        group = pa.concat_tables(pieces, promote_options="permissive")
-        return build_segments_from_group(group, np.concatenate(segs), specs)
-
-    def _record(row: dict, meta: dict, resumed: bool, batch_sec: float | None) -> dict:
-        pids = [_part_id_of(p) for p in row["paths"]]
-        return {
-            "skey": int(row["tkey"]) * (n_doc_parts + 1) + int(row["salt"]),
-            "tkey": int(row["tkey"]),
-            "salt": int(row["salt"]),
-            "n_terms": int(meta["n_terms"]),
-            "n_postings": int(meta["n_postings"]),
-            "bytes": int(meta["bytes"]),
-            # covered doc-partition range: lets doc-range-sharded readers
-            # open only overlapping segments
-            "part_lo": min(pids),
-            "part_hi": max(pids) + 1,
-            "name": row["name"],
-            # content lineage, propagated into index_manifest so
-            # index_fingerprint digests content identity, not just
-            # per-segment counts
-            "lineage": str(row["lineage"]),
-            "resumed": resumed,
-            # an encode batch's wall time rides on its first segment's row
-            "batch_sec": batch_sec,
-        }
+        return pa.concat_tables(pieces, promote_options="permissive"), np.concatenate(segs)
 
     def _build_block(batch: pa.Table) -> pa.Table:
+        """Build a block's segments, one encode batch at a time: read, one
+        sort and encode (``build_segments_from_group``), then one pack
+        (``write_segment``). A batch's wall time and its three stage times
+        ride on its first segment's row."""
         _limit_threads()
-        out, todo = [], []
-        for row in batch.to_pylist():
-            row["name"] = _segment_dir_name(int(row["tkey"]), int(row["salt"]), row["lineage"])
-            existing = read_json(os.path.join(index_dir, "segments", row["name"], "meta.json"))
-            if (
-                existing is not None
-                and existing.get("n_postings") == row["expected"]
-                and existing.get("tkey") == row["tkey"]
-                and existing.get("salt") == row["salt"]
-                and existing.get("lineage") == row["lineage"]
-            ):
-                out.append(_record(row, existing, True, None))  # built from exactly these inputs
-            else:
-                todo.append(row)
-        for rows in _encode_batches(todo, cfg.max_postings_per_segment):
+        out = []
+        for rows in _encode_batches(batch.to_pylist(), cfg.max_postings_per_segment):
             t0 = time.perf_counter()
-            metas = _encode(rows)
-            sec = time.perf_counter() - t0
-            out += [_record(r, m, False, None if j else sec) for j, (r, m) in enumerate(zip(rows, metas))]
+            group, seg = _read(rows)
+            t1 = time.perf_counter()
+            specs = [(r["name"], int(r["tkey"]), int(r["salt"]), {"lineage": r["lineage"]}) for r in rows]
+            members = build_segments_from_group(group, seg, specs)
+            t2 = time.perf_counter()
+            entries = write_segment(index_dir, members)
+            t3 = time.perf_counter()
+            first = {"batch_sec": t3 - t0, "read_sec": t1 - t0, "encode_sec": t2 - t1, "write_sec": t3 - t2}
+            for j, (r, e) in enumerate(zip(rows, entries)):
+                out.append(dict(_segment_record(r, e, n_doc_parts), **(first if j == 0 else {})))
         return pa.Table.from_pylist(out, schema=_SEGMENT_ROW)
 
     return build_one
+
+
+def _plan_phase_b(
+    index_dir: str, cfg: IndexConfig, parts: list[dict], committed: dict | None
+) -> tuple[list[dict], list[dict]]:
+    """Phase B's segment plan split into (entries of the segments that
+    resume, rows to build). A segment resumes when a whole pack on disk
+    (``segment.stored_segments``: the committed packs map, then the TOC of
+    any other pack) holds it, built from exactly these inputs."""
+    stored = stored_segments(index_dir, committed)
+    resumed, todo = [], []
+    for row in _plan_storage_segments(index_dir, cfg, parts):
+        row["name"] = _segment_name(int(row["tkey"]), int(row["salt"]), row["lineage"])
+        e = stored.get(row["name"])
+        if (
+            e is not None
+            and e.get("n_postings") == row["expected"]
+            and e.get("tkey") == row["tkey"]
+            and e.get("salt") == row["salt"]
+            and e.get("lineage") == row["lineage"]
+        ):
+            resumed.append(_segment_record(row, e, len(parts)))
+        else:
+            todo.append(row)
+    return resumed, todo
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +930,11 @@ def build_index(
     # ---- Phase B: skew is handled uniformly by doc-range bucket splitting
     # in the plan, so no head-term detection is needed ----
     n_doc_parts = len(parts)
-    seg_tasks = _plan_storage_segments(index_dir, cfg, parts)
-    seg_summaries, phase_b_tasks = _run_stage(
-        seg_tasks, _make_storage_segment_fn(index_dir, cfg, n_doc_parts)
+    resumed, todo_segs = _plan_phase_b(index_dir, cfg, parts, committed)
+    built_segs, phase_b_tasks = _run_stage(
+        todo_segs, _make_storage_segment_fn(index_dir, cfg, n_doc_parts)
     )
+    seg_summaries = resumed + built_segs
     phase_b_sec = time.time() - t_start - phase_a_sec
 
     stats = {
@@ -931,8 +962,8 @@ def build_index(
             key=lambda r: r["part_id"],
         )
 
-    n_built = sum(1 for s in seg_summaries if not s["resumed"])
-    batch_sec = [float(s["batch_sec"]) for s in seg_summaries if s["batch_sec"] is not None]
+    n_built = len(built_segs)
+    firsts = [s for s in built_segs if s["batch_sec"] is not None]
     man = {
         "config": cfg.fingerprint_full(),
         "input_fingerprints": fingerprints,
@@ -956,6 +987,7 @@ def build_index(
             ],
             key=lambda s: s["skey"],
         ),
+        "packs": packs_map(seg_summaries),
         "metrics": {
             "n_docs": int(n_docs),
             "n_postings": int(sum(s["n_postings"] for s in summaries)),
@@ -979,17 +1011,18 @@ def build_index(
             # wall time of each encode batch (the segments it built, read,
             # sorted, encoded and written together); skew = max/p50 shows
             # a straggler batch
-            "phase_b_batches": len(batch_sec),
-            "phase_b_batch_sec": _spread(batch_sec),
+            "phase_b_batches": len(firsts),
+            "phase_b_batch_sec": _spread([s["batch_sec"] for s in firsts]),
+            # the batches' read, encode and write steps (each batch's three
+            # sum to its phase_b_batch_sec)
+            "phase_b_stage_sec": {
+                k: _spread([s[f"{k}_sec"] for s in firsts]) for k in ("read", "encode", "write")
+            },
         },
     }
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
-    # only after the commit point moves: drop every segment directory this
-    # commit does not name (the previous commit's, which its open readers
-    # keep mapped; those an interrupted build left); a crash before this
-    # leaves harmless garbage that the next commit drops
-    seg_root = os.path.join(index_dir, "segments")
-    live = {s["name"] for s in man["segments"]}
-    for name in set(os.listdir(seg_root) if os.path.isdir(seg_root) else ()) - live:
-        shutil.rmtree(os.path.join(seg_root, name), ignore_errors=True)
+    # only after the commit point moves: drop every pack this commit does
+    # not name (the previous commit's, which its open readers keep mapped;
+    # those an interrupted build left)
+    drop_uncommitted(index_dir, man)
     return man

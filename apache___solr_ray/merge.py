@@ -15,9 +15,11 @@ so doc-range shards still open only overlapping segments. Every source
 segment is decoded whole into one (term, doc_id, tf, norm[, pos]) table —
 position payloads carry over as raw bytes — and the table is written by
 ``segment.build_segment_from_group``, the encoder phase B uses (Lucene's
-SegmentMerger likewise writes through the flush codec). The index manifest
-is atomically re-committed and only then are the source segment
-directories deleted — a crash between commit and delete leaves harmless
+SegmentMerger likewise writes through the flush codec); a merge block
+writes its outputs as one pack (``segment.write_segment``), and a chain of
+steps within a tkey reads its intermediate outputs from memory. The index
+manifest is atomically re-committed and only then are the packs it no
+longer names removed — a crash between commit and delete leaves harmless
 garbage, never a broken index.
 
 A purge (``purge_deletes``) rewrites every segment without the deleted
@@ -32,9 +34,9 @@ tests): merging changes layout, not content.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -42,14 +44,22 @@ import pyarrow.compute as pc
 
 from apache___solr_ray import codec
 from apache___solr_ray.manifest import read_json, write_json_atomic
-from apache___solr_ray.segment import SegmentReader, build_segment_from_group, segment_name
+from apache___solr_ray.segment import (
+    build_segment_from_group,
+    drop_uncommitted,
+    encoded_reader,
+    open_segments,
+    packs_map,
+    write_segment,
+)
 
 
-def _merge_group(index_dir: str, tkey: int, sources: list[dict], out_name: str, tombs=None) -> dict:
-    """Merge source segments into one through the phase-B segment encoder."""
+def _merge_group(readers: dict, tkey: int, sources: list[dict], out_name: str, tombs=None) -> dict:
+    """Merge source segments (``readers`` by name) into one encoded segment
+    through the phase-B segment encoder; the merge block writes it."""
     terms, dfs, views = [], [], []
     for s in sources:
-        r = SegmentReader(os.path.join(index_dir, "segments", s["name"]))
+        r = readers[s["name"]]
         t = r.terms_table()
         terms.append(t.column("term").combine_chunks())
         dfs.append(t.column("df").to_numpy())
@@ -83,10 +93,7 @@ def _merge_group(index_dir: str, tkey: int, sources: list[dict], out_name: str, 
         # purge: drop tombstoned postings (Lucene merge reclaiming deletes);
         # a term whose postings all vanish leaves the dict
         group = group.filter(pa.array(~np.isin(docs, tombs)))
-    seg_dir = os.path.join(index_dir, "segments", out_name)
-    meta = build_segment_from_group(group, seg_dir, tkey, -1)
-    meta["name"] = out_name
-    return meta
+    return build_segment_from_group(group, out_name, tkey, -1)
 
 
 def _part_span(sources: list[dict]) -> dict:
@@ -142,6 +149,13 @@ def plan_merges(
     return steps
 
 
+#: a merge block's output: one row per merged segment it wrote
+_MERGED_ROW = pa.schema(
+    [("name", pa.string()), ("pack", pa.string())]
+    + [(k, pa.int64()) for k in ("tkey", "n_terms", "n_postings", "bytes", "tdict_off", "post_off")]
+)
+
+
 def merge_segments(
     index_dir: str,
     target_per_tkey: int = 1,
@@ -163,8 +177,6 @@ def merge_segments(
     if man is None:
         raise FileNotFoundError(f"no committed index at {index_dir}")
     segments = [dict(s) for s in man["segments"]]
-    for s in segments:
-        s["name"] = segment_name(s)
     tombs = None
     if purge_deletes:
         live, tombs = live_stats(index_dir)
@@ -195,20 +207,26 @@ def merge_segments(
     for st in steps:
         by_tkey.setdefault(st[0], []).append(st)
 
+    committed = {s["name"] for s in segments}
+
     def run_tkey(batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            for _, sources, out_name, _ in json.loads(row["steps"]):
-                out.append(_merge_group(index_dir, row["tkey"], sources, out_name, tombs=tombs))
-        return pa.table(
-            {
-                "name": pa.array([m["name"] for m in out], pa.string()),
-                "tkey": pa.array([m["tkey"] for m in out], pa.int64()),
-                "n_terms": pa.array([m["n_terms"] for m in out], pa.int64()),
-                "n_postings": pa.array([m["n_postings"] for m in out], pa.int64()),
-                "bytes": pa.array([m["bytes"] for m in out], pa.int64()),
-            }
-        )
+        """Run a block's merge chains and write their outputs as one pack;
+        a chain step reads an earlier step's output from memory."""
+        chains = [json.loads(c) for c in batch.column("steps").to_pylist()]
+        steps = [st for chain in chains for st in chain]
+        consumed = {s["name"] for _, sources, _, _ in steps for s in sources}
+        readers = open_segments(index_dir, man, consumed & committed)
+        try:
+            out = []
+            for tkey, sources, out_name, _ in steps:
+                m = _merge_group(readers, tkey, sources, out_name, tombs=tombs)
+                readers[out_name] = encoded_reader(m)
+                out.append(m)
+            entries = write_segment(index_dir, [m for m in out if m["name"] not in consumed])
+        finally:
+            for r in readers.values():
+                r.close()
+        return pa.Table.from_pylist(entries, schema=_MERGED_ROW)
 
     merged, _ = _run_stage(
         [{"tkey": t, "steps": json.dumps(chain)} for t, chain in by_tkey.items()], run_tkey
@@ -220,14 +238,12 @@ def merge_segments(
     # merged lineage = digest of the source lineages (chains fold in step
     # order), so index_fingerprint keeps digesting content identity across
     # merges rather than falling back to counts-only
-    import hashlib as _hashlib
-
     lineage_by_name = {s["name"]: str(s.get("lineage", "")) for s in segments}
     for _, sources, out_name, _ in steps:
         combined = "+".join(
             lineage_by_name.get(s["name"], str(s.get("name", ""))) for s in sources
         )
-        lineage_by_name[out_name] = "m:" + _hashlib.sha1(combined.encode()).hexdigest()
+        lineage_by_name[out_name] = "m:" + hashlib.sha1(combined.encode()).hexdigest()
     span_by_name = {out_name: _part_span(sources) for _, sources, out_name, _ in steps}
     new_entries = [
         {
@@ -242,15 +258,22 @@ def merge_segments(
             **span_by_name[n],
         }
         for n, m in merged_by_name.items()
-        if n not in consumed  # intermediate merge outputs may themselves be consumed
+    ]
+    kept = {s["name"] for s in survivors}
+    located = [
+        {"pack": pack, "name": n, "tdict_off": t_off, "post_off": p_off}
+        for pack, members in man["packs"].items()
+        for n, t_off, p_off in members
+        if n in kept
     ]
     man = dict(man)
     man["segments"] = sorted(survivors + new_entries, key=lambda s: (s["tkey"], s["name"]))
+    man["packs"] = packs_map(located + merged)
     man["stats"] = dict(man["stats"], n_segments=len(man["segments"]))
     if purge_deletes:
         man["stats"].update(live)
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
-    # only after the commit point moves do we delete consumed segments
-    for name in consumed:
-        shutil.rmtree(os.path.join(index_dir, "segments", name), ignore_errors=True)
+    # only after the commit point moves are the consumed segments' packs
+    # (and anything else no commit names) removed
+    drop_uncommitted(index_dir, man)
     return man

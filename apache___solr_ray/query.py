@@ -49,7 +49,7 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.codec import decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
 from apache___solr_ray.manifest import read_json
-from apache___solr_ray.segment import TERMS_SCHEMA, SegmentReader, segment_name, term_hash
+from apache___solr_ray.segment import TERMS_SCHEMA, SegmentReader, open_segments, term_hash
 
 #: (part, column) doc-sidecar arrays an ``IndexReader`` keeps (LRU)
 DOCS_CACHE_PARTS = 64
@@ -161,10 +161,11 @@ class IndexReader:
 
     def _open(self, part_range: tuple[int, int] | None) -> dict:
         """Read the committed manifest and open every segment of it that
-        the reader will read; returns the manifest. Segments are
-        write-once, but a commit that lands between the manifest read and
-        the opens removes the previous commit's directories: then the
-        manifest is read once more."""
+        the reader will read (``segment.open_segments``: each pack's two
+        files mapped once); returns the manifest. Packs are write-once,
+        but a commit that lands between the manifest read and the opens
+        removes the previous commit's packs: then the manifest is read
+        once more."""
         for attempt in (0, 1):
             man = read_json(os.path.join(self.dir, "index_manifest.json"))
             if man is None:
@@ -172,8 +173,6 @@ class IndexReader:
             n_parts = man["stats"]["n_doc_parts"]
             self._segments_by_tkey: dict[int, list[dict]] = {}
             for s in man["segments"]:
-                s = dict(s)
-                s["name"] = segment_name(s)
                 if part_range is not None:
                     # doc-range-sharded reader: skip segments whose covered
                     # doc partitions don't overlap the shard (memory bound =
@@ -188,17 +187,11 @@ class IndexReader:
             # ranges (phase-B salts chunk them; merges fold only neighbours)
             for v in self._segments_by_tkey.values():
                 v.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"]))
-            self._readers: dict[str, SegmentReader] = {}
+            names = [s["name"] for segs in self._segments_by_tkey.values() for s in segs]
             try:
-                for segs in self._segments_by_tkey.values():
-                    for s in segs:
-                        self._readers[s["name"]] = SegmentReader(
-                            os.path.join(self.dir, "segments", s["name"])
-                        )
+                self._readers: dict[str, SegmentReader] = open_segments(self.dir, man, names)
                 return man
             except FileNotFoundError:
-                for r in self._readers.values():
-                    r.close()
                 if attempt:
                     raise
 

@@ -1,47 +1,63 @@
-"""Segment files: hash-indexed term dictionary + block-compressed postings.
+"""Segment files: hash-indexed term dictionaries + block-compressed postings,
+stored in write-once packs.
 
 The Ray-native analog of a Lucene segment ([Lucene 10.4 library] semantics;
 reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
-242-289``): a write-once directory holding
+242-289``). Each segment has two sections:
 
-- ``terms.bin``     — the term dictionary (plays the FST's role), one raw
-  little-endian file of 8-byte aligned sections: a header (magic, version,
-  n_terms, n_string_bytes); the ascending 64-bit ``term_hash`` of every
-  term with its lexical row (the hash index); then in lexical order df,
-  ttf (u32), the ``postings.bin`` offsets (u64, n+1) and the terms as an
+- a **term dictionary** (plays the FST's role): little-endian, 8-byte
+  aligned parts: a header (magic, version, n_terms, n_string_bytes); the
+  ascending 64-bit ``term_hash`` of every term with its lexical row (the
+  hash index); then in lexical order df, ttf (u32), the offsets of each
+  term's payload in the segment's postings (u64, n+1) and the terms as an
   Arrow string column (i32 offsets, n+1, then UTF-8 bytes)
-- ``postings.bin``  — concatenated per-term payloads (codec.py layout:
-  a VInt prelude, then VInt deltas + tfs + inline norms in 128-doc
-  blocks; only a term of more than one block carries fixed-size
-  block-max skip headers)
-- ``meta.json``     — segment identity: tkey (term-hash partition), salt
-  (the doc-range chunk index within the tkey when phase B splits a bucket
-  past ``max_postings_per_segment``; -1 for a merged segment), counts,
-  format version.
+- its **postings**: concatenated per-term payloads (codec.py layout: a
+  VInt prelude, then VInt deltas + tfs + inline norms in 128-doc blocks;
+  only a term of more than one block carries fixed-size block-max skip
+  headers)
 
-Phase B and merges write segments through one encoder,
-``build_segments_from_group``: a phase-B encode batch passes several
-segments' rows at once, and ``build_segment_from_group`` (a merge's
-output) is its one-segment call. A segment's bytes do not depend on the
-batch it was encoded in. Once a manifest names a directory, nothing
-rewrites it: phase B names its directories by their input lineage, and a
-merge writes names that the committed manifest does not hold.
+Segments are stored as **packs** (Lucene's compound ``.cfs``/``.cfe``
+file plays the same role): each phase-B encode batch and each merge block
+writes its segments as one pack of two files under ``segments/``:
 
-Readers memory-map ``terms.bin`` and ``postings.bin`` on open and take
-numpy views of the dictionary's sections, so opening a segment builds no
-Python object per term (Lucene likewise keeps only a small terms index in
-memory), and a reader keeps reading the files it opened after a later
-commit removes their directory. A point lookup (``lookup``, ``postings``,
-``term_stats``) is one binary search on the hashes plus a bytes
-comparison at the matched row, and only the blocks the query visits
-decode. A reader has one enumeration, ``terms_table``; vocabulary-wide
-readers (prefix, wildcard and fuzzy rewrites, TermsComponent, suggesters,
-Luke) go through ``IndexReader.term_dict``, which sums these tables over
-segments.
+- ``pack-<sha1 of member names>[:16].tdict`` — every member's dictionary
+  section back to back, each 8-byte aligned, then a table of contents
+  (TOC, JSON: each member's name, tkey, salt, lineage, counts and
+  offsets, and the ``.post`` size) and a fixed 24-byte trailer (TOC
+  offset, TOC length, magic)
+- ``pack-….post`` — the members' postings back to back
+
+A pack is written as two tmp files and two renames (``.post`` first) and
+never rewritten. ``index_manifest.json`` names a commit's members in its
+``packs`` map, ``{pack: [[name, tdict_off, post_off], …]}``; its
+``segments`` entries carry each segment's identity (tkey; salt, the
+doc-range chunk index within the tkey when phase B splits a bucket past
+``max_postings_per_segment``, -1 for a merged segment; counts; lineage).
+After a commit moves, the files under ``segments/`` it does not name are
+removed (``drop_uncommitted``).
+
+Phase B and merges encode through one encoder, ``build_segments_from_group``
+(a merge's output is ``build_segment_from_group``, its one-segment call),
+and write through one pack writer, ``write_segment``. A segment's bytes do
+not depend on the batch it was encoded in.
+
+Readers go through one helper, ``open_segments``: it maps each pack's two
+files once, and each member's ``SegmentReader`` is a set of numpy views of
+its dictionary section, so opening a segment builds no Python object per
+term (Lucene likewise keeps only a small terms index in memory), and a
+reader keeps reading the files it opened after a later commit removes
+them. A point lookup (``lookup``, ``postings``, ``term_stats``) is one
+binary search on the hashes plus a bytes comparison at the matched row,
+and only the blocks the query visits decode. A reader has one
+enumeration, ``terms_table``; vocabulary-wide readers (prefix, wildcard
+and fuzzy rewrites, TermsComponent, suggesters, Luke) go through
+``IndexReader.term_dict``, which sums these tables over segments.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import mmap
 import os
 import shutil
@@ -53,12 +69,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from apache___solr_ray import codec
-from apache___solr_ray.manifest import write_json_atomic
 
 # v2: optional per-posting position stream in the codec
 # v3: the term dictionary is terms.bin (hash-indexed, memory-mapped)
 # v4: VInt payload prelude; a single-block term stores no block header
-FORMAT_VERSION = 4
+# v5: segments are stored in packs (.tdict + .post) named by the manifest
+FORMAT_VERSION = 5
 
 HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
 
@@ -66,8 +82,10 @@ HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
 TERMS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()), ("ttf", pa.int64())])
 
 _MAGIC = int.from_bytes(b"RAYTERMS", "little")
+_PACK_MAGIC = int.from_bytes(b"RAYPACK1", "little")
 _HEADER_BYTES = 32
-#: terms.bin sections after the header: (name, dtype, entries beyond n_terms)
+_TRAILER_BYTES = 24
+#: dictionary sections after the header: (name, dtype, entries beyond n_terms)
 _SECTIONS = (
     ("hash", "<u8", 0),
     ("row", "<i4", 0),
@@ -91,13 +109,17 @@ def term_hash(terms: np.ndarray) -> np.ndarray:
 
 
 def _layout(n: int) -> tuple[list[tuple[str, str, int, int]], int]:
-    """terms.bin section offsets for ``n`` terms: ``[(name, dtype, count,
+    """Dictionary section offsets for ``n`` terms: ``[(name, dtype, count,
     byte offset)]`` and the offset of the string bytes."""
     out, pos = [], _HEADER_BYTES
     for name, dt, extra in _SECTIONS:
         out.append((name, dt, n + extra, pos))
         pos += -(-np.dtype(dt).itemsize * (n + extra) // 8) * 8
     return out, pos
+
+
+def _pad8(n: int) -> bytes:
+    return b"\0" * (-n % 8)
 
 
 def _map(path: str) -> mmap.mmap | bytes:
@@ -109,18 +131,26 @@ def _map(path: str) -> mmap.mmap | bytes:
         return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def segment_name(entry: dict) -> str:
-    """Directory name under ``segments/`` of one index-manifest entry
-    (entries without a ``name`` are phase-B segments: tkey and salt)."""
-    return entry.get("name") or f"seg-{entry['tkey']:05d}-{entry['salt']:05d}"
+def segments_dir(index_dir: str) -> str:
+    """The directory that holds an index's packs."""
+    return os.path.join(index_dir, "segments")
 
 
-def _write_terms(path: str, terms, dfs, ttfs, offsets: np.ndarray) -> None:
-    """Write ``terms.bin`` (layout in the module docstring) for lexically
-    sorted ``terms`` with their stats and ``postings.bin`` offsets."""
+def pack_files(man: dict) -> list[str]:
+    """Paths, relative to the index directory, of the two files of every
+    pack ``man`` names."""
+    return [
+        os.path.join("segments", pack + ext) for pack in sorted(man["packs"]) for ext in (".tdict", ".post")
+    ]
+
+
+def _terms_section(terms, dfs, ttfs, offsets: np.ndarray) -> bytes:
+    """A dictionary section (layout in the module docstring), padded to 8
+    bytes, for lexically sorted ``terms`` with their stats and payload
+    offsets."""
     n = len(terms)
     if n and max(int(np.max(dfs)), int(np.max(ttfs))) >= 2**32:
-        raise ValueError("a term's df or ttf does not fit terms.bin's u32")
+        raise ValueError("a term's df or ttf does not fit the dictionary's u32")
     arr = pa.array(terms, pa.string())  # freshly built: buffer offsets start at 0
     soff = np.frombuffer(arr.buffers()[1], np.int32, n + 1)
     n_str = int(soff[-1])
@@ -134,60 +164,19 @@ def _write_terms(path: str, terms, dfs, ttfs, offsets: np.ndarray) -> None:
         "offset": offsets,
         "soff": soff,
     }
-    sections, str_pos = _layout(n)
-    with open(path, "wb") as f:
-        f.write(np.array([_MAGIC, FORMAT_VERSION, n, n_str], "<u8").tobytes())
-        for name, dt, _count, pos in sections:
-            f.write(b"\0" * (pos - f.tell()))
-            f.write(np.asarray(cols[name], dtype=dt).tobytes())
-        f.write(b"\0" * (str_pos - f.tell()))
-        f.write(memoryview(arr.buffers()[2])[:n_str])
-
-
-def write_segment(
-    seg_dir: str,
-    tkey: int,
-    salt: int,
-    terms: list[str],
-    payloads: list[bytes],
-    dfs: list[int],
-    ttfs: list[int],
-    extra_meta: dict | None = None,
-) -> dict:
-    """Write one immutable segment directory atomically (tmp dir + rename).
-    ``terms`` are in lexical (UTF-8 byte) order, ``payloads`` aligned. A
-    directory already at ``seg_dir`` is one that no commit names (left by
-    an interrupted build), and is replaced."""
-    tmp = seg_dir + ".tmp"
-    os.makedirs(tmp, exist_ok=True)
-    offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in payloads], out=offsets[1:])
-    with open(os.path.join(tmp, "postings.bin"), "wb") as f:
-        for p in payloads:
-            f.write(p)
-    _write_terms(os.path.join(tmp, "terms.bin"), terms, dfs, ttfs, offsets)
-    meta = {
-        "version": FORMAT_VERSION,
-        "tkey": int(tkey),
-        "salt": int(salt),
-        "n_terms": len(terms),
-        "n_postings": int(sum(dfs)),
-        "bytes": int(offsets[-1]),
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    write_json_atomic(os.path.join(tmp, "meta.json"), meta)
-    if os.path.exists(seg_dir):
-        shutil.rmtree(seg_dir)
-    os.replace(tmp, seg_dir)
-    return meta
+    out = [np.array([_MAGIC, FORMAT_VERSION, n, n_str], "<u8").tobytes()]
+    for name, dt, _count, _pos in _layout(n)[0]:
+        b = np.asarray(cols[name], dtype=dt).tobytes()
+        out += [b, _pad8(len(b))]
+    out += [memoryview(arr.buffers()[2])[:n_str], _pad8(n_str)]
+    return b"".join(out)
 
 
 def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tuple]) -> list[dict]:
     """Encode a (term, doc_id, tf, norm[, pos]) group table into segments.
 
     ``seg[i]`` is the index into ``specs`` of the segment row ``i`` belongs
-    to; ``specs[j]`` is segment j's ``(seg_dir, tkey, salt, extra_meta)``.
+    to; ``specs[j]`` is segment j's ``(name, tkey, salt, extra_meta)``.
     One sort orders the rows by (segment, term, doc_id) — phase B's rows
     arrive in (part, row group) order and a merge's in source-segment order
     — one ``codec.encode_postings_group`` call encodes every term run of
@@ -196,7 +185,9 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
     bytes equal a build of that segment alone. An optional ``pos`` binary
     or large-binary column (per-posting VInt position payloads from the
     analyzer) is carried through by slicing, never re-encoded. Returns the
-    segments' metas, aligned with ``specs``.
+    encoded segments, aligned with ``specs``: each its metadata (name,
+    tkey, salt, counts, ``extra_meta``) plus ``encoded``, the dictionary
+    section and payloads that ``write_segment`` stores.
     """
     # sort by (term, doc_id) WITHOUT a string sort over every posting: the
     # group's distinct-term dictionary is tiny (vocab/term_partitions), so
@@ -245,61 +236,237 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
     ttfs = np.add.reduceat(tf_arr, starts) if len(starts) else np.zeros(0, np.int64)
     # segment j's term runs are [cut[j], cut[j + 1])
     cut = np.searchsorted(ss[starts], np.arange(len(specs) + 1)).tolist()
-    return [
-        write_segment(
-            seg_dir, tkey, salt, terms_list[a:b], payloads[a:b], dfs[a:b], ttfs[a:b],
-            extra_meta=extra_meta,
-        )
-        for (seg_dir, tkey, salt, extra_meta), a, b in zip(specs, cut[:-1], cut[1:])
-    ]
+    out = []
+    for (name, tkey, salt, extra_meta), a, b in zip(specs, cut[:-1], cut[1:]):
+        offsets = np.zeros(b - a + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in payloads[a:b]], out=offsets[1:])
+        meta = {
+            "name": name,
+            "tkey": int(tkey),
+            "salt": int(salt),
+            "n_terms": b - a,
+            "n_postings": int(dfs[a:b].sum()),
+            "bytes": int(offsets[-1]),
+            **(extra_meta or {}),
+        }
+        meta["encoded"] = (_terms_section(terms_list[a:b], dfs[a:b], ttfs[a:b], offsets), payloads[a:b])
+        out.append(meta)
+    return out
 
 
 def build_segment_from_group(
-    group: pa.Table, seg_dir: str, tkey: int, salt: int, extra_meta: dict | None = None
+    group: pa.Table, name: str, tkey: int, salt: int, extra_meta: dict | None = None
 ) -> dict:
     """Encode a group table into one segment (``build_segments_from_group``
     with every row in it): a merge's output."""
     seg = np.zeros(group.num_rows, dtype=np.int64)
-    return build_segments_from_group(group, seg, [(seg_dir, tkey, salt, extra_meta)])[0]
+    return build_segments_from_group(group, seg, [(name, tkey, salt, extra_meta)])[0]
+
+
+def write_segment(index_dir: str, members: list[dict]) -> list[dict]:
+    """Write encoded segments (``build_segments_from_group``) as one pack
+    under ``segments_dir(index_dir)``: ``.post`` and ``.tdict`` each
+    written to a tmp file and renamed, ``.post`` first, so a ``.tdict``
+    with a whole trailer means a whole pack. A pack of the same name on
+    disk is one that no commit names (left by an interrupted build, with
+    the same members), and is replaced. Returns each member's manifest
+    entry: its metadata plus ``pack``, ``tdict_off`` and ``post_off``."""
+    root = segments_dir(index_dir)
+    os.makedirs(root, exist_ok=True)
+    pack = "pack-" + hashlib.sha1("\n".join(m["name"] for m in members).encode()).hexdigest()[:16]
+    base = os.path.join(root, pack)
+    entries, t_pos, p_pos = [], 0, 0
+    with open(base + ".post.tmp", "wb") as fp, open(base + ".tdict.tmp", "wb") as ft:
+        for m in members:
+            section, payloads = m["encoded"]
+            ft.write(section)
+            fp.writelines(payloads)
+            entry = {k: v for k, v in m.items() if k != "encoded"}
+            entries.append(dict(entry, pack=pack, tdict_off=t_pos, post_off=p_pos))
+            t_pos += len(section)
+            p_pos += entry["bytes"]
+        toc = json.dumps({"version": FORMAT_VERSION, "post_bytes": p_pos, "members": entries}).encode()
+        ft.write(toc)
+        ft.write(np.array([t_pos, len(toc), _PACK_MAGIC], "<u8").tobytes())
+    os.replace(base + ".post.tmp", base + ".post")
+    os.replace(base + ".tdict.tmp", base + ".tdict")
+    return entries
+
+
+def packs_map(entries) -> dict:
+    """The manifest's ``packs`` map of segment entries that carry ``pack``,
+    ``tdict_off`` and ``post_off``: ``{pack: [[name, tdict_off, post_off],
+    …]}``, members in file order."""
+    out: dict[str, list] = {}
+    for e in sorted(entries, key=lambda e: (e["pack"], int(e["tdict_off"]))):
+        out.setdefault(e["pack"], []).append([e["name"], int(e["tdict_off"]), int(e["post_off"])])
+    return out
+
+
+def _read_toc(base: str) -> dict | None:
+    """The TOC of the pack at ``base``, or None unless the pack is whole: a
+    ``.tdict`` whose trailer checks out at the current format and a
+    ``.post`` of the size the TOC records."""
+    try:
+        with open(base + ".tdict", "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size < _TRAILER_BYTES:
+                return None
+            f.seek(size - _TRAILER_BYTES)
+            toc_off, toc_len, magic = np.frombuffer(f.read(_TRAILER_BYTES), "<u8").tolist()
+            if magic != _PACK_MAGIC or toc_off + toc_len + _TRAILER_BYTES != size:
+                return None
+            f.seek(toc_off)
+            toc = json.loads(f.read(toc_len))
+        if toc.get("version") != FORMAT_VERSION:
+            return None
+        if os.stat(base + ".post").st_size != toc["post_bytes"]:
+            return None
+    except (OSError, ValueError):
+        return None
+    return toc
+
+
+def stored_segments(index_dir: str, committed: dict | None) -> dict[str, dict]:
+    """Every segment on disk that a build may resume, by name: its manifest
+    entry plus ``pack``, ``tdict_off`` and ``post_off``. Members of the
+    packs ``committed`` names come from that manifest (when both files are
+    on disk); members of any other pack from its TOC, once per pack, if
+    the pack is whole (``_read_toc``)."""
+    root = segments_dir(index_dir)
+    on_disk = set(os.listdir(root)) if os.path.isdir(root) else set()
+    out: dict[str, dict] = {}
+    packs = (committed or {}).get("packs") or {}
+    by_name = {s["name"]: s for s in (committed or {}).get("segments", ())}
+    for pack, members in packs.items():
+        if {pack + ".tdict", pack + ".post"} <= on_disk:
+            for name, t_off, p_off in members:
+                out[name] = dict(by_name[name], pack=pack, tdict_off=t_off, post_off=p_off)
+    for fn in sorted(on_disk):
+        pack = fn[: -len(".tdict")]
+        if not fn.endswith(".tdict") or pack in packs:
+            continue
+        toc = _read_toc(os.path.join(root, pack))
+        for e in toc["members"] if toc else ():
+            out.setdefault(e["name"], e)
+    return out
+
+
+def drop_uncommitted(index_dir: str, man: dict) -> None:
+    """Remove every file under ``segments/`` that ``man`` does not name:
+    the packs of the previous commit (open readers keep what they mapped)
+    and whatever an interrupted build or merge left. Runs only after the
+    commit point moves; a crash before it leaves garbage the next commit
+    removes."""
+    root = segments_dir(index_dir)
+    live = {os.path.basename(f) for f in pack_files(man)}
+    for name in set(os.listdir(root) if os.path.isdir(root) else ()) - live:
+        path = os.path.join(root, name)
+        if os.path.isdir(path):  # a segment directory of an older format
+            shutil.rmtree(path, ignore_errors=True)
+        else:
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
+
+
+class _Pack:
+    """A pack's two files, each mapped once and shared by every member's
+    reader (or, for an encoded segment not yet written, its bytes)."""
+
+    def __init__(self, tm, post_path: str | None = None, post=None):
+        self.tm, self.post_path = tm, post_path
+        self.pm = self.pmv = self.pbuf = None
+        # .post is mapped on open too, so a reader keeps reading the files
+        # it opened even after a later commit removes them. Only a regular
+        # file can be mapped ahead of use: anything else (a pipe, say) is
+        # opened on the first postings lookup, so opening never blocks on it.
+        if post is not None:
+            self._set_post(post)
+        elif stat.S_ISREG(os.stat(post_path).st_mode):
+            self._set_post(_map(post_path))
+
+    def _set_post(self, pm) -> None:
+        self.pm, self.pmv, self.pbuf = pm, memoryview(pm), np.frombuffer(pm, np.uint8)
+
+    def postings(self) -> tuple[memoryview, np.ndarray]:
+        if self.pbuf is None:
+            self._set_post(_map(self.post_path))
+        return self.pmv, self.pbuf
+
+    def close(self) -> None:
+        """Unmap both files. A map that a caller still holds a view of (a
+        ``PostingsView``, a ``terms_table``, another member's reader)
+        unmaps when that view is freed."""
+        self.pmv = self.pbuf = None
+        for m in (self.tm, self.pm):
+            if isinstance(m, mmap.mmap):
+                try:
+                    m.close()
+                except BufferError:
+                    pass
+
+
+def open_segments(index_dir: str, man: dict, names=None) -> dict[str, SegmentReader]:
+    """Readers of the segments of ``man``'s ``packs`` map named by ``names``
+    (all when None), by name: the one way to open committed segments.
+    Each pack's two files are mapped once and shared by its members'
+    readers, so closing one reader closes its pack: close them together.
+    A manifest without packs predates segment format v5 and raises."""
+    if "packs" not in man:
+        raise RuntimeError(
+            f"the index at {index_dir} predates segment format v{FORMAT_VERSION} "
+            "(no packs); rebuild the index (build_index re-encodes every segment)"
+        )
+    want = None if names is None else set(names)
+    out: dict[str, SegmentReader] = {}
+    try:
+        for pack, members in man["packs"].items():
+            members = [m for m in members if want is None or m[0] in want]
+            if not members:
+                continue
+            base = os.path.join(segments_dir(index_dir), pack)
+            p = _Pack(_map(base + ".tdict"), base + ".post")
+            for name, t_off, p_off in members:
+                out[name] = SegmentReader(p, t_off, p_off, name)
+    except BaseException:
+        for r in out.values():
+            r.close()
+        raise
+    return out
+
+
+def encoded_reader(member: dict) -> SegmentReader:
+    """A reader of an encoded segment (``build_segments_from_group``) that
+    is not written yet: a merge chain reads its intermediate outputs so."""
+    section, payloads = member["encoded"]
+    return SegmentReader(_Pack(section, post=b"".join(payloads)), 0, 0, member["name"])
 
 
 class SegmentReader:
-    """Open one segment: ``terms.bin`` and ``postings.bin`` memory-mapped
-    on open, blocks decoded lazily.
+    """One segment of a pack: numpy views of its dictionary section and
+    the pack's one postings array, blocks decoded lazily. Opened through
+    ``open_segments``.
 
     Serving reads the dictionary by point lookup only; ``terms_table`` is
     the one way to enumerate it. Every lookup takes an optional
     precomputed ``term_hash`` of the term (an ``np.uint64``), so a caller
     hashes a whole query's terms in one call."""
 
-    def __init__(self, seg_dir: str):
-        self.dir = seg_dir
-        try:
-            self._tm = _map(os.path.join(seg_dir, "terms.bin"))
-        except FileNotFoundError:
-            if not os.path.isdir(seg_dir):
-                raise  # the directory is gone, not an older format
-            raise RuntimeError(
-                f"segment {seg_dir} has no terms.bin: it predates segment format "
-                f"v{FORMAT_VERSION}; rebuild the index (build_index re-encodes every segment)"
-            ) from None
-        magic, version, n, n_str = np.frombuffer(self._tm, "<u8", 4).tolist()
+    def __init__(self, pack: _Pack, t_off: int, p_off: int, name: str):
+        self.name = name
+        self._pack, self._t_off, self._p_off = pack, t_off, p_off
+        tm = pack.tm
+        magic, version, n, n_str = np.frombuffer(tm, "<u8", 4, t_off).tolist()
         if magic != _MAGIC or version != FORMAT_VERSION:
             raise RuntimeError(
-                f"{seg_dir}/terms.bin is not segment format v{FORMAT_VERSION}; rebuild the index"
+                f"segment {name} is not segment format v{FORMAT_VERSION}; rebuild the index"
             )
         sections, str_pos = _layout(n)
-        for name, dt, count, pos in sections:
-            setattr(self, "_" + name, np.frombuffer(self._tm, dt, count, pos))
-        self._strings = memoryview(self._tm)[str_pos : str_pos + n_str]
-        # postings.bin is mapped on open too, so a reader keeps reading the
-        # files it opened even after a later commit removes the directory.
-        # Only a regular file can be mapped ahead of use: anything else (a
-        # pipe, say) is opened on the first postings lookup, so opening a
-        # segment never blocks on it.
-        self._pm = self._pmv = self._pbuf = None
-        if stat.S_ISREG(os.stat(os.path.join(seg_dir, "postings.bin")).st_mode):
-            self._map_postings()
+        for sec, dt, count, pos in sections:
+            setattr(self, "_" + sec, np.frombuffer(tm, dt, count, t_off + pos))
+        self._strings = memoryview(tm)[t_off + str_pos : t_off + str_pos + n_str]
 
     @property
     def n_terms(self) -> int:
@@ -331,18 +498,13 @@ class SegmentReader:
         view = self._view(int(self._offset[i]), int(self._offset[i + 1]))
         return view, int(self._df[i]), int(self._ttf[i])
 
-    def _map_postings(self) -> None:
-        self._pm = _map(os.path.join(self.dir, "postings.bin"))
-        self._pmv = memoryview(self._pm)
-        self._pbuf = np.frombuffer(self._pm, np.uint8)
-
     def _view(self, start: int, end: int) -> codec.PostingsView:
-        """The view of ``postings.bin[start:end]``. Every view of the
-        segment shares the file's one memoryview (a view parses its prelude
-        from it) and one uint8 array (a view decodes from it)."""
-        if self._pbuf is None:
-            self._map_postings()
-        return codec.PostingsView(self._pmv, start, end, self._pbuf)
+        """The view of this segment's postings ``[start, end)``. Every view
+        of a pack shares the ``.post`` file's one memoryview (a view parses
+        its prelude from it) and one uint8 array (a view decodes from it),
+        at absolute offsets."""
+        pmv, pbuf = self._pack.postings()
+        return codec.PostingsView(pmv, self._p_off + start, self._p_off + end, pbuf)
 
     def term_stats(self, term: str, h: np.uint64 | None = None) -> tuple[int, int] | None:
         """-> (df, ttf) for this segment's slice of the term."""
@@ -368,16 +530,19 @@ class SegmentReader:
         off = self._offset.tolist()
         return [self._view(a, b) for a, b in zip(off[:-1], off[1:])]
 
+    def raw(self) -> tuple[bytes, bytes]:
+        """This segment's dictionary section (header to string bytes) and
+        postings bytes: what a byte-identity check compares."""
+        end = self._t_off + _layout(self.n_terms)[1] + len(self._strings)
+        pmv, _ = self._pack.postings()
+        p_end = self._p_off + int(self._offset[-1])
+        return bytes(memoryview(self._pack.tm)[self._t_off : end]), bytes(pmv[self._p_off : p_end])
+
     def close(self):
-        """Unmap both files. A map that a caller still holds a view of (a
-        ``PostingsView``, a ``terms_table``) unmaps when that view is freed."""
-        for name, _dt, _extra in _SECTIONS:
-            setattr(self, "_" + name, None)
-        self._strings = self._pmv = self._pbuf = None
-        for m in (self._tm, self._pm):
-            if isinstance(m, mmap.mmap):
-                try:
-                    m.close()
-                except BufferError:
-                    pass
-        self._tm = self._pm = None
+        """Drop this reader's views and close its pack (see ``_Pack.close``)."""
+        for sec, _dt, _extra in _SECTIONS:
+            setattr(self, "_" + sec, None)
+        self._strings = None
+        if self._pack is not None:
+            self._pack.close()
+        self._pack = None

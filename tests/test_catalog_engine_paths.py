@@ -56,3 +56,36 @@ def test_decode_all_outside_the_engine_only_in_named_oracles():
     calls = _calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "decode_all")
     outside = {c for c in calls if c[0] not in ("query.py", "codec.py")}
     assert outside == set(DECODE_ALL_ALLOWED)
+
+
+#: the directory of an index's segment files
+SEG = "segments"
+
+
+def _builds_segments_path(call: ast.Call) -> bool:
+    """A ``….join(…)`` call with a ``"segments"`` argument, or any call
+    with a string argument under ``segments/``."""
+    is_join = isinstance(call.func, ast.Attribute) and call.func.attr == "join"
+    for arg in call.args:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            if arg.value.startswith(SEG + "/") or (is_join and arg.value == SEG):
+                return True
+        if isinstance(arg, ast.JoinedStr) and any(
+            isinstance(v, ast.Constant) and SEG + "/" in str(v.value) for v in arg.values
+        ):
+            return True
+    return False
+
+
+def test_segment_files_only_through_segment_py():
+    """No module but ``segment.py`` builds a path under ``segments/``:
+    readers, the build, merges, backups, the catalog and the tests open,
+    write, list and remove segment files through its helpers."""
+    roots = [PKG, PKG.parent / "tests", PKG.parent / "scripts", PKG.parent / "jobs"]
+    hits = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and _builds_segments_path(node):
+                    hits.add(path.relative_to(PKG.parent).as_posix())
+    assert hits == {"apache___solr_ray/segment.py"}

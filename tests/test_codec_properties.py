@@ -27,7 +27,7 @@ from apache___solr_ray.codec import (
     varint_encode,
 )
 from apache___solr_ray.query import IndexReader, TermPostings
-from apache___solr_ray.segment import SegmentReader, segment_name
+from apache___solr_ray.segment import open_segments
 
 
 @given(
@@ -229,8 +229,7 @@ def built_index(ray_session, tmp_path_factory):
 def test_view_doc_freq_equals_dictionary_df(built_index):
     idx, man = built_index
     n_multi = 0
-    for s in man["segments"]:
-        r = SegmentReader(os.path.join(idx, "segments", segment_name(s)))
+    for r in open_segments(idx, man).values():
         views = r.postings_views()
         assert [v.doc_freq for v in views] == r.terms_table().column("df").to_pylist()
         n_multi += sum(v.n_blocks > 1 for v in views)

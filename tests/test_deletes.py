@@ -111,12 +111,14 @@ def test_deletes_survive_repartition(ray_session, tmp_path_factory):
 
 
 def test_purge_after_kill_recommits_the_same(ray_session, tmp_path_factory, monkeypatch):
-    """A purge killed after its one manifest write (here: the rmtree of
-    consumed segments raises), then re-run, commits exactly what one purge
-    commits; a further purge is a no-op."""
+    """A purge killed after its one manifest write (here: the removal of
+    the consumed segments' packs raises), then re-run, commits exactly what
+    one purge commits; a further purge is a no-op."""
     import pytest
 
     from apache___solr_ray import merge
+    from apache___solr_ray.manifest import read_json
+    from apache___solr_ray.segment import open_segments
 
     d = str(tmp_path_factory.mktemp("pages_kill"))
     write_pages(d, 400, seed=42, rows_per_file=128)
@@ -128,22 +130,21 @@ def test_purge_after_kill_recommits_the_same(ray_session, tmp_path_factory, monk
         assert delete_by_url(idx, urls) == 3
     want = merge_segments(once, purge_deletes=True)
 
-    def killed_rmtree(*_a, **_k):
+    def killed_drop(*_a, **_k):
         raise RuntimeError("killed after commit")
 
     with monkeypatch.context() as m:
-        m.setattr(merge.shutil, "rmtree", killed_rmtree)
+        m.setattr(merge, "drop_uncommitted", killed_drop)
         with pytest.raises(RuntimeError, match="killed after commit"):
             merge_segments(killed, purge_deletes=True)
     got = merge_segments(killed, purge_deletes=True)
     assert got["stats"] == want["stats"] and got["stats"]["doc_count"] == 397
     assert got["segments"] == want["segments"]
+    a, b = (open_segments(i, read_json(os.path.join(i, "index_manifest.json"))) for i in (once, killed))
     for s in want["segments"]:
-        for f in ("postings.bin", "terms.bin"):
-            with open(os.path.join(once, "segments", s["name"], f), "rb") as a, open(
-                os.path.join(killed, "segments", s["name"], f), "rb"
-            ) as b:
-                assert a.read() == b.read()
+        assert a[s["name"]].raw() == b[s["name"]].raw()
+    for r in [*a.values(), *b.values()]:
+        r.close()
     assert IndexReader(killed).tombstones.tolist() == IndexReader(once).tombstones.tolist()
     assert merge_segments(killed, purge_deletes=True) == got
 

@@ -20,7 +20,9 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.build import IndexConfig, build_index, plan_partitions
 from apache___solr_ray.corpus import pages_table, write_pages
 from apache___solr_ray.lucene import BM25Scorer, int_to_byte4_array
+from apache___solr_ray.manifest import read_json
 from apache___solr_ray.query import IndexReader, QueryService, TopKQueryActor, merge_topk
+from apache___solr_ray.segment import open_segments, pack_files, segments_dir
 
 N_DOCS = 600
 ROWS_PER_FILE = 256
@@ -258,10 +260,10 @@ def test_resume_skips_completed_partitions(ray_session, corpus_dir, built, tmp_p
     # full skip: identical config + input -> committed manifest returned
     man1 = build_index(corpus_dir, idx, cfg)
     assert man1["segments"] == man0["segments"]
-    # partial resume: remove the commit point and one segment, rebuild
+    # partial resume: remove the commit point and one pack, rebuild
     os.remove(os.path.join(idx, "index_manifest.json"))
-    seg0 = os.path.join(idx, "segments", sorted(os.listdir(os.path.join(idx, "segments")))[0])
-    shutil.rmtree(seg0)
+    for rel in pack_files(man0)[:2]:  # the first pack's .tdict and .post
+        os.remove(os.path.join(idx, rel))
     man2 = build_index(corpus_dir, idx, cfg)
     assert man2["metrics"]["parts_resumed"] == man2["stats"]["n_doc_parts"]  # no re-tokenize
     assert man2["segments"] == man0["segments"]
@@ -941,19 +943,20 @@ def test_backup_restore_roundtrip_and_incremental(built, tmp_path):
 
     # strays the manifest does not name: neither may be backed up
     stray_file = os.path.join(idx, "external_boost.txt")
-    stray_seg = os.path.join(idx, "segments", "seg-x")
+    stray_pack = os.path.join(segments_dir(idx), "pack-x")
     with open(stray_file, "w") as f:
         f.write("doc://000000000001=2.0\n")
-    os.makedirs(stray_seg)
-    with open(os.path.join(stray_seg, "meta.json"), "w") as f:
-        f.write("{}")
+    for ext in (".tdict", ".post"):
+        with open(stray_pack + ext, "w") as f:
+            f.write("{}")
     try:
         m1 = bk.create_backup(idx, bdir, "b1")
     finally:
         os.remove(stray_file)
-        shutil.rmtree(stray_seg)
+        for ext in (".tdict", ".post"):
+            os.remove(stray_pack + ext)
     assert "external_boost.txt" not in m1["files"]
-    assert not [rel for rel in m1["files"] if rel.startswith(os.path.join("segments", "seg-x"))]
+    assert not [rel for rel in m1["files"] if "pack-x" in rel]
     assert m1["new_pool_files"] == len(m1["files"])  # first backup: all new
 
     # incremental: unchanged index -> zero new bodies, same file table
@@ -1173,8 +1176,10 @@ def test_time_allowed_bounds_hung_shards(built, tmp_path):
     clone = str(tmp_path / "clone")
     shutil.copytree(idx, clone)
     fifos = []
-    for seg in os.listdir(os.path.join(clone, "segments")):
-        path = os.path.join(clone, "segments", seg, "postings.bin")
+    for rel in pack_files(read_json(os.path.join(clone, "index_manifest.json"))):
+        if not rel.endswith(".post"):
+            continue
+        path = os.path.join(clone, rel)
         os.remove(path)
         os.mkfifo(path)
         fifos.append(path)
@@ -1238,8 +1243,6 @@ def test_shards_tolerant_skips_failed_shard(built, tmp_path):
     are corrupt so every shard call raises. The intolerant call raises;
     the tolerant call returns the healthy shards' results flagged
     partial."""
-    import glob
-
     import ray
 
     from apache___solr_ray import backup as bk
@@ -1270,7 +1273,8 @@ def test_shards_tolerant_skips_failed_shard(built, tmp_path):
 
     # corrupt every segment's postings: shard calls raise on decode, the
     # coordinator (term dictionaries only) still serves df
-    victims = glob.glob(os.path.join(clone, "segments", "*", "postings.bin"))
+    man = read_json(os.path.join(clone, "index_manifest.json"))
+    victims = [os.path.join(clone, f) for f in pack_files(man) if f.endswith(".post")]
     assert victims
     for v in victims:
         with open(v, "wb") as f:
@@ -1364,12 +1368,13 @@ def test_segments_identical_for_any_block_count(
     )
 
     def segment_bytes(idx):
-        root = os.path.join(idx, "segments")
-        out = {}
-        for seg in sorted(os.listdir(root)):
-            for f in ("postings.bin", "terms.bin", "meta.json"):
-                with open(os.path.join(root, seg, f), "rb") as fh:
-                    out[seg, f] = fh.read()
+        """Each committed segment's manifest entry, dictionary and postings."""
+        man = read_json(os.path.join(idx, "index_manifest.json"))
+        entries = {s["name"]: s for s in man["segments"]}
+        readers = open_segments(idx, man)
+        out = {name: (entries[name], *r.raw()) for name, r in readers.items()}
+        for r in readers.values():
+            r.close()
         return out
 
     runs = {}
@@ -1385,6 +1390,6 @@ def test_segments_identical_for_any_block_count(
         assert delete_by_url(idx, urls) == 4
         merge_segments(idx, purge_deletes=True)
         runs[cpus] = built_segs, segment_bytes(idx)
-    assert len(runs[1][0]) > 3 * 8  # salted: more segments than tkeys
+    assert len(runs[1][0]) > 8  # salted: more segments than tkeys
     assert runs[1][0] == runs[64][0]
     assert runs[1][1] == runs[64][1]

@@ -9,6 +9,7 @@ from apache___solr_ray.build import IndexConfig, build_index
 from apache___solr_ray.corpus import write_pages
 from apache___solr_ray.merge import merge_segments, plan_merges
 from apache___solr_ray.query import IndexReader
+from apache___solr_ray.segment import open_segments, pack_files, segments_dir
 
 QUERIES = ["the fast data", "example.com", "DON'T Stop", "state of the art merge"]
 
@@ -63,9 +64,12 @@ def test_merge_reduces_segments(merged_index):
     for s in man["segments"]:
         per_tkey[s["tkey"]] = per_tkey.get(s["tkey"], 0) + 1
     assert all(v == 1 for v in per_tkey.values())
-    # consumed segment dirs are gone; survivors exist
-    names_on_disk = set(os.listdir(os.path.join(idx, "segments")))
-    assert {s["name"] for s in man["segments"]} == names_on_disk
+    # consumed segments' packs are gone; the committed ones exist
+    on_disk = set(os.listdir(segments_dir(idx)))
+    assert {os.path.basename(f) for f in pack_files(man)} == on_disk
+    assert {n for members in man["packs"].values() for n, _, _ in members} == {
+        s["name"] for s in man["segments"]
+    }
 
 
 def test_merge_preserves_results(merged_index):
@@ -336,7 +340,7 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     import pyarrow.parquet as pq
 
     from apache___solr_ray.merge import _merge_group
-    from apache___solr_ray.segment import SegmentReader
+    from apache___solr_ray.segment import packs_map, write_segment
 
     d = str(tmp_path_factory.mktemp("pages_eq"))
     write_pages(d, 500, seed=42, rows_per_file=128)
@@ -349,12 +353,11 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     man = merge_segments(idx_split, target_per_tkey=1, merge_factor=4)
     merged = {s["tkey"]: s["name"] for s in man["segments"]}
     assert len(merged) == len(man["segments"])  # one segment per tkey
+    whole_r, split_r = open_segments(idx_whole, whole), open_segments(idx_split, man)
     for s in whole["segments"]:
-        a = os.path.join(idx_whole, "segments", s["name"])
-        b = os.path.join(idx_split, "segments", merged[s["tkey"]])
-        for f in ("terms.bin", "postings.bin"):
-            with open(os.path.join(a, f), "rb") as fa, open(os.path.join(b, f), "rb") as fb:
-                assert fa.read() == fb.read()
+        assert whole_r[s["name"]].raw() == split_r[merged[s["tkey"]]].raw()
+    for r in split_r.values():
+        r.close()
 
     # every doc tombstoned -> the merged tkey is an empty, readable segment
     src = [s for s in whole["segments"] if s["tkey"] == 0]
@@ -366,9 +369,12 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
             for row in range(pq.ParquetFile(os.path.join(docs_dir, f)).metadata.num_rows)
         ]
     ).astype(np.int64)
-    meta = _merge_group(idx_whole, 0, src, "seg-00000-empty", tombs=tombs)
+    meta = _merge_group(whole_r, 0, src, "seg-00000-empty", tombs=tombs)
     assert (meta["n_terms"], meta["n_postings"], meta["bytes"]) == (0, 0, 0)
-    empty = SegmentReader(os.path.join(idx_whole, "segments", "seg-00000-empty"))
+    packs = packs_map(write_segment(idx_whole, [meta]))
+    empty = open_segments(idx_whole, {"packs": packs})["seg-00000-empty"]
+    for r in whole_r.values():
+        r.close()
     assert empty.n_terms == 0 and empty.postings("the") is None
     assert empty.terms_table().num_rows == 0
     empty.close()
@@ -447,12 +453,12 @@ def test_partial_merge_folds_only_doc_adjacent_segments(ray_session, tmp_path_fa
 
 def test_segment_dirs_equal_committed_segments(ray_session, tmp_path_factory):
     """A purge merge followed by an upsert un-commits the merged segments;
-    the upsert's build removes their directories, so after every step the
-    directories under ``segments/`` are exactly the manifest's names."""
+    the upsert's build removes their packs, so after every step the
+    files under ``segments/`` are exactly the manifest's packs, and they
+    hold exactly its segments."""
     import pyarrow as pa
 
     from apache___solr_ray.deletes import delete_by_url
-    from apache___solr_ray.segment import segment_name
     from apache___solr_ray.update import upsert_pages
 
     d = str(tmp_path_factory.mktemp("pages_dirs"))
@@ -467,8 +473,9 @@ def test_segment_dirs_equal_committed_segments(ray_session, tmp_path_factory):
     build_index(d, idx, cfg)
 
     def assert_dirs_committed(man):
-        names = {segment_name(s) for s in man["segments"]}
-        assert set(os.listdir(os.path.join(idx, "segments"))) == names
+        files = {os.path.basename(f) for f in pack_files(man)}
+        assert set(os.listdir(segments_dir(idx))) == files
+        assert set(open_segments(idx, man)) == {s["name"] for s in man["segments"]}
 
     r = IndexReader(idx)
     urls = r.urls_for(np.array([3, (1 << 32) + 7], dtype=np.int64))

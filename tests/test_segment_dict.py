@@ -1,6 +1,7 @@
-"""The segment term dictionary (``terms.bin``): hash-indexed point lookups,
-collision safety, the cost of opening a segment, unmapping on close, and
-the segment format in the build lineage."""
+"""The segment term dictionary (a pack member's ``.tdict`` section):
+hash-indexed point lookups, collision safety, the cost of opening a
+segment, unmapping on close, and the segment format in the build
+lineage."""
 
 import os
 import tracemalloc
@@ -13,8 +14,17 @@ import pytest
 from apache___solr_ray import merge, query, segment
 from apache___solr_ray.build import IndexConfig, build_index
 from apache___solr_ray.corpus import write_pages
+from apache___solr_ray.manifest import write_json_atomic
 from apache___solr_ray.query import IndexReader
-from apache___solr_ray.segment import SegmentReader, build_segment_from_group, write_segment
+from apache___solr_ray.segment import (
+    SegmentReader,
+    build_segment_from_group,
+    open_segments,
+    pack_files,
+    packs_map,
+    segments_dir,
+    write_segment,
+)
 
 STORED = ["", "apple", "applesauce", "b", "strasse", "zebra", "日本語", "ω"]
 ABSENT = ["appl", "apples", "applesaucex", "straße", "日本", "zebr", "c", "日本語x"]
@@ -48,8 +58,18 @@ def _vocab(n: int, seed: int = 0) -> list[str]:
     return sorted(out)[:n]
 
 
-def _check_lookups(seg_dir: str, group: pa.Table) -> None:
-    r = SegmentReader(seg_dir)
+def _write(index_dir: str, group: pa.Table, name: str = "seg") -> dict:
+    """Encode ``group`` as one segment and write it as a one-member pack;
+    returns a manifest-shaped ``{"packs": …}`` that opens it."""
+    entries = write_segment(index_dir, [build_segment_from_group(group, name, 0, 0)])
+    return {"packs": packs_map(entries)}
+
+
+def _open(index_dir: str, man: dict, name: str = "seg") -> SegmentReader:
+    return open_segments(index_dir, man)[name]
+
+
+def _check_lookups(r: SegmentReader, group: pa.Table) -> None:
     tbl = r.terms_table()
     terms = tbl.column("term").to_pylist()
     assert terms == sorted(set(group.column("term").to_pylist()), key=str.encode)
@@ -70,8 +90,8 @@ def _check_lookups(seg_dir: str, group: pa.Table) -> None:
 
 def test_every_term_looks_up_to_its_lexical_row(tmp_path):
     g = _group(STORED + _vocab(500))
-    build_segment_from_group(g, str(tmp_path / "seg"), 0, 0)
-    _check_lookups(str(tmp_path / "seg"), g)
+    man = _write(str(tmp_path), g)
+    _check_lookups(_open(str(tmp_path), man), g)
 
 
 def test_hash_collisions_never_return_another_term(tmp_path, monkeypatch):
@@ -80,49 +100,55 @@ def test_hash_collisions_never_return_another_term(tmp_path, monkeypatch):
     orig = segment.term_hash
     monkeypatch.setattr(segment, "term_hash", lambda t: orig(t) % np.uint64(4))
     g = _group(STORED + _vocab(200), seed=1)
-    build_segment_from_group(g, str(tmp_path / "seg"), 0, 0)
-    r = SegmentReader(str(tmp_path / "seg"))
+    man = _write(str(tmp_path), g)
+    r = _open(str(tmp_path), man)
     assert len(np.unique(r._hash)) <= 4
     r.close()
-    _check_lookups(str(tmp_path / "seg"), g)
+    _check_lookups(_open(str(tmp_path), man), g)
 
 
 def test_empty_segment_and_u32_stats(tmp_path):
-    write_segment(str(tmp_path / "empty"), 0, 0, [], [], [], [])
-    r = SegmentReader(str(tmp_path / "empty"))
+    r = _open(str(tmp_path), _write(str(tmp_path), _group([])))
     assert r.n_terms == 0 and r.lookup("") == -1 and r.postings("a") is None
     assert r.terms_table().num_rows == 0 and r.postings_views() == []
     r.close()
+    big = pa.table(
+        {
+            "term": pa.array(["a"]),
+            "doc_id": pa.array([0], pa.int64()),
+            "tf": pa.array([2**32], pa.int64()),
+            "norm": pa.array([1], pa.uint8()),
+        }
+    )
     with pytest.raises(ValueError, match="u32"):
-        write_segment(str(tmp_path / "big"), 0, 0, ["a"], [b"x"], [1], [2**32])
+        build_segment_from_group(big, "big", 0, 0)
 
 
 def test_older_segment_format_asks_for_a_rebuild(tmp_path):
     """A segment written at an older format version (its payloads use
     another codec layout) is refused, not misread."""
-    seg_dir = str(tmp_path / "seg")
-    build_segment_from_group(_group(_vocab(50, seed=4), seed=4), seg_dir, 0, 0)
-    path = os.path.join(seg_dir, "terms.bin")
-    with open(path, "r+b") as f:
-        f.seek(8)  # the header's u64 version, after the magic
+    man = _write(str(tmp_path), _group(_vocab(50, seed=4), seed=4))
+    ((_name, t_off, _p_off),) = next(iter(man["packs"].values()))
+    tdict = [f for f in pack_files(man) if f.endswith(".tdict")][0]
+    with open(os.path.join(str(tmp_path), tdict), "r+b") as f:
+        f.seek(t_off + 8)  # the member header's u64 version, after the magic
         f.write((segment.FORMAT_VERSION - 1).to_bytes(8, "little"))
     want = rf"not segment format v{segment.FORMAT_VERSION}; rebuild"
     with pytest.raises(RuntimeError, match=want):
-        SegmentReader(seg_dir)
+        _open(str(tmp_path), man)
 
 
 def test_open_allocates_no_python_object_per_term(tmp_path):
     terms = _vocab(12_000, seed=2)
     assert len(terms) >= 10_000
     g = _group(terms, seed=2)
-    seg_dir = str(tmp_path / "seg")
-    build_segment_from_group(g, seg_dir, 0, 0)
-    SegmentReader(seg_dir).close()  # warm imports and caches
+    man = _write(str(tmp_path), g)
+    _open(str(tmp_path), man).close()  # warm imports and caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        r = SegmentReader(seg_dir)
+        r = _open(str(tmp_path), man)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -133,14 +159,12 @@ def test_open_allocates_no_python_object_per_term(tmp_path):
 
 def test_cached_views_share_the_segment_buffer(tmp_path):
     """A ``PostingsView`` owns no buffer of its own: every view of a
-    segment decodes from one uint8 array over ``postings.bin``, so a cached
+    pack decodes from one uint8 array over its ``.post`` file, so a cached
     view costs a few hundred bytes of heap (528 B each when every view
     held its own memoryview and array)."""
     terms = _vocab(3000, seed=6)
     g = _group(terms, seed=6)
-    seg_dir = str(tmp_path / "seg")
-    build_segment_from_group(g, seg_dir, 0, 0)
-    r = SegmentReader(seg_dir)
+    r = _open(str(tmp_path), _write(str(tmp_path), g))
     r.postings(terms[0])  # warm the lookup path
     tracemalloc.start()
     try:
@@ -177,7 +201,7 @@ def _queries(idx: str, n: int, seed: int) -> list[str]:
 
 
 def _segment_fds(idx: str) -> list[str]:
-    root = os.path.join(idx, "segments")
+    root = segments_dir(idx)
     out = []
     for fd in os.listdir("/proc/self/fd"):
         try:
@@ -203,7 +227,7 @@ def test_term_postings_looks_up_once_per_segment(small_index, tmp_path_factory, 
     calls = []
     orig = SegmentReader.lookup
     monkeypatch.setattr(
-        SegmentReader, "lookup", lambda self, t, h=None: calls.append(self.dir) or orig(self, t, h)
+        SegmentReader, "lookup", lambda self, t, h=None: calls.append(self.name) or orig(self, t, h)
     )
     df_of = dict(zip(td.column("term").to_pylist(), td.column("df").to_pylist()))
     most = 0
@@ -211,7 +235,7 @@ def test_term_postings_looks_up_once_per_segment(small_index, tmp_path_factory, 
         calls.clear()
         tp = r.term_postings(t)
         segs = r._term_readers(segment.term_hash(np.array([t], dtype=object))[0])
-        assert sorted(calls) == sorted(s.dir for s in segs), t
+        assert sorted(calls) == sorted(s.name for s in segs), t
         most = max(most, len(segs))
         assert (tp.df if tp else 0) == df_of.get(t, 0), t
         calls.clear()
@@ -236,8 +260,6 @@ def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_fact
     """Every segment re-encoded under a 2-bit ``term_hash`` (kept equal
     modulo the 4 term partitions, so tkey routing is unchanged) answers
     exactly as before, and ``topk`` equals ``topk_exhaustive``."""
-    import shutil
-
     d, _idx, cfg, _man = small_index
     idx = str(tmp_path_factory.mktemp("index_dict_2bit"))
     man = build_index(d, idx, cfg)
@@ -250,11 +272,15 @@ def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_fact
     two_bit = lambda t: orig(t) % np.uint64(4)  # noqa: E731
     monkeypatch.setattr(segment, "term_hash", two_bit)
     monkeypatch.setattr(query, "term_hash", two_bit)
-    for s in man["segments"]:
-        merge._merge_group(idx, s["tkey"], [s], s["name"] + "-2bit")
-        seg_dir = os.path.join(idx, "segments", s["name"])
-        shutil.rmtree(seg_dir)
-        os.rename(seg_dir + "-2bit", seg_dir)
+    readers = open_segments(idx, man)
+    members = [merge._merge_group(readers, s["tkey"], [s], s["name"]) for s in man["segments"]]
+    for rd in readers.values():
+        rd.close()
+    # the re-encoded segments, committed in place of the old packs
+    write_json_atomic(
+        os.path.join(idx, "index_manifest.json"),
+        dict(man, packs=packs_map(write_segment(idx, members))),
+    )
     r = IndexReader(idx)
     assert len(np.unique(r._readers[man["segments"][0]["name"]]._hash)) <= 4
     for q, (wd, ws) in zip(qs, want):
@@ -269,8 +295,9 @@ def test_segment_format_change_reencodes_segments_and_resumes_phase_a(
     small_index, tmp_path_factory, monkeypatch
 ):
     """An index committed under an older segment format (no ``seg=`` in its
-    config, no ``terms.bin``) is re-encoded segment by segment on the next
-    build; the phase-A outputs are reused as they are."""
+    config, no ``packs`` in its manifest) is refused by readers and
+    re-encoded segment by segment on the next build; the phase-A outputs
+    are reused as they are."""
     d, _idx, cfg, _man = small_index
     idx = str(tmp_path_factory.mktemp("index_dict_v2"))
     with monkeypatch.context() as m:
@@ -280,11 +307,10 @@ def test_segment_format_change_reencodes_segments_and_resumes_phase_a(
             lambda self: f"{self.fingerprint()};maxpost={self.max_postings_per_segment}",
         )
         old = build_index(d, idx, cfg)
-    for s in old["segments"]:
-        os.remove(os.path.join(idx, "segments", s["name"], "terms.bin"))
-    seg_dir = os.path.join(idx, "segments", old["segments"][0]["name"])
+    old.pop("packs")
+    write_json_atomic(os.path.join(idx, "index_manifest.json"), old)
     with pytest.raises(RuntimeError, match=rf"format v{segment.FORMAT_VERSION}.*rebuild"):
-        SegmentReader(seg_dir)
+        IndexReader(idx)
 
     raw = os.path.join(idx, "postings_raw")
     stamps = {f: os.stat(os.path.join(raw, f)).st_mtime_ns for f in os.listdir(raw)}

@@ -1,7 +1,8 @@
-"""Phase B's encode batches and write-once segments: a batch of segments
-writes the bytes each segment alone would, a rebuild re-encodes only what
-is missing, and a reader keeps answering from its own commit point while
-upserts and merges replace the segments it opened."""
+"""Phase B's encode batches and write-once packs: a batch of segments
+writes the bytes each segment alone would, as one pack; a rebuild resumes
+every segment a whole pack holds and re-encodes only the rest; a reader
+holds two files per pack and keeps answering from its own commit point
+while upserts and merges replace the packs it opened."""
 
 import os
 
@@ -13,19 +14,36 @@ from apache___solr_ray import build
 from apache___solr_ray.build import IndexConfig, build_index
 from apache___solr_ray.corpus import pages_table, write_pages
 from apache___solr_ray.deletes import delete_by_url
+from apache___solr_ray.manifest import read_json
 from apache___solr_ray.merge import merge_segments
 from apache___solr_ray.query import IndexReader
+from apache___solr_ray.segment import open_segments, pack_files, segments_dir
 from apache___solr_ray.update import upsert_pages
 
 
 def _segment_bytes(idx: str) -> dict:
-    root = os.path.join(idx, "segments")
-    out = {}
-    for seg in sorted(os.listdir(root)):
-        for f in ("postings.bin", "terms.bin", "meta.json"):
-            with open(os.path.join(root, seg, f), "rb") as fh:
-                out[seg, f] = fh.read()
+    """Every committed segment's manifest entry and its dictionary and
+    postings bytes, by name."""
+    man = read_json(os.path.join(idx, "index_manifest.json"))
+    entries = {s["name"]: s for s in man["segments"]}
+    readers = open_segments(idx, man)
+    out = {name: (entries[name], *r.raw()) for name, r in readers.items()}
+    for r in readers.values():
+        r.close()
+    assert set(out) == set(entries)
     return out
+
+
+def _segment_fds(idx: str) -> int:
+    """Open file descriptors of this process under ``segments/``."""
+    root = segments_dir(idx)
+    n = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(os.path.join("/proc/self/fd", fd)).startswith(root)
+        except OSError:
+            pass
+    return n
 
 
 def _hot_queries(idx: str, n: int, seed: int) -> list[str]:
@@ -84,43 +102,153 @@ def test_batched_blocks_write_the_bytes_of_one_segment_blocks(
 ):
     """At 1 CPU a block holds many segments and encodes them in several
     batches; at 64 CPUs every block, so every batch, is one segment. Both
-    write the same directories, byte for byte."""
+    write the same segments, byte for byte, one pack per batch."""
     d, cfg = mixed
     runs = {}
     for cpus in (1, 64):
         monkeypatch.setattr(build, "_cluster_cpus", lambda c=cpus: c)
         idx = str(tmp_path_factory.mktemp(f"index_batches{cpus}"))
         man = build_index(d, idx, cfg)
+        assert len(man["packs"]) == man["metrics"]["phase_b_batches"]
+        assert len(pack_files(man)) == len(os.listdir(segments_dir(idx)))
         runs[cpus] = man["metrics"], _segment_bytes(idx)
     m1, m64 = runs[1][0], runs[64][0]
     n_seg = m1["segments_built"]
-    names = {seg for seg, f in runs[1][1] if f == "meta.json"}
-    assert len(names) == n_seg > cfg.term_partitions  # salted
+    assert len(runs[1][1]) == n_seg > cfg.term_partitions  # salted
     # several batches per block, and batches of several segments
     assert m1["phase_b_tasks"] < m1["phase_b_batches"] < n_seg
     assert m64["phase_b_batches"] == n_seg
     assert runs[1][1] == runs[64][1]
 
 
-def test_a_removed_segment_alone_is_rebuilt(mixed, tmp_path_factory, monkeypatch):
-    """With the commit and one segment directory gone, a rebuild resumes
-    every other segment of that segment's block and writes the missing one
-    again, byte-identical."""
-    import shutil
+def test_phase_b_stage_times_sum_within_batch_time(mixed, tmp_path_factory, monkeypatch):
+    """Each encode batch times its read, encode and write steps; together
+    they are the batch's wall time, so their sums stay within
+    ``phase_b_batch_sec``'s (up to the 4-decimal rounding)."""
+    d, cfg = mixed
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    m = build_index(d, str(tmp_path_factory.mktemp("index_stages")), cfg)["metrics"]
+    stages = m["phase_b_stage_sec"]
+    assert set(stages) == {"read", "encode", "write"}
+    assert sum(st["sum"] for st in stages.values()) <= m["phase_b_batch_sec"]["sum"] + 2e-4
+    for st in stages.values():
+        assert 0 < st["p50"] <= st["max"] <= m["phase_b_batch_sec"]["max"] + 1e-4
 
+
+def _packs_of_killed_build(d, cfg, idx, monkeypatch) -> None:
+    """A build killed after its packs' renames and before the manifest
+    swap: it leaves every pack and no commit."""
+
+    write = build.write_json_atomic
+
+    def killed(path, obj):
+        if path.endswith("index_manifest.json"):
+            raise RuntimeError("killed before the manifest swap")
+        write(path, obj)
+
+    with monkeypatch.context() as m:
+        m.setattr(build, "write_json_atomic", killed)
+        with pytest.raises(RuntimeError, match="killed before"):
+            build_index(d, idx, cfg)
+    assert not os.path.exists(os.path.join(idx, "index_manifest.json"))
+
+
+def test_kill_after_pack_rename_resumes_from_the_toc(mixed, tmp_path_factory, monkeypatch):
+    """A re-run after a kill between the pack renames and the manifest swap
+    resumes every segment from the packs' tables of contents: nothing is
+    re-encoded, the bytes equal a clean build's and so does ``topk``."""
+    d, cfg = mixed
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    clean = str(tmp_path_factory.mktemp("index_clean"))
+    want_man = build_index(d, clean, cfg)
+    idx = str(tmp_path_factory.mktemp("index_killed"))
+    _packs_of_killed_build(d, cfg, idx, monkeypatch)
+    man = build_index(d, idx, cfg)
+    m = man["metrics"]
+    assert (m["segments_built"], m["phase_b_batches"], m["phase_b_tasks"]) == (0, 0, 0)
+    assert m["segments_resumed"] == len(man["segments"])
+    assert man["segments"] == want_man["segments"] and man["packs"] == want_man["packs"]
+    assert _segment_bytes(idx) == _segment_bytes(clean)
+    qs = _hot_queries(clean, 16, seed=3)
+    a, b = IndexReader(clean), IndexReader(idx)
+    assert _answers(a, qs) == _answers(b, qs)
+    a.close()
+    b.close()
+
+
+def test_a_truncated_trailer_or_missing_post_is_rebuilt(mixed, tmp_path_factory, monkeypatch):
+    """A pack whose ``.tdict`` trailer is cut short, or whose ``.post`` is
+    gone, is not resumed: its members are encoded again, byte-identical,
+    and every other pack's members resume."""
+    d, cfg = mixed
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    idx = str(tmp_path_factory.mktemp("index_torn"))
+    man = build_index(d, idx, cfg)
+    want = _segment_bytes(idx)
+    packs = sorted(man["packs"], key=lambda p: -len(man["packs"][p]))[:2]
+    torn = [len(man["packs"][p]) for p in packs]
+    assert min(torn) >= 2
+    os.remove(os.path.join(idx, "index_manifest.json"))
+    tdict = os.path.join(segments_dir(idx), packs[0] + ".tdict")
+    with open(tdict, "r+b") as f:
+        f.truncate(os.path.getsize(tdict) - 3)
+    os.remove(os.path.join(segments_dir(idx), packs[1] + ".post"))
+    new = build_index(d, idx, cfg)
+    m = new["metrics"]
+    assert m["segments_built"] == sum(torn)
+    assert m["segments_resumed"] == len(man["segments"]) - sum(torn)
+    assert not set(packs) & set(new["packs"])
+    assert _segment_bytes(idx) == want
+    assert sorted(os.listdir(segments_dir(idx))) == sorted(
+        os.path.basename(f) for f in pack_files(new)
+    )
+
+
+def test_a_removed_packs_members_alone_are_rebuilt(mixed, tmp_path_factory, monkeypatch):
+    """With the commit and one pack gone, a rebuild resumes every segment
+    of the other packs and writes the missing pack's members again,
+    byte-identical."""
     d, cfg = mixed
     monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
     idx = str(tmp_path_factory.mktemp("index_rebuild_one"))
     man = build_index(d, idx, cfg)
     want = _segment_bytes(idx)
-    gone = man["segments"][len(man["segments"]) // 2]["name"]
+    gone = sorted(man["packs"], key=lambda p: -len(man["packs"][p]))[0]
+    n_gone = len(man["packs"][gone])
     os.remove(os.path.join(idx, "index_manifest.json"))
-    shutil.rmtree(os.path.join(idx, "segments", gone))
+    for ext in (".tdict", ".post"):
+        os.remove(os.path.join(segments_dir(idx), gone + ext))
     m = build_index(d, idx, cfg)["metrics"]
-    assert (m["segments_built"], m["phase_b_batches"]) == (1, 1)
-    assert m["segments_resumed"] == len(man["segments"]) - 1
+    assert m["segments_built"] == n_gone > 1
+    assert m["segments_resumed"] == len(man["segments"]) - n_gone
     assert m["phase_a_tasks"] == 0 and m["parts_resumed"] == len(man["input_fingerprints"])
     assert _segment_bytes(idx) == want
+
+
+def test_a_reader_holds_two_fds_per_pack(ray_session, tmp_path_factory, monkeypatch):
+    """An ``IndexReader`` of a T=64 build holds at most two file
+    descriptors per pack under ``segments/`` (one per mapped file), not
+    two per segment, and so does one opened after a purge merge."""
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    d = str(tmp_path_factory.mktemp("pages_fds"))
+    write_pages(d, 512, seed=19, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_fds"))
+    cfg = IndexConfig(term_partitions=64, target_docs_per_part=128, text_from_html=False)
+    man = build_index(d, idx, cfg)
+    assert len(man["segments"]) == 64
+    for step in ("build", "purge"):
+        base = _segment_fds(idx)
+        r = IndexReader(idx)
+        r.topk(" ".join(_hot_queries(idx, 4, seed=2)), 10)
+        held = _segment_fds(idx) - base
+        assert 0 < held <= 2 * len(man["packs"]) < len(man["segments"]), step
+        urls = r.urls_for(np.array([1, (1 << 32) + 2], dtype=np.int64))
+        r.close()
+        assert _segment_fds(idx) == base
+        if step == "build":
+            assert delete_by_url(idx, urls) == 2
+            man = merge_segments(idx, purge_deletes=True)
+            assert len(man["segments"]) == 64
 
 
 def test_readers_keep_their_commit_across_upsert_and_purge_merge(
