@@ -107,15 +107,23 @@ def _part_span(sources: list[dict]) -> dict:
     }
 
 
+def _merged_name(tkey: int, gen: int, segs: list[dict]) -> tuple[str, int]:
+    """The first merge output name ``seg-TTTTT-mGGGG`` from generation
+    ``gen`` on that no segment of ``segs`` holds, and its generation."""
+    names = {s["name"] for s in segs}
+    while f"seg-{tkey:05d}-m{gen:04d}" in names:
+        gen += 1
+    return f"seg-{tkey:05d}-m{gen:04d}", gen
+
+
 def plan_merges(
     segments: list[dict], target_per_tkey: int, merge_factor: int
-) -> list[tuple[int, list[dict], str, list[dict]]]:
+) -> list[tuple[int, list[dict], str]]:
     """Pure planning (deterministic, unit-testable): per tkey, in doc order
     (``part_lo``, then salt), repeatedly fold the window of merge_factor
     adjacent segments with the smallest byte sum until <= target remain.
 
-    Returns [(tkey, final_segment_entries, ...)]-style merge steps:
-    (tkey, sources, out_name, remaining_after).
+    Returns the merge steps in order, each ``(tkey, sources, out_name)``.
     """
     steps = []
     by_tkey: dict[int, list[dict]] = {}
@@ -129,10 +137,7 @@ def plan_merges(
             csum = np.cumsum([0] + [s["bytes"] for s in segs])
             i = int(np.argmin(csum[n:] - csum[:-n]))
             sources = segs[i : i + n]
-            out_name = f"seg-{tkey:05d}-m{gen:04d}"
-            while any(s["name"] == out_name for s in segs):
-                gen += 1
-                out_name = f"seg-{tkey:05d}-m{gen:04d}"
+            out_name, gen = _merged_name(tkey, gen, segs)
             placeholder = {
                 "tkey": tkey,
                 "salt": -1,
@@ -143,7 +148,7 @@ def plan_merges(
                 "skey": -1,
                 **_part_span(sources),
             }
-            steps.append((tkey, sources, out_name, None))
+            steps.append((tkey, sources, out_name))
             segs = segs[:i] + [placeholder] + segs[i + n :]
             gen += 1
     return steps
@@ -189,12 +194,7 @@ def merge_segments(
         planned = {st[0] for st in steps}
         for tkey in sorted({s["tkey"] for s in segments} - planned):
             srcs = [s for s in segments if s["tkey"] == tkey]
-            gen = 0
-            out_name = f"seg-{tkey:05d}-m{gen:04d}"
-            while any(s["name"] == out_name for s in srcs):
-                gen += 1
-                out_name = f"seg-{tkey:05d}-m{gen:04d}"
-            steps.append((tkey, srcs, out_name, []))
+            steps.append((tkey, srcs, _merged_name(tkey, 0, srcs)[0]))
     else:
         steps = plan_merges(segments, target_per_tkey, merge_factor)
     if not steps:
@@ -214,11 +214,11 @@ def merge_segments(
         a chain step reads an earlier step's output from memory."""
         chains = [json.loads(c) for c in batch.column("steps").to_pylist()]
         steps = [st for chain in chains for st in chain]
-        consumed = {s["name"] for _, sources, _, _ in steps for s in sources}
+        consumed = {s["name"] for _, sources, _ in steps for s in sources}
         readers = open_segments(index_dir, man, consumed & committed)
         try:
             out = []
-            for tkey, sources, out_name, _ in steps:
+            for tkey, sources, out_name in steps:
                 m = _merge_group(readers, tkey, sources, out_name, tombs=tombs)
                 readers[out_name] = encoded_reader(m)
                 out.append(m)
@@ -239,12 +239,12 @@ def merge_segments(
     # order), so index_fingerprint keeps digesting content identity across
     # merges rather than falling back to counts-only
     lineage_by_name = {s["name"]: str(s.get("lineage", "")) for s in segments}
-    for _, sources, out_name, _ in steps:
+    for _, sources, out_name in steps:
         combined = "+".join(
             lineage_by_name.get(s["name"], str(s.get("name", ""))) for s in sources
         )
         lineage_by_name[out_name] = "m:" + hashlib.sha1(combined.encode()).hexdigest()
-    span_by_name = {out_name: _part_span(sources) for _, sources, out_name, _ in steps}
+    span_by_name = {out_name: _part_span(sources) for _, sources, out_name in steps}
     new_entries = [
         {
             "skey": -1,

@@ -18,7 +18,12 @@ of ``QueryComponent.mergeIds``):
   accumulator; ``merge_topk`` is the one top-k selection. Lucene prunes
   with block-max WAND instead; on this engine's posting lists the bound
   bookkeeping cost more than the blocks it skipped, so no pruning is
-  done. Multi-block terms keep their block headers for phrase skipping;
+  done. Multi-block terms keep their block headers for the block skip of
+  ``TermPostings.positions_for_docs``;
+- positional queries (phrase, span-near, complex-phrase, payload) share
+  one evaluator: ``_clause_positions`` decodes each clause once, keeps the
+  live docs every clause holds and reads positions only for the blocks
+  that hold one; ``_span_freqs`` chains ordered spans (slop 0: a phrase);
 - per-doc columns (stored fields, facet, filter, group and sort values)
   are read only through ``IndexReader.doc_column`` / ``doc_values``, over
   the doc parts the committed manifest names — the reader of one commit
@@ -46,7 +51,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from apache___solr_ray.analyze import Analyzer
-from apache___solr_ray.codec import decode_postings_concat
+from apache___solr_ray.codec import BLOCK, decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
 from apache___solr_ray.manifest import read_json
 from apache___solr_ray.segment import TERMS_SCHEMA, SegmentReader, open_segments, term_hash
@@ -327,69 +332,101 @@ class IndexReader:
         alive = self._alive(out)
         return out if alive is None else out[alive]
 
-    def phrase_freqs(self, phrase: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact-phrase evaluation (Lucene PhraseQuery, slop=0) from the
-        position streams. Returns ``(doc_ids, phrase_freq, norms)`` for every
-        live doc where the analyzed tokens of ``phrase`` occur consecutively;
-        phrase_freq counts the start positions (the PhraseQuery tf).
+    # -- positional queries: one evaluator --------------------------------
 
-        Evaluation: candidate docs = intersection of all terms' postings
-        (rarest term first); positions decoded ONLY for blocks holding
-        candidates; adjacency via one sorted-key intersection per term
-        (key = candidate_rank << 32 | position - clause_offset).
+    def _token_clauses(self, text: str) -> list[list[TermPostings]]:
+        """One single-term clause per analyzed token of ``text``; none when
+        a token is not indexed (no doc can match)."""
+        tps = [self.term_postings(t) for t in self.analyzer.analyze(text)]
+        return [] if any(tp is None for tp in tps) else [[tp] for tp in tps]
 
-        Reference semantics: Lucene ExactPhraseMatcher; Solr surface
-        ``solr/core/src/test/org/apache/solr/search/TestComplexPhraseQParserPlugin.java``.
-        """
-        toks = self.analyzer.analyze(phrase)
-        z = np.zeros(0, dtype=np.int64)
-        if not toks:
-            return z, z.copy(), np.zeros(0, dtype=np.uint8)
-        tps = [self.term_postings(t) for t in toks]
-        if any(tp is None for tp in tps):
-            return z, z.copy(), np.zeros(0, dtype=np.uint8)
-        if len(toks) == 1:
-            d, t, m = tps[0].decode_all()
-            alive = self._alive(d)
-            if alive is not None:
-                d, t, m = d[alive], t[alive], m[alive]
-            return d, t, m
-        # candidates: intersect doc sets, rarest first so the working set
-        # shrinks fastest (Lucene leads with the lowest-cost scorer)
-        order = np.argsort([tp.df for tp in tps], kind="stable")
-        cand = d0 = m0 = None
-        for j, i in enumerate(order):
-            d, _t, m = tps[i].decode_all()
-            if j == 0:
-                d0, m0 = d, m
-            cand = d if cand is None else cand[np.isin(cand, d, assume_unique=True)]
+    def _clause_positions(self, clauses: list[list[TermPostings]]):
+        """Step 1 of the positional evaluator: ``(cand, norms, occ)``, the
+        live docs every clause holds (ascending), their norm bytes, and per
+        clause ``(rank, pos)``, one row per occurrence in a candidate with
+        ``rank`` indexing ``cand``. Each view decodes once, rarest clause
+        first (Lucene leads with the lowest-cost scorer); positions decode
+        only for the blocks holding a candidate, found from those postings
+        (block ``b`` is postings ``[b*BLOCK, (b+1)*BLOCK)``) and their tfs."""
+        clause_views = [[v for tp in c for v in tp.views] for c in clauses]
+        dec: dict[int, tuple] = {}  # id(view) -> (view, docs, tfs, norms)
+        cand = None
+        for i in np.argsort([sum(tp.df for tp in c) for c in clauses], kind="stable"):
+            for v in clause_views[i]:
+                if id(v) not in dec:  # a term in two clauses decodes once
+                    dec[id(v)] = (v, *v.decode_all())
+            docs = np.concatenate([dec[id(v)][1] for v in clause_views[i]])
+            if len(clauses[i]) > 1:  # a wildcard clause: its terms share docs
+                docs = np.unique(docs)
+            cand = docs if cand is None else cand[np.isin(cand, docs, assume_unique=True)]
             if len(cand) == 0:
-                return z, z.copy(), np.zeros(0, dtype=np.uint8)
+                break
         alive = self._alive(cand)
         if alive is not None:
             cand = cand[alive]
         if len(cand) == 0:
-            return z, z.copy(), np.zeros(0, dtype=np.uint8)
-        # adjacency: for clause i at offset i, key = rank(doc) << 32 | (pos - i);
-        # a phrase start is a key present for every clause
-        keys = None
-        for i, tp in enumerate(tps):
-            doc_rep, pos = tp.positions_for_docs(cand)
-            p = pos - i
-            ok = p >= 0
-            rank = np.searchsorted(cand, doc_rep[ok])
-            k = (rank << np.int64(32)) | p[ok]
-            k.sort()
-            keys = k if keys is None else keys[np.isin(keys, k, assume_unique=True)]
-            if len(keys) == 0:
-                return z, z.copy(), np.zeros(0, dtype=np.uint8)
-        ranks = (keys >> np.int64(32)).astype(np.int64)
-        freq = np.bincount(ranks, minlength=len(cand)).astype(np.int64)
+            z = np.zeros(0, dtype=np.int64)
+            return z, np.zeros(0, dtype=np.uint8), [(z, z)] * len(clauses)
+        norms = np.zeros(len(cand), dtype=np.uint8)
+        occ: dict[int, tuple] = {}  # id(view) -> (rank, pos) of its candidates
+        for key, (v, d, t, m) in dec.items():
+            sel = np.isin(d, cand, assume_unique=True)
+            if not sel.any():
+                continue
+            rank = np.searchsorted(cand, d[sel])
+            norms[rank] = m[sel]  # a doc's norm is the same in every clause
+            blocks = np.zeros(v.n_blocks, dtype=bool)
+            blocks[np.flatnonzero(sel) // BLOCK] = True
+            read = np.repeat(blocks, BLOCK)[: len(d)]
+            pos = v.decode_blocks_positions(np.flatnonzero(blocks), t[read])
+            occ[key] = np.repeat(rank, t[sel]), pos[np.repeat(sel[read], t[read])]
+        parts = [[occ[id(v)] for v in views if id(v) in occ] for views in clause_views]
+        return cand, norms, [tuple(map(np.concatenate, zip(*p))) for p in parts]
+
+    def _span_freqs(
+        self, clauses: list[list[TermPostings]], slop: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positional evaluator: ``(doc_ids, freq, norms)`` of the live
+        docs with an ordered span through ``clauses`` (any term of a clause)
+        whose whole-span gap budget ``p_{n-1} - p_0 - (n-1)`` is <= ``slop``;
+        ``freq`` counts span starts. Step 2, the chain: from each clause-0
+        position take the smallest greater same-doc position of the next
+        clause; greedy-smallest minimizes the span's end, so the budget
+        check on it is exact. A lone one-term clause answers from its tfs
+        and reads no positions."""
+        z = np.zeros(0, dtype=np.int64)
+        if not clauses:
+            return z, z, np.zeros(0, dtype=np.uint8)
+        if len(clauses) == 1 and len(clauses[0]) == 1:
+            d, t, m = clauses[0][0].decode_all()
+            alive = self._alive(d)
+            return (d, t, m) if alive is None else (d[alive], t[alive], m[alive])
+        cand, norms, occ = self._clause_positions(clauses)
+        if len(cand) == 0:
+            return cand, z, norms
+        M = np.int64(max(int(pos.max()) for _, pos in occ) + 2)
+        keys = [np.sort(rank * M + pos) for rank, pos in occ]
+        start = cur = keys[0]
+        for k in keys[1:]:
+            idx = np.searchsorted(k, cur, side="right")
+            nxt = k[np.minimum(idx, len(k) - 1)]
+            ok = (idx < len(k)) & (nxt // M == cur // M)  # same doc
+            start, cur = start[ok], nxt[ok]
+        freq = np.bincount(start[cur - start <= slop + len(keys) - 1] // M, minlength=len(cand))
         hit = freq > 0
-        docs = cand[hit]
-        # norms for scoring come from any clause's postings (same doc norm)
-        norms = m0[np.searchsorted(d0, docs)]
-        return docs, freq[hit], norms
+        return cand[hit], freq[hit], norms[hit]
+
+    def phrase_freqs(self, phrase: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact-phrase evaluation (Lucene PhraseQuery, slop=0) from the
+        position streams. Returns ``(doc_ids, phrase_freq, norms)`` for every
+        live doc where the analyzed tokens of ``phrase`` occur consecutively;
+        phrase_freq counts the start positions (the PhraseQuery tf). The
+        ordered-span evaluator at slop 0 (``_span_freqs``).
+
+        Reference semantics: Lucene ExactPhraseMatcher; Solr surface
+        ``solr/core/src/test/org/apache/solr/search/TestComplexPhraseQParserPlugin.java``.
+        """
+        return self._span_freqs(self._token_clauses(phrase), 0)
 
     def match_docs_phrase(self, phrase: str) -> np.ndarray:
         """DocSet of the exact phrase — the `\"...\"` clause analog."""
@@ -402,77 +439,8 @@ class IndexReader:
         IN ORDER whose TOTAL gap budget sum(p_i - p_{i-1} - 1) =
         p_{n-1} - p_0 - (n-1) is ≤ slop (slop=0 == exact phrase
         adjacency). The slop is a whole-span budget, not per-gap —
-        matching Lucene's SloppyMath accumulation for ordered spans.
-
-        Vectorized greedy chain over the position streams: for every
-        clause-0 start position, repeatedly take the SMALLEST same-doc
-        next-clause position strictly greater (one searchsorted per
-        clause on the sorted (doc_rank, pos) key space) — greedy-smallest
-        minimizes the final span end, so the budget check on the chain's
-        end is exact. Positions are decoded only for candidate-
-        intersection blocks."""
-        toks = self.analyzer.analyze(phrase)
-        z = np.zeros(0, dtype=np.int64)
-        if not toks:
-            return z
-        tps = [self.term_postings(t) for t in toks]
-        if any(tp is None for tp in tps):
-            return z
-        if len(toks) == 1:
-            d = tps[0].decode_all()[0]
-            alive = self._alive(d)
-            return d if alive is None else d[alive]
-        order = np.argsort([tp.df for tp in tps], kind="stable")
-        cand = None
-        for i in order:
-            d = tps[i].decode_all()[0]
-            cand = d if cand is None else cand[np.isin(cand, d, assume_unique=True)]
-            if len(cand) == 0:
-                return z
-        alive = self._alive(cand)
-        if alive is not None:
-            cand = cand[alive]
-        if len(cand) == 0:
-            return z
-        per_clause = [tp.positions_for_docs(cand) for tp in tps]
-        max_pos = max((int(p.max()) for _, p in per_clause if len(p)), default=0)
-        M = np.int64(max_pos + 2)
-        keyspaces = []
-        for doc_rep, pos in per_clause:
-            rank = np.searchsorted(cand, doc_rep)
-            keys = rank.astype(np.int64) * M + pos.astype(np.int64)
-            keys.sort()
-            keyspaces.append(keys)
-        return self._ordered_chain_docs(cand, keyspaces, M, slop)
-
-    @staticmethod
-    def _ordered_chain_docs(
-        cand: np.ndarray, keyspaces: list[np.ndarray], M: np.int64, slop: int
-    ) -> np.ndarray:
-        """Docs with an in-order chain through the clause keyspaces whose
-        whole-span gap budget is ≤ slop. Greedy chain: start = clause-0
-        keys; each step jumps to the smallest strictly-greater same-doc key
-        of the next clause (greedy-smallest minimizes the final span end,
-        so the budget check on the chain's end is exact)."""
-        z = np.zeros(0, dtype=np.int64)
-        start = keyspaces[0]
-        cur = start
-        for keys in keyspaces[1:]:
-            if len(keys) == 0:
-                return z
-            idx = np.searchsorted(keys, cur, side="right")
-            ok = idx < len(keys)
-            nxt = keys[np.minimum(idx, len(keys) - 1)]
-            # must stay within the same doc (same rank block)
-            ok &= (nxt // M) == (cur // M)
-            start, cur = start[ok], nxt[ok]
-            if len(cur) == 0:
-                return z
-        # total budget: span width minus (n-1) interior steps ≤ slop
-        ok = (cur - start) <= np.int64(slop + len(keyspaces) - 1)
-        if not ok.any():
-            return z
-        return cand[np.unique(start[ok] // M)]
+        matching Lucene's SloppyMath accumulation for ordered spans."""
+        return self._span_freqs(self._token_clauses(phrase), slop)[0]
 
     def complex_phrase_docs(self, phrase: str, slop: int = 0) -> np.ndarray:
         """ComplexPhraseQParser analog (reference
@@ -483,8 +451,7 @@ class IndexReader:
         dictionaries; its position stream is the UNION of the matched
         terms' positions. Ordered with a whole-span slop budget, matching
         span_near_docs."""
-        z = np.zeros(0, dtype=np.int64)
-        clause_tps: list[list] = []
+        clauses = []
         for raw in phrase.split():
             if "*" in raw or "?" in raw:
                 terms = self.expand_wildcard(raw.lower())
@@ -492,42 +459,9 @@ class IndexReader:
                 terms = self.analyzer.analyze(raw)
             tps = [tp for t in terms if (tp := self.term_postings(t)) is not None]
             if not tps:
-                return z
-            clause_tps.append(tps)
-        if not clause_tps:
-            return z
-        cand = None
-        for tps in clause_tps:
-            docs = np.unique(np.concatenate([tp.decode_all()[0] for tp in tps]))
-            cand = docs if cand is None else cand[np.isin(cand, docs, assume_unique=True)]
-            if len(cand) == 0:
-                return z
-        alive = self._alive(cand)
-        if alive is not None:
-            cand = cand[alive]
-        if len(cand) == 0:
-            return z
-        per_clause = []
-        max_pos = 0
-        for tps in clause_tps:
-            reps, poss = [], []
-            for tp in tps:
-                doc_rep, pos = tp.positions_for_docs(cand)
-                reps.append(doc_rep)
-                poss.append(pos)
-            doc_rep = np.concatenate(reps)
-            pos = np.concatenate(poss)
-            if len(pos):
-                max_pos = max(max_pos, int(pos.max()))
-            per_clause.append((doc_rep, pos))
-        M = np.int64(max_pos + 2)
-        keyspaces = []
-        for doc_rep, pos in per_clause:
-            rank = np.searchsorted(cand, doc_rep)
-            keys = rank.astype(np.int64) * M + pos.astype(np.int64)
-            keys.sort()
-            keyspaces.append(keys)
-        return self._ordered_chain_docs(cand, keyspaces, M, slop)
+                return np.zeros(0, dtype=np.int64)
+            clauses.append(tps)
+        return self._span_freqs(clauses, slop)[0]
 
     def payload_scores(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """PayloadScoreQParser analog (reference
@@ -541,24 +475,13 @@ class IndexReader:
         z = np.zeros(0, dtype=np.int64)
         tp = self.term_postings(term)
         if tp is None:
-            return z, z.copy(), z.copy()
-        docs = tp.decode_all()[0]
-        alive = self._alive(docs)
-        if alive is not None:
-            docs = docs[alive]
-        if len(docs) == 0:
-            return z, z.copy(), z.copy()
-        doc_rep, pos = tp.positions_for_docs(docs)
-        rank = np.searchsorted(docs, doc_rep)
-        sums = np.bincount(rank, weights=pos.astype(np.float64), minlength=len(docs)).astype(
-            np.int64
-        )
-        order = np.lexsort((pos, rank))
-        r_sorted, p_sorted = rank[order], pos[order]
-        starts = np.flatnonzero(np.diff(r_sorted, prepend=-1))
-        mins = np.full(len(docs), -1, dtype=np.int64)
-        mins[r_sorted[starts]] = p_sorted[starts]
-        return docs, sums, mins
+            return z, z, z
+        cand, _, [(rank, pos)] = self._clause_positions([[tp]])
+        if len(cand) == 0:
+            return z, z, z
+        # every candidate holds the term: its occurrences are one run of rank
+        starts = np.flatnonzero(np.diff(rank, prepend=-1))
+        return cand, np.add.reduceat(pos, starts), np.minimum.reduceat(pos, starts)
 
     def topk_phrase(self, phrase: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
         """BM25-scored phrase top-k: tf = phrase frequency, weight uses the
@@ -567,8 +490,7 @@ class IndexReader:
         docs, freq, norms = self.phrase_freqs(phrase)
         if len(docs) == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        toks = self.analyzer.analyze(phrase)
-        dfs = [tp.df for t in toks if (tp := self.term_postings(t)) is not None]
+        dfs = [c[0].df for c in self._token_clauses(phrase)]
         sc = BM25Scorer(dfs, self.doc_count, self.sum_total_tf)
         return merge_topk([(docs, sc.score(freq, norms))], k)
 

@@ -4,6 +4,7 @@ Scans the package source: the per-index doc-id dict is gone, the float64
 BM25 per-term loop has one home (``lucene.bm25_f64_columns``), and whole
 posting lists are decoded outside the engine (``query.py``, ``codec.py``)
 only by the named entries below, each of which needs every posting.
+Position streams are read only by the one positional evaluator.
 """
 
 import ast
@@ -56,6 +57,16 @@ def test_decode_all_outside_the_engine_only_in_named_oracles():
     calls = _calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "decode_all")
     outside = {c for c in calls if c[0] not in ("query.py", "codec.py")}
     assert outside == set(DECODE_ALL_ALLOWED)
+
+
+def test_positions_decode_only_in_the_positional_evaluator():
+    """Position streams are read by the one positional evaluator and by
+    ``TermPostings.positions_for_docs``; no phrase path keeps its own
+    ordered-span chain."""
+    calls = _calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "decode_blocks_positions")
+    assert set(calls) == {("query.py", "_clause_positions"), ("query.py", "positions_for_docs")}
+    hits = [p for p in PKG.rglob("*.py") if "_ordered_chain_docs" in p.read_text()]
+    assert hits == []
 
 
 #: the directory of an index's segment files

@@ -265,3 +265,34 @@ def test_phrase_path_decodes_a_single_block_view_once(built_index, monkeypatch):
     assert any(v.n_blocks == 1 for v in views) and any(v.n_blocks > 1 for v in views)
     assert all(v._headers is None for v in views if v.n_blocks == 1)
     r.close()
+
+
+def test_positional_queries_decode_each_view_once(built_index, monkeypatch):
+    """One call of phrase_freqs, span_near_docs, complex_phrase_docs or
+    payload_scores decodes every view of its clauses at most once: the
+    candidates' positions reuse the postings decoded to find them
+    (multi-block and salted views included)."""
+    idx, _ = built_index
+    calls: dict[int, int] = {}
+    orig = PostingsView.decode_blocks
+
+    def counting(self, bis):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return orig(self, bis)
+
+    r = IndexReader(idx)
+    a, b, c = r.term_dict().sort_by([("df", "descending")]).column("term").to_pylist()[:3]
+    views = [v for t in (a, b, c) for v in r.term_postings(t).views]
+    assert any(len(r.term_postings(t).views) > 1 for t in (a, b, c))
+    assert any(v.n_blocks > 1 for v in views) and any(v.n_blocks == 1 for v in views)
+    monkeypatch.setattr(PostingsView, "decode_blocks", counting)
+    for query in (
+        lambda: r.phrase_freqs(f"{a} {b} {a}"),
+        lambda: r.span_near_docs(f"{a} {c}", slop=2),
+        lambda: r.complex_phrase_docs(f"{a} {b[:2]}* {c}", slop=3),
+        lambda: r.payload_scores(a),
+    ):
+        calls.clear()
+        query()
+        assert calls and max(calls.values()) == 1
+    r.close()

@@ -23,7 +23,21 @@ PHRASES = [
     "state of the art",
     "nonexistent phrase here",
     "the",  # single-term phrase == term query
+    "fubkeh fubkeh fubkeh",
+    "cojfejuq cojfejuq",
 ]
+
+#: ordered span-near queries (2 and 3 clauses), checked at slops 0-3
+SPANS = [
+    "fast data",
+    "fubkeh cojfejuq",
+    "guwo reraqahi",
+    "cojfejuq fubkeh reficijhe",
+    "fubkeh guwo fubkeh",
+]
+
+#: complex phrases with one wildcard clause
+COMPLEX = ["fub* cojfejuq", "fubkeh g*", "fubkeh ?uwo", "re* fubkeh"]
 
 
 def brute_phrase(analyzer, texts, phrase):
@@ -39,6 +53,60 @@ def brute_phrase(analyzer, texts, phrase):
         if n:
             out[row] = n
     return out
+
+
+def row_of(doc) -> int:
+    """Corpus row of an engine doc id, ``(part << 32) + row`` with 128-doc parts."""
+    return (int(doc) >> 32) * 128 + (int(doc) & 0xFFFFFFFF)
+
+
+def doc_of(row: int) -> int:
+    return ((row // 128) << 32) + row % 128
+
+
+def brute_span(doc_toks, clauses, slop):
+    """Rows holding positions p_0 < ... < p_{n-1}, p_i matching the
+    fnmatch pattern ``clauses[i]``, with p_{n-1} - p_0 - (n-1) <= slop."""
+    from fnmatch import fnmatchcase
+
+    def chain(pos, i, lo, hi):
+        return i == len(pos) or any(chain(pos, i + 1, p + 1, hi) for p in pos[i] if lo <= p <= hi)
+
+    out = set()
+    for row, toks in enumerate(doc_toks):
+        pos = [[p for p, t in enumerate(toks) if fnmatchcase(t, c)] for c in clauses]
+        if any(chain(pos, 1, p + 1, p + len(clauses) - 1 + slop) for p in pos[0]):
+            out.add(row)
+    return out
+
+
+def check_positional_oracle(r, texts, dead=frozenset()):
+    """phrase_freqs, span_near_docs (slops 0-3) and complex_phrase_docs
+    equal the brute-force oracles over the texts of the live docs."""
+    a = Analyzer()
+    doc_toks = [a.analyze(t) for t in texts]
+
+    def rows(docs):
+        return {row_of(d) for d in docs}
+
+    for ph in PHRASES:
+        docs, freq, _ = r.phrase_freqs(ph)
+        got = {row_of(d): int(f) for d, f in zip(docs, freq)}
+        want = {k: v for k, v in brute_phrase(a, texts, ph).items() if k not in dead}
+        assert got == want, ph
+    n_hits = 0
+    for q in SPANS:
+        for slop in range(4):
+            want = brute_span(doc_toks, a.analyze(q), slop) - dead
+            assert rows(r.span_near_docs(q, slop=slop)) == want, (q, slop)
+            n_hits += len(want)
+    for q in COMPLEX:
+        for slop in (0, 2):
+            pats = [c if "*" in c or "?" in c else a.analyze(c)[0] for c in q.split()]
+            want = brute_span(doc_toks, pats, slop) - dead
+            assert rows(r.complex_phrase_docs(q, slop=slop)) == want, (q, slop)
+            n_hits += len(want)
+    assert n_hits > 0
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +130,7 @@ def phrase_index(ray_session, tmp_path_factory):
 
 def test_phrase_matches_brute(phrase_index):
     idx, texts = phrase_index
-    r = IndexReader(idx)
-    a = Analyzer()
-    for ph in PHRASES:
-        docs, freq, _ = r.phrase_freqs(ph)
-        got = {int(d): int(f) for d, f in zip(docs, freq)}
-        # engine doc_id = (part << 32) + row with 128-doc parts
-        got_rows = {(d >> 32) * 128 + (d & 0xFFFFFFFF): f for d, f in got.items()}
-        expect = brute_phrase(a, texts, ph)
-        assert got_rows == expect, ph
+    check_positional_oracle(IndexReader(idx), texts)
 
 
 def test_phrase_survives_merge(phrase_index):
@@ -112,10 +172,12 @@ def test_phrase_topk_scoring(phrase_index):
 
 
 def test_phrase_with_deletes(phrase_index):
-    """Tombstoned docs drop out of phrase results immediately."""
+    """Tombstoned docs drop out of phrase results immediately; with every
+    ninth doc deleted too, the positional answers equal the brute-force
+    oracles over the live texts."""
     from apache___solr_ray.deletes import delete_by_url
 
-    idx, _ = phrase_index
+    idx, texts = phrase_index
     r0 = IndexReader(idx)
     docs, _, _ = r0.phrase_freqs("fubkeh cojfejuq")
     assert len(docs) > 0, "fixture phrase must match"
@@ -126,6 +188,11 @@ def test_phrase_with_deletes(phrase_index):
         d1, _, _ = r1.phrase_freqs("fubkeh cojfejuq")
         assert int(docs[0]) not in d1.tolist()
         assert set(d1.tolist()) == set(docs[1:].tolist())
+        dead = {row_of(docs[0])} | set(range(0, len(texts), 9))
+        delete_by_url(idx, r1.urls_for(np.array([doc_of(row) for row in sorted(dead)])))
+        r2 = IndexReader(idx)
+        assert len(r2.tombstones) == len(dead)
+        check_positional_oracle(r2, texts, dead)
     finally:
         from apache___solr_ray.deletes import clear_tombstones
 
@@ -190,6 +257,13 @@ def test_no_positions_config(ray_session, tmp_path_factory):
     assert tp is not None and not tp.views[0].has_positions
     with pytest.raises(ValueError):
         tp.views[0].decode_blocks_positions(np.array([0]), np.array([1]))
+    # a one-token phrase or span answers from tf and reads no positions
+    docs, tfs, norms = tp.decode_all()
+    for got, want in zip(r.phrase_freqs("the"), (docs, tfs, norms)):
+        assert got.tolist() == want.tolist()
+    assert r.span_near_docs("the", slop=2).tolist() == docs.tolist()
+    with pytest.raises(ValueError):
+        r.phrase_freqs("the the")
 
 
 def test_span_near_slop0_equals_phrase(phrase_index):
@@ -197,7 +271,7 @@ def test_span_near_slop0_equals_phrase(phrase_index):
     adds docs (monotone); brute positions check against the raw texts."""
     idx, texts = phrase_index
     r = IndexReader(idx)
-    for q in ["the fast data", "state of the art"]:
+    for q in ["the fast data", "state of the art", *SPANS]:
         phrase_docs = set(r.phrase_freqs(q)[0].tolist())
         span0 = set(r.span_near_docs(q, slop=0).tolist())
         assert span0 == phrase_docs
@@ -207,17 +281,10 @@ def test_span_near_slop0_equals_phrase(phrase_index):
             assert prev <= cur
             prev = cur
 
-    # brute-force oracle on the raw analyzed texts: 2-term span, slop=2
-    from apache___solr_ray.analyze import Analyzer
-
+    # brute-force oracle on the raw analyzed texts at the widest slop (the
+    # slops 0-3 are checked by test_phrase_matches_brute)
     an = Analyzer()
-    want = set()
-    for i, txt in enumerate(texts):
-        toks = an.analyze(txt)
-        pos_a = [p for p, t in enumerate(toks) if t == "fast"]
-        pos_b = [p for p, t in enumerate(toks) if t == "data"]
-        if any(0 < b - a <= 3 for a in pos_a for b in pos_b):
-            part, row = divmod(i, 128)
-            want.add((part << 32) + row)
-    got = set(r.span_near_docs("fast data", slop=2).tolist())
-    assert got == want
+    doc_toks = [an.analyze(t) for t in texts]
+    for q in SPANS:
+        got = {row_of(d) for d in r.span_near_docs(q, slop=8)}
+        assert got == brute_span(doc_toks, an.analyze(q), 8), q
