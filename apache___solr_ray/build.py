@@ -94,6 +94,7 @@ from apache___solr_ray.segment import (
     FORMAT_VERSION,
     build_segments_from_group,
     drop_uncommitted,
+    pack_bytes,
     packs_map,
     stored_segments,
     term_hash,
@@ -1020,6 +1021,9 @@ def build_index(
             },
         },
     }
+    # the dictionaries' bytes beside the postings': the segments' "bytes"
+    # count postings only
+    man["metrics"].update(pack_bytes(index_dir, man))
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
     # only after the commit point moves: drop every pack this commit does
     # not name (the previous commit's, which its open readers keep mapped;

@@ -45,10 +45,12 @@ import pyarrow.compute as pc
 from apache___solr_ray import codec
 from apache___solr_ray.manifest import read_json, write_json_atomic
 from apache___solr_ray.segment import (
+    MAX_SEGMENT_BYTES,
     build_segment_from_group,
     drop_uncommitted,
     encoded_reader,
     open_segments,
+    pack_bytes,
     packs_map,
     write_segment,
 )
@@ -107,10 +109,9 @@ def _part_span(sources: list[dict]) -> dict:
     }
 
 
-def _merged_name(tkey: int, gen: int, segs: list[dict]) -> tuple[str, int]:
+def _merged_name(tkey: int, gen: int, names: set[str]) -> tuple[str, int]:
     """The first merge output name ``seg-TTTTT-mGGGG`` from generation
-    ``gen`` on that no segment of ``segs`` holds, and its generation."""
-    names = {s["name"] for s in segs}
+    ``gen`` on that is not in ``names``, and its generation."""
     while f"seg-{tkey:05d}-m{gen:04d}" in names:
         gen += 1
     return f"seg-{tkey:05d}-m{gen:04d}", gen
@@ -122,6 +123,9 @@ def plan_merges(
     """Pure planning (deterministic, unit-testable): per tkey, in doc order
     (``part_lo``, then salt), repeatedly fold the window of merge_factor
     adjacent segments with the smallest byte sum until <= target remain.
+    A window whose bytes reach ``MAX_SEGMENT_BYTES`` (the dictionary's u32
+    offsets) does not fold; when no window of merge_factor does, a smaller
+    one is tried, and a tkey where no two neighbours fit stops folding.
 
     Returns the merge steps in order, each ``(tkey, sources, out_name)``.
     """
@@ -133,16 +137,21 @@ def plan_merges(
         segs.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"], s["name"]))
         gen = 0
         while len(segs) > target_per_tkey:
-            n = min(merge_factor, len(segs) - target_per_tkey + 1)
             csum = np.cumsum([0] + [s["bytes"] for s in segs])
-            i = int(np.argmin(csum[n:] - csum[:-n]))
+            for n in range(min(merge_factor, len(segs) - target_per_tkey + 1), 1, -1):
+                sums = csum[n:] - csum[:-n]
+                if sums.min() < MAX_SEGMENT_BYTES:
+                    break
+            else:
+                break  # no two neighbours fit one segment
+            i = int(np.argmin(sums))
             sources = segs[i : i + n]
-            out_name, gen = _merged_name(tkey, gen, segs)
+            out_name, gen = _merged_name(tkey, gen, {s["name"] for s in segs})
             placeholder = {
                 "tkey": tkey,
                 "salt": -1,
                 "name": out_name,
-                "bytes": sum(s["bytes"] for s in sources),
+                "bytes": int(sums[i]),
                 "n_terms": 0,
                 "n_postings": sum(s["n_postings"] for s in sources),
                 "skey": -1,
@@ -188,13 +197,18 @@ def merge_segments(
         if all(man["stats"].get(k) == v for k, v in live.items()):
             purge_deletes, tombs = False, None  # no deletes, or already purged
     if purge_deletes:
-        # purging must touch EVERY segment: force a full merge per tkey,
-        # including self-rewrites of tkeys that already hold one segment
+        # purging must touch EVERY segment: fold each tkey as far as
+        # plan_merges can, then rewrite each segment no fold consumes on its
+        # own (a tkey that holds one segment, or one whose segments are too
+        # large to fold)
         steps = plan_merges(segments, 1, max(merge_factor, len(segments) + 1))
-        planned = {st[0] for st in steps}
-        for tkey in sorted({s["tkey"] for s in segments} - planned):
-            srcs = [s for s in segments if s["tkey"] == tkey]
-            steps.append((tkey, srcs, _merged_name(tkey, 0, srcs)[0]))
+        folded = {s["name"] for st in steps for s in st[1]}
+        names = {s["name"] for s in segments} | {st[2] for st in steps}
+        for s in segments:
+            if s["name"] not in folded:
+                out_name, _ = _merged_name(s["tkey"], 0, names)
+                names.add(out_name)
+                steps.append((s["tkey"], [s], out_name))
     else:
         steps = plan_merges(segments, target_per_tkey, merge_factor)
     if not steps:
@@ -272,6 +286,7 @@ def merge_segments(
     man["stats"] = dict(man["stats"], n_segments=len(man["segments"]))
     if purge_deletes:
         man["stats"].update(live)
+    man["metrics"] = dict(man.get("metrics") or {}, **pack_bytes(index_dir, man))
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
     # only after the commit point moves are the consumed segments' packs
     # (and anything else no commit names) removed

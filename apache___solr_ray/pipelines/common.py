@@ -148,15 +148,30 @@ def grouped_map(ds, keys: list[str] | str, fn, num_parts: int | None = None):
             hk = pd.util.hash_array(col, hash_key=_GM_HASH_KEY, categorize=False)
             h = h * np.uint64(1000003) + hk
         part = (h % np.uint64(num_parts)).astype(np.int64)
-        return t.append_column("__gpart", pa.array(part))
+        # one all-null pad row per partition: every partition of the sort
+        # below then receives rows from every block, so none arrives as an
+        # empty block (Ray's sort emits those without a schema)
+        pad = pa.Table.from_arrays([pa.nulls(num_parts, f.type) for f in t.schema], schema=t.schema)
+        is_pad = np.repeat(np.array([False, True]), [t.num_rows, num_parts])
+        return (
+            pa.concat_tables([t, pad])
+            .append_column("__gpart", pa.array(np.concatenate([part, np.arange(num_parts)])))
+            .append_column("__pad", pa.array(is_pad))
+        )
 
-    def run_part(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns="__gpart"))
+    def run_part(t: pa.Table):
+        from ray.data.block import BlockAccessor
 
+        rows = t.filter(pc.invert(t.column("__pad"))).drop_columns(["__gpart", "__pad"])
+        if rows.num_rows:  # a partition that no key hashed to emits no block
+            yield fn(BlockAccessor.for_block(rows).to_pandas())
+
+    # one sort partition per partition id (the boundaries), one call per
+    # partition: its block holds every row of its keys
     return (
         ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__gpart")
-        .map_groups(run_part, batch_format="pandas")
+        .sort("__gpart", boundaries=list(range(1, num_parts)))
+        .map_batches(run_part, batch_format="pyarrow", batch_size=None)
     )
 
 

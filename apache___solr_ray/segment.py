@@ -6,11 +6,15 @@ reference call sites ``SolrIndexWriter.java`` / ``SolrIndexConfig.java:
 242-289``). Each segment has two sections:
 
 - a **term dictionary** (plays the FST's role): little-endian, 8-byte
-  aligned parts: a header (magic, version, n_terms, n_string_bytes); the
-  ascending 64-bit ``term_hash`` of every term with its lexical row (the
-  hash index); then in lexical order df, ttf (u32), the offsets of each
-  term's payload in the segment's postings (u64, n+1) and the terms as an
-  Arrow string column (i32 offsets, n+1, then UTF-8 bytes)
+  aligned parts: a header (magic, version, n_terms, n_string_bytes), then
+  five 4-byte columns, 20 bytes per term: each term's key (u32, the high
+  half of its ``term_hash``: the low bits pick the tkey, so they are
+  nearly constant within a segment), df, ttf (u32), the offsets of each
+  term's payload in the segment's postings (u32, n+1; the encoder refuses
+  a segment of 4 GB of postings), and the terms as an Arrow string column
+  (i32 offsets, n+1, then UTF-8 bytes). Terms, and their payloads, are
+  stored in (key, UTF-8 term) order, so the key column is the hash index
+  and a lookup's row is its position in it
 - its **postings**: concatenated per-term payloads (codec.py layout: a
   VInt prelude, then VInt deltas + tfs + inline norms in 128-doc blocks;
   only a term of more than one block carries fixed-size block-max skip
@@ -47,11 +51,12 @@ its dictionary section, so opening a segment builds no Python object per
 term (Lucene likewise keeps only a small terms index in memory), and a
 reader keeps reading the files it opened after a later commit removes
 them. A point lookup (``lookup``, ``postings``, ``term_stats``) is one
-binary search on the hashes plus a bytes comparison at the matched row,
+binary search on the keys plus a bytes comparison at the matched row,
 and only the blocks the query visits decode. A reader has one
-enumeration, ``terms_table``; vocabulary-wide readers (prefix, wildcard
-and fuzzy rewrites, TermsComponent, suggesters, Luke) go through
-``IndexReader.term_dict``, which sums these tables over segments.
+enumeration, ``terms_table``, in stored order; vocabulary-wide readers
+(prefix, wildcard and fuzzy rewrites, TermsComponent, suggesters, Luke) go
+through ``IndexReader.term_dict``, which sums these tables over segments
+and sorts them by term.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ from apache___solr_ray import codec
 # v3: the term dictionary is terms.bin (hash-indexed, memory-mapped)
 # v4: VInt payload prelude; a single-block term stores no block header
 # v5: segments are stored in packs (.tdict + .post) named by the manifest
-FORMAT_VERSION = 5
+# v6: a 20-byte-per-term dictionary (u32 key, df, ttf, offset; i32 string
+#     offset) with terms and payloads in (key, term) order; no row column
+FORMAT_VERSION = 6
 
 HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
 
@@ -87,13 +94,14 @@ _HEADER_BYTES = 32
 _TRAILER_BYTES = 24
 #: dictionary sections after the header: (name, dtype, entries beyond n_terms)
 _SECTIONS = (
-    ("hash", "<u8", 0),
-    ("row", "<i4", 0),
+    ("hash", "<u4", 0),
     ("df", "<u4", 0),
     ("ttf", "<u4", 0),
-    ("offset", "<u8", 1),
+    ("offset", "<u4", 1),
     ("soff", "<i4", 1),
 )
+#: a segment's postings must stay below this many bytes (u32 offsets)
+MAX_SEGMENT_BYTES = 2**32
 
 
 def term_hash(terms: np.ndarray) -> np.ndarray:
@@ -106,6 +114,11 @@ def term_hash(terms: np.ndarray) -> np.ndarray:
     placement, never scores.)
     """
     return pd.util.hash_array(np.asarray(terms, dtype=object), hash_key=HASH_KEY, categorize=False)
+
+
+def term_key(h) -> np.ndarray:
+    """The dictionary key of ``term_hash`` values: their high 32 bits."""
+    return (np.asarray(h, np.uint64) >> np.uint64(32)).astype(np.uint32)
 
 
 def _layout(n: int) -> tuple[list[tuple[str, str, int, int]], int]:
@@ -144,26 +157,33 @@ def pack_files(man: dict) -> list[str]:
     ]
 
 
-def _terms_section(terms, dfs, ttfs, offsets: np.ndarray) -> bytes:
+def pack_bytes(index_dir: str, man: dict) -> dict[str, int]:
+    """``tdict_bytes`` and ``post_bytes``: the summed sizes of the two files
+    of every pack ``man`` names, as on disk."""
+    out = {"tdict_bytes": 0, "post_bytes": 0}
+    for f in pack_files(man):
+        key = "tdict_bytes" if f.endswith(".tdict") else "post_bytes"
+        out[key] += os.path.getsize(os.path.join(index_dir, f))
+    return out
+
+
+def _terms_section(terms, keys, dfs, ttfs, offsets: np.ndarray) -> bytes:
     """A dictionary section (layout in the module docstring), padded to 8
-    bytes, for lexically sorted ``terms`` with their stats and payload
-    offsets."""
+    bytes, for ``terms`` in (key, term) order with their keys, stats and
+    payload offsets."""
     n = len(terms)
     if n and max(int(np.max(dfs)), int(np.max(ttfs))) >= 2**32:
         raise ValueError("a term's df or ttf does not fit the dictionary's u32")
+    if int(offsets[-1]) >= MAX_SEGMENT_BYTES:
+        raise ValueError(
+            f"a segment's postings ({int(offsets[-1])} bytes) pass the dictionary's u32 "
+            "offsets: salt the tkey into smaller segments (a lower max_postings_per_segment) "
+            "or merge fewer segments into one"
+        )
     arr = pa.array(terms, pa.string())  # freshly built: buffer offsets start at 0
     soff = np.frombuffer(arr.buffers()[1], np.int32, n + 1)
     n_str = int(soff[-1])
-    h = term_hash(terms)
-    row = np.argsort(h, kind="stable")
-    cols = {
-        "hash": h[row],
-        "row": row,
-        "df": dfs,
-        "ttf": ttfs,
-        "offset": offsets,
-        "soff": soff,
-    }
+    cols = {"hash": keys, "df": dfs, "ttf": ttfs, "offset": offsets, "soff": soff}
     out = [np.array([_MAGIC, FORMAT_VERSION, n, n_str], "<u8").tobytes()]
     for name, dt, _count, _pos in _layout(n)[0]:
         b = np.asarray(cols[name], dtype=dt).tobytes()
@@ -177,9 +197,10 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
 
     ``seg[i]`` is the index into ``specs`` of the segment row ``i`` belongs
     to; ``specs[j]`` is segment j's ``(name, tkey, salt, extra_meta)``.
-    One sort orders the rows by (segment, term, doc_id) — phase B's rows
-    arrive in (part, row group) order and a merge's in source-segment order
-    — one ``codec.encode_postings_group`` call encodes every term run of
+    One sort orders the rows by (segment, key, term, doc_id), the key
+    being the dictionary's (``term_key``) — phase B's rows arrive in (part,
+    row group) order and a merge's in source-segment order — one
+    ``codec.encode_postings_group`` call encodes every term run of
     every segment, and the payloads are split at segment boundaries. A
     term's payload depends on its own postings only, so each segment's
     bytes equal a build of that segment alone. An optional ``pos`` binary
@@ -189,16 +210,20 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
     tkey, salt, counts, ``extra_meta``) plus ``encoded``, the dictionary
     section and payloads that ``write_segment`` stores.
     """
-    # sort by (term, doc_id) WITHOUT a string sort over every posting: the
-    # group's distinct-term dictionary is tiny (vocab/term_partitions), so
-    # sort the dictionary once, remap codes to lexicographic ranks, and
-    # lexsort the integer triple (segment, rank, doc_id). UTF-8 byte order
-    # == code point order, so Python str sorting matches Arrow's "ascending".
+    # sort by (key, term, doc_id) WITHOUT a string sort over every posting:
+    # the group's distinct-term dictionary is tiny (vocab/term_partitions),
+    # so rank it once by (key, term) — one term_hash call, one Arrow sort
+    # that compares terms (UTF-8 bytes) only on equal keys — remap codes to
+    # those ranks, and lexsort the integer triple (segment, rank, doc_id)
     term_col = group.column("term").combine_chunks()
     denc = term_col if pa.types.is_dictionary(term_col.type) else pc.dictionary_encode(term_col)
     codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    vocab = np.asarray(denc.dictionary.to_pylist(), dtype=object)
-    order_v = np.argsort(vocab)
+    vocab = denc.dictionary.to_numpy(zero_copy_only=False)
+    keys = term_key(term_hash(vocab))
+    order_v = pc.sort_indices(
+        pa.table({"key": keys, "term": denc.dictionary}),
+        sort_keys=[("key", "ascending"), ("term", "ascending")],
+    ).to_numpy()
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[order_v] = np.arange(len(vocab))
     r = rank[codes]
@@ -213,8 +238,8 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
     change = np.flatnonzero((np.diff(rs) != 0) | (np.diff(ss) != 0)) + 1
     starts = np.concatenate([[0], change]) if len(rs) else np.zeros(0, np.int64)
     ends = np.concatenate([change, [len(rs)]]) if len(rs) else np.zeros(0, np.int64)
-    sorted_vocab = vocab[order_v]
-    terms_list = [sorted_vocab[rs[s]] for s in starts]
+    run_rank = rs[starts]
+    run_terms, run_keys = vocab[order_v][run_rank], keys[order_v][run_rank]
     pos_data = pos_off = None
     if "pos" in group.column_names and group.num_rows:
         taken = pc.take(group.column("pos").combine_chunks(), pa.array(idx))
@@ -249,7 +274,8 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
             "bytes": int(offsets[-1]),
             **(extra_meta or {}),
         }
-        meta["encoded"] = (_terms_section(terms_list[a:b], dfs[a:b], ttfs[a:b], offsets), payloads[a:b])
+        section = _terms_section(run_terms[a:b], run_keys[a:b], dfs[a:b], ttfs[a:b], offsets)
+        meta["encoded"] = (section, payloads[a:b])
         out.append(meta)
     return out
 
@@ -473,18 +499,19 @@ class SegmentReader:
         return len(self._df)
 
     def lookup(self, term: str, h: np.uint64 | None = None) -> int:
-        """Lexical row of ``term``, or -1 if absent: a binary search on the
-        sorted hashes, then a bytes comparison at each row whose hash
-        matches, so a hash collision never returns another term."""
+        """Stored row of ``term`` (its position in the hash index), or -1
+        if absent: a binary search on the sorted keys, then a bytes
+        comparison at each row whose key matches, so a key collision never
+        returns another term."""
         if h is None:
             h = term_hash(np.array([term], dtype=object))[0]
-        hashes = self._hash
-        i = int(hashes.searchsorted(h))
+        keys = self._hash
+        k = np.uint32(int(h) >> 32)  # term_key(h), on a scalar
+        i = int(keys.searchsorted(k))
         key = term.encode()
-        while i < len(hashes) and hashes[i] == h:
-            r = int(self._row[i])
-            if self._strings[int(self._soff[r]) : int(self._soff[r + 1])] == key:
-                return r
+        while i < len(keys) and keys[i] == k:
+            if self._strings[int(self._soff[i]) : int(self._soff[i + 1])] == key:
+                return i
             i += 1
         return -1
 
@@ -515,8 +542,9 @@ class SegmentReader:
 
     def terms_table(self) -> pa.Table:
         """This segment's slice of the vocabulary as (term, df, ttf), in
-        term order — the one enumeration ``IndexReader.term_dict`` sums.
-        The term column is a view of the mapped file, not a copy."""
+        stored (key, term) order, not term order — the one enumeration
+        ``IndexReader.term_dict`` sums and sorts. The term column is a view
+        of the mapped file, not a copy."""
         term = pa.StringArray.from_buffers(
             self.n_terms, pa.py_buffer(self._soff), pa.py_buffer(self._strings)
         )
@@ -526,7 +554,8 @@ class SegmentReader:
         )
 
     def postings_views(self) -> list[codec.PostingsView]:
-        """Every term's postings, in term order (a merge's input)."""
+        """Every term's postings, in stored (key, term) order, aligned with
+        ``terms_table`` (a merge's input)."""
         off = self._offset.tolist()
         return [self._view(a, b) for a, b in zip(off[:-1], off[1:])]
 

@@ -288,9 +288,9 @@ def explode_bands(combined_ds, id_col: str, bands: int):
 def banded_pairs_raw(banded, id_col: str, max_bucket: int = 1024):
     """Candidate pairs (a < b, MAY repeat across bands) from a
     (id, band, band_hash) dataset — one shuffle. The bucket walk is
-    PARTITION-vectorized: rows hash-partition by ``band_hash % P``
-    (band_hash is already a uniform hash), each partition is scanned once
-    with numpy boundary detection, and only buckets with >=2 members — a
+    PARTITION-vectorized: rows hash-partition by ``band_hash``
+    (``grouped_map``), each partition is scanned once with numpy
+    boundary detection, and only buckets with >=2 members — a
     tiny fraction at web scale — reach Python; singleton buckets (the
     overwhelming majority) never trigger a per-group call. A pathological
     hot bucket (boilerplate pages) above ``max_bucket`` members emits a
@@ -299,11 +299,7 @@ def banded_pairs_raw(banded, id_col: str, max_bucket: int = 1024):
     star preserves the cluster w.h.p."""
     import pandas as pd  # noqa: F811
 
-    n_parts = _default_join_partitions() * 4
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (t.column("band_hash").to_numpy() % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("_part", pa.array(part))
+    from apache___solr_ray.pipelines.common import grouped_map
 
     def emit_part(df: pd.DataFrame) -> pd.DataFrame:
         sub = df.drop_duplicates(["band", "band_hash", id_col]).sort_values(
@@ -343,11 +339,7 @@ def banded_pairs_raw(banded, id_col: str, max_bucket: int = 1024):
             }
         )
 
-    return (
-        banded.map_batches(add_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(emit_part, batch_format="pandas")
-    )
+    return grouped_map(banded, "band_hash", emit_part, num_parts=_default_join_partitions() * 4)
 
 
 def banded_candidate_pairs(banded, id_col: str, max_bucket: int = 1024):

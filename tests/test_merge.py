@@ -34,6 +34,68 @@ def test_plan_merges_noop():
     assert plan_merges(segs, 1, 10) == []
 
 
+def _fabricated(sizes: list[int]) -> list[dict]:
+    return [
+        {"tkey": 0, "salt": i, "name": f"seg-00000-{i:05d}", "bytes": b, "n_terms": 1, "n_postings": 1, "skey": i}
+        for i, b in enumerate(sizes)
+    ]
+
+
+def test_plan_merges_keeps_segments_inside_u32_offsets():
+    """No planned fold sums to 2^32 bytes or more (a segment's payload
+    offsets are u32): a smaller window folds instead, and planning stops
+    when no two neighbours fit (fabricated sizes: nothing is allocated)."""
+    gb = 2**30
+    assert plan_merges(_fabricated([3 * gb, 3 * gb]), 1, 10) == []
+    steps = plan_merges(_fabricated([3 * gb, gb, gb, 3 * gb]), 1, 10)
+    assert [[s["salt"] for s in srcs] for _, srcs, _ in steps] == [[1, 2]]
+    steps = plan_merges(_fabricated([gb] * 8), 1, 10)
+    assert [len(srcs) for _, srcs, _ in steps] == [3, 3, 2]
+    assert all(sum(s["bytes"] for s in srcs) < 2**32 for _, srcs, _ in steps)
+
+
+def _pack_sizes(idx: str, man: dict) -> dict:
+    sizes = {".tdict": 0, ".post": 0}
+    for f in pack_files(man):
+        sizes[os.path.splitext(f)[1]] += os.path.getsize(os.path.join(idx, f))
+    return {"tdict_bytes": sizes[".tdict"], "post_bytes": sizes[".post"]}
+
+
+def test_purge_rewrites_every_segment_when_none_can_fold(ray_session, tmp_path_factory, monkeypatch):
+    """With a segment size limit no two segments fit under, a purge folds
+    nothing yet still rewrites every segment without the deleted docs; the
+    build and the purge both record their packs' dictionary and postings
+    bytes as on disk."""
+    from apache___solr_ray import merge
+    from apache___solr_ray.deletes import delete_by_url
+
+    d = str(tmp_path_factory.mktemp("pages_nofold"))
+    write_pages(d, 300, seed=5, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_nofold"))
+    cfg = IndexConfig(term_partitions=2, target_docs_per_part=128, max_postings_per_segment=3000)
+    built = build_index(d, idx, cfg)
+    assert {k: built["metrics"][k] for k in ("tdict_bytes", "post_bytes")} == _pack_sizes(idx, built)
+    assert built["metrics"]["post_bytes"] == sum(s["bytes"] for s in built["segments"])
+    assert len(built["segments"]) > cfg.term_partitions  # some tkey holds several segments
+
+    r = IndexReader(idx)
+    victims = r.topk("the fast data", 3)[0]
+    delete_by_url(idx, r.urls_for(victims))
+    r.close()
+    monkeypatch.setattr(merge, "MAX_SEGMENT_BYTES", 1)
+    man = merge_segments(idx, purge_deletes=True)
+    assert len(man["segments"]) == len(built["segments"])
+    assert not {s["name"] for s in man["segments"]} & {s["name"] for s in built["segments"]}
+    assert {k: man["metrics"][k] for k in ("tdict_bytes", "post_bytes")} == _pack_sizes(idx, man)
+    r = IndexReader(idx)
+    for tp in filter(None, (r.term_postings(t) for t in ("the", "fast", "data"))):
+        assert not np.isin(tp.decode_all()[0], victims).any()
+    for q in QUERIES:
+        a, b = r.topk(q, 10), r.topk_exhaustive(q, 10)
+        assert a[0].tolist() == b[0].tolist() and a[1].tobytes() == b[1].tobytes(), q
+    r.close()
+
+
 @pytest.fixture(scope="module")
 def merged_index(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("pages"))

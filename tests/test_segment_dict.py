@@ -1,7 +1,7 @@
 """The segment term dictionary (a pack member's ``.tdict`` section):
-hash-indexed point lookups, collision safety, the cost of opening a
-segment, unmapping on close, and the segment format in the build
-lineage."""
+hash-indexed point lookups, collision safety, its layout and size, the
+cost of opening a segment, unmapping on close, and the segment format in
+the build lineage."""
 
 import os
 import tracemalloc
@@ -70,9 +70,15 @@ def _open(index_dir: str, man: dict, name: str = "seg") -> SegmentReader:
 
 
 def _check_lookups(r: SegmentReader, group: pa.Table) -> None:
+    """Every stored term looks up to its stored row, in (key, UTF-8 term)
+    order, with its own postings and stats; absent terms to none."""
     tbl = r.terms_table()
     terms = tbl.column("term").to_pylist()
-    assert terms == sorted(set(group.column("term").to_pylist()), key=str.encode)
+    assert sorted(terms, key=str.encode) == sorted(set(group.column("term").to_pylist()), key=str.encode)
+    keys = segment.term_key(segment.term_hash(np.array(terms, dtype=object))).tolist()
+    assert r._hash.tolist() == keys
+    stored = [(k, t.encode()) for k, t in zip(keys, terms)]
+    assert stored == sorted(stored)
     for row, t in enumerate(terms):
         assert r.lookup(t) == row, t
         h = segment.term_hash(np.array([t], dtype=object))[0]
@@ -88,21 +94,57 @@ def _check_lookups(r: SegmentReader, group: pa.Table) -> None:
     r.close()
 
 
-def test_every_term_looks_up_to_its_lexical_row(tmp_path):
+def test_every_term_looks_up_to_its_stored_row(tmp_path, small_index):
+    """A segment stores its terms in (key, term) order, not term order, and
+    a lookup returns the stored row; ``IndexReader.term_dict`` is still in
+    term order."""
     g = _group(STORED + _vocab(500))
     man = _write(str(tmp_path), g)
-    _check_lookups(_open(str(tmp_path), man), g)
+    r = _open(str(tmp_path), man)
+    terms = r.terms_table().column("term").to_pylist()
+    assert terms != sorted(terms, key=str.encode)
+    _check_lookups(r, g)
+
+    _d, idx, _cfg, _man = small_index
+    ir = IndexReader(idx)
+    vocab = {t for sr in ir._readers.values() for t in sr.terms_table().column("term").to_pylist()}
+    assert ir.term_dict().column("term").to_pylist() == sorted(vocab, key=str.encode)
+    ir.close()
+
+
+def test_dictionary_costs_20_fixed_bytes_per_term():
+    """A dictionary section is the 32-byte header, five 4-byte columns
+    (key, df, ttf, offset, string offset; the last two hold n + 1
+    entries), each padded to 8 bytes, then the padded UTF-8 bytes."""
+    pad8 = lambda b: -(-b // 8) * 8  # noqa: E731
+    for n in (0, 1, 7, 300):
+        terms = (STORED + _vocab(400, seed=8))[:n]
+        m = build_segment_from_group(_group(terms, seed=8), "seg", 0, 0)
+        section = m["encoded"][0]
+        n_str = sum(len(t.encode()) for t in terms)
+        assert len(section) == 32 + 3 * pad8(4 * n) + 2 * pad8(4 * (n + 1)) + pad8(n_str)
+
+
+def test_segment_postings_must_fit_u32_offsets():
+    """A segment of 4 GB of postings is refused at encode, naming the
+    remedies (checked on a fabricated offsets array: nothing that large is
+    allocated)."""
+    args = (np.array(["a"], dtype=object), np.zeros(1, np.uint32), np.ones(1), np.ones(1))
+    segment._terms_section(*args, np.array([0, 2**32 - 1]))
+    with pytest.raises(ValueError, match="salt.*merge"):
+        segment._terms_section(*args, np.array([0, 2**32]))
 
 
 def test_hash_collisions_never_return_another_term(tmp_path, monkeypatch):
-    """A 2-bit hash puts ~n/4 terms on each hash value: lookups still find
-    exactly their own row, and absent terms none."""
+    """A 2-bit hash gives every term the key 0 (the key is the hash's
+    high half), so every key collides: lookups still find exactly their
+    own row, and absent terms none."""
     orig = segment.term_hash
     monkeypatch.setattr(segment, "term_hash", lambda t: orig(t) % np.uint64(4))
     g = _group(STORED + _vocab(200), seed=1)
     man = _write(str(tmp_path), g)
     r = _open(str(tmp_path), man)
-    assert len(np.unique(r._hash)) <= 4
+    assert r._hash.tolist() == [0] * r.n_terms
     r.close()
     _check_lookups(_open(str(tmp_path), man), g)
 
@@ -135,6 +177,26 @@ def test_older_segment_format_asks_for_a_rebuild(tmp_path):
         f.write((segment.FORMAT_VERSION - 1).to_bytes(8, "little"))
     want = rf"not segment format v{segment.FORMAT_VERSION}; rebuild"
     with pytest.raises(RuntimeError, match=want):
+        _open(str(tmp_path), man)
+
+
+def test_v5_pack_is_refused_with_rebuild(tmp_path):
+    """A pack written at format v5 (its members' headers and its TOC say
+    so) is neither read nor resumed by a build: opening it asks for a
+    rebuild."""
+    assert segment.FORMAT_VERSION == 6
+    man = _write(str(tmp_path), _group(_vocab(50, seed=9), seed=9))
+    ((_name, t_off, _p_off),) = next(iter(man["packs"].values()))
+    tdict = os.path.join(str(tmp_path), [f for f in pack_files(man) if f.endswith(".tdict")][0])
+    with open(tdict, "r+b") as f:
+        data = bytearray(f.read())
+        data[t_off + 8 : t_off + 16] = (5).to_bytes(8, "little")
+        toc_at = data.rindex(b'"version": 6')
+        data[toc_at : toc_at + 12] = b'"version": 5'
+        f.seek(0)
+        f.write(data)
+    assert segment._read_toc(tdict[: -len(".tdict")]) is None
+    with pytest.raises(RuntimeError, match="not segment format v6; rebuild"):
         _open(str(tmp_path), man)
 
 
@@ -258,8 +320,9 @@ def test_close_unmaps_every_segment(small_index):
 
 def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_factory, monkeypatch):
     """Every segment re-encoded under a 2-bit ``term_hash`` (kept equal
-    modulo the 4 term partitions, so tkey routing is unchanged) answers
-    exactly as before, and ``topk`` equals ``topk_exhaustive``."""
+    modulo the 4 term partitions, so tkey routing is unchanged, and every
+    dictionary key collides) answers exactly as before, and ``topk``
+    equals ``topk_exhaustive``."""
     d, _idx, cfg, _man = small_index
     idx = str(tmp_path_factory.mktemp("index_dict_2bit"))
     man = build_index(d, idx, cfg)
@@ -282,7 +345,7 @@ def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_fact
         dict(man, packs=packs_map(write_segment(idx, members))),
     )
     r = IndexReader(idx)
-    assert len(np.unique(r._readers[man["segments"][0]["name"]]._hash)) <= 4
+    assert np.unique(r._readers[man["segments"][0]["name"]]._hash).tolist() == [0]
     for q, (wd, ws) in zip(qs, want):
         got_d, got_s = r.topk(q, 10)
         ex_d, ex_s = r.topk_exhaustive(q, 10)
