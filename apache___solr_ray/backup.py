@@ -24,9 +24,11 @@ commit — the same property Lucene's incremental backups exploit):
 
 Only COMMITTED state is captured: the file set is enumerated from
 ``index_manifest.json`` — the segment packs it names — plus the
-build's known sidecars (SnapShooter snapshots the commit point's files,
-never in-flight ones). Segments no manifest names and foreign files in the
-index directory are not backed up."""
+build's known sidecars of its ``n_doc_parts`` doc partitions
+(SnapShooter snapshots the commit point's files, never in-flight ones).
+Segments no manifest names, the part files a re-partitioning rebuild
+left past ``n_doc_parts`` and foreign files in the index directory are
+not backed up."""
 
 from __future__ import annotations
 
@@ -56,21 +58,19 @@ def _sha1_file(path: str) -> tuple[str, int]:
 
 
 #: index-directory entries beside the segments that a committed index
-#: reads: phase-A outputs and lineage (collection stats and the delete set
-#: ride in ``index_manifest.json``)
-SIDECARS = ("docs", "postings_raw", "manifests")
+#: reads, one ``part-NNNNNN`` file per doc partition: phase-A outputs and
+#: lineage (collection stats and the delete set ride in
+#: ``index_manifest.json``)
+SIDECARS = (("docs", ".parquet"), ("postings_raw", ".parquet"), ("manifests", ".json"))
 
 
-def _committed_files(index_dir: str, man: dict) -> list[str]:
-    """Relative paths of the commit point's files: the known sidecars and
-    the packs ``man`` names, then the manifest last, so a restored dir is
-    never visible with a manifest but missing bodies."""
-    out: list[str] = []
-    for name in SIDECARS:
-        for root, _dirs, files in os.walk(os.path.join(index_dir, name)):
-            for f in sorted(files):
-                if not (f.endswith(".tmp") or ".tmp." in f):
-                    out.append(os.path.relpath(os.path.join(root, f), index_dir))
+def _committed_files(man: dict) -> list[str]:
+    """Relative paths of the commit point's files: the known sidecars of
+    its ``n_doc_parts`` parts and the packs ``man`` names, then the
+    manifest last, so a restored dir is never visible with a manifest but
+    missing bodies."""
+    n_parts = man["stats"]["n_doc_parts"]
+    out = [os.path.join(d, f"part-{i:06d}{ext}") for d, ext in SIDECARS for i in range(n_parts)]
     out += pack_files(man)
     out.append("index_manifest.json")
     return out
@@ -87,7 +87,7 @@ def create_backup(index_dir: str, backup_dir: str, name: str) -> dict:
     os.makedirs(pool, exist_ok=True)
     files: dict[str, dict] = {}
     new_bodies = 0
-    for rel in _committed_files(index_dir, man):
+    for rel in _committed_files(man):
         src = os.path.join(index_dir, rel)
         sha, size = _sha1_file(src)
         body = os.path.join(pool, sha)

@@ -22,7 +22,8 @@ CPU-sized Ray Data blocks, see ``_run_stage``):
 Phase B  (the term-hash shuffle, through shared storage): phase A already
     wrote each part's postings SORTED by tkey with Parquet row-group
     boundaries aligned to tkey runs, and recorded the (row-group, n_rows)
-    map per tkey in its lineage manifest. Phase B is then an
+    map per tkey in its lineage manifest, whose contents are also the
+    part's summary row that phase B plans from. Phase B is then an
     embarrassingly parallel stage over the (tkey, salt) segment plan: each
     segment takes exactly its bucket's row groups from every part file
     (column pruning + row-group pruning — no object-store all-to-all at
@@ -44,13 +45,17 @@ Phase B  (the term-hash shuffle, through shared storage): phase A already
     bounds a batch's memory too. A segment is named by its input lineage
     and a pack is never rewritten once committed. The driver resumes, and
     does not dispatch, every planned segment that a whole pack on disk
-    holds (the committed ``packs`` map, then the table of contents of any
-    uncommitted pack). Shuffle bytes ride
+    holds (the committed records, then the table of contents of any
+    uncommitted pack). Stage rows travel as JSON dicts (``_run_stage``),
+    so a segment's record goes from the encoder to the commit unchanged.
+    Shuffle bytes ride
     the shared filesystem that already holds phase A's outputs and the
     segments, not RAM.
 
 Commit: one atomic ``index_manifest.json`` swap (the segments_N
-pointer-swap analog) naming the segments, the collection stats (the
+pointer-swap analog) listing each segment's record, the one its pack's
+table of contents stores (``segment.write_segment``), in
+``segment.doc_order``, the collection stats (the
 ExactStatsCache global stats, reference ``CollectionStats.java:24-27``),
 which count deleted docs until a purge merge as Lucene's do, and the
 delete set, carried over from the previous commit (``_carry_deletes``).
@@ -93,9 +98,9 @@ from apache___solr_ray.manifest import (
 from apache___solr_ray.segment import (
     FORMAT_VERSION,
     build_segments_from_group,
+    doc_order,
     drop_uncommitted,
     pack_bytes,
-    packs_map,
     stored_segments,
     term_hash,
     write_segment,
@@ -128,17 +133,24 @@ def _cluster_cpus() -> int:
 
 
 def _run_stage(rows: list[dict], fn) -> tuple[list[dict], int]:
-    """Run one build or merge stage: ``rows`` split into
+    """Run one build or merge stage: ``rows`` (JSON-able dicts) split into
     ``min(len(rows), BLOCKS_PER_CPU * cluster CPUs)`` Ray Data blocks, each
-    handed whole to ``fn`` (a pyarrow batch → pyarrow table function that
-    loops over its rows). Returns (output rows, blocks dispatched)."""
+    block's rows handed whole to ``fn`` (a list of dicts → list of dicts
+    function). Rows travel as JSON text, so a stage has no schema to keep.
+    Returns (output rows, blocks dispatched)."""
     import ray.data as rd
 
     if not rows:
         return [], 0
+
+    def run(batch: pa.Table) -> pa.Table:
+        out = fn([json.loads(r) for r in batch.column("row").to_pylist()])
+        return pa.table({"row": pa.array([json.dumps(r) for r in out], pa.string())})
+
     n_blocks = min(len(rows), BLOCKS_PER_CPU * _cluster_cpus())
-    ds = rd.from_items(rows, override_num_blocks=n_blocks)
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None).take_all(), n_blocks
+    ds = rd.from_items([{"row": json.dumps(r)} for r in rows], override_num_blocks=n_blocks)
+    out = ds.map_batches(run, batch_format="pyarrow", batch_size=None).take_all()
+    return [json.loads(r["row"]) for r in out], n_blocks
 
 
 @dataclass(frozen=True)
@@ -424,7 +436,7 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
             # hash each *distinct* term once (dictionary), fan out via codes
             denc = pc.dictionary_encode(terms)
             codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            vocab = np.asarray(denc.dictionary.to_pylist(), dtype=object)
+            vocab = denc.dictionary.to_numpy(zero_copy_only=False)
             tkey_vocab = (term_hash(vocab) % np.uint64(cfg.term_partitions)).astype(np.int32)
             cols = {
                 "term": terms,
@@ -554,26 +566,20 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
 
 
 def _plan_storage_segments(
-    index_dir: str, cfg: IndexConfig, parts: list[dict]
+    index_dir: str, cfg: IndexConfig, parts: list[dict], summaries: list[dict]
 ) -> list[dict]:
     """Reduce-side plan of the storage shuffle: one segment per (tkey, salt).
 
-    Reads the per-part lineage manifests (which carry each part's
-    tkey → (row_group, n_rows) map) and chunks every tkey bucket into
-    contiguous part ranges of ≤ max_postings_per_segment postings. Chunk
-    index = salt; doc ids ascend with part id, so salted sub-segments are
-    disjoint ascending doc ranges — the query side concatenates views.
+    Phase A's part summaries carry each part's tkey → (row_group, n_rows)
+    map; every tkey bucket is chunked into contiguous part ranges of ≤
+    max_postings_per_segment postings. Chunk index = salt; doc ids ascend
+    with part id, so salted sub-segments are disjoint ascending doc ranges
+    — the query side concatenates views. Each row names its segment and
+    carries the record fields the encoder stores beside the counts
+    (lineage and the covered part range).
     """
     fp_by_part = {int(p["part_id"]): str(p["fingerprint"]) for p in parts}
-    per_part: list[tuple[int, dict]] = []
-    for p in parts:
-        man = read_json(
-            os.path.join(index_dir, "manifests", f"part-{int(p['part_id']):06d}.json")
-        )
-        if man is None or "tkey_rgs" not in man:
-            raise RuntimeError(f"phase A manifest missing for part {p['part_id']}")
-        per_part.append((int(p["part_id"]), man["tkey_rgs"]))
-    per_part.sort()
+    per_part = sorted(summaries, key=lambda s: int(s["part_id"]))
 
     def lineage_of(srcs: list[tuple[int, int, int]]) -> str:
         # identity of the exact inputs that feed this segment: the build
@@ -589,34 +595,35 @@ def _plan_storage_segments(
 
     tasks: list[dict] = []
     for t in range(cfg.term_partitions):
-        salt, acc = 0, 0
-        paths: list[str] = []
-        rgs: list[int] = []
-        srcs: list[tuple[int, int, int]] = []
-        for part_id, tkey_rgs in per_part:
-            ent = tkey_rgs.get(str(t))
+        chunks: list[list[tuple[int, int, int]]] = []  # salt -> [(part, rg, n)]
+        acc = 0
+        for summary in per_part:
+            ent = summary["tkey_rgs"].get(str(t))
             if not ent:
                 continue
-            rg, n = int(ent[0]), int(ent[1])
-            if acc and acc + n > cfg.max_postings_per_segment:
-                tasks.append(
-                    {
-                        "tkey": t, "salt": salt, "paths": paths, "rgs": rgs,
-                        "expected": acc, "lineage": lineage_of(srcs),
-                    }
-                )
-                salt, acc, paths, rgs, srcs = salt + 1, 0, [], [], []
-            paths.append(
-                os.path.join(index_dir, "postings_raw", f"part-{part_id:06d}.parquet")
-            )
-            rgs.append(rg)
-            srcs.append((part_id, rg, n))
+            n = int(ent[1])
+            if not chunks or acc + n > cfg.max_postings_per_segment:
+                chunks.append([])
+                acc = 0
+            chunks[-1].append((int(summary["part_id"]), int(ent[0]), n))
             acc += n
-        if paths:
+        for salt, srcs in enumerate(chunks):
+            lineage = lineage_of(srcs)
             tasks.append(
                 {
-                    "tkey": t, "salt": salt, "paths": paths, "rgs": rgs,
-                    "expected": acc, "lineage": lineage_of(srcs),
+                    "name": _segment_name(t, salt, lineage),
+                    "tkey": t,
+                    "salt": salt,
+                    "paths": [
+                        os.path.join(index_dir, "postings_raw", f"part-{p:06d}.parquet") for p, _, _ in srcs
+                    ],
+                    "rgs": [rg for _, rg, _ in srcs],
+                    "expected": sum(n for _, _, n in srcs),
+                    "lineage": lineage,
+                    # covered doc-partition range: lets doc-range-sharded
+                    # readers open only overlapping segments
+                    "part_lo": srcs[0][0],
+                    "part_hi": srcs[-1][0] + 1,
                 }
             )
     return tasks
@@ -670,42 +677,7 @@ def _part_id_of(path: str) -> int:
     return int(os.path.basename(path)[len("part-") : -len(".parquet")])
 
 
-#: phase B's output: one row per segment built
-_SEGMENT_ROW = pa.schema(
-    [(k, pa.int64()) for k in ("skey", "tkey", "salt", "n_terms", "n_postings", "bytes", "part_lo", "part_hi")]
-    + [("name", pa.string()), ("lineage", pa.string())]
-    + [("pack", pa.string()), ("tdict_off", pa.int64()), ("post_off", pa.int64())]
-    + [(k, pa.float64()) for k in ("batch_sec", "read_sec", "encode_sec", "write_sec")]
-)
-
-
-def _segment_record(row: dict, entry: dict, n_doc_parts: int) -> dict:
-    """A planned segment's manifest entry, with its pack location: ``entry``
-    is its stored entry (a resumed segment) or the pack writer's."""
-    pids = [_part_id_of(p) for p in row["paths"]]
-    return {
-        "skey": int(row["tkey"]) * (n_doc_parts + 1) + int(row["salt"]),
-        "tkey": int(row["tkey"]),
-        "salt": int(row["salt"]),
-        "n_terms": int(entry["n_terms"]),
-        "n_postings": int(entry["n_postings"]),
-        "bytes": int(entry["bytes"]),
-        # covered doc-partition range: lets doc-range-sharded readers
-        # open only overlapping segments
-        "part_lo": min(pids),
-        "part_hi": max(pids) + 1,
-        "name": row["name"],
-        # content lineage, propagated into index_manifest so
-        # index_fingerprint digests content identity, not just
-        # per-segment counts
-        "lineage": str(row["lineage"]),
-        "pack": entry["pack"],
-        "tdict_off": int(entry["tdict_off"]),
-        "post_off": int(entry["post_off"]),
-    }
-
-
-def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int):
+def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig):
     field_names = tuple(f.name for f in cfg.fields)
     read_cols = ["term", "row", "tf"] + (["pos"] if cfg.store_positions else [])
     # each part's norm matrix is read from its docs sidecar once per block:
@@ -735,9 +707,9 @@ def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int)
             f = part_files[path] = pq.ParquetFile(path, read_dictionary=["term"])
         return f
 
-    def build_one(batch: pa.Table) -> pa.Table:
+    def build_one(rows: list[dict]) -> list[dict]:
         try:
-            return _build_block(batch)
+            return _build_block(rows)
         finally:
             for f in part_files.values():
                 f.close()
@@ -782,50 +754,50 @@ def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig, n_doc_parts: int)
             pieces.append(pa.table(cols))
         return pa.concat_tables(pieces, promote_options="permissive"), np.concatenate(segs)
 
-    def _build_block(batch: pa.Table) -> pa.Table:
+    def _build_block(block: list[dict]) -> list[dict]:
         """Build a block's segments, one encode batch at a time: read, one
         sort and encode (``build_segments_from_group``), then one pack
-        (``write_segment``). A batch's wall time and its three stage times
-        ride on its first segment's row."""
+        (``write_segment``). Returns one row per batch: its segments'
+        records, its wall time and its three stage times."""
         _limit_threads()
         out = []
-        for rows in _encode_batches(batch.to_pylist(), cfg.max_postings_per_segment):
+        for rows in _encode_batches(block, cfg.max_postings_per_segment):
             t0 = time.perf_counter()
             group, seg = _read(rows)
             t1 = time.perf_counter()
-            specs = [(r["name"], int(r["tkey"]), int(r["salt"]), {"lineage": r["lineage"]}) for r in rows]
+            specs = [
+                (r["name"], r["tkey"], r["salt"], {k: r[k] for k in ("lineage", "part_lo", "part_hi")})
+                for r in rows
+            ]
             members = build_segments_from_group(group, seg, specs)
             t2 = time.perf_counter()
-            entries = write_segment(index_dir, members)
+            segments = write_segment(index_dir, members)
             t3 = time.perf_counter()
-            first = {"batch_sec": t3 - t0, "read_sec": t1 - t0, "encode_sec": t2 - t1, "write_sec": t3 - t2}
-            for j, (r, e) in enumerate(zip(rows, entries)):
-                out.append(dict(_segment_record(r, e, n_doc_parts), **(first if j == 0 else {})))
-        return pa.Table.from_pylist(out, schema=_SEGMENT_ROW)
+            out.append(
+                {"segments": segments, "batch": t3 - t0, "read": t1 - t0, "encode": t2 - t1, "write": t3 - t2}
+            )
+        return out
 
     return build_one
 
 
 def _plan_phase_b(
-    index_dir: str, cfg: IndexConfig, parts: list[dict], committed: dict | None
+    index_dir: str, cfg: IndexConfig, parts: list[dict], summaries: list[dict], committed: dict | None
 ) -> tuple[list[dict], list[dict]]:
-    """Phase B's segment plan split into (entries of the segments that
+    """Phase B's segment plan split into (records of the segments that
     resume, rows to build). A segment resumes when a whole pack on disk
-    (``segment.stored_segments``: the committed packs map, then the TOC of
+    (``segment.stored_segments``: the committed records, then the TOC of
     any other pack) holds it, built from exactly these inputs."""
     stored = stored_segments(index_dir, committed)
     resumed, todo = [], []
-    for row in _plan_storage_segments(index_dir, cfg, parts):
-        row["name"] = _segment_name(int(row["tkey"]), int(row["salt"]), row["lineage"])
+    for row in _plan_storage_segments(index_dir, cfg, parts, summaries):
         e = stored.get(row["name"])
         if (
             e is not None
             and e.get("n_postings") == row["expected"]
-            and e.get("tkey") == row["tkey"]
-            and e.get("salt") == row["salt"]
-            and e.get("lineage") == row["lineage"]
+            and all(e.get(k) == row[k] for k in ("tkey", "salt", "lineage", "part_lo", "part_hi"))
         ):
-            resumed.append(_segment_record(row, e, len(parts)))
+            resumed.append(e)
         else:
             todo.append(row)
     return resumed, todo
@@ -896,24 +868,8 @@ def build_index(
     os.makedirs(index_dir, exist_ok=True)
 
     # ---- Phase A: the deterministic doc partitions, in CPU-sized blocks ----
-    def run_part(batch: pa.Table) -> pa.Table:
-        out = [_process_partition(desc, index_dir, cfg) for desc in batch.to_pylist()]
-        return pa.table(
-            {
-                "part_id": pa.array([s["part_id"] for s in out], pa.int64()),
-                "n_docs": pa.array([s["n_docs"] for s in out], pa.int64()),
-                "sum_doc_len": pa.array([s["sum_doc_len"] for s in out], pa.int64()),
-                "n_postings": pa.array([s["n_postings"] for s in out], pa.int64()),
-                "postings_raw_bytes": pa.array(
-                    [int(s.get("postings_raw_bytes", 0)) for s in out], pa.int64()
-                ),
-                "field_stats": pa.array(
-                    [json.dumps(s.get("field_stats", {})) for s in out], pa.string()
-                ),
-                "sort_min": pa.array([s.get("sort_min") for s in out], pa.float64()),
-                "sort_max": pa.array([s.get("sort_max") for s in out], pa.float64()),
-            }
-        )
+    def run_part(descs: list[dict]) -> list[dict]:
+        return [_process_partition(desc, index_dir, cfg) for desc in descs]
 
     # a part whose lineage manifest validates is not dispatched at all
     summaries, todo = [], []
@@ -924,18 +880,17 @@ def build_index(
         else:
             summaries.append(dict(existing, resumed=True))
     built, phase_a_tasks = _run_stage(todo, run_part)
-    summaries += [dict(s, field_stats=json.loads(s["field_stats"]), resumed=False) for s in built]
+    summaries += built
     n_docs = sum(s["n_docs"] for s in summaries)
     phase_a_sec = time.time() - t_start
 
     # ---- Phase B: skew is handled uniformly by doc-range bucket splitting
     # in the plan, so no head-term detection is needed ----
     n_doc_parts = len(parts)
-    resumed, todo_segs = _plan_phase_b(index_dir, cfg, parts, committed)
-    built_segs, phase_b_tasks = _run_stage(
-        todo_segs, _make_storage_segment_fn(index_dir, cfg, n_doc_parts)
-    )
-    seg_summaries = resumed + built_segs
+    resumed, todo_segs = _plan_phase_b(index_dir, cfg, parts, summaries, committed)
+    batches, phase_b_tasks = _run_stage(todo_segs, _make_storage_segment_fn(index_dir, cfg))
+    built_segs = [s for b in batches for s in b["segments"]]
+    segments = sorted(resumed + built_segs, key=doc_order)
     phase_b_sec = time.time() - t_start - phase_a_sec
 
     stats = {
@@ -943,7 +898,7 @@ def build_index(
         **collection_stats(summaries),
         "n_doc_parts": n_doc_parts,
         "term_partitions": cfg.term_partitions,
-        "n_segments": len(seg_summaries),
+        "n_segments": len(segments),
     }
     if cfg.sort_field:
         stats["sort_field"] = cfg.sort_field
@@ -963,32 +918,12 @@ def build_index(
             key=lambda r: r["part_id"],
         )
 
-    n_built = len(built_segs)
-    firsts = [s for s in built_segs if s["batch_sec"] is not None]
     man = {
         "config": cfg.fingerprint_full(),
         "input_fingerprints": fingerprints,
         "stats": stats,
         "deletes": _carry_deletes(index_dir, (committed or {}).get("deletes") or {}, parts),
-        "segments": sorted(
-            [
-                dict(
-                    {
-                        k: int(s[k])
-                        for k in (
-                            "skey", "tkey", "salt", "n_terms", "n_postings", "bytes",
-                        )
-                    },
-                    name=s["name"],
-                    part_lo=int(s["part_lo"]),
-                    part_hi=int(s["part_hi"]),
-                    lineage=s["lineage"],
-                )
-                for s in seg_summaries
-            ],
-            key=lambda s: s["skey"],
-        ),
-        "packs": packs_map(seg_summaries),
+        "segments": segments,
         "metrics": {
             "n_docs": int(n_docs),
             "n_postings": int(sum(s["n_postings"] for s in summaries)),
@@ -1007,17 +942,17 @@ def build_index(
             "parts_resumed": int(sum(1 for s in summaries if s["resumed"])),
             "phase_a_tasks": phase_a_tasks,
             "phase_b_tasks": phase_b_tasks,
-            "segments_built": n_built,
-            "segments_resumed": len(seg_summaries) - n_built,
+            "segments_built": len(built_segs),
+            "segments_resumed": len(resumed),
             # wall time of each encode batch (the segments it built, read,
             # sorted, encoded and written together); skew = max/p50 shows
             # a straggler batch
-            "phase_b_batches": len(firsts),
-            "phase_b_batch_sec": _spread([s["batch_sec"] for s in firsts]),
+            "phase_b_batches": len(batches),
+            "phase_b_batch_sec": _spread([b["batch"] for b in batches]),
             # the batches' read, encode and write steps (each batch's three
             # sum to its phase_b_batch_sec)
             "phase_b_stage_sec": {
-                k: _spread([s[f"{k}_sec"] for s in firsts]) for k in ("read", "encode", "write")
+                k: _spread([b[k] for b in batches]) for k in ("read", "encode", "write")
             },
         },
     }

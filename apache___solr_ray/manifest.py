@@ -110,7 +110,7 @@ def index_fingerprint(index_dir: str) -> str:
         raise FileNotFoundError(f"no committed index at {index_dir}")
     h = hashlib.sha1()
     h.update(str(man.get("config", "")).encode())
-    for s in sorted(man.get("segments", []), key=lambda x: x.get("skey", 0)):
+    for s in man.get("segments", []):  # in commit (doc) order
         h.update(
             f"{s.get('name')}:{s.get('n_terms')}:{s.get('n_postings')}:"
             f"{s.get('bytes')}:{s.get('lineage', s.get('checksum', ''))};".encode()

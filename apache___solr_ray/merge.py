@@ -17,10 +17,13 @@ position payloads carry over as raw bytes — and the table is written by
 ``segment.build_segment_from_group``, the encoder phase B uses (Lucene's
 SegmentMerger likewise writes through the flush codec); a merge block
 writes its outputs as one pack (``segment.write_segment``), and a chain of
-steps within a tkey reads its intermediate outputs from memory. The index
-manifest is atomically re-committed and only then are the packs it no
-longer names removed — a crash between commit and delete leaves harmless
-garbage, never a broken index.
+steps within a tkey reads its intermediate outputs from memory. An
+output's record gets its lineage and doc range at encode time
+(``_merged_meta``), so the records the pack writer returns are the ones
+the manifest commits, beside the unmerged ones, in ``segment.doc_order``.
+The index manifest is atomically re-committed and only then are the packs
+it no longer names removed — a crash between commit and delete leaves
+harmless garbage, never a broken index.
 
 A purge (``purge_deletes``) rewrites every segment without the deleted
 docs' postings and commits the live stats (``deletes.live_stats``) in its
@@ -35,7 +38,6 @@ tests): merging changes layout, not content.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import numpy as np
@@ -47,18 +49,20 @@ from apache___solr_ray.manifest import read_json, write_json_atomic
 from apache___solr_ray.segment import (
     MAX_SEGMENT_BYTES,
     build_segment_from_group,
+    doc_order,
     drop_uncommitted,
     encoded_reader,
     open_segments,
     pack_bytes,
-    packs_map,
     write_segment,
 )
 
 
 def _merge_group(readers: dict, tkey: int, sources: list[dict], out_name: str, tombs=None) -> dict:
-    """Merge source segments (``readers`` by name) into one encoded segment
-    through the phase-B segment encoder; the merge block writes it."""
+    """Merge source segments (``readers`` by name, ``sources`` their
+    records in doc order) into one encoded segment through the phase-B
+    segment encoder, its record carrying ``_merged_meta(sources)``; the
+    merge block writes it."""
     terms, dfs, views = [], [], []
     for s in sources:
         r = readers[s["name"]]
@@ -95,17 +99,19 @@ def _merge_group(readers: dict, tkey: int, sources: list[dict], out_name: str, t
         # purge: drop tombstoned postings (Lucene merge reclaiming deletes);
         # a term whose postings all vanish leaves the dict
         group = group.filter(pa.array(~np.isin(docs, tombs)))
-    return build_segment_from_group(group, out_name, tkey, -1)
+    return build_segment_from_group(group, out_name, tkey, -1, _merged_meta(sources))
 
 
-def _part_span(sources: list[dict]) -> dict:
-    """``part_lo`` / ``part_hi`` covering every source, or {} when a source
-    carries no range (readers then treat the segment as covering all)."""
-    if not all("part_lo" in s and "part_hi" in s for s in sources):
-        return {}
+def _merged_meta(sources: list[dict]) -> dict:
+    """A merge output's lineage, a digest of its sources' lineages (so
+    ``index_fingerprint`` keeps digesting content identity across
+    merges), and the doc partitions it covers, the union of its
+    sources'."""
+    combined = "+".join(s["lineage"] for s in sources)
     return {
-        "part_lo": min(int(s["part_lo"]) for s in sources),
-        "part_hi": max(int(s["part_hi"]) for s in sources),
+        "lineage": "m:" + hashlib.sha1(combined.encode()).hexdigest(),
+        "part_lo": min(s["part_lo"] for s in sources),
+        "part_hi": max(s["part_hi"] for s in sources),
     }
 
 
@@ -120,21 +126,23 @@ def _merged_name(tkey: int, gen: int, names: set[str]) -> tuple[str, int]:
 def plan_merges(
     segments: list[dict], target_per_tkey: int, merge_factor: int
 ) -> list[tuple[int, list[dict], str]]:
-    """Pure planning (deterministic, unit-testable): per tkey, in doc order
-    (``part_lo``, then salt), repeatedly fold the window of merge_factor
-    adjacent segments with the smallest byte sum until <= target remain.
+    """Pure planning (deterministic, unit-testable): per tkey, over
+    ``segments`` in commit order (``segment.doc_order``), repeatedly fold
+    the window of merge_factor adjacent segments with the smallest byte
+    sum until <= target remain.
     A window whose bytes reach ``MAX_SEGMENT_BYTES`` (the dictionary's u32
     offsets) does not fold; when no window of merge_factor does, a smaller
     one is tried, and a tkey where no two neighbours fit stops folding.
 
-    Returns the merge steps in order, each ``(tkey, sources, out_name)``.
+    Returns the merge steps in order, each ``(tkey, sources, out_name)``;
+    a source is a record, or an earlier step's output as planned (its
+    name, bytes, postings and ``_merged_meta``).
     """
     steps = []
     by_tkey: dict[int, list[dict]] = {}
     for s in segments:
         by_tkey.setdefault(s["tkey"], []).append(dict(s))
     for tkey, segs in sorted(by_tkey.items()):
-        segs.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"], s["name"]))
         gen = 0
         while len(segs) > target_per_tkey:
             csum = np.cumsum([0] + [s["bytes"] for s in segs])
@@ -152,22 +160,13 @@ def plan_merges(
                 "salt": -1,
                 "name": out_name,
                 "bytes": int(sums[i]),
-                "n_terms": 0,
                 "n_postings": sum(s["n_postings"] for s in sources),
-                "skey": -1,
-                **_part_span(sources),
+                **_merged_meta(sources),
             }
             steps.append((tkey, sources, out_name))
             segs = segs[:i] + [placeholder] + segs[i + n :]
             gen += 1
     return steps
-
-
-#: a merge block's output: one row per merged segment it wrote
-_MERGED_ROW = pa.schema(
-    [("name", pa.string()), ("pack", pa.string())]
-    + [(k, pa.int64()) for k in ("tkey", "n_terms", "n_postings", "bytes", "tdict_off", "post_off")]
-)
 
 
 def merge_segments(
@@ -190,7 +189,7 @@ def merge_segments(
     man = read_json(os.path.join(index_dir, "index_manifest.json"))
     if man is None:
         raise FileNotFoundError(f"no committed index at {index_dir}")
-    segments = [dict(s) for s in man["segments"]]
+    segments = man["segments"]
     tombs = None
     if purge_deletes:
         live, tombs = live_stats(index_dir)
@@ -223,66 +222,29 @@ def merge_segments(
 
     committed = {s["name"] for s in segments}
 
-    def run_tkey(batch: pa.Table) -> pa.Table:
+    def run_tkey(rows: list[dict]) -> list[dict]:
         """Run a block's merge chains and write their outputs as one pack;
-        a chain step reads an earlier step's output from memory."""
-        chains = [json.loads(c) for c in batch.column("steps").to_pylist()]
-        steps = [st for chain in chains for st in chain]
-        consumed = {s["name"] for _, sources, _ in steps for s in sources}
-        readers = open_segments(index_dir, man, consumed & committed)
+        a chain step reads an earlier step's output from memory. Returns
+        the written segments' records."""
+        steps = [st for row in rows for st in row["steps"]]
+        sources = [s for _, srcs, _ in steps for s in srcs]
+        readers = open_segments(index_dir, [s for s in sources if s["name"] in committed])
         try:
             out = []
-            for tkey, sources, out_name in steps:
-                m = _merge_group(readers, tkey, sources, out_name, tombs=tombs)
+            for tkey, srcs, out_name in steps:
+                m = _merge_group(readers, tkey, srcs, out_name, tombs=tombs)
                 readers[out_name] = encoded_reader(m)
                 out.append(m)
-            entries = write_segment(index_dir, [m for m in out if m["name"] not in consumed])
+            consumed = {s["name"] for s in sources}
+            return write_segment(index_dir, [m for m in out if m["name"] not in consumed])
         finally:
             for r in readers.values():
                 r.close()
-        return pa.Table.from_pylist(entries, schema=_MERGED_ROW)
 
-    merged, _ = _run_stage(
-        [{"tkey": t, "steps": json.dumps(chain)} for t, chain in by_tkey.items()], run_tkey
-    )
-    merged_by_name = {m["name"]: m for m in merged}
-
+    merged, _ = _run_stage([{"steps": chain} for chain in by_tkey.values()], run_tkey)
     consumed = {s["name"] for st in steps for s in st[1]}
-    survivors = [s for s in segments if s["name"] not in consumed]
-    # merged lineage = digest of the source lineages (chains fold in step
-    # order), so index_fingerprint keeps digesting content identity across
-    # merges rather than falling back to counts-only
-    lineage_by_name = {s["name"]: str(s.get("lineage", "")) for s in segments}
-    for _, sources, out_name in steps:
-        combined = "+".join(
-            lineage_by_name.get(s["name"], str(s.get("name", ""))) for s in sources
-        )
-        lineage_by_name[out_name] = "m:" + hashlib.sha1(combined.encode()).hexdigest()
-    span_by_name = {out_name: _part_span(sources) for _, sources, out_name in steps}
-    new_entries = [
-        {
-            "skey": -1,
-            "tkey": int(m["tkey"]),
-            "salt": -1,
-            "name": n,
-            "n_terms": int(m["n_terms"]),
-            "n_postings": int(m["n_postings"]),
-            "bytes": int(m["bytes"]),
-            "lineage": lineage_by_name.get(n, ""),
-            **span_by_name[n],
-        }
-        for n, m in merged_by_name.items()
-    ]
-    kept = {s["name"] for s in survivors}
-    located = [
-        {"pack": pack, "name": n, "tdict_off": t_off, "post_off": p_off}
-        for pack, members in man["packs"].items()
-        for n, t_off, p_off in members
-        if n in kept
-    ]
     man = dict(man)
-    man["segments"] = sorted(survivors + new_entries, key=lambda s: (s["tkey"], s["name"]))
-    man["packs"] = packs_map(located + merged)
+    man["segments"] = sorted([s for s in segments if s["name"] not in consumed] + merged, key=doc_order)
     man["stats"] = dict(man["stats"], n_segments=len(man["segments"]))
     if purge_deletes:
         man["stats"].update(live)

@@ -158,7 +158,7 @@ def _term_df_table(index_dir: str) -> pa.Table:
 
 def termdf_dataset(index_dir: str):
     """The committed term dictionary as a Dataset of GLOBAL (term, df)
-    rows: one ``map_batches`` over the manifest's packs returns each
+    rows: one ``map_batches`` over the committed packs returns each
     segment's ``SegmentReader.terms_table``, so vocabulary-wide entries
     stay distributed. Salted segments of one tkey hold doc-disjoint slices
     of a term, so one groupby-Sum is the exact combine (the same sum
@@ -169,16 +169,16 @@ def termdf_dataset(index_dir: str):
     from apache___solr_ray.manifest import read_json
     from apache___solr_ray.segment import open_segments
 
-    man = read_json(os.path.join(index_dir, "index_manifest.json"))
+    segments = read_json(os.path.join(index_dir, "index_manifest.json"))["segments"]
 
     def read_terms(batch: pa.Table) -> pa.Table:
-        packs = {p: man["packs"][p] for p in batch.column("pack").to_pylist()}
+        packs = set(batch.column("pack").to_pylist())
         return pa.concat_tables(
             r.terms_table().select(["term", "df"])
-            for r in open_segments(index_dir, {"packs": packs}).values()
+            for r in open_segments(index_dir, [s for s in segments if s["pack"] in packs]).values()
         )
 
-    td = ray.data.from_items([{"pack": p} for p in sorted(man["packs"])]).map_batches(
+    td = ray.data.from_items([{"pack": p} for p in sorted({s["pack"] for s in segments})]).map_batches(
         read_terms, batch_format="pyarrow"
     )
     return td.groupby("term").aggregate(Sum("df", alias_name="df"))

@@ -167,7 +167,9 @@ class IndexReader:
     def _open(self, part_range: tuple[int, int] | None) -> dict:
         """Read the committed manifest and open every segment of it that
         the reader will read (``segment.open_segments``: each pack's two
-        files mapped once); returns the manifest. Packs are write-once,
+        files mapped once); returns the manifest. A commit lists each
+        tkey's segments in doc order (``segment.doc_order``), which
+        ``_term_readers`` keeps. Packs are write-once,
         but a commit that lands between the manifest read and the opens
         removes the previous commit's packs: then the manifest is read
         once more."""
@@ -175,26 +177,19 @@ class IndexReader:
             man = read_json(os.path.join(self.dir, "index_manifest.json"))
             if man is None:
                 raise FileNotFoundError(f"no committed index at {self.dir}")
-            n_parts = man["stats"]["n_doc_parts"]
+            # a doc-range-sharded reader skips segments whose covered doc
+            # partitions don't overlap the shard (memory bound = the
+            # shard's segments only)
+            entries = [
+                s
+                for s in man["segments"]
+                if part_range is None or (s["part_hi"] > part_range[0] and s["part_lo"] < part_range[1])
+            ]
             self._segments_by_tkey: dict[int, list[dict]] = {}
-            for s in man["segments"]:
-                if part_range is not None:
-                    # doc-range-sharded reader: skip segments whose covered
-                    # doc partitions don't overlap the shard (memory bound =
-                    # shard's segments only; manifests without ranges keep
-                    # everything)
-                    p_lo = int(s.get("part_lo", 0))
-                    p_hi = int(s.get("part_hi", n_parts))
-                    if p_hi <= part_range[0] or p_lo >= part_range[1]:
-                        continue
+            for s in entries:
                 self._segments_by_tkey.setdefault(s["tkey"], []).append(s)
-            # doc order: a tkey's segments cover disjoint, ascending part
-            # ranges (phase-B salts chunk them; merges fold only neighbours)
-            for v in self._segments_by_tkey.values():
-                v.sort(key=lambda s: (int(s.get("part_lo", 0)), s["salt"]))
-            names = [s["name"] for segs in self._segments_by_tkey.values() for s in segs]
             try:
-                self._readers: dict[str, SegmentReader] = open_segments(self.dir, man, names)
+                self._readers: dict[str, SegmentReader] = open_segments(self.dir, entries)
                 return man
             except FileNotFoundError:
                 if attempt:

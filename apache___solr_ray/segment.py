@@ -26,28 +26,31 @@ writes its segments as one pack of two files under ``segments/``:
 
 - ``pack-<sha1 of member names>[:16].tdict`` — every member's dictionary
   section back to back, each 8-byte aligned, then a table of contents
-  (TOC, JSON: each member's name, tkey, salt, lineage, counts and
-  offsets, and the ``.post`` size) and a fixed 24-byte trailer (TOC
-  offset, TOC length, magic)
+  (TOC, JSON: each member's record and the ``.post`` size) and a fixed
+  24-byte trailer (TOC offset, TOC length, magic)
 - ``pack-….post`` — the members' postings back to back
 
-A pack is written as two tmp files and two renames (``.post`` first) and
-never rewritten. ``index_manifest.json`` names a commit's members in its
-``packs`` map, ``{pack: [[name, tdict_off, post_off], …]}``; its
-``segments`` entries carry each segment's identity (tkey; salt, the
-doc-range chunk index within the tkey when phase B splits a bucket past
-``max_postings_per_segment``, -1 for a merged segment; counts; lineage).
-After a commit moves, the files under ``segments/`` it does not name are
-removed (``drop_uncommitted``).
+A segment has one **record**, the dict ``write_segment`` returns and the
+TOC stores: its name, tkey, salt (the doc-range chunk index within the
+tkey when phase B splits a bucket past ``max_postings_per_segment``, -1
+for a merged segment), counts, lineage, covered doc partitions
+(``part_lo``, ``part_hi``) and place (``pack``, ``tdict_off``,
+``post_off``). ``index_manifest.json``'s ``segments`` is the list of a
+commit's records in ``doc_order`` (Lucene's ``segments_N`` likewise keeps
+one entry per segment). A pack is written as two tmp files and two
+renames (``.post`` first) and never rewritten. After a commit moves, the
+files under ``segments/`` it does not name are removed
+(``drop_uncommitted``).
 
 Phase B and merges encode through one encoder, ``build_segments_from_group``
 (a merge's output is ``build_segment_from_group``, its one-segment call),
 and write through one pack writer, ``write_segment``. A segment's bytes do
 not depend on the batch it was encoded in.
 
-Readers go through one helper, ``open_segments``: it maps each pack's two
-files once, and each member's ``SegmentReader`` is a set of numpy views of
-its dictionary section, so opening a segment builds no Python object per
+Readers go through one helper, ``open_segments``: given segment records,
+it maps each pack's two files once, and each member's ``SegmentReader``
+is a set of numpy views of its dictionary section, so opening a segment
+builds no Python object per
 term (Lucene likewise keeps only a small terms index in memory), and a
 reader keeps reading the files it opened after a later commit removes
 them. A point lookup (``lookup``, ``postings``, ``term_stats``) is one
@@ -81,7 +84,8 @@ from apache___solr_ray import codec
 # v5: segments are stored in packs (.tdict + .post) named by the manifest
 # v6: a 20-byte-per-term dictionary (u32 key, df, ttf, offset; i32 string
 #     offset) with terms and payloads in (key, term) order; no row column
-FORMAT_VERSION = 6
+# v7: a manifest's segment entries are their packs' TOC records (no packs map)
+FORMAT_VERSION = 7
 
 HASH_KEY = "0123456789abcdef"  # fixed key for pd.util.hash_array (determinism)
 
@@ -149,12 +153,20 @@ def segments_dir(index_dir: str) -> str:
     return os.path.join(index_dir, "segments")
 
 
+def doc_order(entry: dict) -> tuple:
+    """The order of a commit's segment records: by tkey, then by covered
+    doc partitions (a tkey's segments hold disjoint part ranges: phase-B
+    salts chunk them and merges fold only neighbours), so each tkey's
+    segments come in doc order. Builds and merges commit in this order;
+    readers and ``merge.plan_merges`` rely on it."""
+    return (entry["tkey"], entry["part_lo"], entry["name"])
+
+
 def pack_files(man: dict) -> list[str]:
     """Paths, relative to the index directory, of the two files of every
-    pack ``man`` names."""
-    return [
-        os.path.join("segments", pack + ext) for pack in sorted(man["packs"]) for ext in (".tdict", ".post")
-    ]
+    pack ``man``'s segments name."""
+    packs = sorted({s["pack"] for s in man["segments"]})
+    return [os.path.join("segments", pack + ext) for pack in packs for ext in (".tdict", ".post")]
 
 
 def pack_bytes(index_dir: str, man: dict) -> dict[str, int]:
@@ -295,8 +307,9 @@ def write_segment(index_dir: str, members: list[dict]) -> list[dict]:
     written to a tmp file and renamed, ``.post`` first, so a ``.tdict``
     with a whole trailer means a whole pack. A pack of the same name on
     disk is one that no commit names (left by an interrupted build, with
-    the same members), and is replaced. Returns each member's manifest
-    entry: its metadata plus ``pack``, ``tdict_off`` and ``post_off``."""
+    the same members), and is replaced. Returns each member's record (the
+    module docstring): its metadata plus ``pack``, ``tdict_off`` and
+    ``post_off``, as the TOC stores it."""
     root = segments_dir(index_dir)
     os.makedirs(root, exist_ok=True)
     pack = "pack-" + hashlib.sha1("\n".join(m["name"] for m in members).encode()).hexdigest()[:16]
@@ -317,16 +330,6 @@ def write_segment(index_dir: str, members: list[dict]) -> list[dict]:
     os.replace(base + ".post.tmp", base + ".post")
     os.replace(base + ".tdict.tmp", base + ".tdict")
     return entries
-
-
-def packs_map(entries) -> dict:
-    """The manifest's ``packs`` map of segment entries that carry ``pack``,
-    ``tdict_off`` and ``post_off``: ``{pack: [[name, tdict_off, post_off],
-    …]}``, members in file order."""
-    out: dict[str, list] = {}
-    for e in sorted(entries, key=lambda e: (e["pack"], int(e["tdict_off"]))):
-        out.setdefault(e["pack"], []).append([e["name"], int(e["tdict_off"]), int(e["post_off"])])
-    return out
 
 
 def _read_toc(base: str) -> dict | None:
@@ -354,23 +357,21 @@ def _read_toc(base: str) -> dict | None:
 
 
 def stored_segments(index_dir: str, committed: dict | None) -> dict[str, dict]:
-    """Every segment on disk that a build may resume, by name: its manifest
-    entry plus ``pack``, ``tdict_off`` and ``post_off``. Members of the
-    packs ``committed`` names come from that manifest (when both files are
-    on disk); members of any other pack from its TOC, once per pack, if
-    the pack is whole (``_read_toc``)."""
+    """Every segment on disk that a build may resume, by name: its record.
+    The records of ``committed`` whose pack has both files on disk come
+    from that manifest; members of any other pack from its TOC, once per
+    pack, if the pack is whole (``_read_toc``)."""
     root = segments_dir(index_dir)
     on_disk = set(os.listdir(root)) if os.path.isdir(root) else set()
-    out: dict[str, dict] = {}
-    packs = (committed or {}).get("packs") or {}
-    by_name = {s["name"]: s for s in (committed or {}).get("segments", ())}
-    for pack, members in packs.items():
-        if {pack + ".tdict", pack + ".post"} <= on_disk:
-            for name, t_off, p_off in members:
-                out[name] = dict(by_name[name], pack=pack, tdict_off=t_off, post_off=p_off)
+    out = {
+        s["name"]: s
+        for s in (committed or {}).get("segments", ())
+        if "pack" in s and {s["pack"] + ".tdict", s["pack"] + ".post"} <= on_disk
+    }
+    seen = {s["pack"] for s in out.values()}
     for fn in sorted(on_disk):
         pack = fn[: -len(".tdict")]
-        if not fn.endswith(".tdict") or pack in packs:
+        if not fn.endswith(".tdict") or pack in seen:
             continue
         toc = _read_toc(os.path.join(root, pack))
         for e in toc["members"] if toc else ():
@@ -434,28 +435,28 @@ class _Pack:
                     pass
 
 
-def open_segments(index_dir: str, man: dict, names=None) -> dict[str, SegmentReader]:
-    """Readers of the segments of ``man``'s ``packs`` map named by ``names``
-    (all when None), by name: the one way to open committed segments.
-    Each pack's two files are mapped once and shared by its members'
-    readers, so closing one reader closes its pack: close them together.
-    A manifest without packs predates segment format v5 and raises."""
-    if "packs" not in man:
-        raise RuntimeError(
-            f"the index at {index_dir} predates segment format v{FORMAT_VERSION} "
-            "(no packs); rebuild the index (build_index re-encodes every segment)"
-        )
-    want = None if names is None else set(names)
+def open_segments(index_dir: str, entries) -> dict[str, SegmentReader]:
+    """Readers of the segments whose records are ``entries`` (a manifest's
+    ``segments``, or some of them), by name: the one way to open committed
+    segments. Each pack's two files are mapped once and shared by its
+    members' readers, so closing one reader closes its pack: close them
+    together. A record without a pack predates segment format v7 and
+    raises."""
+    by_pack: dict[str, list[dict]] = {}
+    for e in entries:
+        if "pack" not in e:
+            raise RuntimeError(
+                f"the index at {index_dir} predates segment format v{FORMAT_VERSION}; "
+                "rebuild the index (build_index re-encodes every segment)"
+            )
+        by_pack.setdefault(e["pack"], []).append(e)
     out: dict[str, SegmentReader] = {}
     try:
-        for pack, members in man["packs"].items():
-            members = [m for m in members if want is None or m[0] in want]
-            if not members:
-                continue
+        for pack, members in by_pack.items():
             base = os.path.join(segments_dir(index_dir), pack)
             p = _Pack(_map(base + ".tdict"), base + ".post")
-            for name, t_off, p_off in members:
-                out[name] = SegmentReader(p, t_off, p_off, name)
+            for e in members:
+                out[e["name"]] = SegmentReader(p, e["tdict_off"], e["post_off"], e["name"])
     except BaseException:
         for r in out.values():
             r.close()

@@ -4,7 +4,8 @@ Scans the package source: the per-index doc-id dict is gone, the float64
 BM25 per-term loop has one home (``lucene.bm25_f64_columns``), and whole
 posting lists are decoded outside the engine (``query.py``, ``codec.py``)
 only by the named entries below, each of which needs every posting.
-Position streams are read only by the one positional evaluator.
+Position streams are read only by the one positional evaluator. A
+segment record's place in its pack is read only by ``segment.py``.
 """
 
 import ast
@@ -100,3 +101,30 @@ def test_segment_files_only_through_segment_py():
                 if isinstance(node, ast.Call) and _builds_segments_path(node):
                     hits.add(path.relative_to(PKG.parent).as_posix())
     assert hits == {"apache___solr_ray/segment.py"}
+
+
+#: the keys of the pack layout: where a segment record's bytes sit
+PACK_KEYS = {"packs", "tdict_off", "post_off"}
+
+
+def _reads_pack_key(node: ast.AST) -> bool:
+    """``x["tdict_off"]``-style subscripts (and ``x.get("tdict_off")``)
+    of a pack-layout key."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        key = node.args[0] if node.args else None
+    else:
+        return False
+    return isinstance(key, ast.Constant) and key.value in PACK_KEYS
+
+
+def test_pack_layout_only_in_segment_py():
+    """No package module but ``segment.py`` reads a pack-layout key: the
+    build, merges, readers and the catalog hand segment records to
+    ``segment.open_segments`` and never look inside their place."""
+    hits = set()
+    for path in sorted(PKG.rglob("*.py")):
+        if any(_reads_pack_key(node) for node in ast.walk(ast.parse(path.read_text()))):
+            hits.add(path.relative_to(PKG).as_posix())
+    assert hits == {"segment.py"}

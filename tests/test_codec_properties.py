@@ -229,7 +229,7 @@ def built_index(ray_session, tmp_path_factory):
 def test_view_doc_freq_equals_dictionary_df(built_index):
     idx, man = built_index
     n_multi = 0
-    for r in open_segments(idx, man).values():
+    for r in open_segments(idx, man["segments"]).values():
         views = r.postings_views()
         assert [v.doc_freq for v in views] == r.terms_table().column("df").to_pylist()
         n_multi += sum(v.n_blocks > 1 for v in views)

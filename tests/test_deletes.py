@@ -140,7 +140,7 @@ def test_purge_after_kill_recommits_the_same(ray_session, tmp_path_factory, monk
     got = merge_segments(killed, purge_deletes=True)
     assert got["stats"] == want["stats"] and got["stats"]["doc_count"] == 397
     assert got["segments"] == want["segments"]
-    a, b = (open_segments(i, read_json(os.path.join(i, "index_manifest.json"))) for i in (once, killed))
+    a, b = (open_segments(i, read_json(os.path.join(i, "index_manifest.json"))["segments"]) for i in (once, killed))
     for s in want["segments"]:
         assert a[s["name"]].raw() == b[s["name"]].raw()
     for r in [*a.values(), *b.values()]:

@@ -582,6 +582,41 @@ def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
     assert man["stats"]["doc_count"] == 599
 
 
+def test_backup_holds_only_committed_parts(ray_session, tmp_path_factory):
+    """After a rebuild with bigger doc parts, the old layout's extra part
+    files stay on disk, but a backup lists only the committed parts' files
+    (``part-NNNNNN`` < ``n_doc_parts`` in docs/, postings_raw/ and
+    manifests/), and its restore has the same fingerprint and answers."""
+    from apache___solr_ray import backup as bk
+    from apache___solr_ray.manifest import index_fingerprint
+
+    d = str(tmp_path_factory.mktemp("pages_backup_parts"))
+    write_pages(d, 600, seed=42, rows_per_file=600, row_group_size=100)
+    idx = str(tmp_path_factory.mktemp("index_backup_parts"))
+    build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=128))
+    man = build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=1024))
+    n_parts = man["stats"]["n_doc_parts"]
+    for sub in ("docs", "postings_raw", "manifests"):
+        assert len(os.listdir(os.path.join(idx, sub))) > n_parts  # stale parts on disk
+
+    bdir = str(tmp_path_factory.mktemp("backups_parts"))
+    files = bk.create_backup(idx, bdir, "b")["files"]
+    parts = [rel for rel in files if os.path.basename(rel).startswith("part-")]
+    assert len(parts) == 3 * n_parts
+    assert all(int(os.path.basename(rel)[len("part-") :].split(".")[0]) < n_parts for rel in parts)
+
+    dest = str(tmp_path_factory.mktemp("restored_parts"))
+    os.rmdir(dest)
+    assert bk.restore_backup(bdir, "b", dest) == index_fingerprint(idx)
+    r_got, r_want = IndexReader(dest), IndexReader(idx)
+    for q in QUERIES:
+        d_got, s_got = r_got.topk(q, 10)
+        d_want, s_want = r_want.topk(q, 10)
+        assert d_got.tolist() == d_want.tolist() and s_got.tobytes() == s_want.tobytes(), q
+    r_got.close()
+    r_want.close()
+
+
 def test_cursor_pages_equal_topk_prefix(built):
     """CursorMark pages concatenate to exactly the topk prefix — no skips,
     no repeats, ties broken identically (CursorMarkTest semantics)."""
@@ -1296,13 +1331,11 @@ def test_run_stage_runs_each_row_once_in_cpu_sized_blocks(ray_session):
     dispatches min(rows, BLOCKS_PER_CPU * CPUs) blocks."""
     import uuid
 
-    import pyarrow as pa
-
     from apache___solr_ray import build
 
-    def tag(batch):
+    def tag(rows):
         block = uuid.uuid4().hex
-        return pa.table({"i": batch.column("i"), "block": pa.array([block] * batch.num_rows)})
+        return [dict(r, block=block) for r in rows]
 
     cpus = build._cluster_cpus()
     assert cpus == 4  # the test session's Ray
@@ -1368,10 +1401,12 @@ def test_segments_identical_for_any_block_count(
     )
 
     def segment_bytes(idx):
-        """Each committed segment's manifest entry, dictionary and postings."""
+        """Each committed segment's record but for its place in a pack (a
+        block's segments share one), dictionary and postings."""
         man = read_json(os.path.join(idx, "index_manifest.json"))
-        entries = {s["name"]: s for s in man["segments"]}
-        readers = open_segments(idx, man)
+        place = ("pack", "tdict_off", "post_off")
+        entries = {s["name"]: {k: v for k, v in s.items() if k not in place} for s in man["segments"]}
+        readers = open_segments(idx, man["segments"])
         out = {name: (entries[name], *r.raw()) for name, r in readers.items()}
         for r in readers.values():
             r.close()

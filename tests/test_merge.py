@@ -14,11 +14,17 @@ from apache___solr_ray.segment import open_segments, pack_files, segments_dir
 QUERIES = ["the fast data", "example.com", "DON'T Stop", "state of the art merge"]
 
 
+def _record(i: int, nbytes: int, n_postings: int = 1) -> dict:
+    """A fabricated phase-B segment record of tkey 0 covering part ``i``
+    (no pack: planning never opens it)."""
+    return {
+        "tkey": 0, "salt": i, "name": f"seg-00000-{i:05d}", "bytes": nbytes, "n_terms": 1,
+        "n_postings": n_postings, "lineage": f"l{i}", "part_lo": i, "part_hi": i + 1,
+    }
+
+
 def test_plan_merges_tiers():
-    segs = [
-        {"tkey": 0, "salt": i, "name": f"seg-00000-{i:05d}", "bytes": 100 * (i + 1), "n_terms": 1, "n_postings": 10, "skey": i}
-        for i in range(12)
-    ]
+    segs = [_record(i, 100 * (i + 1), n_postings=10) for i in range(12)]
     steps = plan_merges(segs, target_per_tkey=1, merge_factor=10)
     # 12 -> merge 10 smallest -> 3 -> merge 3 -> 1
     assert len(steps) == 2
@@ -30,15 +36,11 @@ def test_plan_merges_tiers():
 
 
 def test_plan_merges_noop():
-    segs = [{"tkey": 0, "salt": 0, "name": "a", "bytes": 1, "n_terms": 1, "n_postings": 1, "skey": 0}]
-    assert plan_merges(segs, 1, 10) == []
+    assert plan_merges([_record(0, 1)], 1, 10) == []
 
 
 def _fabricated(sizes: list[int]) -> list[dict]:
-    return [
-        {"tkey": 0, "salt": i, "name": f"seg-00000-{i:05d}", "bytes": b, "n_terms": 1, "n_postings": 1, "skey": i}
-        for i, b in enumerate(sizes)
-    ]
+    return [_record(i, b) for i, b in enumerate(sizes)]
 
 
 def test_plan_merges_keeps_segments_inside_u32_offsets():
@@ -129,9 +131,10 @@ def test_merge_reduces_segments(merged_index):
     # consumed segments' packs are gone; the committed ones exist
     on_disk = set(os.listdir(segments_dir(idx)))
     assert {os.path.basename(f) for f in pack_files(man)} == on_disk
-    assert {n for members in man["packs"].values() for n, _, _ in members} == {
-        s["name"] for s in man["segments"]
-    }
+    readers = open_segments(idx, man["segments"])
+    assert set(readers) == {s["name"] for s in man["segments"]}
+    for r in readers.values():
+        r.close()
 
 
 def test_merge_preserves_results(merged_index):
@@ -402,7 +405,7 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     import pyarrow.parquet as pq
 
     from apache___solr_ray.merge import _merge_group
-    from apache___solr_ray.segment import packs_map, write_segment
+    from apache___solr_ray.segment import write_segment
 
     d = str(tmp_path_factory.mktemp("pages_eq"))
     write_pages(d, 500, seed=42, rows_per_file=128)
@@ -415,7 +418,7 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     man = merge_segments(idx_split, target_per_tkey=1, merge_factor=4)
     merged = {s["tkey"]: s["name"] for s in man["segments"]}
     assert len(merged) == len(man["segments"])  # one segment per tkey
-    whole_r, split_r = open_segments(idx_whole, whole), open_segments(idx_split, man)
+    whole_r, split_r = open_segments(idx_whole, whole["segments"]), open_segments(idx_split, man["segments"])
     for s in whole["segments"]:
         assert whole_r[s["name"]].raw() == split_r[merged[s["tkey"]]].raw()
     for r in split_r.values():
@@ -433,8 +436,7 @@ def test_merged_split_build_equals_unsplit_build(ray_session, tmp_path_factory):
     ).astype(np.int64)
     meta = _merge_group(whole_r, 0, src, "seg-00000-empty", tombs=tombs)
     assert (meta["n_terms"], meta["n_postings"], meta["bytes"]) == (0, 0, 0)
-    packs = packs_map(write_segment(idx_whole, [meta]))
-    empty = open_segments(idx_whole, {"packs": packs})["seg-00000-empty"]
+    empty = open_segments(idx_whole, write_segment(idx_whole, [meta]))["seg-00000-empty"]
     for r in whole_r.values():
         r.close()
     assert empty.n_terms == 0 and empty.postings("the") is None
@@ -537,7 +539,7 @@ def test_segment_dirs_equal_committed_segments(ray_session, tmp_path_factory):
     def assert_dirs_committed(man):
         files = {os.path.basename(f) for f in pack_files(man)}
         assert set(os.listdir(segments_dir(idx))) == files
-        assert set(open_segments(idx, man)) == {s["name"] for s in man["segments"]}
+        assert set(open_segments(idx, man["segments"])) == {s["name"] for s in man["segments"]}
 
     r = IndexReader(idx)
     urls = r.urls_for(np.array([3, (1 << 32) + 7], dtype=np.int64))

@@ -21,7 +21,6 @@ from apache___solr_ray.segment import (
     build_segment_from_group,
     open_segments,
     pack_files,
-    packs_map,
     segments_dir,
     write_segment,
 )
@@ -60,13 +59,12 @@ def _vocab(n: int, seed: int = 0) -> list[str]:
 
 def _write(index_dir: str, group: pa.Table, name: str = "seg") -> dict:
     """Encode ``group`` as one segment and write it as a one-member pack;
-    returns a manifest-shaped ``{"packs": …}`` that opens it."""
-    entries = write_segment(index_dir, [build_segment_from_group(group, name, 0, 0)])
-    return {"packs": packs_map(entries)}
+    returns a manifest-shaped ``{"segments": [its record]}``."""
+    return {"segments": write_segment(index_dir, [build_segment_from_group(group, name, 0, 0)])}
 
 
 def _open(index_dir: str, man: dict, name: str = "seg") -> SegmentReader:
-    return open_segments(index_dir, man)[name]
+    return open_segments(index_dir, man["segments"])[name]
 
 
 def _check_lookups(r: SegmentReader, group: pa.Table) -> None:
@@ -170,7 +168,8 @@ def test_older_segment_format_asks_for_a_rebuild(tmp_path):
     """A segment written at an older format version (its payloads use
     another codec layout) is refused, not misread."""
     man = _write(str(tmp_path), _group(_vocab(50, seed=4), seed=4))
-    ((_name, t_off, _p_off),) = next(iter(man["packs"].values()))
+    (member,) = man["segments"]
+    t_off = member["tdict_off"]
     tdict = [f for f in pack_files(man) if f.endswith(".tdict")][0]
     with open(os.path.join(str(tmp_path), tdict), "r+b") as f:
         f.seek(t_off + 8)  # the member header's u64 version, after the magic
@@ -180,23 +179,24 @@ def test_older_segment_format_asks_for_a_rebuild(tmp_path):
         _open(str(tmp_path), man)
 
 
-def test_v5_pack_is_refused_with_rebuild(tmp_path):
-    """A pack written at format v5 (its members' headers and its TOC say
+def test_v6_pack_is_refused_with_rebuild(tmp_path):
+    """A pack written at format v6 (its members' headers and its TOC say
     so) is neither read nor resumed by a build: opening it asks for a
     rebuild."""
-    assert segment.FORMAT_VERSION == 6
+    assert segment.FORMAT_VERSION == 7
     man = _write(str(tmp_path), _group(_vocab(50, seed=9), seed=9))
-    ((_name, t_off, _p_off),) = next(iter(man["packs"].values()))
+    (member,) = man["segments"]
+    t_off = member["tdict_off"]
     tdict = os.path.join(str(tmp_path), [f for f in pack_files(man) if f.endswith(".tdict")][0])
     with open(tdict, "r+b") as f:
         data = bytearray(f.read())
-        data[t_off + 8 : t_off + 16] = (5).to_bytes(8, "little")
-        toc_at = data.rindex(b'"version": 6')
-        data[toc_at : toc_at + 12] = b'"version": 5'
+        data[t_off + 8 : t_off + 16] = (6).to_bytes(8, "little")
+        toc_at = data.rindex(b'"version": 7')
+        data[toc_at : toc_at + 12] = b'"version": 6'
         f.seek(0)
         f.write(data)
     assert segment._read_toc(tdict[: -len(".tdict")]) is None
-    with pytest.raises(RuntimeError, match="not segment format v6; rebuild"):
+    with pytest.raises(RuntimeError, match="not segment format v7; rebuild"):
         _open(str(tmp_path), man)
 
 
@@ -335,14 +335,14 @@ def test_topk_with_colliding_hashes_equals_exhaustive(small_index, tmp_path_fact
     two_bit = lambda t: orig(t) % np.uint64(4)  # noqa: E731
     monkeypatch.setattr(segment, "term_hash", two_bit)
     monkeypatch.setattr(query, "term_hash", two_bit)
-    readers = open_segments(idx, man)
+    readers = open_segments(idx, man["segments"])
     members = [merge._merge_group(readers, s["tkey"], [s], s["name"]) for s in man["segments"]]
     for rd in readers.values():
         rd.close()
     # the re-encoded segments, committed in place of the old packs
     write_json_atomic(
         os.path.join(idx, "index_manifest.json"),
-        dict(man, packs=packs_map(write_segment(idx, members))),
+        dict(man, segments=write_segment(idx, members)),
     )
     r = IndexReader(idx)
     assert np.unique(r._readers[man["segments"][0]["name"]]._hash).tolist() == [0]
@@ -358,7 +358,7 @@ def test_segment_format_change_reencodes_segments_and_resumes_phase_a(
     small_index, tmp_path_factory, monkeypatch
 ):
     """An index committed under an older segment format (no ``seg=`` in its
-    config, no ``packs`` in its manifest) is refused by readers and
+    config, no pack in its segment records) is refused by readers and
     re-encoded segment by segment on the next build; the phase-A outputs
     are reused as they are."""
     d, _idx, cfg, _man = small_index
@@ -370,7 +370,8 @@ def test_segment_format_change_reencodes_segments_and_resumes_phase_a(
             lambda self: f"{self.fingerprint()};maxpost={self.max_postings_per_segment}",
         )
         old = build_index(d, idx, cfg)
-    old.pop("packs")
+    place = ("pack", "tdict_off", "post_off")
+    old["segments"] = [{k: v for k, v in s.items() if k not in place} for s in old["segments"]]
     write_json_atomic(os.path.join(idx, "index_manifest.json"), old)
     with pytest.raises(RuntimeError, match=rf"format v{segment.FORMAT_VERSION}.*rebuild"):
         IndexReader(idx)

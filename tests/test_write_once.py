@@ -5,12 +5,13 @@ holds two files per pack and keeps answering from its own commit point
 while upserts and merges replace the packs it opened."""
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from apache___solr_ray import build
+from apache___solr_ray import build, segment
 from apache___solr_ray.build import IndexConfig, build_index
 from apache___solr_ray.corpus import pages_table, write_pages
 from apache___solr_ray.deletes import delete_by_url
@@ -21,16 +22,28 @@ from apache___solr_ray.segment import open_segments, pack_files, segments_dir
 from apache___solr_ray.update import upsert_pages
 
 
+#: the keys of a segment record that say where its pack stores it
+PLACE = ("pack", "tdict_off", "post_off")
+
+
 def _segment_bytes(idx: str) -> dict:
-    """Every committed segment's manifest entry and its dictionary and
-    postings bytes, by name."""
+    """Every committed segment's record, but for its place (``PLACE``),
+    and its dictionary and postings bytes, by name."""
     man = read_json(os.path.join(idx, "index_manifest.json"))
-    entries = {s["name"]: s for s in man["segments"]}
-    readers = open_segments(idx, man)
+    entries = {s["name"]: {k: v for k, v in s.items() if k not in PLACE} for s in man["segments"]}
+    readers = open_segments(idx, man["segments"])
     out = {name: (entries[name], *r.raw()) for name, r in readers.items()}
     for r in readers.values():
         r.close()
     assert set(out) == set(entries)
+    return out
+
+
+def _packs(man: dict) -> dict[str, list[str]]:
+    """Each committed pack's member names, from the manifest's records."""
+    out: dict[str, list[str]] = {}
+    for s in man["segments"]:
+        out.setdefault(s["pack"], []).append(s["name"])
     return out
 
 
@@ -109,7 +122,7 @@ def test_batched_blocks_write_the_bytes_of_one_segment_blocks(
         monkeypatch.setattr(build, "_cluster_cpus", lambda c=cpus: c)
         idx = str(tmp_path_factory.mktemp(f"index_batches{cpus}"))
         man = build_index(d, idx, cfg)
-        assert len(man["packs"]) == man["metrics"]["phase_b_batches"]
+        assert len(_packs(man)) == man["metrics"]["phase_b_batches"]
         assert len(pack_files(man)) == len(os.listdir(segments_dir(idx)))
         runs[cpus] = man["metrics"], _segment_bytes(idx)
     m1, m64 = runs[1][0], runs[64][0]
@@ -167,7 +180,7 @@ def test_kill_after_pack_rename_resumes_from_the_toc(mixed, tmp_path_factory, mo
     m = man["metrics"]
     assert (m["segments_built"], m["phase_b_batches"], m["phase_b_tasks"]) == (0, 0, 0)
     assert m["segments_resumed"] == len(man["segments"])
-    assert man["segments"] == want_man["segments"] and man["packs"] == want_man["packs"]
+    assert man["segments"] == want_man["segments"]  # records: packs and offsets too
     assert _segment_bytes(idx) == _segment_bytes(clean)
     qs = _hot_queries(clean, 16, seed=3)
     a, b = IndexReader(clean), IndexReader(idx)
@@ -185,8 +198,9 @@ def test_a_truncated_trailer_or_missing_post_is_rebuilt(mixed, tmp_path_factory,
     idx = str(tmp_path_factory.mktemp("index_torn"))
     man = build_index(d, idx, cfg)
     want = _segment_bytes(idx)
-    packs = sorted(man["packs"], key=lambda p: -len(man["packs"][p]))[:2]
-    torn = [len(man["packs"][p]) for p in packs]
+    members = _packs(man)
+    packs = sorted(members, key=lambda p: -len(members[p]))[:2]
+    torn = [len(members[p]) for p in packs]
     assert min(torn) >= 2
     os.remove(os.path.join(idx, "index_manifest.json"))
     tdict = os.path.join(segments_dir(idx), packs[0] + ".tdict")
@@ -197,7 +211,7 @@ def test_a_truncated_trailer_or_missing_post_is_rebuilt(mixed, tmp_path_factory,
     m = new["metrics"]
     assert m["segments_built"] == sum(torn)
     assert m["segments_resumed"] == len(man["segments"]) - sum(torn)
-    assert not set(packs) & set(new["packs"])
+    assert not set(packs) & set(_packs(new))
     assert _segment_bytes(idx) == want
     assert sorted(os.listdir(segments_dir(idx))) == sorted(
         os.path.basename(f) for f in pack_files(new)
@@ -213,8 +227,9 @@ def test_a_removed_packs_members_alone_are_rebuilt(mixed, tmp_path_factory, monk
     idx = str(tmp_path_factory.mktemp("index_rebuild_one"))
     man = build_index(d, idx, cfg)
     want = _segment_bytes(idx)
-    gone = sorted(man["packs"], key=lambda p: -len(man["packs"][p]))[0]
-    n_gone = len(man["packs"][gone])
+    members = _packs(man)
+    gone = sorted(members, key=lambda p: -len(members[p]))[0]
+    n_gone = len(members[gone])
     os.remove(os.path.join(idx, "index_manifest.json"))
     for ext in (".tdict", ".post"):
         os.remove(os.path.join(segments_dir(idx), gone + ext))
@@ -241,7 +256,7 @@ def test_a_reader_holds_two_fds_per_pack(ray_session, tmp_path_factory, monkeypa
         r = IndexReader(idx)
         r.topk(" ".join(_hot_queries(idx, 4, seed=2)), 10)
         held = _segment_fds(idx) - base
-        assert 0 < held <= 2 * len(man["packs"]) < len(man["segments"]), step
+        assert 0 < held <= 2 * len(_packs(man)) < len(man["segments"]), step
         urls = r.urls_for(np.array([1, (1 << 32) + 2], dtype=np.int64))
         r.close()
         assert _segment_fds(idx) == base
@@ -294,3 +309,60 @@ def test_readers_keep_their_commit_across_upsert_and_purge_merge(
     assert not {s["name"] for s in man["segments"]} & {s["name"] for s in merged["segments"]}
     assert _answers(fresh, qs) == new
     fresh.close()
+
+
+def _assert_records_are_toc_members(idx: str, man: dict) -> None:
+    """Each committed segment record equals its member in its pack's TOC,
+    the manifest keeps no other copy of it (no ``packs`` map, no
+    ``skey``), and every pack file under ``segments/`` is named by some
+    record."""
+    assert "packs" not in man and not any("skey" in s for s in man["segments"])
+    toc = {}
+    for f in pack_files(man):
+        if f.endswith(".tdict"):
+            toc.update({m["name"]: m for m in segment._read_toc(os.path.join(idx, f[: -len(".tdict")]))["members"]})
+    for s in man["segments"]:
+        assert s == toc[s["name"]], s["name"]
+    assert sorted(os.listdir(segments_dir(idx))) == sorted(os.path.basename(f) for f in pack_files(man))
+
+
+def test_manifest_records_are_the_packs_toc_members(ray_session, tmp_path_factory):
+    """After a cold build, an upsert, a tiered merge and a purge, the
+    manifest's segment records are the packs' TOC members. After each
+    build (cold or upsert), a copy of the index with ``index_manifest.json``
+    removed resumes every segment from the TOCs and commits the same
+    records. (A merge's records are not a build's plan, so a build after
+    a merge re-encodes its plan's segments.)"""
+    d = str(tmp_path_factory.mktemp("pages_records"))
+    write_pages(d, 512, seed=23, rows_per_file=128)
+    idx = str(tmp_path_factory.mktemp("index_records"))
+    cfg = IndexConfig(
+        term_partitions=4, target_docs_per_part=128, max_postings_per_segment=6000, text_from_html=False
+    )
+
+    def assert_resumes(man, step):
+        copy = str(tmp_path_factory.mktemp(f"index_records_{step}"))
+        shutil.rmtree(copy)
+        shutil.copytree(idx, copy)
+        os.remove(os.path.join(copy, "index_manifest.json"))
+        again = build_index(d, copy, cfg)
+        assert again["metrics"]["segments_built"] == 0, step
+        assert again["segments"] == man["segments"], step
+
+    man = build_index(d, idx, cfg)
+    assert len(man["segments"]) > cfg.term_partitions  # salted: merges fold
+    _assert_records_are_toc_members(idx, man)
+    assert_resumes(man, "build")
+
+    man = upsert_pages(d, idx, pages_table(16, seed=23, start=40), cfg)
+    assert man["metrics"]["segments_resumed"] > 0  # untouched salts keep their records
+    _assert_records_are_toc_members(idx, man)
+    assert_resumes(man, "upsert")
+
+    man = merge_segments(idx, target_per_tkey=1, merge_factor=4)
+    assert len(man["segments"]) == cfg.term_partitions
+    _assert_records_are_toc_members(idx, man)
+
+    man = merge_segments(idx, purge_deletes=True)
+    assert all(s["salt"] == -1 for s in man["segments"])
+    _assert_records_are_toc_members(idx, man)
