@@ -1,10 +1,10 @@
-"""Analysis chain: StandardTokenizer-equivalent → StopFilter → LowerCaseFilter.
+"""Analysis chain: StandardTokenizer-equivalent → LowerCaseFilter.
 
 Rebuilds the reference's default ``text_general`` chain
 (``solr/server/solr/configsets/_default/conf/managed-schema.xml:299-315``):
 ``StandardTokenizer → StopFilter(stopwords.txt, ignoreCase) → LowerCaseFilter``
-— where the shipped ``stopwords.txt`` is empty, so stop filtering is a no-op
-by default (conformance-relevant: head terms stay in the index).
+— where the shipped ``stopwords.txt`` is empty, so the stop filter is a
+no-op and is not built (conformance-relevant: head terms stay in the index).
 
 Tokenizer semantics: a documented approximation of UAX#29 word boundaries as
 used by Lucene's StandardTokenizer (reference docs
@@ -20,23 +20,25 @@ used by Lucene's StandardTokenizer (reference docs
   (``maxTokenLength`` semantics),
 - LowerCaseFilter == ``str.lower()`` applied after tokenization.
 
-``doc_len`` (the BM25 length norm input) counts tokens after the full chain
-(post-stop-filter), matching Lucene's norm calculation with
-discountOverlaps=true (no overlapping tokens are produced by this chain).
+``doc_len`` (the BM25 length norm input) counts the chain's tokens,
+matching Lucene's norm calculation with discountOverlaps=true (no
+overlapping tokens are produced by this chain).
 
 The batch path is vectorized: per-doc C-regex findall, then Arrow
-dictionary-encode + numpy unique for (term, doc, tf) aggregation — no Python
-loops over tokens.
+dictionary-encode and one sort of the (doc, term) keys for (term, doc, tf)
+aggregation — no Python loops over tokens. Positions leave the chain as
+the codec's own payload (``codec.encode_position_gaps``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from apache___solr_ray import codec
 
 MAX_TOKEN_LENGTH = 255
 
@@ -46,29 +48,24 @@ TOKEN_RE = re.compile(
 )
 
 
+def _split_long(toks: list[str]) -> list[str]:
+    """``maxTokenLength``: a token over 255 chars becomes 255-char pieces.
+    The split is rare, so one ``max`` scan guards it."""
+    if not toks or max(map(len, toks)) <= MAX_TOKEN_LENGTH:
+        return toks
+    return [t[i : i + MAX_TOKEN_LENGTH] for t in toks for i in range(0, len(t), MAX_TOKEN_LENGTH)]
+
+
 def tokenize(text: str) -> list[str]:
     """StandardTokenizer-equivalent: raw (pre-filter) tokens, original case."""
-    toks = TOKEN_RE.findall(text)
-    out = []
-    for t in toks:
-        if len(t) <= MAX_TOKEN_LENGTH:
-            out.append(t)
-        else:
-            out.extend(t[i : i + MAX_TOKEN_LENGTH] for i in range(0, len(t), MAX_TOKEN_LENGTH))
-    return out
+    return _split_long(TOKEN_RE.findall(text))
 
 
-@dataclass
 class Analyzer:
     """The full chain. Construct once per actor/task; reuse across batches."""
 
-    stopwords: frozenset[str] = field(default_factory=frozenset)  # default: empty, like the reference
-
     def analyze(self, text: str) -> list[str]:
-        toks = [t.lower() for t in tokenize(text)]
-        if self.stopwords:
-            toks = [t for t in toks if t not in self.stopwords]
-        return toks
+        return [t.lower() for t in tokenize(text)]
 
     # -- vectorized batch path ------------------------------------------------
 
@@ -79,102 +76,46 @@ class Analyzer:
 
         Returns ``(terms, doc_idx, tf, doc_len)`` where ``terms`` is a
         pa.StringArray aligned with ``doc_idx``/``tf`` (one row per distinct
-        (doc, term) pair, doc-major then term-sorted within doc is NOT
-        guaranteed), and ``doc_len[d]`` is the analyzed token count of doc d.
+        (doc, term) pair, in (doc, first appearance of the term in the
+        batch) order), and ``doc_len[d]`` is the analyzed token count of
+        doc d.
 
         With ``positions=True`` a fifth element is returned: a
-        ``pa.BinaryArray`` aligned with the pairs, each value the VInt
-        gap-encoded ascending position list of that (doc, term) pair.
-        Positions are the token index BEFORE stop-filtering (Lucene
-        StopFilter position-increment semantics: removed stopwords leave
-        gaps), 0-based.
+        ``pa.BinaryArray`` aligned with the pairs, each value the
+        ``codec.encode_position_gaps`` payload of that pair's 0-based
+        token indices.
         """
         if isinstance(texts, (pa.Array, pa.ChunkedArray)):
             texts = texts.to_pylist()
-        # single flat token list, C-level extend; the 255-char split is a
-        # rare slow path guarded by one max() scan instead of a per-token
-        # Python loop
+        # single flat token list, C-level extend
         flat: list[str] = []
         counts = np.empty(len(texts), dtype=np.int64)
         findall = TOKEN_RE.findall
         for i, t in enumerate(texts):
-            toks = findall(t or "")
-            if toks and max(map(len, toks)) > MAX_TOKEN_LENGTH:
-                toks = [
-                    piece
-                    for tok in toks
-                    for piece in (
-                        (tok,)
-                        if len(tok) <= MAX_TOKEN_LENGTH
-                        else tuple(
-                            tok[j : j + MAX_TOKEN_LENGTH]
-                            for j in range(0, len(tok), MAX_TOKEN_LENGTH)
-                        )
-                    )
-                ]
+            toks = _split_long(findall(t or ""))
             counts[i] = len(toks)
             flat += toks
-        if not flat:
-            empty = pa.array([], type=pa.string())
-            base = (empty, np.array([], np.int64), np.array([], np.int64), counts)
-            if positions:
-                return base + (pa.array([], type=pa.binary()),)
-            return base
-        arr = pa.array(flat, type=pa.string())
-        arr = pc.utf8_lower(arr)
-        dict_arr = pc.dictionary_encode(arr)
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        dict_arr = pc.dictionary_encode(pc.utf8_lower(pa.array(flat, type=pa.string())))
         vocab = dict_arr.dictionary
-        doc_of_token = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        tok_pos = None
+        nvocab = max(len(vocab), 1)
+        # one (doc, term) key per token: its sorted runs are the pairs; a
+        # stable sort keeps each pair's token indices ascending
+        key = np.repeat(np.arange(len(counts), dtype=np.int64), counts) * nvocab
+        key += dict_arr.indices.to_numpy(zero_copy_only=False)
         if positions:
-            # token index within its doc, pre-stop-filter (posIncrement)
-            doc_starts = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=doc_starts[1:])
-            tok_pos = np.arange(len(codes), dtype=np.int64) - doc_starts[doc_of_token]
-        if self.stopwords:
-            stop_mask = np.array([v in self.stopwords for v in vocab.to_pylist()], dtype=bool)
-            keep = ~stop_mask[codes]
-            codes = codes[keep]
-            doc_of_token = doc_of_token[keep]
-            if tok_pos is not None:
-                tok_pos = tok_pos[keep]
-            counts = np.bincount(doc_of_token, minlength=len(counts)).astype(np.int64)
-        # combined (doc, term) key -> tf
-        nvocab = len(vocab)
-        key = doc_of_token * nvocab + codes
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+        else:
+            key.sort()
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        tf = np.diff(np.append(starts, len(key)))
+        doc_idx = key[starts] // nvocab
+        terms = pc.take(vocab, pa.array(key[starts] % nvocab))
         if not positions:
-            uniq, tf = np.unique(key, return_counts=True)
-            doc_idx = uniq // nvocab
-            term_codes = (uniq % nvocab).astype(np.int64)
-            terms = pc.take(vocab, pa.array(term_codes))
-            return terms, doc_idx, tf.astype(np.int64), counts
-        # positions path: stable sort keeps each pair's positions ascending
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        ps = tok_pos[order]
-        change = np.flatnonzero(np.diff(ks) != 0) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [len(ks)]])
-        tf = (ends - starts).astype(np.int64)
-        pair_keys = ks[starts]
-        doc_idx = pair_keys // nvocab
-        term_codes = (pair_keys % nvocab).astype(np.int64)
-        terms = pc.take(vocab, pa.array(term_codes))
-        from apache___solr_ray.codec import _varint_fill, _varint_lengths
-
-        gaps = np.empty(len(ps), dtype=np.uint64)
-        if len(ps):
-            gaps[0] = ps[0]
-            gaps[1:] = (ps[1:] - ps[:-1]).astype(np.uint64)
-            gaps[starts] = ps[starts].astype(np.uint64)
-        byte_off = np.zeros(len(ps) + 1, dtype=np.int64)
-        np.cumsum(_varint_lengths(gaps), out=byte_off[1:])
-        stream = _varint_fill(gaps, np.diff(byte_off), byte_off)
-        # zero-copy BinaryArray over the stream: pair i's bytes are
-        # stream[byte_off[starts[i]] : byte_off[ends[i]]], and runs are
-        # consecutive, so the value offsets are just byte_off at run starts
-        offsets = byte_off[np.concatenate([starts, [len(ps)]])].astype(np.int32)
+            return terms, doc_idx, tf, counts
+        doc_start = np.cumsum(counts) - counts
+        stream = codec.encode_position_gaps(order - doc_start[key // nvocab], starts)
+        offsets = codec.position_offsets(stream, tf).astype(np.int32)
         pos_arr = pa.Array.from_buffers(
             pa.binary(), len(starts), [None, pa.py_buffer(offsets), pa.py_buffer(stream)]
         )

@@ -7,11 +7,12 @@ segments → merge), re-planned for batch Parquet input:
 Phase A  (per doc-partition; the partition descriptors run as a few
 CPU-sized Ray Data blocks, see ``_run_stage``):
     stream the partition's row groups → HTML→text extract → analyze
-    (tokenize/lower/stop) → assign dense doc ids → write
-    ``docs/part-*.parquet`` (url, doc_id, doc_len, norm, lang, and
-    ``len_f_<field>`` per named field) and
-    ``postings_raw/part-*.parquet`` (term, doc_id, tf, norm), plus a
-    lineage manifest. Term statistics are not written here: the committed
+    (tokenize/lower, positions encoded by the codec) → assign dense doc
+    ids → write ``docs/part-*.parquet`` (url, doc_len, lang,
+    ``len_f_<field>`` per named field, and ``sortv`` with a sort field)
+    and ``postings_raw/part-*.parquet`` (term, row, tf[, pos]: what phase
+    B reads), plus a lineage manifest. Term statistics are not written
+    here: the committed
     segments' term dictionaries are the one vocabulary
     (``IndexReader.term_dict``), so a merge can never leave them stale.
     A partition whose manifest matches its input fingerprint is not
@@ -61,6 +62,9 @@ which count deleted docs until a purge merge as Lucene's do, and the
 delete set, carried over from the previous commit (``_carry_deletes``).
 Only after the swap are the files under ``segments/`` that the commit does
 not name removed; readers of the previous commit keep the files they mapped.
+The phase-A files of a part id past the commit's ``n_doc_parts`` (an
+earlier layout's) and tmp files an interrupted part left go then too
+(``_drop_stale_parts``).
 
 Doc-id assignment: ``doc_id = part_id << 32 | row_in_partition`` where
 partitions are deterministic (sorted file paths × row-group ranges). Unlike
@@ -78,7 +82,7 @@ import json
 import os
 import time
 import pyarrow.compute as pc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -177,8 +181,6 @@ class IndexConfig:
 
     term_partitions: int = 32          # T: term-hash shuffle width
     target_docs_per_part: int = 65_536  # phase-A doc-partition size
-    read_batch_rows: int = 2_048       # streamed read batch (html rows are wide)
-    stopwords: frozenset[str] = field(default_factory=frozenset)
     text_from_html: bool = True        # extract text from html (the real path)
     max_postings_per_segment: int = 16_000_000  # doc-range split threshold
     #: index token positions (Lucene text-field default; enables phrase
@@ -203,7 +205,7 @@ class IndexConfig:
     def fingerprint(self) -> str:
         return (
             f"T={self.term_partitions};"
-            f"part={self.target_docs_per_part};stop={sorted(self.stopwords)};"
+            f"part={self.target_docs_per_part};stop=[];"
             f"html={self.text_from_html};pos={int(self.store_positions)};"
             f"flds=[{';'.join(f.key() for f in self.fields)}];fmt=9"
             + (f";sort={self.sort_field}:{int(self.sort_desc)}" if self.sort_field else "")
@@ -251,10 +253,7 @@ def _field_texts(tbl: pa.Table, cfg: IndexConfig) -> list[tuple[str, pa.Array]]:
         if fs.source == "html":
             resolved[fs.name] = extract_batch(col)
         else:
-            arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            if not pa.types.is_string(arr.type):
-                arr = pc.cast(arr, pa.string())
-            resolved[fs.name] = arr
+            resolved[fs.name] = pc.cast(col.combine_chunks(), pa.string())
     out: list[tuple[str, pa.Array]] = []
     for fs in cfg.fields:
         txt = resolved.get(fs.name)
@@ -320,243 +319,165 @@ def _paths_of(input_path: str | list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _part_manifest(index_dir: str, part_id: int) -> str:
-    return os.path.join(index_dir, "manifests", f"part-{part_id:06d}.json")
+#: phase A's directories, one file per doc part in each, and its suffix
+PART_DIRS = {"docs": ".parquet", "postings_raw": ".parquet", "manifests": ".json"}
+
+
+def _part_path(index_dir: str, sub: str, part_id: int) -> str:
+    return os.path.join(index_dir, sub, f"part-{part_id:06d}{PART_DIRS[sub]}")
 
 
 def _part_fingerprint(desc: dict, cfg: IndexConfig) -> str:
     """A part's lineage: its input slice AND the build config, so a config
-    change (e.g. term_partitions, which bakes tkey into postings_raw)
-    invalidates it."""
+    change (e.g. term_partitions, which sets postings_raw's tkey row
+    groups) invalidates it."""
     return f"{desc['fingerprint']}|{cfg.fingerprint()}"
 
 
+#: rows per streamed read batch (html rows are wide)
+READ_BATCH_ROWS = 2_048
+
+
+def _partition_batches(desc: dict, cfg: IndexConfig):
+    """The partition's rows as tables of at most ``READ_BATCH_ROWS`` rows,
+    streamed from its row groups; an empty partition is one empty batch.
+    With ``sort_field`` (Lucene's flush-time IndexSorter) the partition is
+    materialized and ordered by (sort_field, url), so doc ids ascend in sort
+    order within the part and ties keep a deterministic url order."""
+    pf = pq.ParquetFile(desc["path"])
+    rgs = range(desc["rg_start"], desc["rg_end"])
+    columns = _schema_columns(cfg)
+    if not desc["n_rows"]:
+        yield pf.schema_arrow.empty_table().select(columns)
+    elif cfg.sort_field:
+        whole = pf.read_row_groups(rgs, columns=columns)
+        direction = "descending" if cfg.sort_desc else "ascending"
+        whole = whole.take(pc.sort_indices(whole, sort_keys=[(cfg.sort_field, direction), ("url", "ascending")]))
+        for s in range(0, whole.num_rows, READ_BATCH_ROWS):
+            yield whole.slice(s, READ_BATCH_ROWS)
+    else:
+        for b in pf.iter_batches(batch_size=READ_BATCH_ROWS, row_groups=rgs, columns=columns):
+            yield pa.Table.from_batches([b])
+
+
 def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
+    """Phase A for one doc partition: one table of postings and one of doc
+    columns per read batch, then the part's two files and its manifest."""
     _limit_threads()
     part_id = int(desc["part_id"])
-    man_path = _part_manifest(index_dir, part_id)
-    part_fp = _part_fingerprint(desc, cfg)
     t0 = time.time()
-    analyzer = Analyzer(stopwords=cfg.stopwords)
-    pf = pq.ParquetFile(desc["path"])
-    columns = _schema_columns(cfg)
-
-    post_path = os.path.join(index_dir, "postings_raw", f"part-{part_id:06d}.parquet")
-    os.makedirs(os.path.dirname(post_path), exist_ok=True)
-    # Narrow shuffle payload (the phase-B byte diet — phase B is memory/
-    # disk-bandwidth-bound, so shuffle bytes ARE reduce-side wall time):
-    # - doc ids are stored as the 4-byte local row (doc_id = part_id << 32
-    #   | row is reconstructed by the reduce side); the constant ``part``
-    #   column RLE-compresses to nothing;
+    analyzer = Analyzer()
+    # Narrow shuffle payload (phase B is memory/disk-bandwidth-bound, so
+    # shuffle bytes ARE reduce-side wall time): postings_raw holds only
+    # what phase B reads.
+    # - a doc is its 4-byte local row (doc_id = part_id << 32 | row, the
+    #   part id taken from the file name); the tkey is the row group's;
     # - terms stay dictionary-coded strings: measured against both a
     #   part-local int-code + vocab-sidecar layout (1.14 B codes + 0.53 B
     #   vocab) and a (term, row)-sorted delta layout (0.18 B codes but row
     #   gaps inflate to 1.23 B), Parquet's per-row-group dictionary pages
     #   + RLE indices are the SMALLEST encoding of the (term, doc)
-    #   identity (1.41 B/posting ≈ its entropy on this corpus) — the
-    #   information just moves between columns in the alternatives;
-    # - ``norm`` is NOT shipped per posting (0.77 B/posting saved): it is
-    #   a per-(field, doc) value, so the reduce side derives it from the
-    #   docs sidecar (norm columns, n_docs rows ≪ n_postings) via
-    #   norms[field_of(term), row];
-    # - tkey is precomputed so the phase-B shuffle never hashes a term.
-    post_fields = [
-        ("term", pa.string()),
-        ("row", pa.int32()),
-        ("tf", pa.int32()),
-        ("tkey", pa.int32()),
-        ("part", pa.int32()),
-    ]
-    if cfg.store_positions:
-        # per-posting VInt position payload (self-contained gap stream) —
-        # opaque bytes from here to the segment encoder
-        post_fields.append(("pos", pa.binary()))
-    post_schema = pa.schema(post_fields)
-    post_batches: list[pa.Table] = []
-
-    urls: list[pa.Array] = []
-    langs: list[pa.Array] = []
-    lens: list[np.ndarray] = []
-    # per-field collection stats (Lucene CollectionStatistics per field:
-    # docCount = docs with ≥1 token in the field, sumTotalTermFreq)
-    f_sum_len: dict[str, int] = {fs.name: 0 for fs in cfg.fields}
-    f_doc_count: dict[str, int] = {fs.name: 0 for fs in cfg.fields}
+    #   identity (1.41 B/posting ≈ its entropy on this corpus);
+    # - ``norm`` is NOT shipped (0.77 B/posting saved): phase B quantizes
+    #   the docs sidecar's per-(field, doc) lengths (n_docs ≪ n_postings);
+    # - ``pos`` is each posting's codec position payload, opaque bytes
+    #   from here to the segment encoder.
+    posts: list[pa.Table] = []
+    tkeys: list[np.ndarray] = []
+    docs: list[pa.Table] = []
     row_base = 0
-    n_postings = 0
-    svals: list[np.ndarray] = []
-    # per-named-field doc lengths (per-field norms ride the docs sidecar)
-    flen_acc: dict[str, list[np.ndarray]] = {fs.name: [] for fs in cfg.fields}
-
-    def _batches():
-        it = pf.iter_batches(
-            batch_size=cfg.read_batch_rows,
-            row_groups=range(desc["rg_start"], desc["rg_end"]),
-            columns=columns,
-        )
-        if not cfg.sort_field:
-            for b in it:
-                yield pa.Table.from_batches([b])
-            return
-        # index-time sort (Lucene flush-time IndexSorter): materialize THIS
-        # partition, order rows by (sort_field, url) so doc ids ascend in
-        # sort order within the part; ties keep deterministic url order
-        got = list(it)
-        if not got:  # empty row-group range: same no-op as the unsorted path
-            return
-        whole = pa.Table.from_batches(got)
-        order = pc.sort_indices(
-            whole,
-            sort_keys=[
-                (cfg.sort_field, "descending" if cfg.sort_desc else "ascending"),
-                ("url", "ascending"),
-            ],
-        )
-        whole = whole.take(order)
-        for s in range(0, whole.num_rows, cfg.read_batch_rows):
-            yield whole.slice(s, cfg.read_batch_rows)
-
-    for tbl in _batches():
-        total_len = np.zeros(tbl.num_rows, dtype=np.int64)
+    for tbl in _partition_batches(desc, cfg):
+        doc_len = np.zeros(tbl.num_rows, dtype=np.int64)
+        field_lens = {}
         for fname, ftext in _field_texts(tbl, cfg):
-            if cfg.store_positions:
-                terms, doc_idx, tf, doc_len, pos_arr = analyzer.term_freqs(
-                    ftext, positions=True
-                )
-            else:
-                terms, doc_idx, tf, doc_len = analyzer.term_freqs(ftext)
-                pos_arr = None
+            terms, doc_idx, tf, f_len, *pos = analyzer.term_freqs(ftext, positions=cfg.store_positions)
             if fname:
                 # per-field term space: "<field>:<term>" (the term dict
                 # sorts by (field, term), as Lucene per-field terms do)
                 terms = pc.binary_join_element_wise(pa.scalar(fname + ":"), terms, "")
-                f_sum_len[fname] += int(doc_len.sum())
-                f_doc_count[fname] += int((doc_len > 0).sum())
-                flen_acc[fname].append(doc_len.copy())
-            total_len += doc_len
+                field_lens[f"len_f_{fname}"] = pa.array(f_len, pa.int32())
+            doc_len += f_len
             # hash each *distinct* term once (dictionary), fan out via codes
             denc = pc.dictionary_encode(terms)
-            codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
             vocab = denc.dictionary.to_numpy(zero_copy_only=False)
             tkey_vocab = (term_hash(vocab) % np.uint64(cfg.term_partitions)).astype(np.int32)
-            cols = {
-                "term": terms,
-                "row": pa.array((row_base + doc_idx).astype(np.int32)),
-                "tf": pa.array(tf.astype(np.int32)),
-                "tkey": pa.array(tkey_vocab[codes]),
-                "part": pa.array(np.full(len(codes), part_id, dtype=np.int32)),
-            }
-            if pos_arr is not None:
-                cols["pos"] = pos_arr
-            post_batches.append(pa.table(cols, schema=post_schema))
-            n_postings += len(doc_idx)
-        urls.append(tbl.column("url").combine_chunks())
-        langs.append(tbl.column("lang").combine_chunks())
-        lens.append(total_len)
+            tkeys.append(tkey_vocab[denc.indices.to_numpy(zero_copy_only=False)])
+            row = pa.array((row_base + doc_idx).astype(np.int32))
+            post = {"term": terms, "row": row, "tf": pa.array(tf.astype(np.int32))}
+            posts.append(pa.table(dict(post, pos=pos[0]) if pos else post))
+        # the docs sidecar row: each named field's exact length rides it
+        # (phase B quantizes it into the posting's norm, a purge subtracts
+        # it from the field stats), and so does the sort docvalue, in
+        # (sorted) row order — sorted top-k scans it prefix-first
+        cols = {"url": tbl.column("url"), "doc_len": pa.array(doc_len), "lang": tbl.column("lang"), **field_lens}
         if cfg.sort_field:
-            svals.append(
-                tbl.column(cfg.sort_field)
-                .combine_chunks()
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64)
-            )
+            cols["sortv"] = pa.array(tbl.column(cfg.sort_field).to_numpy().astype(np.float64))
+        docs.append(pa.table(cols))
         row_base += tbl.num_rows
 
     # write the part's postings SORTED by tkey, one Parquet row group per
     # tkey run, and record the (row_group, n_rows) map — this is the map
     # side of the storage shuffle: phase B reads only its bucket's row
     # groups from each part file
-    all_post = (
-        pa.concat_tables(post_batches)
-        if post_batches
-        else post_schema.empty_table()
-    )
-    tkey_np = all_post.column("tkey").combine_chunks().to_numpy()
-    order = np.argsort(tkey_np, kind="stable")
-    all_post = all_post.take(pa.array(order))
-    tkey_sorted = tkey_np[order]
-    bounds = np.flatnonzero(np.diff(tkey_sorted) != 0) + 1
-    run_starts = np.concatenate([[0], bounds]) if len(tkey_sorted) else np.zeros(0, np.int64)
-    run_ends = (
-        np.concatenate([bounds, [len(tkey_sorted)]]) if len(tkey_sorted) else np.zeros(0, np.int64)
-    )
-    tmp_post = post_path + ".tmp"
+    tkey = np.concatenate(tkeys)
+    order = np.argsort(tkey, kind="stable")
+    post = pa.concat_tables(posts).take(pa.array(order))
+    tkey = tkey[order]
+    run_starts = np.flatnonzero(np.diff(tkey, prepend=-1))
+    run_ends = np.append(run_starts[1:], len(tkey))
+    post_path = _part_path(index_dir, "postings_raw", part_id)
+    os.makedirs(os.path.dirname(post_path), exist_ok=True)
     # zstd: the shuffle intermediates are read back by phase B — trading
     # cheap decompression CPU (scales with cores) for disk bandwidth (does
     # not) keeps the reduce side compute-bound. Byte diet: `row` ascends in
     # runs (batch-major within each tkey run), so DELTA_BINARY_PACKED cuts
-    # it ~5×; tkey/part are constants per run — delta packs them to ~0.
-    # Dictionary stays ON only where it wins (terms/tf); the binary pos
-    # stream dict-encodes badly and zstd-plain is smaller (zstd-7 on pos
+    # it ~5×. Dictionary stays ON only where it wins (terms/tf); the binary
+    # pos stream dict-encodes badly and zstd-plain is smaller (zstd-7 on pos
     # was measured: ~0.15 B/posting saved for a 20% phase-A CPU hit —
     # VInt gap streams are near-incompressible, keep level 1).
     writer = pq.ParquetWriter(
-        tmp_post,
-        post_schema,
+        post_path + ".tmp",
+        post.schema,
         compression="zstd",
         compression_level=1,
         use_dictionary=["term", "tf"],
-        column_encoding={
-            "row": "DELTA_BINARY_PACKED",
-            "tkey": "DELTA_BINARY_PACKED",
-            "part": "DELTA_BINARY_PACKED",
-        },
+        column_encoding={"row": "DELTA_BINARY_PACKED"},
     )
     tkey_rgs: dict[str, list[int]] = {}  # tkey -> [row_group_index, n_rows]
     for rg_i, (s, e) in enumerate(zip(run_starts, run_ends)):
-        writer.write_table(all_post.slice(int(s), int(e - s)), row_group_size=int(e - s))
-        tkey_rgs[str(int(tkey_sorted[s]))] = [rg_i, int(e - s)]
+        writer.write_table(post.slice(int(s), int(e - s)), row_group_size=int(e - s))
+        tkey_rgs[str(int(tkey[s]))] = [rg_i, int(e - s)]
     writer.close()
-    os.replace(tmp_post, post_path)
+    os.replace(post_path + ".tmp", post_path)
 
-    doc_len_all = np.concatenate(lens) if lens else np.zeros(0, np.int64)
-    docs_path = os.path.join(index_dir, "docs", f"part-{part_id:06d}.parquet")
+    doc_tbl = pa.concat_tables(docs)
+    docs_path = _part_path(index_dir, "docs", part_id)
     os.makedirs(os.path.dirname(docs_path), exist_ok=True)
-    tmp = docs_path + ".tmp"
-    docs_cols = {
-        "url": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in urls])
-        if urls
-        else pa.array([], pa.string()),
-        "doc_len": pa.array(doc_len_all, pa.int64()),
-        "norm": pa.array(int_to_byte4_array(doc_len_all)),
-        "lang": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in langs])
-        if langs
-        else pa.array([], pa.string()),
-    }
-    # per-named-field exact lengths: the reduce side quantizes them into
-    # each posting's norm via the vocab's field prefix instead of shipping
-    # a byte per posting, and a purge subtracts them from the field stats
-    for fs in cfg.fields:
-        fl = flen_acc.get(fs.name) or []
-        fl_all = np.concatenate(fl) if fl else np.zeros(row_base, np.int64)
-        docs_cols[f"len_f_{fs.name}"] = pa.array(fl_all, pa.int32())
-    sort_all = np.concatenate(svals) if svals else None
-    if cfg.sort_field:
-        # the sort docvalue rides in the sidecar, in (sorted) row order —
-        # sorted top-k scans this column prefix-first
-        docs_cols["sortv"] = pa.array(
-            sort_all if sort_all is not None else np.zeros(0), pa.float64()
-        )
-    pq.write_table(pa.table(docs_cols), tmp)
-    os.replace(tmp, docs_path)
+    pq.write_table(doc_tbl, docs_path + ".tmp")
+    os.replace(docs_path + ".tmp", docs_path)
 
+    # per-field collection stats (Lucene CollectionStatistics per field:
+    # docCount = docs with ≥1 token in the field, sumTotalTermFreq)
+    field_stats = {}
+    for fs in cfg.fields:
+        f_len = doc_tbl.column(f"len_f_{fs.name}").to_numpy()
+        field_stats[fs.name] = {"doc_count": int((f_len > 0).sum()), "sum_total_tf": int(f_len.sum())}
+    sortv = doc_tbl.column("sortv").to_numpy() if cfg.sort_field and doc_tbl.num_rows else None
     summary = {
         "part_id": part_id,
-        "input_fingerprint": part_fp,
-        "n_docs": int(row_base),
-        "sum_doc_len": int(doc_len_all.sum()),
-        "n_postings": int(n_postings),
+        "input_fingerprint": _part_fingerprint(desc, cfg),
+        "n_docs": doc_tbl.num_rows,
+        "sum_doc_len": int(doc_tbl.column("doc_len").to_numpy().sum()),
+        "n_postings": post.num_rows,
         "tkey_rgs": tkey_rgs,
         "postings_raw_bytes": os.path.getsize(post_path),
-        "sort_min": float(sort_all.min()) if sort_all is not None and len(sort_all) else None,
-        "sort_max": float(sort_all.max()) if sort_all is not None and len(sort_all) else None,
-        "field_stats": {
-            n: {"doc_count": f_doc_count[n], "sum_total_tf": f_sum_len[n]}
-            for n in f_sum_len
-        },
+        "sort_min": float(sortv.min()) if sortv is not None else None,
+        "sort_max": float(sortv.max()) if sortv is not None else None,
+        "field_stats": field_stats,
         "wall_sec": round(time.time() - t0, 3),
         "resumed": False,
     }
-    write_json_atomic(man_path, summary)
+    write_json_atomic(_part_path(index_dir, "manifests", part_id), summary)
     return summary
 
 
@@ -615,7 +536,7 @@ def _plan_storage_segments(
                     "tkey": t,
                     "salt": salt,
                     "paths": [
-                        os.path.join(index_dir, "postings_raw", f"part-{p:06d}.parquet") for p, _, _ in srcs
+                        _part_path(index_dir, "postings_raw", p) for p, _, _ in srcs
                     ],
                     "rgs": [rg for _, rg, _ in srcs],
                     "expected": sum(n for _, _, n in srcs),
@@ -641,13 +562,12 @@ def _field_ids_of_dictionary(vocab, field_names: tuple[str, ...]) -> np.ndarray:
 
 
 def _load_part_norms(index_dir: str, part_id: int, field_names: tuple[str, ...]):
-    """(1 + n_fields, n_docs) uint8 norm matrix from the docs sidecar."""
-    cols = ["norm"] + [f"len_f_{f}" for f in field_names]
-    dt = pq.read_table(
-        os.path.join(index_dir, "docs", f"part-{part_id:06d}.parquet"), columns=cols
-    )
-    lens = [dt.column(c).to_numpy() for c in cols[1:]]
-    return np.stack([dt.column("norm").to_numpy(), *map(int_to_byte4_array, lens)])
+    """(1 + n_fields, n_docs) uint8 norm matrix: the docs sidecar's
+    ``doc_len`` and each ``len_f_<field>``, quantized by one rule
+    (``int_to_byte4_array``)."""
+    cols = ["doc_len"] + [f"len_f_{f}" for f in field_names]
+    dt = pq.read_table(_part_path(index_dir, "docs", part_id), columns=cols)
+    return np.stack([int_to_byte4_array(dt.column(c).to_numpy()) for c in cols])
 
 
 def _segment_name(tkey: int, salt: int, lineage: str) -> str:
@@ -838,10 +758,20 @@ def _carry_deletes(index_dir: str, deletes: dict, parts: list[dict]) -> dict:
     for p in parts:
         urls = lost.get(os.path.basename(p["path"]))
         if urls:
-            path = os.path.join(index_dir, "docs", f"part-{int(p['part_id']):06d}.parquet")
+            path = _part_path(index_dir, "docs", int(p["part_id"]))
             col = pq.read_table(path, columns=["url"]).column("url").combine_chunks()
             add_deletes(out, p["fingerprint"], col, pa.array(sorted(urls), pa.string()))
     return out
+
+
+def _drop_stale_parts(index_dir: str, n_doc_parts: int) -> None:
+    """Remove the phase-A files a commit of ``n_doc_parts`` parts does not
+    use: a part id >= ``n_doc_parts`` (an earlier layout's) and tmp files."""
+    for sub in PART_DIRS:
+        d = os.path.join(index_dir, sub)
+        for fn in os.listdir(d) if os.path.isdir(d) else ():
+            if ".tmp" in fn or int(fn[len("part-") :].split(".")[0]) >= n_doc_parts:
+                os.remove(os.path.join(d, fn))
 
 
 def build_index(
@@ -874,7 +804,7 @@ def build_index(
     # a part whose lineage manifest validates is not dispatched at all
     summaries, todo = [], []
     for p in parts:
-        existing = is_valid(_part_manifest(index_dir, int(p["part_id"])), _part_fingerprint(p, cfg))
+        existing = is_valid(_part_path(index_dir, "manifests", int(p["part_id"])), _part_fingerprint(p, cfg))
         if existing is None:
             todo.append(p)
         else:
@@ -962,6 +892,7 @@ def build_index(
     write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
     # only after the commit point moves: drop every pack this commit does
     # not name (the previous commit's, which its open readers keep mapped;
-    # those an interrupted build left)
+    # those an interrupted build left) and the stale phase-A files
     drop_uncommitted(index_dir, man)
+    _drop_stale_parts(index_dir, n_doc_parts)
     return man

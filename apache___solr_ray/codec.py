@@ -286,7 +286,7 @@ def encode_position_gaps(positions: np.ndarray, run_starts: np.ndarray) -> np.nd
 
     ``positions`` is the concatenation of every posting's ascending position
     list; ``run_starts`` marks each posting's first slot. Returns the uint8
-    stream; per-value byte lengths come from ``position_value_lengths``."""
+    stream; ``position_offsets`` finds each posting's bytes in it."""
     p = positions.astype(np.int64, copy=False)
     gaps = np.empty(len(p), dtype=np.uint64)
     if len(p):
@@ -294,6 +294,15 @@ def encode_position_gaps(positions: np.ndarray, run_starts: np.ndarray) -> np.nd
         gaps[1:] = (p[1:] - p[:-1]).astype(np.uint64)
         gaps[run_starts] = p[run_starts].astype(np.uint64)
     return varint_encode(gaps)
+
+
+def position_offsets(stream: np.ndarray, tfs: np.ndarray) -> np.ndarray:
+    """Byte offsets (``len(tfs) + 1``, int64) of each posting's payload in
+    a position stream of ``tfs[i]`` values per posting: posting i's payload
+    ends at the stop bit of its cumulative tf-th value."""
+    off = np.zeros(len(tfs) + 1, dtype=np.int64)
+    off[1:] = np.flatnonzero(stream < 0x80)[np.cumsum(tfs) - 1] + 1
+    return off
 
 
 def decode_position_stream(buf: np.ndarray, tfs: np.ndarray) -> np.ndarray:

@@ -86,11 +86,9 @@ def _merge_group(readers: dict, tkey: int, sources: list[dict], out_name: str, t
     }
     if views and all(v.has_positions for v in views):
         # per-posting position payloads are self-contained VInt streams, so
-        # they carry over as raw bytes: posting i's payload ends at the
-        # stop bit of its cumulative tf-th value
+        # they carry over as raw bytes
         pos = np.concatenate([v.buf[v.p_base : v.p_base + v.p_len] for v in views])
-        off = np.zeros(len(tfs) + 1, dtype=np.int64)
-        off[1:] = np.flatnonzero(pos < 0x80)[np.cumsum(tfs) - 1] + 1
+        off = codec.position_offsets(pos, tfs)
         cols["pos"] = pa.LargeBinaryArray.from_buffers(
             pa.large_binary(), len(tfs), [None, pa.py_buffer(off), pa.py_buffer(pos)]
         )

@@ -128,3 +128,30 @@ def test_pack_layout_only_in_segment_py():
         if any(_reads_pack_key(node) for node in ast.walk(ast.parse(path.read_text()))):
             hits.add(path.relative_to(PKG).as_posix())
     assert hits == {"segment.py"}
+
+
+#: the codec's VInt internals
+VARINT_PRIVATE = {"_varint_fill", "_varint_lengths"}
+
+
+def _names_varint_private(node: ast.AST) -> bool:
+    """A name, attribute or import of one of the codec's VInt internals."""
+    name = (
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name if isinstance(node, ast.alias)
+        else None
+    )
+    return name in VARINT_PRIVATE
+
+
+def test_varint_internals_only_in_codec_py():
+    """No package module but ``codec.py`` touches the VInt writer's
+    internals: the analyzer hands positions to
+    ``codec.encode_position_gaps`` and finds each posting's bytes with
+    ``codec.position_offsets``, as merges do."""
+    hits = set()
+    for path in sorted(PKG.rglob("*.py")):
+        if any(_names_varint_private(node) for node in ast.walk(ast.parse(path.read_text()))):
+            hits.add(path.relative_to(PKG).as_posix())
+    assert hits == {"codec.py"}

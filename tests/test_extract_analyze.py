@@ -93,37 +93,46 @@ def test_tokenizer_max_length():
     assert [len(x) for x in t] == [255, 255, 90]
 
 
-def test_analyzer_lowercase_and_stop():
+def test_analyzer_lowercase():
     a = Analyzer()
     assert a.analyze("The QUICK Brown") == ["the", "quick", "brown"]
-    b = Analyzer(stopwords=frozenset({"the"}))
-    assert b.analyze("The QUICK the brown") == ["quick", "brown"]
 
 
 def test_term_freqs_vectorized_matches_scalar():
+    """The batch path equals the scalar chain, with and without positions:
+    each pair's position payload decodes to that term's token indices in
+    ``tokenize(text)``, and the first four outputs do not depend on
+    ``positions``."""
+    from apache___solr_ray.codec import decode_position_stream
+
     a = Analyzer()
-    texts = ["The cat sat. The cat.", "dog", "", "Cat CAT cat"]
-    terms, doc_idx, tf, doc_len = a.term_freqs(texts)
-    got = {}
-    for t, d, f in zip(terms.to_pylist(), doc_idx, tf):
-        got[(int(d), t)] = int(f)
-    # scalar oracle
-    want = {}
-    lens = []
-    for d, txt in enumerate(texts):
-        toks = a.analyze(txt)
-        lens.append(len(toks))
-        for t in set(toks):
-            want[(d, t)] = toks.count(t)
-    assert got == want
-    assert list(doc_len) == lens
+    texts = [
+        "The cat sat. The cat.", "dog", "", "Cat CAT cat", None,
+        "pi is 3.14, don't a-b cat", "y" * 600 + " cat " + "Y" * 300,
+    ]
+    inputs = [texts, pa.chunked_array([texts[:3], texts[3:]], pa.string())]
+    for inp in inputs:
+        terms, doc_idx, tf, doc_len = a.term_freqs(inp)
+        got = {}
+        for t, d, f in zip(terms.to_pylist(), doc_idx, tf):
+            got[(int(d), t)] = int(f)
+        # scalar oracle
+        want, want_pos, lens = {}, {}, []
+        for d, txt in enumerate(texts):
+            toks = a.analyze(txt or "")
+            lens.append(len(toks))
+            for i, t in enumerate(toks):
+                want[(d, t)] = want.get((d, t), 0) + 1
+                want_pos.setdefault((d, t), []).append(i)
+        assert got == want
+        assert list(doc_len) == lens
 
-
-def test_term_freqs_with_stopwords():
-    a = Analyzer(stopwords=frozenset({"the"}))
-    terms, doc_idx, tf, doc_len = a.term_freqs(["the cat the hat"])
-    assert doc_len[0] == 2  # post-filter count (norm semantics)
-    assert set(terms.to_pylist()) == {"cat", "hat"}
+        *base, pos = a.term_freqs(inp, positions=True)
+        for x, y in zip(base, (terms, doc_idx, tf, doc_len)):
+            assert x.equals(y) if isinstance(x, pa.Array) else np.array_equal(x, y)
+        for t, d, f, p in zip(terms.to_pylist(), doc_idx, tf, pos.to_pylist()):
+            stream = np.frombuffer(p, dtype=np.uint8)
+            assert decode_position_stream(stream, np.array([f])).tolist() == want_pos[(int(d), t)]
 
 
 def test_simple_tokenize_matches_duckdb_semantics():

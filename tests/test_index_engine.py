@@ -556,10 +556,11 @@ def test_doc_column_reads_only_committed_parts(built, doc_rows):
 
 
 def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
-    """A rebuild with bigger doc parts leaves the old layout's extra part
-    files in ``docs/``. Only the committed parts count: a delete by url
-    tombstones one doc, a mask-only JSON query enumerates at most
-    ``doc_count`` docs, and the purge merge subtracts one doc."""
+    """A rebuild with bigger doc parts removes the old layout's extra part
+    files from ``docs/``; a stray one copied back in stays invisible. Only
+    the committed parts count: a delete by url tombstones one doc, a
+    mask-only JSON query enumerates at most ``doc_count`` docs, and the
+    purge merge subtracts one doc."""
     from apache___solr_ray.deletes import delete_by_url
     from apache___solr_ray.jsonquery import json_query_docs
     from apache___solr_ray.merge import merge_segments
@@ -570,7 +571,9 @@ def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
     build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=128))
     man = build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=1024))
     assert man["stats"]["n_doc_parts"] == 1
-    assert len(os.listdir(os.path.join(idx, "docs"))) > 1  # stale parts on disk
+    docs = os.path.join(idx, "docs")
+    assert os.listdir(docs) == ["part-000000.parquet"]  # stale parts removed
+    shutil.copy(os.path.join(docs, "part-000000.parquet"), os.path.join(docs, "part-000001.parquet"))
 
     url = IndexReader(idx).urls_for(np.array([350], dtype=np.int64))[0]
     assert delete_by_url(idx, [url]) == 1
@@ -584,9 +587,10 @@ def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
 
 def test_backup_holds_only_committed_parts(ray_session, tmp_path_factory):
     """After a rebuild with bigger doc parts, the old layout's extra part
-    files stay on disk, but a backup lists only the committed parts' files
-    (``part-NNNNNN`` < ``n_doc_parts`` in docs/, postings_raw/ and
-    manifests/), and its restore has the same fingerprint and answers."""
+    files are gone from disk, and a backup lists only the committed parts'
+    files (``part-NNNNNN`` < ``n_doc_parts`` in docs/, postings_raw/ and
+    manifests/) even beside a stray part file copied in, and its restore
+    has the same fingerprint and answers."""
     from apache___solr_ray import backup as bk
     from apache___solr_ray.manifest import index_fingerprint
 
@@ -597,7 +601,9 @@ def test_backup_holds_only_committed_parts(ray_session, tmp_path_factory):
     man = build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=1024))
     n_parts = man["stats"]["n_doc_parts"]
     for sub in ("docs", "postings_raw", "manifests"):
-        assert len(os.listdir(os.path.join(idx, sub))) > n_parts  # stale parts on disk
+        assert len(os.listdir(os.path.join(idx, sub))) == n_parts  # stale parts removed
+    docs = os.path.join(idx, "docs")
+    shutil.copy(os.path.join(docs, "part-000000.parquet"), os.path.join(docs, f"part-{n_parts:06d}.parquet"))
 
     bdir = str(tmp_path_factory.mktemp("backups_parts"))
     files = bk.create_backup(idx, bdir, "b")["files"]
