@@ -44,11 +44,19 @@ Phase B  (the term-hash shuffle, through shared storage): phase A already
     part-range chunks (salt = chunk index) — sub-segments stay
     doc-ordered, so query-side views concatenate for free — so that cap
     bounds a batch's memory too. A segment is named by its input lineage
-    and a pack is never rewritten once committed. The driver resumes, and
-    does not dispatch, every planned segment that a whole pack on disk
-    holds (the committed records, then the table of contents of any
-    uncommitted pack). Stage rows travel as JSON dicts (``_run_stage``),
-    so a segment's record goes from the encoder to the commit unchanged.
+    and a pack is never rewritten once committed. One plan rule
+    (``_plan_phase_b``) reuses what whole packs on disk hold (their tables
+    of contents, committed or not): a planned segment whose sources are
+    all a stored segment's resumes and is not dispatched; one whose
+    sources *start with* a stored segment's (an upsert's part joins a
+    tkey's last salt chunk) is dispatched with that segment as its *base*
+    and reads only the newer parts' row groups, and the encode batch
+    extends the base — its bytes kept, each term's complete blocks
+    included, only the new postings and the partial blocks they continue
+    encoded — to the bytes encoding every source would give; any other
+    segment encodes every source. Stage rows travel as JSON dicts
+    (``_run_stage``), so a segment's record goes from the encoder to the
+    commit unchanged.
     Shuffle bytes ride
     the shared filesystem that already holds phase A's outputs and the
     segments, not RAM.
@@ -93,6 +101,7 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.extract import extract_batch
 from apache___solr_ray.lucene import int_to_byte4_array
 from apache___solr_ray.manifest import (
+    DOCS_STAMP,
     collection_stats,
     input_fingerprint,
     is_valid,
@@ -104,6 +113,7 @@ from apache___solr_ray.segment import (
     build_segments_from_group,
     doc_order,
     drop_uncommitted,
+    open_segments,
     pack_bytes,
     stored_segments,
     term_hash,
@@ -453,7 +463,10 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
     doc_tbl = pa.concat_tables(docs)
     docs_path = _part_path(index_dir, "docs", part_id)
     os.makedirs(os.path.dirname(docs_path), exist_ok=True)
-    pq.write_table(doc_tbl, docs_path + ".tmp")
+    # stamped with the part's input fingerprint: a reader of a commit that
+    # names another layout's part here refuses the file (doc_column)
+    stamp = {DOCS_STAMP: desc["fingerprint"].encode()}
+    pq.write_table(doc_tbl.replace_schema_metadata(stamp), docs_path + ".tmp")
     os.replace(docs_path + ".tmp", docs_path)
 
     # per-field collection stats (Lucene CollectionStatistics per field:
@@ -497,22 +510,27 @@ def _plan_storage_segments(
     with part id, so salted sub-segments are disjoint ascending doc ranges
     — the query side concatenates views. Each row names its segment and
     carries the record fields the encoder stores beside the counts
-    (lineage and the covered part range).
+    (lineage and the covered part range), and ``prefixes``: the lineage
+    and postings of each prefix of its sources, which ``_plan_phase_b``
+    matches against the stored segments.
     """
     fp_by_part = {int(p["part_id"]): str(p["fingerprint"]) for p in parts}
     per_part = sorted(summaries, key=lambda s: int(s["part_id"]))
 
-    def lineage_of(srcs: list[tuple[int, int, int]]) -> str:
+    def lineages_of(srcs: list[tuple[int, int, int]]) -> list[str]:
         # identity of the exact inputs that feed this segment: the build
         # config (codec/analysis knobs) plus which parts, which row groups,
         # how many postings, and each part's INPUT fingerprint — so a stale
         # segment from a different corpus OR config can never be resumed
-        # just because posting counts coincide
+        # just because posting counts coincide. The digest after each
+        # source is the lineage of the segment of the sources so far.
         h = hashlib.sha1()
         h.update(cfg.fingerprint_full().encode())
+        out = []
         for part_id, rg, n in srcs:
             h.update(f"{part_id}:{rg}:{n}:{fp_by_part.get(part_id, '')};".encode())
-        return h.hexdigest()
+            out.append(h.hexdigest())
+        return out
 
     tasks: list[dict] = []
     for t in range(cfg.term_partitions):
@@ -529,7 +547,8 @@ def _plan_storage_segments(
             chunks[-1].append((int(summary["part_id"]), int(ent[0]), n))
             acc += n
         for salt, srcs in enumerate(chunks):
-            lineage = lineage_of(srcs)
+            lineages = lineages_of(srcs)
+            lineage = lineages[-1]
             tasks.append(
                 {
                     "name": _segment_name(t, salt, lineage),
@@ -545,6 +564,7 @@ def _plan_storage_segments(
                     # readers open only overlapping segments
                     "part_lo": srcs[0][0],
                     "part_hi": srcs[-1][0] + 1,
+                    "prefixes": list(zip(lineages, np.cumsum([n for _, _, n in srcs]).tolist())),
                 }
             )
     return tasks
@@ -675,26 +695,49 @@ def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig):
         return pa.concat_tables(pieces, promote_options="permissive"), np.concatenate(segs)
 
     def _build_block(block: list[dict]) -> list[dict]:
-        """Build a block's segments, one encode batch at a time: read, one
-        sort and encode (``build_segments_from_group``), then one pack
+        """Build a block's segments, one encode batch at a time: read (the
+        rows' sources, and their bases through ``open_segments``), one sort
+        and encode (``build_segments_from_group``), then one pack
         (``write_segment``). Returns one row per batch: its segments'
-        records, its wall time and its three stage times."""
+        records, how many extended a base, the postings it encoded, its
+        wall time and its three stage times."""
         _limit_threads()
         out = []
         for rows in _encode_batches(block, cfg.max_postings_per_segment):
             t0 = time.perf_counter()
             group, seg = _read(rows)
-            t1 = time.perf_counter()
-            specs = [
-                (r["name"], r["tkey"], r["salt"], {k: r[k] for k in ("lineage", "part_lo", "part_hi")})
-                for r in rows
-            ]
-            members = build_segments_from_group(group, seg, specs)
-            t2 = time.perf_counter()
-            segments = write_segment(index_dir, members)
-            t3 = time.perf_counter()
+            bases = open_segments(index_dir, [r["base"] for r in rows if "base" in r])
+            try:
+                t1 = time.perf_counter()
+                specs = [
+                    (
+                        r["name"],
+                        r["tkey"],
+                        r["salt"],
+                        {k: r[k] for k in ("lineage", "part_lo", "part_hi")},
+                        bases[r["base"]["name"]] if "base" in r else None,
+                    )
+                    for r in rows
+                ]
+                members = build_segments_from_group(group, seg, specs)
+                encoded = sum(m["encoded"][2] for m in members)
+                t2 = time.perf_counter()
+                segments = write_segment(index_dir, members)
+                t3 = time.perf_counter()
+                del members  # it holds slices of the bases' postings
+            finally:
+                for r in bases.values():
+                    r.close()
             out.append(
-                {"segments": segments, "batch": t3 - t0, "read": t1 - t0, "encode": t2 - t1, "write": t3 - t2}
+                {
+                    "segments": segments,
+                    "extended": len(bases),
+                    "postings_encoded": encoded,
+                    "batch": t3 - t0,
+                    "read": t1 - t0,
+                    "encode": t2 - t1,
+                    "write": t3 - t2,
+                }
             )
         return out
 
@@ -702,24 +745,38 @@ def _make_storage_segment_fn(index_dir: str, cfg: IndexConfig):
 
 
 def _plan_phase_b(
-    index_dir: str, cfg: IndexConfig, parts: list[dict], summaries: list[dict], committed: dict | None
+    index_dir: str, cfg: IndexConfig, parts: list[dict], summaries: list[dict]
 ) -> tuple[list[dict], list[dict]]:
     """Phase B's segment plan split into (records of the segments that
-    resume, rows to build). A segment resumes when a whole pack on disk
-    (``segment.stored_segments``: the committed records, then the TOC of
-    any other pack) holds it, built from exactly these inputs."""
-    stored = stored_segments(index_dir, committed)
+    resume, rows to build), by one rule: the longest prefix of a planned
+    segment's sources that a stored segment (``segment.stored_segments``:
+    the members of every whole pack on disk) was built from — same tkey,
+    salt and ``part_lo``, and the prefix's lineage and postings. All of
+    its sources: the segment resumes. Some: the row carries that record as
+    its ``base`` and reads only the sources after the prefix (the encode
+    extends the base). None: the row encodes every source."""
+    stored = stored_segments(index_dir)
     resumed, todo = [], []
     for row in _plan_storage_segments(index_dir, cfg, parts, summaries):
-        e = stored.get(row["name"])
-        if (
-            e is not None
-            and e.get("n_postings") == row["expected"]
-            and all(e.get(k) == row[k] for k in ("tkey", "salt", "lineage", "part_lo", "part_hi"))
-        ):
+        prefixes = row.pop("prefixes")
+        for k in range(len(prefixes), 0, -1):
+            lineage, n_postings = prefixes[k - 1]
+            e = stored.get(_segment_name(row["tkey"], row["salt"], lineage))
+            if (
+                e is not None
+                and e["lineage"] == lineage
+                and e["n_postings"] == n_postings
+                and all(e[key] == row[key] for key in ("tkey", "salt", "part_lo"))
+            ):
+                break
+        else:
+            e = None
+        if e is None:
+            todo.append(row)
+        elif k == len(prefixes):
             resumed.append(e)
         else:
-            todo.append(row)
+            todo.append(dict(row, base=e, paths=row["paths"][k:], rgs=row["rgs"][k:]))
     return resumed, todo
 
 
@@ -817,7 +874,7 @@ def build_index(
     # ---- Phase B: skew is handled uniformly by doc-range bucket splitting
     # in the plan, so no head-term detection is needed ----
     n_doc_parts = len(parts)
-    resumed, todo_segs = _plan_phase_b(index_dir, cfg, parts, summaries, committed)
+    resumed, todo_segs = _plan_phase_b(index_dir, cfg, parts, summaries)
     batches, phase_b_tasks = _run_stage(todo_segs, _make_storage_segment_fn(index_dir, cfg))
     built_segs = [s for b in batches for s in b["segments"]]
     segments = sorted(resumed + built_segs, key=doc_order)
@@ -874,6 +931,11 @@ def build_index(
             "phase_b_tasks": phase_b_tasks,
             "segments_built": len(built_segs),
             "segments_resumed": len(resumed),
+            # built segments that extended a stored one, and the postings
+            # that went through the encoder (new ones and the extended
+            # terms' re-encoded partial blocks)
+            "segments_extended": sum(b["extended"] for b in batches),
+            "postings_encoded": sum(b["postings_encoded"] for b in batches),
             # wall time of each encode batch (the segments it built, read,
             # sorted, encoded and written together); skew = max/p50 shows
             # a straggler batch

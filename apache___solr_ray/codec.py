@@ -50,9 +50,20 @@ Both encode and decode are numpy-vectorized (no per-posting Python); the
 group encoder ``encode_postings_group`` VInt-codes an entire shuffle group
 (hundreds of thousands of postings), preludes included, in one pass and
 only slices per term.
+
+A term's complete blocks never change when postings of later docs are
+appended (every block but a term's last holds ``BLOCK`` postings, and the
+deltas continue across blocks), so the encoder can *continue* a stored
+payload: ``block_prefixes`` cuts many payloads after their last complete
+block, ``decode_tails`` decodes their trailing partial blocks, and
+``encode_postings_group`` keeps the complete blocks' bytes and encodes
+only the rest — byte-identical to encoding every posting (Lucene likewise
+never re-encodes what it already flushed).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +162,7 @@ def encode_postings_group(
     ends: np.ndarray,
     pos_data: np.ndarray | None = None,
     pos_off: np.ndarray | None = None,
+    prefixes: tuple[np.ndarray, BlockPrefixes] | None = None,
 ) -> list[bytes]:
     """Encode many terms' postings in ONE vectorized pass.
 
@@ -165,6 +177,14 @@ def encode_postings_group(
     ``pos_data[pos_off[i]:pos_off[i+1]]``, ``len(pos_off) == n+1``).
     Because each posting's stream is self-contained, the encoder only
     slices — no re-encoding.
+
+    ``prefixes``: optional ``(runs, BlockPrefixes)``: the runs that
+    continue a stored payload of their term whose postings all precede
+    theirs, and those payloads cut after their complete blocks
+    (``block_prefixes``). Such a run holds the postings after the kept
+    blocks, and its payload keeps their bytes: the run's first delta is
+    taken against the last kept doc, its block offsets start after the
+    kept bytes and its prelude counts them.
     """
     n = len(doc_ids)
     n_terms = len(starts)
@@ -176,11 +196,21 @@ def encode_postings_group(
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
 
-    # global delta stream with a reset (absolute doc id) at each term start
+    # kept blocks per run, the last kept doc and the kept delta, tf, norm
+    # and position bytes (all 0 for a run that starts its term)
+    kept = np.zeros(n_terms, dtype=np.int64)
+    last_kept = np.zeros(n_terms, dtype=np.int64)
+    k_len = np.zeros((n_terms, 4), dtype=np.int64)
+    if prefixes is not None:
+        runs, pf = prefixes
+        kept[runs], last_kept[runs], k_len[runs] = pf.n_blocks, pf.last_doc, pf.cut - pf.lo
+
+    # global delta stream with a reset at each term start: the absolute doc
+    # id, or the gap from the last kept doc
     deltas = np.empty(n, dtype=np.uint64)
     deltas[0] = doc_ids[0]
     deltas[1:] = (doc_ids[1:] - doc_ids[:-1]).astype(np.uint64)
-    deltas[starts] = doc_ids[starts].astype(np.uint64)
+    deltas[starts] = (doc_ids[starts] - last_kept).astype(np.uint64)
 
     d_len = _varint_lengths(deltas)
     d_pos = np.zeros(n + 1, dtype=np.int64)
@@ -193,7 +223,7 @@ def encode_postings_group(
     np.cumsum(t_len, out=t_pos[1:])
     t_stream = _varint_fill(tvals, t_len, t_pos)
 
-    # per-term block layout, all vectorized
+    # per-term block layout of the run's own blocks, all vectorized
     dfs = ends - starts
     nb = (dfs + BLOCK - 1) // BLOCK
     total_blocks = int(nb.sum())
@@ -206,29 +236,30 @@ def encode_postings_group(
 
     headers = np.zeros(total_blocks, dtype=_HEADER_DTYPE)
     headers["last_doc"] = doc_ids[be - 1].astype(np.uint64)
-    headers["d_off"] = (d_pos[bs] - d_pos[starts[term_of_block]]).astype(np.uint32)
-    headers["t_off"] = (t_pos[bs] - t_pos[starts[term_of_block]]).astype(np.uint32)
+    headers["d_off"] = (d_pos[bs] - d_pos[starts[term_of_block]] + k_len[term_of_block, 0]).astype(np.uint32)
+    headers["t_off"] = (t_pos[bs] - t_pos[starts[term_of_block]] + k_len[term_of_block, 1]).astype(np.uint32)
     headers["n_docs"] = (be - bs).astype(np.uint16)
     # reduceat over global block starts (bs is ascending and covers [0, n))
     headers["max_tf"] = np.maximum.reduceat(tfs, bs).astype(np.uint32)
     headers["min_norm"] = np.minimum.reduceat(norms, bs)
     if pos_data is not None:
         pos_off = np.asarray(pos_off, dtype=np.int64)
-        headers["p_off"] = (pos_off[bs] - pos_off[starts[term_of_block]]).astype(np.uint32)
+        p_start = pos_off[starts[term_of_block]] - k_len[term_of_block, 3]
+        headers["p_off"] = (pos_off[bs] - p_start).astype(np.uint32)
         p_bytes = pos_data.tobytes() if isinstance(pos_data, np.ndarray) else bytes(pos_data)
     # only multi-block terms keep their headers
-    multi = nb > 1
+    multi = kept + nb > 1
     hdr_bytes = headers[multi[term_of_block]].tobytes()
     h_pos = np.zeros(n_terms + 1, dtype=np.int64)
     np.cumsum(np.where(multi, nb, 0) * HEADER_BYTES, out=h_pos[1:])
 
     # every term's four prelude VInts in one pass
     prelude = np.zeros((n_terms, 4), dtype=np.int64)
-    prelude[:, 0] = nb
-    prelude[:, 1] = d_pos[ends] - d_pos[starts]
-    prelude[:, 2] = t_pos[ends] - t_pos[starts]
+    prelude[:, 0] = kept + nb
+    prelude[:, 1] = d_pos[ends] - d_pos[starts] + k_len[:, 0]
+    prelude[:, 2] = t_pos[ends] - t_pos[starts] + k_len[:, 1]
     if pos_data is not None:
-        prelude[:, 3] = pos_off[ends] - pos_off[starts]
+        prelude[:, 3] = pos_off[ends] - pos_off[starts] + k_len[:, 3]
     if prelude[:, 1:].max() >= 2**32:
         raise ValueError("term posting list too long for one segment (use salting)")
     pre = prelude.ravel().astype(np.uint64)
@@ -249,7 +280,7 @@ def encode_postings_group(
         p_bytes, ps, pe = b"", [0] * n_terms, [0] * n_terms
     else:
         ps, pe = pos_off[starts].tolist(), pos_off[ends].tolist()
-    return [
+    out = [
         pre_bytes[pp[i] : pp[i + 1]]
         + hdr_bytes[hp[i] : hp[i + 1]]
         + d_bytes[ds[i] : de[i]]
@@ -258,6 +289,29 @@ def encode_postings_group(
         + p_bytes[ps[i] : pe[i]]
         for i in range(n_terms)
     ]
+    if prefixes is not None:  # each stream's kept bytes go before the run's
+        mv = memoryview(pf.buf)
+        lo, cut = pf.lo.tolist(), pf.cut.tolist()
+        for j, i in enumerate(runs.tolist()):
+            if not kept[i]:
+                continue
+            (d0, t0, n0, p0), (d1, t1, n1, p1) = lo[j], cut[j]
+            out[i] = b"".join(
+                (
+                    pre_bytes[pp[i] : pp[i + 1]],
+                    pf.headers[j],
+                    hdr_bytes[hp[i] : hp[i + 1]],
+                    mv[d0:d1],
+                    d_bytes[ds[i] : de[i]],
+                    mv[t0:t1],
+                    t_bytes[ts[i] : te[i]],
+                    mv[n0:n1],
+                    n_bytes[ns[i] : ne[i]],
+                    mv[p0:p1],
+                    p_bytes[ps[i] : pe[i]],
+                )
+            )
+    return out
 
 
 def encode_postings(
@@ -332,6 +386,27 @@ def _decode_exact(buf: np.ndarray, count: int) -> np.ndarray:
     return varint_decode(buf, count)[0]
 
 
+def _decode_runs(dbuf, tbuf, norms, counts: np.ndarray, first_base=None):
+    """Decode runs of ``counts`` postings whose delta and tf streams are
+    concatenated in ``dbuf``/``tbuf`` (``norms`` their norm bytes): one
+    VInt call per stream and one cumsum. A run's first delta is taken
+    against ``first_base`` (per run; absolute when None), so subtracting
+    the running sum in front of it re-bases the run; the uint64 sums wrap
+    modulo 2^64, which leaves every re-based id exact. Returns (docs
+    int64, tfs int64, norms uint8)."""
+    total = int(counts.sum())
+    deltas = _decode_exact(dbuf, total)
+    tfs = _decode_exact(tbuf, total)
+    csum = np.cumsum(deltas)
+    live = counts > 0
+    starts = (np.cumsum(counts) - counts)[live]
+    rebase = csum[starts] - deltas[starts]
+    if first_base is not None:
+        rebase -= np.asarray(first_base, dtype=np.int64)[live].astype(np.uint64)
+    docs = csum - np.repeat(rebase, counts[live])
+    return docs.view(np.int64), tfs.astype(np.int64) + 1, norms
+
+
 def decode_postings_concat(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode every posting of many non-empty ``PostingsView``s at once.
 
@@ -339,21 +414,116 @@ def decode_postings_concat(views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     concatenated in the given order — equal to concatenating each view's
     ``decode_all()``. Each view's whole delta stream, tf stream and norm
     bytes are taken as one contiguous slice (no per-block slicing: deltas
-    run across block boundaries), each concatenated stream is decoded with
-    one VInt call, and one cumsum turns deltas into doc ids. Each view's
-    first delta is its absolute first doc id, so subtracting the running
-    sum in front of a view re-bases it; the uint64 sums wrap modulo 2^64,
-    which leaves every re-based id exact."""
+    run across block boundaries) and decoded by ``_decode_runs``; each
+    view's first delta is its absolute first doc id."""
     counts = np.fromiter((v.doc_freq for v in views), dtype=np.int64, count=len(views))
-    total = int(counts.sum())
-    deltas = _decode_exact(np.concatenate([v.buf[v.d_base : v.t_base] for v in views]), total)
-    tfs = _decode_exact(np.concatenate([v.buf[v.t_base : v.n_base] for v in views]), total)
-    norms = np.concatenate([v.buf[v.n_base : v.p_base] for v in views])
-    csum = np.cumsum(deltas)
-    starts = np.zeros(len(views), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    docs = csum - np.repeat(csum[starts] - deltas[starts], counts)
-    return docs.view(np.int64), tfs.astype(np.int64) + 1, norms
+    return _decode_runs(
+        np.concatenate([v.buf[v.d_base : v.t_base] for v in views]),
+        np.concatenate([v.buf[v.t_base : v.n_base] for v in views]),
+        np.concatenate([v.buf[v.n_base : v.p_base] for v in views]),
+        counts,
+    )
+
+
+class BlockPrefixes(NamedTuple):
+    """Stored payloads cut after their last complete block
+    (``block_prefixes``): the part ``encode_postings_group`` keeps and
+    continues, and the trailing partial block it encodes again. Byte
+    offsets are into ``buf``; a stream's kept bytes are ``buf[lo:cut]``
+    and its tail's ``buf[cut:hi]``, per payload and stream (delta, tf,
+    norm, position)."""
+
+    buf: np.ndarray
+    #: complete blocks kept (``doc_freq // BLOCK``)
+    n_blocks: np.ndarray
+    #: the last kept doc (0 when no block is kept)
+    last_doc: np.ndarray
+    #: the kept blocks' header bytes (derived for a lone full block)
+    headers: list
+    lo: np.ndarray
+    cut: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def n_tail(self) -> np.ndarray:
+        """Postings in each trailing partial block (one norm byte each)."""
+        return self.hi[:, 2] - self.cut[:, 2]
+
+
+def _read_preludes(buf: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The four prelude VInts of the payloads at ``starts`` ((n, 4) int64)
+    and the byte offset after each prelude: one vectorized pass per VInt
+    byte."""
+    pos = np.asarray(starts, dtype=np.int64).copy()
+    out = np.zeros((len(pos), 4), dtype=np.int64)
+    for k in range(4):
+        live, shift = np.arange(len(pos)), 0
+        while len(live):
+            b = buf[pos[live]].astype(np.int64)
+            out[live, k] |= (b & 0x7F) << shift
+            pos[live] += 1
+            live, shift = live[b >= 0x80], shift + 7
+    return out, pos
+
+
+def _u4_at(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The little-endian u32 at each byte offset ``at`` (int64)."""
+    return buf[at[:, None] + np.arange(4)].copy().view("<u4")[:, 0].astype(np.int64)
+
+
+def block_prefixes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> BlockPrefixes:
+    """The payloads ``buf[starts[i]:ends[i]]`` cut after their last complete
+    ``BLOCK``-doc block, all at once. A payload keeps ``doc_freq //
+    BLOCK`` blocks: none when it has no complete block (its tail is all of
+    it), all when its df is a multiple of ``BLOCK`` (its tail is empty).
+    A kept block's header is its stored one, or, for a lone full block,
+    which stores none, the one ``PostingsView.headers`` derives."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    pre, h_lo = _read_preludes(buf, starts)
+    nb, multi = pre[:, 0], pre[:, 0] > 1
+    d_lo = h_lo + np.where(multi, nb * HEADER_BYTES, 0)
+    lo = np.stack([d_lo, d_lo + pre[:, 1], d_lo + pre[:, 1] + pre[:, 2], ends - pre[:, 3]], axis=1)
+    hi = np.concatenate([lo[:, 1:], ends[:, None]], axis=1)
+    kept = (lo[:, 3] - lo[:, 2]) // BLOCK  # one norm byte per posting
+    cut = np.where((kept > 0)[:, None], hi, lo)
+    # a multi-block payload with a partial last block: cut at that block's
+    # offsets, read from its header
+    part = np.flatnonzero(multi & (kept < nb))
+    nxt = h_lo[part] + kept[part] * HEADER_BYTES
+    off = {name: _HEADER_DTYPE.fields[name][1] for name in ("d_off", "t_off", "p_off")}
+    cut[part] = lo[part] + np.stack(
+        [_u4_at(buf, nxt + off["d_off"]), _u4_at(buf, nxt + off["t_off"]), kept[part] * BLOCK, _u4_at(buf, nxt + off["p_off"])],
+        axis=1,
+    )
+    last_doc = np.zeros(len(starts), dtype=np.int64)
+    keep = np.flatnonzero(multi & (kept > 0))
+    last_at = h_lo[keep] + (kept[keep] - 1) * HEADER_BYTES
+    last_doc[keep] = buf[last_at[:, None] + np.arange(8)].copy().view("<u8")[:, 0].astype(np.int64)
+    h_kept = h_lo + kept * HEADER_BYTES
+    mv = memoryview(buf)
+    headers = [mv[a:b] for a, b in zip(h_lo.tolist(), np.where(multi, h_kept, h_lo).tolist())]
+    for i in np.flatnonzero(~multi & (kept > 0)).tolist():  # a lone full block
+        h = PostingsView(mv, int(starts[i]), int(ends[i]), buf).headers
+        headers[i], last_doc[i] = h.tobytes(), int(h["last_doc"][0])
+    return BlockPrefixes(buf, kept, last_doc, headers, lo, cut, hi)
+
+
+def _gather(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``buf[lo[i]:hi[i]]`` concatenated over i, in one gather."""
+    n = hi - lo
+    return buf[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))]
+
+
+def decode_tails(p: BlockPrefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode every payload's trailing partial block at once (one VInt
+    call per stream). Returns (docs int64, tfs int64, norms uint8,
+    position bytes), the tails (``p.n_tail`` postings each) concatenated
+    in order."""
+    docs, tfs, norms = _decode_runs(
+        *(_gather(p.buf, p.cut[:, k], p.hi[:, k]) for k in range(3)), p.n_tail, p.last_doc
+    )
+    return docs, tfs, norms, _gather(p.buf, p.cut[:, 3], p.hi[:, 3])
 
 
 def _read_prelude(payload, i: int = 0) -> tuple[int, int, int, int, int]:

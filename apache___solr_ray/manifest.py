@@ -23,6 +23,10 @@ import json
 import os
 from typing import Any
 
+#: the Parquet key-value metadata key under which phase A stamps each docs
+#: file with its part's input fingerprint (``input_fingerprint``)
+DOCS_STAMP = b"input_fingerprint"
+
 
 def write_json_atomic(path: str, obj: dict[str, Any]) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)

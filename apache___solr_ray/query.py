@@ -53,7 +53,7 @@ import pyarrow.parquet as pq
 from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.codec import BLOCK, decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
-from apache___solr_ray.manifest import read_json
+from apache___solr_ray.manifest import DOCS_STAMP, read_json
 from apache___solr_ray.segment import TERMS_SCHEMA, SegmentReader, open_segments, term_hash
 
 #: (part, column) doc-sidecar arrays an ``IndexReader`` keeps (LRU)
@@ -779,7 +779,10 @@ class IndexReader:
         local doc ids (``doc_id = part << 32 | row``). The only reader of
         the ``docs/`` sidecar: a part outside the manifest's
         ``[0, n_doc_parts)`` raises ``IndexError`` whatever the directory
-        holds. LRU-cached per (part, column)."""
+        holds, and a file whose input-fingerprint stamp is not the
+        commit's for the part (a later build rewrote it for another
+        layout), or that is gone, raises ``RuntimeError``; a file without
+        a stamp is read as it is. LRU-cached per (part, column)."""
         part = int(part)
         if not 0 <= part < self.n_doc_parts:
             raise IndexError(f"doc part {part} is not in the committed [0, {self.n_doc_parts})")
@@ -787,7 +790,18 @@ class IndexReader:
         col = self._docs_cache.get(key)
         if col is None:
             path = os.path.join(self.dir, "docs", f"part-{part:06d}.parquet")
-            col = pq.read_table(path, columns=[column]).column(column).combine_chunks()
+            try:
+                t = pq.read_table(path, columns=[column])
+            except FileNotFoundError:
+                t = None
+            stamp = (t.schema.metadata or {}).get(DOCS_STAMP) if t is not None else None
+            want = self.manifest["input_fingerprints"][part]
+            if t is None or (stamp is not None and stamp.decode() != want):
+                raise RuntimeError(
+                    f"doc part {part} of {self.dir} was rebuilt since this reader opened; "
+                    "reopen the reader"
+                )
+            col = t.column(column).combine_chunks()
             self._docs_cache[key] = col
             if len(self._docs_cache) > DOCS_CACHE_PARTS:
                 self._docs_cache.popitem(last=False)

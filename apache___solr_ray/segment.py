@@ -70,6 +70,7 @@ import mmap
 import os
 import shutil
 import stat
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -181,8 +182,9 @@ def pack_bytes(index_dir: str, man: dict) -> dict[str, int]:
 
 def _terms_section(terms, keys, dfs, ttfs, offsets: np.ndarray) -> bytes:
     """A dictionary section (layout in the module docstring), padded to 8
-    bytes, for ``terms`` in (key, term) order with their keys, stats and
-    payload offsets."""
+    bytes, for ``terms`` (strings, or a string array whose first offset is
+    0) in (key, term) order with their keys, stats and payload
+    offsets."""
     n = len(terms)
     if n and max(int(np.max(dfs)), int(np.max(ttfs))) >= 2**32:
         raise ValueError("a term's df or ttf does not fit the dictionary's u32")
@@ -192,7 +194,7 @@ def _terms_section(terms, keys, dfs, ttfs, offsets: np.ndarray) -> bytes:
             "offsets: salt the tkey into smaller segments (a lower max_postings_per_segment) "
             "or merge fewer segments into one"
         )
-    arr = pa.array(terms, pa.string())  # freshly built: buffer offsets start at 0
+    arr = terms if isinstance(terms, pa.Array) else pa.array(terms, pa.string())
     soff = np.frombuffer(arr.buffers()[1], np.int32, n + 1)
     n_str = int(soff[-1])
     cols = {"hash": keys, "df": dfs, "ttf": ttfs, "offset": offsets, "soff": soff}
@@ -204,23 +206,162 @@ def _terms_section(terms, keys, dfs, ttfs, offsets: np.ndarray) -> bytes:
     return b"".join(out)
 
 
+def _binary_array(typ: pa.DataType, data: np.ndarray, off: np.ndarray) -> pa.Array:
+    """A binary or large-binary array (``typ``) of the byte strings
+    ``data[off[i]:off[i + 1]]``."""
+    off_t = np.int64 if pa.types.is_large_binary(typ) else np.int32
+    return pa.Array.from_buffers(
+        typ, len(off) - 1, [None, pa.py_buffer(off.astype(off_t)), pa.py_buffer(data)]
+    )
+
+
+class _Extension(NamedTuple):
+    """Where the group's terms are in the bases (``_extend``)."""
+
+    #: distinct (segment, term rank) pairs of the rows of segments with a
+    #: base, as ``segment * n_ranks + rank``, ascending
+    pairs: np.ndarray
+    #: each pair's row in its segment's base, -1 when the base lacks it
+    rows: np.ndarray
+    #: each pair's place among its base's stored terms (how many precede it)
+    ins: np.ndarray
+    #: the payloads of the pairs the base holds, in pair order, cut after
+    #: their complete blocks (``codec.BlockPrefixes``), or None
+    prefixes: codec.BlockPrefixes | None
+    #: those pairs' kept blocks' df and ttf
+    kept_df: np.ndarray
+    kept_ttf: np.ndarray
+    #: their tails' rows: segment, rank, doc, tf, norm and position bytes
+    tail: tuple
+
+
+def _extend(bases, seg, r, terms_by_rank: pa.Array, keys_by_rank: np.ndarray) -> _Extension:
+    """Look the terms of the rows whose segment has a base up in it
+    (``SegmentReader.locate``, one call per base), then cut the payloads
+    of the terms the bases hold after their complete blocks
+    (``codec.block_prefixes``) and decode every trailing partial block
+    (``codec.decode_tails``), each once for the whole batch, over one
+    copy of those payloads."""
+    n_ranks = len(keys_by_rank)
+    has = np.array([b is not None for b in bases])
+    sel = has[seg]
+    pairs = np.unique(seg[sel] * n_ranks + r[sel])
+    p_seg, p_rank = pairs // n_ranks, pairs % n_ranks
+    rows = np.empty(len(pairs), dtype=np.int64)
+    ins = np.empty(len(pairs), dtype=np.int64)
+    payloads, base_ttf = [], [np.zeros(0, np.int64)]
+    cut = np.searchsorted(p_seg, np.arange(len(bases) + 1)).tolist()
+    for j, base in enumerate(bases):
+        a, b = cut[j], cut[j + 1]
+        if a == b:
+            continue
+        ranks = p_rank[a:b]
+        rows[a:b], ins[a:b] = base.locate(terms_by_rank.take(pa.array(ranks)), keys_by_rank[ranks])
+        hit = rows[a:b][rows[a:b] >= 0]
+        base_ttf.append(base._ttf[hit].astype(np.int64))
+        pmv, _ = base._pack.postings()
+        lo, hi = (base._offset[hit] + base._p_off).tolist(), (base._offset[hit + 1] + base._p_off).tolist()
+        payloads += [pmv[x:y] for x, y in zip(lo, hi)]
+    if not payloads:
+        return _Extension(pairs, rows, ins, None, None, None, None)
+    lens = np.array([len(p) for p in payloads], dtype=np.int64)
+    ends = np.cumsum(lens)
+    pf = codec.block_prefixes(np.frombuffer(b"".join(payloads), np.uint8), ends - lens, ends)
+    docs, tfs, norms, pos = codec.decode_tails(pf)
+    n_tail = pf.n_tail
+    t_cs = np.concatenate([[0], np.cumsum(tfs)])
+    t_end = np.cumsum(n_tail)
+    touched = pairs[rows >= 0]
+    return _Extension(
+        pairs,
+        rows,
+        ins,
+        pf,
+        pf.n_blocks * codec.BLOCK,
+        np.concatenate(base_ttf) - (t_cs[t_end] - t_cs[t_end - n_tail]),
+        (np.repeat(touched // n_ranks, n_tail), np.repeat(touched % n_ranks, n_tail), docs, tfs, norms, pos),
+    )
+
+
+def _splice(base: SegmentReader, run_row, run_ins, run_terms, run_keys, dfs, ttfs, payloads):
+    """A segment that extends ``base``: the union of the base's terms and
+    the runs' terms in (key, term) order — a run's term is the base's row
+    ``run_row`` or new at place ``run_ins`` (``_extend``) — with each
+    run's stats and encoded payload, and the base's other terms' payloads
+    copied as contiguous slices of its postings. Returns (terms, keys,
+    dfs, ttfs, payload pieces, payload offsets)."""
+    n_b = base.n_terms
+    new = run_row < 0
+    ins = run_ins[new]
+    n_new = len(ins)
+    n_tot = n_b + n_new
+    at_base = np.arange(n_b) + np.searchsorted(ins, np.arange(n_b), "right")
+    at_new = ins + np.arange(n_new)
+    at_run = np.empty(len(run_row), dtype=np.int64)  # ascending: runs come in (key, term) order
+    at_run[new] = at_new
+    at_run[~new] = at_base[run_row[~new]]
+    keys = np.empty(n_tot, dtype=np.uint32)
+    keys[at_base], keys[at_new] = base._hash, run_keys[new]
+    dfs_m, ttfs_m, lens = (np.empty(n_tot, dtype=np.int64) for _ in range(3))
+    dfs_m[at_base], dfs_m[at_run] = base._df, dfs
+    ttfs_m[at_base], ttfs_m[at_run] = base._ttf, ttfs
+    lens[at_base] = np.diff(base._offset.astype(np.int64))
+    lens[at_run] = [len(p) for p in payloads]
+    offsets = np.zeros(n_tot + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    # between two runs' entries lie only base rows: the stretch before run g
+    # starts after run g - 1's entry, at base row (merged place - new runs
+    # before it)
+    edge = np.concatenate([[-1], at_run, [n_tot]])
+    n_new_before = np.concatenate([[0], np.cumsum(new)])
+    off = base._offset.astype(np.int64)
+    lo = (off[edge[:-1] + 1 - n_new_before] + base._p_off).tolist()
+    hi = (off[edge[1:] - n_new_before] + base._p_off).tolist()
+    pmv, _ = base._pack.postings()
+    pieces = []
+    for g in range(len(run_row) + 1):
+        if hi[g] > lo[g]:
+            pieces.append(pmv[lo[g] : hi[g]])
+        if g < len(run_row):
+            pieces.append(payloads[g])
+    terms = base._terms()
+    if n_new:
+        src = np.empty(n_tot, dtype=np.int64)
+        src[at_base], src[at_new] = np.arange(n_b), n_b + np.arange(n_new)
+        terms = pa.concat_arrays([terms, pa.array(run_terms[new], pa.string())]).take(pa.array(src))
+    return terms, keys, dfs_m, ttfs_m, pieces, offsets
+
+
 def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tuple]) -> list[dict]:
     """Encode a (term, doc_id, tf, norm[, pos]) group table into segments.
 
     ``seg[i]`` is the index into ``specs`` of the segment row ``i`` belongs
-    to; ``specs[j]`` is segment j's ``(name, tkey, salt, extra_meta)``.
-    One sort orders the rows by (segment, key, term, doc_id), the key
-    being the dictionary's (``term_key``) — phase B's rows arrive in (part,
-    row group) order and a merge's in source-segment order — one
+    to; ``specs[j]`` is segment j's ``(name, tkey, salt, extra_meta,
+    base)``. One sort orders the rows by (segment, key, term, doc_id), the
+    key being the dictionary's (``term_key``) — phase B's rows arrive in
+    (part, row group) order and a merge's in source-segment order — one
     ``codec.encode_postings_group`` call encodes every term run of
     every segment, and the payloads are split at segment boundaries. A
     term's payload depends on its own postings only, so each segment's
     bytes equal a build of that segment alone. An optional ``pos`` binary
     or large-binary column (per-posting VInt position payloads from the
-    analyzer) is carried through by slicing, never re-encoded. Returns the
-    encoded segments, aligned with ``specs``: each its metadata (name,
-    tkey, salt, counts, ``extra_meta``) plus ``encoded``, the dictionary
-    section and payloads that ``write_segment`` stores.
+    analyzer) is carried through by slicing, never re-encoded.
+
+    A ``base`` (a ``SegmentReader``, or None) is a stored segment of the
+    same tkey whose postings all precede the group's rows of segment j:
+    segment j is then the base extended by them, byte-identical to
+    encoding both. Only the rows' terms are hashed and looked up in the
+    base (``SegmentReader.locate``); a term the base holds keeps its
+    complete blocks (``codec.block_prefixes``), and its trailing partial
+    block is decoded (``codec.decode_tails``, every tail of the batch at
+    once) into rows that join the one sort and continue the kept
+    blocks in the one encoder call; every other base term's payload is
+    copied as raw bytes, contiguous runs of them as one slice.
+
+    Returns the encoded segments, aligned with ``specs``: each its
+    metadata (name, tkey, salt, counts, ``extra_meta``) plus ``encoded``:
+    the dictionary section and payload pieces that ``write_segment``
+    stores, and how many postings went through the encoder.
     """
     # sort by (key, term, doc_id) WITHOUT a string sort over every posting:
     # the group's distinct-term dictionary is tiny (vocab/term_partitions),
@@ -240,21 +381,36 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
     rank[order_v] = np.arange(len(vocab))
     r = rank[codes]
     doc_raw = group.column("doc_id").combine_chunks().to_numpy()
+    tf_raw = group.column("tf").combine_chunks().to_numpy().astype(np.int64)
+    norm_raw = group.column("norm").combine_chunks().to_numpy().astype(np.uint8)
     seg = np.asarray(seg, dtype=np.int64)
+    pos_col = group.column("pos").combine_chunks() if "pos" in group.column_names else None
+    keys_by_rank = keys[order_v]
+
+    bases = [spec[4] for spec in specs]
+    ext = None
+    if any(b is not None for b in bases):
+        ext = _extend(bases, seg, r, denc.dictionary.take(pa.array(order_v)), keys_by_rank)
+        if ext.tail is not None:  # the base terms' trailing partial blocks join the rows
+            t_seg, t_r, t_doc, t_tf, t_norm, t_pos = ext.tail
+            seg, r = np.concatenate([seg, t_seg]), np.concatenate([r, t_r])
+            doc_raw, tf_raw = np.concatenate([doc_raw, t_doc]), np.concatenate([tf_raw, t_tf])
+            norm_raw = np.concatenate([norm_raw, t_norm])
+            if pos_col is not None:
+                tail_pos = _binary_array(pos_col.type, t_pos, codec.position_offsets(t_pos, t_tf))
+                pos_col = pa.concat_arrays([pos_col, tail_pos])
     idx = np.lexsort((doc_raw, r, seg))
 
-    doc_arr = doc_raw[idx]
-    tf_arr = group.column("tf").combine_chunks().to_numpy().astype(np.int64)[idx]
-    norm_arr = group.column("norm").combine_chunks().to_numpy().astype(np.uint8)[idx]
+    doc_arr, tf_arr, norm_arr = doc_raw[idx], tf_raw[idx], norm_raw[idx]
     rs, ss = r[idx], seg[idx]
     change = np.flatnonzero((np.diff(rs) != 0) | (np.diff(ss) != 0)) + 1
     starts = np.concatenate([[0], change]) if len(rs) else np.zeros(0, np.int64)
     ends = np.concatenate([change, [len(rs)]]) if len(rs) else np.zeros(0, np.int64)
     run_rank = rs[starts]
-    run_terms, run_keys = vocab[order_v][run_rank], keys[order_v][run_rank]
+    run_terms, run_keys = vocab[order_v][run_rank], keys_by_rank[run_rank]
     pos_data = pos_off = None
-    if "pos" in group.column_names and group.num_rows:
-        taken = pc.take(group.column("pos").combine_chunks(), pa.array(idx))
+    if pos_col is not None and len(idx):
+        taken = pc.take(pos_col, pa.array(idx))
         if isinstance(taken, pa.ChunkedArray):
             taken = taken.combine_chunks()
         # pc.take emits a packed array (offset 0, values in row order), so
@@ -266,28 +422,47 @@ def build_segments_from_group(group: pa.Table, seg: np.ndarray, specs: list[tupl
         data = np.frombuffer(taken.buffers()[2], dtype=np.uint8)
         pos_data = data[off[0] : off[-1]]
         pos_off = off - off[0]
-    payloads = codec.encode_postings_group(
-        doc_arr, tf_arr, norm_arr, starts, ends, pos_data=pos_data, pos_off=pos_off
-    )
     dfs = (ends - starts).astype(np.int64)
     ttfs = np.add.reduceat(tf_arr, starts) if len(starts) else np.zeros(0, np.int64)
+    run_prefixes = run_row = run_ins = None
+    if ext is not None:
+        # the runs of segments with a base are the pairs, in the same order
+        based = np.array([b is not None for b in bases])[ss[starts]]
+        run_row = np.full(len(starts), -1, dtype=np.int64)
+        run_ins = np.zeros(len(starts), dtype=np.int64)
+        run_row[based], run_ins[based] = ext.rows, ext.ins
+        if ext.prefixes is not None:
+            at = np.flatnonzero(run_row >= 0)
+            run_prefixes = (at, ext.prefixes)
+            dfs[at] += ext.kept_df
+            ttfs[at] += ext.kept_ttf
+    payloads = codec.encode_postings_group(
+        doc_arr, tf_arr, norm_arr, starts, ends, pos_data=pos_data, pos_off=pos_off, prefixes=run_prefixes
+    )
     # segment j's term runs are [cut[j], cut[j + 1])
     cut = np.searchsorted(ss[starts], np.arange(len(specs) + 1)).tolist()
     out = []
-    for (name, tkey, salt, extra_meta), a, b in zip(specs, cut[:-1], cut[1:]):
-        offsets = np.zeros(b - a + 1, dtype=np.int64)
-        np.cumsum([len(p) for p in payloads[a:b]], out=offsets[1:])
+    for (name, tkey, salt, extra_meta, base), a, b in zip(specs, cut[:-1], cut[1:]):
+        if base is None:
+            terms, t_keys, t_dfs, t_ttfs, pieces = run_terms[a:b], run_keys[a:b], dfs[a:b], ttfs[a:b], payloads[a:b]
+            offsets = np.zeros(b - a + 1, dtype=np.int64)
+            np.cumsum([len(p) for p in pieces], out=offsets[1:])
+        else:
+            terms, t_keys, t_dfs, t_ttfs, pieces, offsets = _splice(
+                base, run_row[a:b], run_ins[a:b], run_terms[a:b], run_keys[a:b],
+                dfs[a:b], ttfs[a:b], payloads[a:b],
+            )
         meta = {
             "name": name,
             "tkey": int(tkey),
             "salt": int(salt),
-            "n_terms": b - a,
-            "n_postings": int(dfs[a:b].sum()),
+            "n_terms": len(terms),
+            "n_postings": int(t_dfs.sum()),
             "bytes": int(offsets[-1]),
             **(extra_meta or {}),
         }
-        section = _terms_section(run_terms[a:b], run_keys[a:b], dfs[a:b], ttfs[a:b], offsets)
-        meta["encoded"] = (section, payloads[a:b])
+        section = _terms_section(terms, t_keys, t_dfs, t_ttfs, offsets)
+        meta["encoded"] = (section, pieces, int(ends[b - 1] - starts[a]) if b > a else 0)
         out.append(meta)
     return out
 
@@ -298,7 +473,7 @@ def build_segment_from_group(
     """Encode a group table into one segment (``build_segments_from_group``
     with every row in it): a merge's output."""
     seg = np.zeros(group.num_rows, dtype=np.int64)
-    return build_segments_from_group(group, seg, [(name, tkey, salt, extra_meta)])[0]
+    return build_segments_from_group(group, seg, [(name, tkey, salt, extra_meta, None)])[0]
 
 
 def write_segment(index_dir: str, members: list[dict]) -> list[dict]:
@@ -317,7 +492,7 @@ def write_segment(index_dir: str, members: list[dict]) -> list[dict]:
     entries, t_pos, p_pos = [], 0, 0
     with open(base + ".post.tmp", "wb") as fp, open(base + ".tdict.tmp", "wb") as ft:
         for m in members:
-            section, payloads = m["encoded"]
+            section, payloads, _ = m["encoded"]
             ft.write(section)
             fp.writelines(payloads)
             entry = {k: v for k, v in m.items() if k != "encoded"}
@@ -356,26 +531,18 @@ def _read_toc(base: str) -> dict | None:
     return toc
 
 
-def stored_segments(index_dir: str, committed: dict | None) -> dict[str, dict]:
-    """Every segment on disk that a build may resume, by name: its record.
-    The records of ``committed`` whose pack has both files on disk come
-    from that manifest; members of any other pack from its TOC, once per
-    pack, if the pack is whole (``_read_toc``)."""
+def stored_segments(index_dir: str) -> dict[str, dict]:
+    """Every segment on disk that a build may resume or extend, by name:
+    its record, read from the TOC of its pack if the pack is whole
+    (``_read_toc``: a committed record is its pack's TOC member, so a
+    committed pack whose ``.post`` was cut short offers nothing)."""
     root = segments_dir(index_dir)
-    on_disk = set(os.listdir(root)) if os.path.isdir(root) else set()
-    out = {
-        s["name"]: s
-        for s in (committed or {}).get("segments", ())
-        if "pack" in s and {s["pack"] + ".tdict", s["pack"] + ".post"} <= on_disk
-    }
-    seen = {s["pack"] for s in out.values()}
-    for fn in sorted(on_disk):
-        pack = fn[: -len(".tdict")]
-        if not fn.endswith(".tdict") or pack in seen:
-            continue
-        toc = _read_toc(os.path.join(root, pack))
-        for e in toc["members"] if toc else ():
-            out.setdefault(e["name"], e)
+    out: dict[str, dict] = {}
+    for fn in sorted(os.listdir(root)) if os.path.isdir(root) else ():
+        if fn.endswith(".tdict"):
+            toc = _read_toc(os.path.join(root, fn[: -len(".tdict")]))
+            for e in toc["members"] if toc else ():
+                out.setdefault(e["name"], e)
     return out
 
 
@@ -467,7 +634,7 @@ def open_segments(index_dir: str, entries) -> dict[str, SegmentReader]:
 def encoded_reader(member: dict) -> SegmentReader:
     """A reader of an encoded segment (``build_segments_from_group``) that
     is not written yet: a merge chain reads its intermediate outputs so."""
-    section, payloads = member["encoded"]
+    section, payloads, _ = member["encoded"]
     return SegmentReader(_Pack(section, post=b"".join(payloads)), 0, 0, member["name"])
 
 
@@ -541,16 +708,34 @@ class SegmentReader:
             return None
         return int(self._df[i]), int(self._ttf[i])
 
+    def locate(self, terms: pa.Array, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Many lookups at once: for each of ``terms`` (a string array) and
+        its ``term_key``, its stored row (-1 if absent) and how many
+        stored terms come before it in (key, term) order. Two binary
+        searches on the keys, then one comparison of each term with every
+        stored term of its key."""
+        lo = self._hash.searchsorted(keys, "left")
+        n_key = self._hash.searchsorted(keys, "right") - lo
+        q = np.repeat(np.arange(len(keys)), n_key)
+        cand = lo[q] + np.arange(len(q)) - np.repeat(np.cumsum(n_key) - n_key, n_key)
+        stored, mine = self._terms().take(pa.array(cand)), terms.take(pa.array(q))
+        eq = pc.equal(stored, mine).to_numpy(zero_copy_only=False)
+        before = pc.less(stored, mine).to_numpy(zero_copy_only=False)
+        rows = np.full(len(keys), -1, dtype=np.int64)
+        rows[q[eq]] = cand[eq]
+        return rows, lo + np.bincount(q[before], minlength=len(keys))
+
+    def _terms(self) -> pa.StringArray:
+        """The stored terms, a view of the mapped file."""
+        return pa.StringArray.from_buffers(self.n_terms, pa.py_buffer(self._soff), pa.py_buffer(self._strings))
+
     def terms_table(self) -> pa.Table:
         """This segment's slice of the vocabulary as (term, df, ttf), in
         stored (key, term) order, not term order — the one enumeration
         ``IndexReader.term_dict`` sums and sorts. The term column is a view
         of the mapped file, not a copy."""
-        term = pa.StringArray.from_buffers(
-            self.n_terms, pa.py_buffer(self._soff), pa.py_buffer(self._strings)
-        )
         return pa.table(
-            [term, pa.array(self._df, pa.int64()), pa.array(self._ttf, pa.int64())],
+            [self._terms(), pa.array(self._df, pa.int64()), pa.array(self._ttf, pa.int64())],
             schema=TERMS_SCHEMA,
         )
 

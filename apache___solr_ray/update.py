@@ -5,13 +5,18 @@
 
 Batch restatement: delete the existing docs for the incoming urls (one
 manifest swap, ``deletes.delete_by_url``), append the new rows as a NEW
-corpus partition file, and re-run the build — which resumes every
-untouched partition (lineage manifests), only tokenizes the appended one
-and carries the delete set into its commit. Old versions stop matching
-instantly; a later ``merge_segments(purge_deletes=True)`` reclaims their
-postings and they stay deleted. Appended files sort after the original
-``pages-*`` files, so existing part ids — and therefore doc ids and
-untouched segments — are stable.
+corpus partition file, and run the build again — which resumes every
+untouched partition (lineage manifests), only tokenizes the appended one,
+and carries the delete set into its commit. Appended files sort after the
+original ``pages-*`` files, so existing part ids — and therefore doc ids —
+are stable, and the new part's doc ids follow every old one: phase B
+extends each segment the part lands in from the stored segment (its
+sources are a prefix of the new segment's), keeping the stored bytes and
+encoding only the new postings and the partial blocks they continue, and
+resumes the rest. Old versions stop matching instantly; a later
+``merge_segments(purge_deletes=True)`` reclaims their postings and they
+stay deleted (merged segments are no phase-B prefix, so the next upsert
+encodes its segments from scratch).
 """
 
 from __future__ import annotations

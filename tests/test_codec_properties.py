@@ -5,13 +5,14 @@ single-term encoder payload-for-payload, and the whole-stream decode of
 many views equals their concatenated per-block decodes. Single-block
 payloads (no stored header) round-trip with and without positions, their
 derived header equals the one the payload used to store, and the phrase
-path decodes them once."""
+path decodes them once. Continuing a stored payload's complete blocks with
+later postings gives the bytes of encoding the whole list."""
 
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apache___solr_ray.codec import (
@@ -19,7 +20,9 @@ from apache___solr_ray.codec import (
     BLOCK,
     HEADER_BYTES,
     PostingsView,
+    block_prefixes,
     decode_postings_concat,
+    decode_tails,
     encode_position_gaps,
     encode_postings,
     encode_postings_group,
@@ -209,6 +212,73 @@ def test_single_and_multi_block_roundtrip(df, with_pos):
         sel = np.isin(docs, pick)
         assert doc_rep.tolist() == np.repeat(docs[sel], tfs[sel]).tolist()
         assert got_pos.tolist() == np.concatenate([p for p, s in zip(pos, sel) if s]).tolist()
+
+
+def _gap_streams(pos) -> tuple[np.ndarray, np.ndarray]:
+    """The postings' position payloads concatenated, and their offsets."""
+    streams = [encode_position_gaps(p, np.zeros(1, dtype=np.int64)) for p in pos]
+    off = np.zeros(len(streams) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in streams], out=off[1:])
+    return np.concatenate(streams) if streams else np.zeros(0, dtype=np.uint8), off
+
+
+OLD_DFS = (1, 127, 128, 129, 255, 256, 300)
+
+
+@pytest.mark.parametrize("with_pos", [False, True])
+@pytest.mark.parametrize("old_df", OLD_DFS)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.lists(
+        st.tuples(st.sampled_from(OLD_DFS), st.integers(min_value=1, max_value=300)), max_size=3
+    ),
+    st.integers(min_value=0, max_value=2**16),
+)
+@example(new_df=200, more=[], seed=0)  # an old single block grows past one block
+@settings(max_examples=6, deadline=None)
+def test_continuing_a_block_prefix_equals_encoding_the_whole_list(
+    old_df, with_pos, new_df, more, seed
+):
+    """Posting lists cut into an old part and a new part: the old parts'
+    payloads, back to back in one buffer, are cut after their complete
+    blocks (``block_prefixes``), every trailing partial block is decoded
+    at once (``decode_tails``), and one ``encode_postings_group`` call
+    continues each kept prefix with its tail and new postings: each
+    payload equals the one encoding of the whole list."""
+    cuts = [(old_df, new_df)] + more
+    runs, olds, want = [], [], []
+    for i, (old, new) in enumerate(cuts):
+        docs, tfs, norms, pos = _term_data(old + new, seed=seed + i)
+        want.append(_encode(docs, tfs, norms, pos, with_pos))
+        olds.append(_encode(docs[:old], tfs[:old], norms[:old], pos[:old], with_pos))
+        kept = old // BLOCK * BLOCK
+        runs.append((docs[kept:], tfs[kept:], norms[kept:], pos[kept:], old - kept))
+    ends = np.cumsum([len(p) for p in olds])
+    pf = block_prefixes(np.frombuffer(b"".join(olds), np.uint8), ends - [len(p) for p in olds], ends)
+    assert pf.n_blocks.tolist() == [old // BLOCK for old, _ in cuts]
+    assert pf.n_tail.tolist() == [r[4] for r in runs]
+    t_docs, t_tfs, t_norms, t_pos = decode_tails(pf)
+    at = np.cumsum([0] + [n_tail for *_, n_tail in runs])
+    for (docs, tfs, norms, pos, n_tail), a in zip(runs, at):
+        assert t_docs[a : a + n_tail].tolist() == docs[:n_tail].tolist()
+        assert t_tfs[a : a + n_tail].tolist() == tfs[:n_tail].tolist()
+        assert t_norms[a : a + n_tail].tolist() == norms[:n_tail].tolist()
+    if with_pos:
+        assert t_pos.tobytes() == b"".join(_gap_streams(r[3][: r[4]])[0].tobytes() for r in runs)
+    lens = [len(r[0]) for r in runs]
+    pos_data, pos_off = _gap_streams([p for r in runs for p in r[3]]) if with_pos else (None, None)
+    got = encode_postings_group(
+        np.concatenate([r[0] for r in runs]),
+        np.concatenate([r[1] for r in runs]),
+        np.concatenate([r[2] for r in runs]),
+        np.cumsum([0] + lens[:-1]),
+        np.cumsum(lens),
+        pos_data=pos_data,
+        pos_off=pos_off,
+        prefixes=(np.arange(len(runs)), pf),
+    )
+    assert got == want
+    assert PostingsView(got[0]).n_blocks == -(-(old_df + new_df) // BLOCK)
 
 
 @pytest.fixture(scope="module")

@@ -585,6 +585,39 @@ def test_stale_doc_parts_are_invisible(ray_session, tmp_path_factory):
     assert man["stats"]["doc_count"] == 599
 
 
+def test_a_reader_refuses_doc_parts_a_later_layout_rewrote(ray_session, tmp_path_factory):
+    """A reader opened before a rebuild at another ``target_docs_per_part``
+    does not read the new layout's docs files as its own: a part the
+    rebuild rewrote (its input-fingerprint stamp is not the reader's
+    commit's) or removed raises "reopen the reader", where the file would
+    have given another doc's url. A reopened reader, and a docs file
+    without a stamp (written before the stamp), read as before."""
+    d = str(tmp_path_factory.mktemp("pages_relayout"))
+    write_pages(d, 600, seed=42, rows_per_file=300, row_group_size=100)
+    idx = str(tmp_path_factory.mktemp("index_relayout"))
+    build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=128))
+    old = IndexReader(idx)
+    assert old.n_doc_parts == 6
+    doc = np.array([(1 << 32) + 5], dtype=np.int64)  # part 1: rows 100-199 of the first file
+    want = pages_table(600, seed=42).column("url")[105].as_py()
+    man = build_index(d, idx, IndexConfig(term_partitions=2, target_docs_per_part=200))
+    assert man["stats"]["n_doc_parts"] == 4  # part 1 now holds rows 200-299
+    for ids in (doc, np.array([(5 << 32) + 1], dtype=np.int64)):  # rewritten, removed
+        with pytest.raises(RuntimeError, match="reopen the reader"):
+            old.urls_for(ids)
+    old.close()
+    new = IndexReader(idx)
+    assert new.urls_for(np.array([105], dtype=np.int64)) == [want]
+    new.close()
+    path = os.path.join(idx, "docs", "part-000001.parquet")
+    t = pq.read_table(path)
+    assert t.schema.metadata[b"input_fingerprint"].decode() == man["input_fingerprints"][1]
+    pq.write_table(t.replace_schema_metadata(None), path)
+    unstamped = IndexReader(idx)
+    assert unstamped.urls_for(doc) == [t.column("url")[5].as_py()]
+    unstamped.close()
+
+
 def test_backup_holds_only_committed_parts(ray_session, tmp_path_factory):
     """After a rebuild with bigger doc parts, the old layout's extra part
     files are gone from disk, and a backup lists only the committed parts'
@@ -1353,12 +1386,16 @@ def test_run_stage_runs_each_row_once_in_cpu_sized_blocks(ray_session):
 
 def test_build_telemetry_tasks_and_segments(ray_session, built, tmp_path_factory):
     """index_manifest.metrics counts the blocks each phase dispatched, the
-    segments built or resumed and phase B's encode batches; an upsert
-    rebuilds every segment and dispatches and re-tokenizes only the new
-    part."""
+    segments built, resumed or extended, the postings encoded and phase
+    B's encode batches; an upsert dispatches and re-tokenizes only the new
+    part and extends every segment, encoding the new postings and, of
+    each term the part shares with the segment, the old postings past its
+    last complete block."""
     import pyarrow as pa
 
     from apache___solr_ray import build
+    from apache___solr_ray.codec import BLOCK
+    from apache___solr_ray.segment import term_hash
     from apache___solr_ray.update import upsert_pages
 
     _idx, _cfg, man = built
@@ -1375,22 +1412,36 @@ def test_build_telemetry_tasks_and_segments(ray_session, built, tmp_path_factory
     write_pages(d, 256, seed=7, rows_per_file=128)
     idx = str(tmp_path_factory.mktemp("index_tele"))
     cfg = IndexConfig(term_partitions=4, target_docs_per_part=128, text_from_html=False)
-    m0 = build_index(d, idx, cfg)["metrics"]
+    man0 = build_index(d, idx, cfg)
+    m0 = man0["metrics"]
     assert (m0["segments_built"], m0["segments_resumed"]) == (4, 0)
+    assert (m0["segments_extended"], m0["postings_encoded"]) == (0, m0["n_postings"])
+    r0 = IndexReader(idx)
+    shared = r0.term_dict().sort_by([("df", "descending")]).column("term").to_pylist()[:40]
+    # enough distinct terms to reach every term partition, and old ones
+    words = [f"w{i}" for i in range(64)] + shared
+    # each shared term's old postings past its last complete block (one
+    # segment per tkey)
+    tkeys = term_hash(np.array(shared, dtype=object)) % np.uint64(cfg.term_partitions)
+    by_tkey = {s["tkey"]: s["name"] for s in man0["segments"]}
+    tails = sum(r0._readers[by_tkey[int(t)]].term_stats(w)[0] % BLOCK for w, t in zip(shared, tkeys))
+    r0.close()
     page = pa.table(
         {
             "url": pa.array(["doc://tele-new"], pa.string()),
-            # enough distinct terms to reach every term partition
-            "text": pa.array([" ".join(f"w{i}" for i in range(64))], pa.string()),
+            "text": pa.array([" ".join(words)], pa.string()),
             "lang": pa.array(["en"], pa.string()),
         }
     )
     man1 = upsert_pages(d, idx, page, cfg)
     m1, n_parts = man1["metrics"], man1["stats"]["n_doc_parts"]
     assert m1["segments_resumed"] == 0
-    assert m1["segments_built"] == man1["stats"]["n_segments"]
+    assert m1["segments_built"] == m1["segments_extended"] == man1["stats"]["n_segments"]
     assert m1["parts_resumed"] == n_parts - 1
     assert m1["phase_a_tasks"] == 1
+    assert m1["n_postings"] - m0["n_postings"] == len(words)
+    assert tails > 0
+    assert m1["postings_encoded"] == len(words) + tails
 
 
 def test_segments_identical_for_any_block_count(

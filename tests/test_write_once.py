@@ -1,8 +1,10 @@
 """Phase B's encode batches and write-once packs: a batch of segments
 writes the bytes each segment alone would, as one pack; a rebuild resumes
-every segment a whole pack holds and re-encodes only the rest; a reader
-holds two files per pack and keeps answering from its own commit point
-while upserts and merges replace the packs it opened."""
+every segment a whole pack holds and re-encodes only the rest; an upsert
+extends each segment whose sources start with a stored segment's, to the
+bytes a cold build writes; a reader holds two files per pack and keeps
+answering from its own commit point while upserts and merges replace the
+packs it opened."""
 
 import os
 import shutil
@@ -12,7 +14,7 @@ import pyarrow as pa
 import pytest
 
 from apache___solr_ray import build, segment
-from apache___solr_ray.build import IndexConfig, build_index
+from apache___solr_ray.build import FieldSpec, IndexConfig, build_index
 from apache___solr_ray.corpus import pages_table, write_pages
 from apache___solr_ray.deletes import delete_by_url
 from apache___solr_ray.manifest import read_json
@@ -366,3 +368,172 @@ def test_manifest_records_are_the_packs_toc_members(ray_session, tmp_path_factor
     man = merge_segments(idx, purge_deletes=True)
     assert all(s["salt"] == -1 for s in man["segments"])
     _assert_records_are_toc_members(idx, man)
+
+
+def _records(man: dict) -> dict:
+    """The manifest's segment records but for their place (``PLACE``)."""
+    return {s["name"]: {k: v for k, v in s.items() if k not in PLACE} for s in man["segments"]}
+
+
+def _assert_topk_is_exhaustive(idx: str, n: int, seed: int) -> None:
+    r = IndexReader(idx)
+    for q in _hot_queries(idx, n, seed):
+        d1, s1 = r.topk(q, 10)
+        d2, s2 = r.topk_exhaustive(q, 10)
+        assert d1.tolist() == d2.tolist() and s1.tobytes() == s2.tobytes(), q
+    r.close()
+
+
+#: (config, pages of each of three upserts): the bench config; no
+#: positions; a multi-field schema; and segments salted so small that the
+#: second upsert starts a new salt chunk in every tkey while the others
+#: extend the last one
+EXTEND_CASES = {
+    "bench": (IndexConfig(term_partitions=64, target_docs_per_part=4096, text_from_html=False), (64, 64, 64)),
+    "no_positions": (
+        IndexConfig(term_partitions=8, target_docs_per_part=128, store_positions=False, text_from_html=False),
+        (64, 64, 64),
+    ),
+    "multi_field": (
+        IndexConfig(
+            term_partitions=8,
+            target_docs_per_part=128,
+            fields=(FieldSpec("url", source="url"), FieldSpec("body", source="text"), FieldSpec("all", copy_sources=("url", "body"))),
+        ),
+        (64, 64, 64),
+    ),
+    "salted": (
+        IndexConfig(term_partitions=4, target_docs_per_part=128, max_postings_per_segment=9000, text_from_html=False),
+        (64, 300, 64),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTEND_CASES))
+def test_upserts_extend_to_the_bytes_of_a_cold_build(case, ray_session, tmp_path_factory, monkeypatch):
+    """After three upserts, each of which extends every segment it
+    rebuilds, every committed segment's record (but for its place) and
+    bytes equal a cold build's of the same corpus, and ``topk`` equals
+    ``topk_exhaustive`` bit for bit. The extensions encoded the new
+    postings and a few old ones, not the index."""
+    cfg, sizes = EXTEND_CASES[case]
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    d = str(tmp_path_factory.mktemp(f"pages_extend_{case}"))
+    write_pages(d, 512, seed=29, rows_per_file=256)
+    idx = str(tmp_path_factory.mktemp(f"index_extend_{case}"))
+    m = build_index(d, idx, cfg)["metrics"]
+    assert (m["segments_extended"], m["postings_encoded"]) == (0, m["n_postings"])
+    for u, n in enumerate(sizes):
+        before = m["n_postings"]
+        man = upsert_pages(d, idx, pages_table(n, seed=29, start=40 + 100 * u), cfg)
+        m = man["metrics"]
+        n_new = m["n_postings"] - before
+        if case == "salted" and u == 1:  # a new chunk per tkey: nothing to extend
+            assert m["segments_extended"] == 0 and m["segments_built"] == cfg.term_partitions
+            assert m["postings_encoded"] == n_new
+        else:
+            assert m["segments_extended"] == m["segments_built"] == cfg.term_partitions
+            assert n_new < m["postings_encoded"] < before
+    cold = str(tmp_path_factory.mktemp(f"index_extend_{case}_cold"))
+    want = build_index(d, cold, cfg)
+    assert _records(man) == _records(want)
+    assert _segment_bytes(idx) == _segment_bytes(cold)
+    _assert_topk_is_exhaustive(idx, 24, seed=case == "bench")
+
+
+def test_plan_rule_resumes_extends_or_encodes(ray_session, tmp_path_factory, monkeypatch):
+    """One plan rule: a 64-page upsert extends 64 of 64 segments; a rebuild
+    of unchanged inputs resumes all of them; after a purge merge (whose
+    segments are no phase-B source prefix) an upsert extends none and
+    encodes every posting."""
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    cfg = IndexConfig(term_partitions=64, target_docs_per_part=4096, text_from_html=False)
+    d = str(tmp_path_factory.mktemp("pages_plan_rule"))
+    write_pages(d, 512, seed=31, rows_per_file=256)
+    idx = str(tmp_path_factory.mktemp("index_plan_rule"))
+    build_index(d, idx, cfg)
+    m = upsert_pages(d, idx, pages_table(64, seed=31, start=8), cfg)["metrics"]
+    assert (m["segments_built"], m["segments_extended"], m["segments_resumed"]) == (64, 64, 0)
+    os.remove(os.path.join(idx, "index_manifest.json"))
+    m = build_index(d, idx, cfg)["metrics"]
+    assert (m["segments_built"], m["segments_extended"], m["segments_resumed"]) == (0, 0, 64)
+    assert m["postings_encoded"] == 0
+    # (the removed manifest held the upsert's deletes)
+    assert delete_by_url(idx, pages_table(8, seed=31, start=300).column("url").to_pylist()) == 8
+    assert all(s["salt"] == -1 for s in merge_segments(idx, purge_deletes=True)["segments"])
+    man = upsert_pages(d, idx, pages_table(64, seed=31, start=200), cfg)
+    m = man["metrics"]
+    assert (m["segments_built"], m["segments_extended"], m["segments_resumed"]) == (64, 0, 0)
+    assert m["postings_encoded"] == m["n_postings"]
+
+
+def test_a_truncated_base_is_not_extended(mixed, tmp_path_factory, monkeypatch):
+    """A committed pack whose ``.post`` was cut short is no base: an
+    upsert encodes its members' segments from ``postings_raw``, extends
+    the others, and commits a cold build's segments."""
+    d, cfg = mixed
+    d2 = str(tmp_path_factory.mktemp("pages_torn_base"))
+    shutil.rmtree(d2)
+    shutil.copytree(d, d2)
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    idx = str(tmp_path_factory.mktemp("index_torn_base"))
+    man = build_index(d2, idx, cfg)
+    members = _packs(man)
+    torn = sorted(members, key=lambda p: -len(members[p]))[0]
+    post = os.path.join(segments_dir(idx), torn + ".post")
+    with open(post, "r+b") as f:
+        f.truncate(os.path.getsize(post) - 5)
+    new = upsert_pages(d2, idx, pages_table(24, seed=13, start=7), cfg)
+    m, part = new["metrics"], man["stats"]["n_doc_parts"]  # the upsert's part id
+    # a segment that holds the new part and older ones grew from its salt's
+    # previous record, which the torn pack may hold
+    prev = {(s["tkey"], s["salt"]): s for s in man["segments"]}
+    holds_new = [s for s in new["segments"] if s["part_hi"] == part + 1]
+    grown = [prev[(s["tkey"], s["salt"])] for s in holds_new if s["part_lo"] < part]
+    n_torn_bases = sum(b["pack"] == torn for b in grown)
+    assert n_torn_bases >= 1 and len(grown) > n_torn_bases
+    assert m["segments_extended"] == len(grown) - n_torn_bases
+    assert m["segments_built"] == len(holds_new) + len(members[torn]) - n_torn_bases
+    cold = str(tmp_path_factory.mktemp("index_torn_base_cold"))
+    want = build_index(d2, cold, cfg)
+    assert _records(read_json(os.path.join(idx, "index_manifest.json"))) == _records(want)
+    assert _segment_bytes(idx) == _segment_bytes(cold)
+
+
+def test_kill_after_an_extending_packs_rename_resumes_it(mixed, tmp_path_factory, monkeypatch):
+    """An upsert killed after its extending batches' pack renames and
+    before the manifest swap: the re-run resumes every written pack (it
+    encodes nothing) and commits what an uninterrupted upsert commits."""
+    d, cfg = mixed
+    d2 = str(tmp_path_factory.mktemp("pages_kill_extend"))
+    shutil.rmtree(d2)
+    shutil.copytree(d, d2)
+    monkeypatch.setattr(build, "_cluster_cpus", lambda: 1)
+    idx = str(tmp_path_factory.mktemp("index_kill_extend"))
+    build_index(d2, idx, cfg)
+    clean = str(tmp_path_factory.mktemp("index_kill_extend_clean"))
+    shutil.rmtree(clean)
+    shutil.copytree(idx, clean)
+    pages = pages_table(24, seed=13, start=11)
+
+    with monkeypatch.context() as mp:
+        write = build.write_json_atomic
+
+        def killed(path, obj):
+            if path.endswith("index_manifest.json"):
+                raise RuntimeError("killed before the manifest swap")
+            write(path, obj)
+
+        mp.setattr(build, "write_json_atomic", killed)
+        with pytest.raises(RuntimeError, match="killed before"):
+            upsert_pages(d2, idx, pages, cfg)
+    man = build_index(d2, idx, cfg)
+    m = man["metrics"]
+    assert (m["segments_built"], m["segments_extended"], m["postings_encoded"]) == (0, 0, 0)
+    assert m["segments_resumed"] == len(man["segments"])
+
+    delete_by_url(clean, pages.column("url").to_pylist())  # what upsert_pages did before the build
+    want = build_index(d2, clean, cfg)
+    assert want["metrics"]["segments_extended"] > cfg.term_partitions // 2
+    assert man["segments"] == want["segments"]  # records: packs and offsets too
+    assert _segment_bytes(idx) == _segment_bytes(clean)
