@@ -101,8 +101,8 @@ from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.extract import extract_batch
 from apache___solr_ray.lucene import int_to_byte4_array
 from apache___solr_ray.manifest import (
-    DOCS_STAMP,
     collection_stats,
+    docs_stamp,
     input_fingerprint,
     is_valid,
     read_json,
@@ -463,9 +463,9 @@ def _process_partition(desc: dict, index_dir: str, cfg: IndexConfig) -> dict:
     doc_tbl = pa.concat_tables(docs)
     docs_path = _part_path(index_dir, "docs", part_id)
     os.makedirs(os.path.dirname(docs_path), exist_ok=True)
-    # stamped with the part's input fingerprint: a reader of a commit that
-    # names another layout's part here refuses the file (doc_column)
-    stamp = {DOCS_STAMP: desc["fingerprint"].encode()}
+    # stamped with the part's lineage: a reader of a commit that names
+    # another layout's or config's part here refuses the file (doc_column)
+    stamp = docs_stamp(desc["fingerprint"], cfg.fingerprint())
     pq.write_table(doc_tbl.replace_schema_metadata(stamp), docs_path + ".tmp")
     os.replace(docs_path + ".tmp", docs_path)
 
@@ -907,6 +907,7 @@ def build_index(
 
     man = {
         "config": cfg.fingerprint_full(),
+        "phase_a_config": cfg.fingerprint(),
         "input_fingerprints": fingerprints,
         "stats": stats,
         "deletes": _carry_deletes(index_dir, (committed or {}).get("deletes") or {}, parts),

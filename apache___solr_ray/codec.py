@@ -49,7 +49,11 @@ norms array cannot be broadcast.
 Both encode and decode are numpy-vectorized (no per-posting Python); the
 group encoder ``encode_postings_group`` VInt-codes an entire shuffle group
 (hundreds of thousands of postings), preludes included, in one pass and
-only slices per term.
+only slices per term. ``_decode_runs`` is the one decoder of delta and tf
+streams: whole views (``decode_postings_concat``), selected blocks
+(``PostingsView.decode_blocks``) and trailing partial blocks
+(``decode_tails``) are runs of it, each stream gathered into one buffer;
+``decode_position_stream`` is the one position decoder.
 
 A term's complete blocks never change when postings of later docs are
 appended (every block but a term's last holds ``BLOCK`` postings, and the
@@ -600,51 +604,32 @@ class PostingsView:
     def doc_freq(self) -> int:
         return self.p_base - self.n_base  # one norm byte per posting
 
-    def decode_blocks(self, bis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode MANY blocks with two vectorized varint passes.
+    def _block_ranges(self, bis: np.ndarray, key: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Byte ranges ``[lo, hi)`` in ``buf`` of the blocks ``bis`` of the
+        stream ``buf[lo:hi]``, from the headers' ``key`` offsets (a single
+        block is the whole stream)."""
+        rel = self._headers[key].astype(np.int64) if self.n_blocks > 1 else np.zeros(1, np.int64)
+        off = np.append(lo + rel, hi)
+        return off[bis], off[bis + 1]
 
-        ``bis`` must be sorted ascending, unique. Returns (docs int64,
-        tfs int64, norms uint8) concatenated in block order (two varint
-        calls for the whole selection instead of two per block)."""
-        n_sel = len(bis)
-        if n_sel == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), np.zeros(0, dtype=np.uint8)
-        if self.n_blocks == 1:  # the whole streams, no header
-            n = self.doc_freq
-            deltas = _decode_exact(self.buf[self.d_base : self.t_base], n)
-            tfs = _decode_exact(self.buf[self.t_base : self.n_base], n)
-            norms = self.buf[self.n_base : self.p_base].copy()
-            return np.cumsum(deltas.astype(np.int64)), tfs.astype(np.int64) + 1, norms
-        h = self.headers
-        nd = h["n_docs"][bis].astype(np.int64)
-        total = int(nd.sum())
-        d_off = h["d_off"].astype(np.int64)
-        t_off = h["t_off"].astype(np.int64)
-        d_len_total = self.t_base - self.d_base
-        t_len_total = self.n_base - self.t_base
-        d_ends = np.concatenate([d_off[1:], [d_len_total]])
-        t_ends = np.concatenate([t_off[1:], [t_len_total]])
-        dbuf = np.concatenate(
-            [self.buf[self.d_base + d_off[b] : self.d_base + d_ends[b]] for b in bis]
-        )
-        tbuf = np.concatenate(
-            [self.buf[self.t_base + t_off[b] : self.t_base + t_ends[b]] for b in bis]
-        )
-        deltas, _ = varint_decode(dbuf, total)
-        tfs, _ = varint_decode(tbuf, total)
-        # every block but the last holds BLOCK postings
+    def decode_blocks(self, bis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode the blocks ``bis`` (sorted ascending, unique) as runs of
+        ``_decode_runs``, one VInt call per stream for the whole selection.
+        Returns (docs int64, tfs int64, norms uint8) concatenated in block
+        order. A block's first delta is taken against the previous block's
+        ``last_doc`` (0 for block 0)."""
+        bis = np.asarray(bis, dtype=np.int64)
         n_lo = self.n_base + bis * BLOCK
-        norms = np.concatenate([self.buf[a : a + k] for a, k in zip(n_lo, nd)])
-        # docs: per block, base(prev block's last_doc, 0 for block 0) + cumsum
-        starts = np.zeros(n_sel, dtype=np.int64)
-        np.cumsum(nd[:-1], out=starts[1:])
-        C = np.cumsum(deltas.astype(np.int64))
-        Cext = np.concatenate([[0], C])
-        base_prev = np.where(bis > 0, h["last_doc"][np.maximum(bis - 1, 0)].astype(np.int64), 0)
-        adj = np.repeat(base_prev - Cext[starts], nd)
-        docs = C + adj
-        return docs, tfs.astype(np.int64) + 1, norms
+        counts = np.minimum(self.p_base - n_lo, BLOCK)  # every block but the last holds BLOCK
+        # a single block's first delta is absolute
+        first_base = None if self.n_blocks == 1 else np.append(0, self._headers["last_doc"].astype(np.int64))[bis]
+        return _decode_runs(
+            _gather(self.buf, *self._block_ranges(bis, "d_off", self.d_base, self.t_base)),
+            _gather(self.buf, *self._block_ranges(bis, "t_off", self.t_base, self.n_base)),
+            _gather(self.buf, n_lo, n_lo + counts),
+            counts,
+            first_base,
+        )
 
     def decode_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.decode_blocks(np.arange(self.n_blocks, dtype=np.int64))
@@ -660,14 +645,5 @@ class PostingsView:
         cost — the position stream is never touched by BM25 scoring."""
         if not self.has_positions:
             raise ValueError("segment was built without positions")
-        if len(bis) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self.n_blocks == 1:
-            pbuf = self.buf[self.p_base : self.p_base + self.p_len]
-        else:
-            p_off = self.headers["p_off"].astype(np.int64)
-            p_ends = np.concatenate([p_off[1:], [self.p_len]])
-            pbuf = np.concatenate(
-                [self.buf[self.p_base + p_off[b] : self.p_base + p_ends[b]] for b in bis]
-            )
+        pbuf = _gather(self.buf, *self._block_ranges(bis, "p_off", self.p_base, self.p_base + self.p_len))
         return decode_position_stream(pbuf, tfs.astype(np.int64))

@@ -23,9 +23,15 @@ import json
 import os
 from typing import Any
 
-#: the Parquet key-value metadata key under which phase A stamps each docs
-#: file with its part's input fingerprint (``input_fingerprint``)
-DOCS_STAMP = b"input_fingerprint"
+
+def docs_stamp(input_fp: str, config_fp: str | None) -> dict[bytes, bytes]:
+    """The Parquet key-value metadata phase A stamps on a docs file: its
+    part's lineage (``build._part_fingerprint``), the input fingerprint
+    (``input_fingerprint``) and the phase-A config fingerprint
+    (``IndexConfig.fingerprint``, a commit's ``phase_a_config``). A
+    commit made before that key has ``config_fp`` None: no docs file
+    carries its stamp, so one a later build stamped is refused."""
+    return {b"input_fingerprint": input_fp.encode(), b"phase_a_config": str(config_fp).encode()}
 
 
 def write_json_atomic(path: str, obj: dict[str, Any]) -> None:

@@ -12,13 +12,15 @@ of ``QueryComponent.mergeIds``):
   sum per Lucene's DisjunctionSumScorer (float64 accumulate → float32);
 - top-k ties break by ascending doc_id (Lucene single-index collector
   order, the conformance rule fixed in SURVEY §7.4);
-- evaluation is **exhaustive and batched**: every BM25 entry point scores
-  through one kernel, ``_score_all``: one vectorized decode-and-score pass
-  over every query term's postings, summed per doc in a candidate-sized
-  accumulator; ``merge_topk`` is the one top-k selection. Lucene prunes
-  with block-max WAND instead; on this engine's posting lists the bound
-  bookkeeping cost more than the blocks it skipped, so no pruning is
-  done. Multi-block terms keep their block headers for the block skip of
+- evaluation is **exhaustive and batched**: every BM25 top-k entry point
+  scores through one step, ``IndexReader._score`` (scorers, live-docs and
+  filter mask), over one kernel, ``_score_all`` (``topk_dismax`` calls it
+  per field): one vectorized decode-and-score pass over every query
+  term's postings, summed per doc in a candidate-sized accumulator;
+  ``merge_topk`` is the one top-k selection. Lucene prunes with block-max
+  WAND instead; on this engine's posting lists the bound bookkeeping cost
+  more than the blocks it skipped, so no pruning is done. Multi-block
+  terms keep their block headers for the block skip of
   ``TermPostings.positions_for_docs``;
 - positional queries (phrase, span-near, complex-phrase, payload) share
   one evaluator: ``_clause_positions`` decodes each clause once, keeps the
@@ -53,7 +55,7 @@ import pyarrow.parquet as pq
 from apache___solr_ray.analyze import Analyzer
 from apache___solr_ray.codec import BLOCK, decode_postings_concat
 from apache___solr_ray.lucene import BM25Scorer
-from apache___solr_ray.manifest import DOCS_STAMP, read_json
+from apache___solr_ray.manifest import docs_stamp, read_json
 from apache___solr_ray.segment import TERMS_SCHEMA, SegmentReader, open_segments, term_hash
 
 #: (part, column) doc-sidecar arrays an ``IndexReader`` keeps (LRU)
@@ -80,12 +82,7 @@ class TermPostings:
         self.ttf = ttf
 
     def decode_all(self):
-        parts = [v.decode_all() for v in self.views]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-        )
+        return decode_postings_concat(self.views)
 
     def positions_for_docs(self, docs_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of this term restricted to the given (sorted, unique)
@@ -142,25 +139,16 @@ class IndexReader:
         self.tombstones = deleted_ids(man)
         self.analyzer = Analyzer()  # same default chain as the build
 
-    def _alive(self, doc_ids: np.ndarray) -> np.ndarray | None:
-        """Bool mask of non-tombstoned docs, or None when nothing is
-        deleted (Lucene liveDocs). ``tombstones`` is sorted and unique
-        (``deletes.deleted_ids``): one binary search per doc id."""
+    def _alive(self, doc_ids: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray | None:
+        """Bool mask of non-tombstoned docs (Lucene liveDocs) ANDed with
+        ``mask`` when given; ``mask`` when nothing is deleted.
+        ``tombstones`` is sorted and unique (``deletes.deleted_ids``): one
+        binary search per doc id."""
         t = self.tombstones
         if len(t) == 0:
-            return None
-        return t[np.minimum(np.searchsorted(t, doc_ids), len(t) - 1)] != doc_ids
-
-    def _alive_and(self, allowed):
-        """``_score_all``'s ``keep``: the ``allowed(doc_ids)`` mask ANDed
-        with the live-docs mask."""
-
-        def keep(doc_ids: np.ndarray) -> np.ndarray:
-            mask = allowed(doc_ids)
-            alive = self._alive(doc_ids)
-            return mask if alive is None else mask & alive
-
-        return keep
+            return mask
+        alive = t[np.minimum(np.searchsorted(t, doc_ids), len(t) - 1)] != doc_ids
+        return alive if mask is None else mask & alive
 
     # -- segment access -----------------------------------------------------
 
@@ -276,6 +264,18 @@ class IndexReader:
                 df = df_override.get(term, tp.df) if df_override else tp.df
                 out.append((tp, BM25Scorer(df, dc, stf, boost=float(n))))
         return out
+
+    def _score(
+        self, query: str, allowed=None, field: str | None = None, df_override: dict[str, int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one scoring step of the BM25 top-k entry points: every live
+        doc matching ``query`` (ascending) with its float32 score sum
+        (``_score_all``), restricted to the docs ``allowed(doc_ids)``
+        passes when given; empty when no query term is indexed."""
+        scorers = self._scorers(query, df_override=df_override, field=field)
+        if not scorers:
+            return np.zeros(0, np.int64), np.zeros(0, np.float32)
+        return _score_all(scorers, lambda docs: self._alive(docs, None if allowed is None else allowed(docs)))
 
     def term_stats_map(self, query: str) -> dict[str, int]:
         """Global (term -> df) for a query — the ExactStatsCache round-trip
@@ -570,10 +570,7 @@ class IndexReader:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k over docs passing a filter (fq analog): full scoring of the
         disjunction, filter applied BEFORE rank selection — exact."""
-        scorers = self._scorers(query)
-        if not scorers:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        return merge_topk([_score_all(scorers, self._alive_and(allowed))], k)
+        return merge_topk([self._score(query, allowed)], k)
 
     def topk_and(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
         """Conjunctive (+term +term) top-k: BM25 disjunctive-sum scores
@@ -589,10 +586,7 @@ class IndexReader:
         """Result grouping (Grouping.java / group.field analog): top-k docs
         per value of a doc-sidecar column. One full scoring pass; the
         group partition happens on the scored candidates."""
-        scorers = self._scorers(query)
-        if not scorers:
-            return {}
-        d_all, s_all = _score_all(scorers, self._alive)
+        d_all, s_all = self._score(query)
         d_all, s_all = merge_topk([(d_all, s_all)], len(d_all))
         vals = np.array(self.doc_values(d_all, group_col).to_pylist(), dtype=object)
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -618,10 +612,7 @@ class IndexReader:
         self, query: str, k: int = 10, field: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k in one batched pass (identical results to exhaustive)."""
-        scorers = self._scorers(query, field=field)
-        if not scorers:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        return merge_topk([_score_all(scorers, self._alive)], k)
+        return merge_topk([self._score(query, field=field)], k)
 
     def cursor_page(
         self,
@@ -636,16 +627,13 @@ class IndexReader:
         next cursor. Stateless — the cursor is the last row's (float32
         score, doc id), so any shard/replica can resume the walk; pages
         never skip or repeat rows even when scores tie across pages."""
-        scorers = self._scorers(query, field=field)
-        if not scorers:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32), None
-        d_all, s_all = _score_all(scorers, self._alive)
+        d_all, s_all = self._score(query, field=field)
         if cursor is not None:
             c_s = np.float32(cursor[0])
             after = (s_all < c_s) | ((s_all == c_s) & (d_all > cursor[1]))
             d_all, s_all = d_all[after], s_all[after]
         d_out, s_out = merge_topk([(d_all, s_all)], k)
-        nxt = (float(s_out[-1]), int(d_out[-1])) if len(d_out) == k else None
+        nxt = (float(s_out[-1]), int(d_out[-1])) if 0 < k == len(d_out) else None
         return d_out, s_out, nxt
 
     def topk_dismax(
@@ -699,12 +687,9 @@ class IndexReader:
         """Top-k restricted to doc partitions [part_lo, part_hi) — the
         per-shard leg of ``QueryService``, in the same batched pass as
         ``topk``."""
-        scorers = self._scorers(query, df_override=df_override)
-        if not scorers:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
         lo, hi = part_lo << 32, part_hi << 32
-        keep = self._alive_and(lambda docs: (docs >= lo) & (docs < hi))
-        return merge_topk([_score_all(scorers, keep)], k)
+        scored = self._score(query, lambda docs: (docs >= lo) & (docs < hi), df_override=df_override)
+        return merge_topk([scored], k)
 
     # -- doc resolution -----------------------------------------------------
 
@@ -779,10 +764,10 @@ class IndexReader:
         local doc ids (``doc_id = part << 32 | row``). The only reader of
         the ``docs/`` sidecar: a part outside the manifest's
         ``[0, n_doc_parts)`` raises ``IndexError`` whatever the directory
-        holds, and a file whose input-fingerprint stamp is not the
-        commit's for the part (a later build rewrote it for another
-        layout), or that is gone, raises ``RuntimeError``; a file without
-        a stamp is read as it is. LRU-cached per (part, column)."""
+        holds, and a file whose lineage stamp (``manifest.docs_stamp``) is
+        not the commit's for the part (a later build rewrote it for another
+        layout, sort or schema), or that is gone, raises ``RuntimeError``;
+        a stamp a file lacks is not checked. LRU-cached per (part, column)."""
         part = int(part)
         if not 0 <= part < self.n_doc_parts:
             raise IndexError(f"doc part {part} is not in the committed [0, {self.n_doc_parts})")
@@ -794,9 +779,9 @@ class IndexReader:
                 t = pq.read_table(path, columns=[column])
             except FileNotFoundError:
                 t = None
-            stamp = (t.schema.metadata or {}).get(DOCS_STAMP) if t is not None else None
-            want = self.manifest["input_fingerprints"][part]
-            if t is None or (stamp is not None and stamp.decode() != want):
+            want = docs_stamp(self.manifest["input_fingerprints"][part], self.manifest.get("phase_a_config"))
+            stamp = {} if t is None else t.schema.metadata or {}
+            if t is None or any(stamp.get(k, v) != v for k, v in want.items()):
                 raise RuntimeError(
                     f"doc part {part} of {self.dir} was rebuilt since this reader opened; "
                     "reopen the reader"
@@ -841,10 +826,7 @@ class IndexReader:
         boost computed from stored doc values AFTER text scoring, ranked by
         the boosted score (desc, doc asc). Boosted scores are this engine's
         own semantics (documented), not a Lucene parity surface."""
-        scorers = self._scorers(query)
-        if not scorers:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        d_all, s_all = _score_all(scorers, self._alive)
+        d_all, s_all = self._score(query)
         boosted = (s_all.astype(np.float64) * boost_fn(d_all)).astype(np.float32)
         return merge_topk([(d_all, boosted)], k)
 

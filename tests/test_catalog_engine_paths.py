@@ -4,8 +4,10 @@ Scans the package source: the per-index doc-id dict is gone, the float64
 BM25 per-term loop has one home (``lucene.bm25_f64_columns``), and whole
 posting lists are decoded outside the engine (``query.py``, ``codec.py``)
 only by the named entries below, each of which needs every posting.
-Position streams are read only by the one positional evaluator. A
-segment record's place in its pack is read only by ``segment.py``.
+Position streams are read only by the one positional evaluator. Delta
+and tf streams decode in one function, and the BM25 top-k entry points
+score through one step. A segment record's place in its pack is read
+only by ``segment.py``.
 """
 
 import ast
@@ -68,6 +70,30 @@ def test_positions_decode_only_in_the_positional_evaluator():
     assert set(calls) == {("query.py", "_clause_positions"), ("query.py", "positions_for_docs")}
     hits = [p for p in PKG.rglob("*.py") if "_ordered_chain_docs" in p.read_text()]
     assert hits == []
+
+
+def _named(name):
+    """Callee test for ``name(...)`` and ``x.name(...)``."""
+    return lambda f: (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name)
+
+
+def test_one_block_decoder():
+    """Delta and tf streams turn into doc ids in ``codec._decode_runs``
+    only: whole views, selected blocks and trailing partial blocks are runs
+    of it, and no module but ``codec.py`` calls the VInt decoder."""
+    assert set(_calls(_named("_decode_runs"))) == {
+        ("codec.py", "decode_postings_concat"),
+        ("codec.py", "decode_tails"),
+        ("codec.py", "decode_blocks"),
+    }
+    assert {mod for mod, _ in _calls(_named("varint_decode"))} == {"codec.py"}
+
+
+def test_one_bm25_scoring_step():
+    """The BM25 top-k entry points score through ``IndexReader._score``;
+    only it and ``topk_dismax`` (one kernel call per field) call the
+    ``_score_all`` kernel."""
+    assert set(_calls(_named("_score_all"))) == {("query.py", "_score"), ("query.py", "topk_dismax")}
 
 
 #: the directory of an index's segment files

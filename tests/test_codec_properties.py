@@ -5,7 +5,8 @@ single-term encoder payload-for-payload, and the whole-stream decode of
 many views equals their concatenated per-block decodes. Single-block
 payloads (no stored header) round-trip with and without positions, their
 derived header equals the one the payload used to store, and the phrase
-path decodes them once. Continuing a stored payload's complete blocks with
+path decodes them once. Any sorted subset of a view's blocks decodes to
+the encoder's input rows and positions of those blocks. Continuing a stored payload's complete blocks with
 later postings gives the bytes of encoding the whole list."""
 
 import os
@@ -179,6 +180,35 @@ def _old_headers(docs, tfs, norms, pos) -> np.ndarray:
         offs = d_len[:s].sum(), t_len[:s].sum()
         rows.append((docs[e - 1], *offs, e - s, tfs[s:e].max(), norms[s:e].min(), p_len[:s].sum()))
     return np.array(rows, dtype=_HEADER_DTYPE)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=BLOCK - 1),
+    st.booleans(),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1, 0, True, [False] * 6, 0)  # the single-block view, no block
+@example(1, 0, True, [True] * 6, 1)  # the single-block view, its block
+@settings(max_examples=40, deadline=None)
+def test_block_subsets_decode_to_the_encoders_input(n_full, tail, with_pos, pick, seed):
+    """``decode_blocks(bis)`` of a sorted block subset (none, some, all;
+    of a single-block view too) returns the encoder's input rows
+    ``[b*BLOCK, (b+1)*BLOCK)`` of those blocks, and
+    ``decode_blocks_positions`` their positions."""
+    df = n_full * BLOCK + tail
+    docs, tfs, norms, pos = _term_data(df, seed)
+    v = PostingsView(_encode(docs, tfs, norms, pos, with_pos))
+    bis = np.flatnonzero(pick[: v.n_blocks]).astype(np.int64)
+    rows = np.concatenate([np.zeros(0, np.int64)] + [np.arange(b * BLOCK, min(b * BLOCK + BLOCK, df)) for b in bis])
+    got = v.decode_blocks(bis)
+    for g, want, dtype in zip(got, (docs, tfs, norms), (np.int64, np.int64, np.uint8)):
+        assert g.dtype == dtype
+        assert g.tolist() == want[rows].tolist()
+    if with_pos:
+        want_pos = np.concatenate([np.zeros(0, np.int64)] + [pos[i] for i in rows])
+        assert v.decode_blocks_positions(bis, got[1]).tolist() == want_pos.tolist()
 
 
 @pytest.mark.parametrize("with_pos", [False, True])

@@ -11,6 +11,7 @@ import shutil
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
@@ -616,6 +617,36 @@ def test_a_reader_refuses_doc_parts_a_later_layout_rewrote(ray_session, tmp_path
     unstamped = IndexReader(idx)
     assert unstamped.urls_for(doc) == [t.column("url")[5].as_py()]
     unstamped.close()
+
+
+def test_a_reader_refuses_doc_parts_another_sort_rewrote(ray_session, tmp_path_factory):
+    """A rebuild that keeps the layout but sorts each part's rows by
+    another column rewrites every docs file under the same input
+    fingerprints. A reader opened before it raises "reopen the reader"
+    (each docs file is stamped with its phase-A config too) where the new
+    rows would give it other docs' urls."""
+    d = str(tmp_path_factory.mktemp("pages_resort"))
+    rng = np.random.default_rng(5)
+    pages = pages_table(300, seed=5)
+    for col in ("a", "b"):
+        pages = pages.append_column(col, pa.array(rng.random(300), pa.float64()))
+    pq.write_table(pages, os.path.join(d, "pages-000000.parquet"), row_group_size=100)
+    idx = str(tmp_path_factory.mktemp("index_resort"))
+    base = dict(term_partitions=2, target_docs_per_part=128)
+    build_index(d, idx, IndexConfig(**base, sort_field="a"))
+    old = IndexReader(idx)
+    top, _ = old.topk("the fast data", 5)
+    assert len(top)
+    want = old.urls_for(top)
+    man = build_index(d, idx, IndexConfig(**base, sort_field="b"))
+    assert man["input_fingerprints"] == old.manifest["input_fingerprints"]
+    old._docs_cache.clear()
+    with pytest.raises(RuntimeError, match="reopen the reader"):
+        old.urls_for(top)
+    old.close()
+    new = IndexReader(idx)
+    assert new.urls_for(top) != want  # the same ids name other docs now
+    new.close()
 
 
 def test_backup_holds_only_committed_parts(ray_session, tmp_path_factory):

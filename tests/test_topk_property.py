@@ -223,7 +223,8 @@ def test_entry_points_equal_exhaustive(text_index, deleted_frac):
     """``topk``, ``topk_filtered``, ``topk_and``, ``topk_range`` (global df
     on a doc-range reader), ``topk_boosted``, ``grouped_topk`` and three
     ``cursor_page`` pages equal what ``topk_exhaustive(q, 10**9)`` implies,
-    rank for rank and bit for bit, with and without tombstones. The first
+    rank for rank and bit for bit, with and without tombstones; a k = 0
+    cursor page is empty and has no next cursor. The first
     query has twelve head terms and some doc matches at least nine of
     them, so docs sum nine or more addends."""
     r, shapes, rare = text_index
@@ -287,6 +288,8 @@ def test_entry_points_equal_exhaustive(text_index, deleted_frac):
                     break
             got = (np.concatenate([d for d, _ in pages]), np.concatenate([s for _, s in pages]))
             _assert_ranked(got, (d_all[:21], s_all[:21]), ("cursor", q))
+            d, s, cursor = r.cursor_page(q, 0)
+            assert len(d) == len(s) == 0 and cursor is None, ("cursor k=0", q)
     finally:
         r.tombstones = saved
 
