@@ -884,7 +884,7 @@ def bm25_topk_lang_en(sf_dir: str):
     allowed = r.doc_filter_mask("lang", "en")
     qids, ranks, ids, scores = [], [], [], []
     for qi, query in enumerate(BM25_QUERIES):
-        d, s = r.topk_filtered(query, 10, allowed)
+        d, s = r.topk(query, 10, allowed=allowed)
         qids.extend([qi] * len(d))
         ranks.extend(range(1, len(d) + 1))
         ids.extend(_ext_ids(r, d).tolist())
@@ -1235,9 +1235,7 @@ def index_frange_topk(sf_dir: str):
 
     index_dir = ensure_doc_index(sf_dir)
     r = IndexReader(index_dir)
-    docs, scores = r.topk_filtered(
-        "fast merge join", 10, r.doc_range_mask("doc_len", 40, 120)
-    )
+    docs, scores = r.topk("fast merge join", 10, allowed=r.doc_range_mask("doc_len", 40, 120))
     return pa.table(
         {
             "rank": pa.array(range(1, len(docs) + 1), pa.int64()),

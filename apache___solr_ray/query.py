@@ -12,16 +12,21 @@ of ``QueryComponent.mergeIds``):
   sum per Lucene's DisjunctionSumScorer (float64 accumulate → float32);
 - top-k ties break by ascending doc_id (Lucene single-index collector
   order, the conformance rule fixed in SURVEY §7.4);
-- evaluation is **exhaustive and batched**: every BM25 top-k entry point
-  scores through one step, ``IndexReader._score`` (scorers, live-docs and
-  filter mask), over one kernel, ``_score_all`` (``topk_dismax`` calls it
-  per field): one vectorized decode-and-score pass over every query
-  term's postings, summed per doc in a candidate-sized accumulator;
-  ``merge_topk`` is the one top-k selection. Lucene prunes with block-max
-  WAND instead; on this engine's posting lists the bound bookkeeping cost
-  more than the blocks it skipped, so no pruning is done. Multi-block
-  terms keep their block headers for the block skip of
-  ``TermPostings.positions_for_docs``;
+- evaluation is **exhaustive and batched**: ``IndexReader.topk`` is the
+  one BM25 top-k entry point (``allowed=`` filters before rank selection,
+  ``df_override=`` carries a shard's global df); it, ``cursor_page`` and
+  ``grouped_topk`` score through one step, ``IndexReader._score``
+  (scorers, live docs and filter mask), over one kernel, ``_score_all``
+  (``topk_dismax`` calls it per field): one vectorized decode-and-score
+  pass over every query term's postings, summed per doc in a
+  candidate-sized accumulator; ``merge_topk`` is the one top-k selection.
+  Lucene prunes with block-max WAND instead; on this engine's posting
+  lists the bound bookkeeping cost more than the blocks it skipped, so no
+  pruning is done. Multi-block terms keep their block headers for the
+  block skip of ``TermPostings.positions_for_docs``;
+- a reader scoped to parts [lo, hi) (``part_range``, a shard's reader)
+  answers only for their docs: ``IndexReader._alive``, the one live-docs
+  step of every path, drops other parts' docs with the tombstoned ones;
 - positional queries (phrase, span-near, complex-phrase, payload) share
   one evaluator: ``_clause_positions`` decodes each clause once, keeps the
   live docs every clause holds and reads positions only for the blocks
@@ -35,10 +40,10 @@ of ``QueryComponent.mergeIds``):
 ``TopKQueryActor`` is the stateful stage: construct once per actor (opens
 the index, caches term dicts / postings views), score query batches in
 ``__call__`` — used via ``Dataset.map_batches(TopKQueryActor, concurrency=N,
-...)``. ``QueryService`` is the one distributed serving path: doc-range
-shard actors in replica groups, global df broadcast by the coordinator,
-a deadline and shard tolerance per call, and a k-way merge with the
-reference tie-break.
+...)``. ``QueryService`` is the one distributed serving path: shard actors
+on scoped readers in replica groups, each returning its own ``topk`` with
+the global df the coordinator broadcasts, a deadline and shard tolerance
+per call, and a k-way merge with the reference tie-break.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ class TermPostings:
 class IndexReader:
     """Open a committed index: stats, and every segment it reads (both
     files mapped), so the reader answers from its own commit point whatever
-    later commits remove; postings decode lazily."""
+    later commits remove; postings decode lazily. A ``part_range`` reader
+    reads and answers only for its parts (``_alive``)."""
 
     def __init__(self, index_dir: str, part_range: tuple[int, int] | None = None):
         self.dir = index_dir
@@ -131,6 +137,9 @@ class IndexReader:
         self.field_stats: dict[str, dict] = self.stats.get("fields") or {}
         self.n_doc_parts = self.stats["n_doc_parts"]
         self.T = self.stats["term_partitions"]
+        lo, hi = part_range or (0, self.n_doc_parts)
+        #: [lo, hi) doc ids of the part range; None when it covers every part
+        self._doc_range = None if lo <= 0 and hi >= self.n_doc_parts else (lo << 32, hi << 32)
         self._term_dict: pa.Table | None = None
         self._term_cache: OrderedDict[str, TermPostings | None] = OrderedDict()
         self._docs_cache: OrderedDict[tuple[int, str], pa.Array] = OrderedDict()
@@ -140,10 +149,13 @@ class IndexReader:
         self.analyzer = Analyzer()  # same default chain as the build
 
     def _alive(self, doc_ids: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray | None:
-        """Bool mask of non-tombstoned docs (Lucene liveDocs) ANDed with
-        ``mask`` when given; ``mask`` when nothing is deleted.
-        ``tombstones`` is sorted and unique (``deletes.deleted_ids``): one
-        binary search per doc id."""
+        """Bool mask of the reader's live docs (Lucene liveDocs): in its part
+        range and not tombstoned, ANDed with ``mask`` when given; ``mask``
+        when every doc is live. ``tombstones`` is sorted and unique
+        (``deletes.deleted_ids``): one binary search per doc id."""
+        if self._doc_range is not None:
+            in_range = (doc_ids >= self._doc_range[0]) & (doc_ids < self._doc_range[1])
+            mask = in_range if mask is None else mask & in_range
         t = self.tombstones
         if len(t) == 0:
             return mask
@@ -165,9 +177,7 @@ class IndexReader:
             man = read_json(os.path.join(self.dir, "index_manifest.json"))
             if man is None:
                 raise FileNotFoundError(f"no committed index at {self.dir}")
-            # a doc-range-sharded reader skips segments whose covered doc
-            # partitions don't overlap the shard (memory bound = the
-            # shard's segments only)
+            # a scoped reader maps only its parts' segments
             entries = [
                 s
                 for s in man["segments"]
@@ -565,21 +575,6 @@ class IndexReader:
 
         return allowed
 
-    def topk_filtered(
-        self, query: str, k: int, allowed
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k over docs passing a filter (fq analog): full scoring of the
-        disjunction, filter applied BEFORE rank selection — exact."""
-        return merge_topk([self._score(query, allowed)], k)
-
-    def topk_and(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """Conjunctive (+term +term) top-k: BM25 disjunctive-sum scores
-        restricted to docs containing EVERY query term."""
-        must = self.match_docs(query, mode="and")
-        return self.topk_filtered(
-            query, k, lambda d: np.isin(d, must, assume_unique=False)
-        )
-
     def grouped_topk(
         self, query: str, group_col: str, k_per_group: int = 3
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -609,10 +604,15 @@ class IndexReader:
         return fresh, new_ckpt
 
     def topk(
-        self, query: str, k: int = 10, field: str | None = None
+        self, query: str, k: int = 10, field: str | None = None, *, allowed=None, df_override: dict | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k in one batched pass (identical results to exhaustive)."""
-        return merge_topk([self._score(query, field=field)], k)
+        """The BM25 top-k, in one batched pass (identical results to
+        ``topk_exhaustive``): over the docs ``allowed(doc_ids)`` passes when
+        given (the ``fq`` filter, applied before rank selection; a
+        conjunctive top-k passes ``match_docs(query, mode="and")``), with
+        each term's df from ``df_override`` when it has one (the global df a
+        coordinator broadcasts to a shard reader)."""
+        return merge_topk([self._score(query, allowed, field, df_override)], k)
 
     def cursor_page(
         self,
@@ -675,21 +675,6 @@ class IndexReader:
         if not docs_list:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
         return merge_topk([_sum_by_doc(np.concatenate(docs_list), np.concatenate(score_list))], k)
-
-    def topk_range(
-        self,
-        query: str,
-        k: int,
-        part_lo: int,
-        part_hi: int,
-        df_override: dict[str, int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k restricted to doc partitions [part_lo, part_hi) — the
-        per-shard leg of ``QueryService``, in the same batched pass as
-        ``topk``."""
-        lo, hi = part_lo << 32, part_hi << 32
-        scored = self._score(query, lambda docs: (docs >= lo) & (docs < hi), df_override=df_override)
-        return merge_topk([scored], k)
 
     # -- doc resolution -----------------------------------------------------
 
@@ -820,16 +805,6 @@ class IndexReader:
         one row per doc id, in the given order."""
         return pa.table({c: self.doc_values(doc_ids, c) for c in columns})
 
-    def topk_boosted(self, query: str, k: int, boost_fn) -> tuple[np.ndarray, np.ndarray]:
-        """Function-query boosting (the `boost`/`func` parser analog,
-        reference ValueSourceParser.java): final = bm25 * boost_fn(doc_ids),
-        boost computed from stored doc values AFTER text scoring, ranked by
-        the boosted score (desc, doc asc). Boosted scores are this engine's
-        own semantics (documented), not a Lucene parity surface."""
-        d_all, s_all = self._score(query)
-        boosted = (s_all.astype(np.float64) * boost_fn(d_all)).astype(np.float32)
-        return merge_topk([(d_all, boosted)], k)
-
     def urls_for(self, doc_ids: np.ndarray) -> list[str]:
         return self.doc_values(doc_ids, "url").to_pylist()
 
@@ -934,16 +909,15 @@ class TopKQueryActor:
 
 
 class _Shard:
-    """One doc-range shard replica of ``QueryService``: a reader that opens
-    only the segments overlapping parts [lo, hi) and scores with the df
-    the coordinator broadcasts."""
+    """One doc-range shard replica of ``QueryService``: a reader scoped to
+    parts [lo, hi), which answers only for their docs, scoring with the
+    df the coordinator broadcasts."""
 
     def __init__(self, index_dir: str, lo: int, hi: int):
         self.reader = IndexReader(index_dir, part_range=(lo, hi))
-        self.lo, self.hi = lo, hi
 
     def topk(self, query: str, k: int, stats: dict[str, int]):
-        return self.reader.topk_range(query, k, self.lo, self.hi, df_override=stats)
+        return self.reader.topk(query, k, df_override=stats)
 
     def topk_many(self, queries: list[str], k: int, stats: list[dict[str, int]]):
         return [self.topk(q, k, st) for q, st in zip(queries, stats)]
@@ -961,14 +935,13 @@ class QueryService:
     ``solr/core/src/java/org/apache/solr/handler/component/SearchHandler.java:219-420``).
 
     The index's doc parts split into ``n_shards`` contiguous ranges; each
-    shard actor opens only the segments overlapping its range. The cluster's
-    CPUs hold ``max(1, CPUs // shards)`` replica groups of every shard, and
-    an actor never reserves more than its share of the CPUs, so more shards
-    than CPUs still schedule. The coordinator reads term dictionaries only
-    (global df, broadcast with every query when there is more than one
-    shard), so per-shard scores plus the
-    ``merge_topk`` merge are rank- and score-identical to
-    ``IndexReader.topk``.
+    shard actor returns the ``topk`` of a reader scoped to its range. The
+    cluster's CPUs hold ``max(1, CPUs // shards)`` replica groups of every
+    shard, and an actor never reserves more than its share of the CPUs, so
+    more shards than CPUs still schedule. The coordinator reads term
+    dictionaries only (global df, broadcast with every query when there is
+    more than one shard), so per-shard scores plus the ``merge_topk`` merge
+    are rank- and score-identical to ``IndexReader.topk``.
 
     A call that times out may leave its actor busy; later calls still
     return within their own deadline.

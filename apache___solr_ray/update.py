@@ -48,20 +48,21 @@ def upsert_pages(
     return build_index(corpus_dir, index_dir, cfg)
 
 
-def _fetch_stored(corpus_dir: str, urls: list[str]) -> pa.Table:
-    """Latest stored row per url (point lookup over the corpus files —
-    parquet predicate pushdown prunes row groups; upsert files sort after
-    the originals, so 'latest version wins' = keep the LAST occurrence in
-    file order, mirroring the tombstone semantics of upsert_pages)."""
+def _url_rows(corpus_dir: str, urls: list[str], columns: list[str] | None = None) -> pa.Table:
+    """Every corpus row of ``urls``, in file order: one url-filtered scan of
+    the corpus files (Parquet predicate pushdown prunes row groups)."""
     import pyarrow.dataset as pads
 
-    files = sorted(
-        os.path.join(corpus_dir, f)
-        for f in os.listdir(corpus_dir)
-        if f.endswith(".parquet")
-    )
-    dset = pads.dataset(files, format="parquet")
-    t = dset.to_table(filter=pads.field("url").isin(urls))
+    files = sorted(os.path.join(corpus_dir, f) for f in os.listdir(corpus_dir) if f.endswith(".parquet"))
+    hit = pads.field("url").isin(pa.array(urls, pa.string()))
+    return pads.dataset(files, format="parquet").to_table(columns=columns, filter=hit)
+
+
+def _fetch_stored(corpus_dir: str, urls: list[str]) -> pa.Table:
+    """Latest stored row per url (``_url_rows``; upsert files sort after
+    the originals, so 'latest version wins' = keep the LAST occurrence in
+    file order, mirroring the tombstone semantics of upsert_pages)."""
+    t = _url_rows(corpus_dir, urls)
     # keep last occurrence per url (files scanned in sorted order)
     seen: dict[str, int] = {}
     for i, u in enumerate(t.column("url").to_pylist()):
@@ -82,28 +83,17 @@ def doc_versions(corpus_dir: str, urls: list[str]) -> dict[str, int]:
     (1 = original, +1 per upsert/atomic update) — monotonic per key,
     derived from the same storage the rebuild reads (no extra sidecar).
 
-    SINGLE-WRITER ASSUMPTION: the scan is O(corpus files) per call and
-    check-then-write is not atomic across processes — two concurrent
-    version-checked updates could both read the same version and
-    double-apply. Solr serializes this per-core via the update log's
+    SINGLE-WRITER ASSUMPTION: the scan (``_url_rows``) is O(corpus files)
+    per call and check-then-write is not atomic across processes — two
+    concurrent version-checked updates could both read the same version
+    and double-apply. Solr serializes this per-core via the update log's
     version bucket lock (DistributedUpdateProcessor.versionAdd); here the
     contract is one writer per corpus_dir (the same contract the build's
     commit manifest already requires). At scale, restrict the scan with a
     url->file sidecar and route writes through a single committer actor."""
-    import os
-
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    want = pa.array(sorted(set(urls)), pa.string())
-    counts: dict[str, int] = {u: 0 for u in urls}
-    for f in sorted(os.listdir(corpus_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        t = pq.read_table(os.path.join(corpus_dir, f), columns=["url"])
-        hit = t.filter(pc.is_in(t.column("url"), value_set=want))
-        for u in hit.column("url").to_pylist():
-            counts[u] += 1
+    counts = dict.fromkeys(urls, 0)
+    for u in _url_rows(corpus_dir, urls, ["url"]).column("url").to_pylist():
+        counts[u] += 1
     return counts
 
 

@@ -89,11 +89,28 @@ def test_one_block_decoder():
     assert {mod for mod, _ in _calls(_named("varint_decode"))} == {"codec.py"}
 
 
+#: BM25 top-k entry points folded into ``IndexReader.topk``
+GONE_TOPK = ("topk_filtered", "topk_range", "topk_and", "topk_boosted")
+
+
 def test_one_bm25_scoring_step():
-    """The BM25 top-k entry points score through ``IndexReader._score``;
-    only it and ``topk_dismax`` (one kernel call per field) call the
-    ``_score_all`` kernel."""
+    """``IndexReader.topk`` is the one BM25 top-k entry point cut by
+    ``merge_topk(k)``: ``_score`` is called only by it, ``cursor_page`` and
+    ``grouped_topk``, and no source of the package, jobs, scripts or
+    drivers names a folded entry point. Only ``_score`` and
+    ``topk_dismax`` (one kernel call per field) call the ``_score_all``
+    kernel."""
     assert set(_calls(_named("_score_all"))) == {("query.py", "_score"), ("query.py", "topk_dismax")}
+    assert set(_calls(_named("_score"))) == {
+        ("query.py", "topk"),
+        ("query.py", "cursor_page"),
+        ("query.py", "grouped_topk"),
+    }
+    root = PKG.parent
+    paths = [p for d in (PKG, root / "jobs", root / "scripts") for p in d.rglob("*.py")]
+    paths += [root / "bench.py", root / "__ray_entry__.py"]
+    hits = {(p.relative_to(root).as_posix(), n) for p in paths for n in GONE_TOPK if n in p.read_text()}
+    assert hits == set()
 
 
 #: the directory of an index's segment files

@@ -1,6 +1,7 @@
-"""Property tests (hypothesis): the postings codec round-trips ANY valid
-posting list — huge doc-id gaps (cross-partition: part_id << 32), tf up to
-int32, many blocks, single-posting lists — the group encoder equals the
+"""Property tests (hypothesis): the postings codec round-trips posting
+lists of one to five full blocks plus a tail — doc-id gaps of every VInt
+width (cross-partition: up to 2^40), tf up to 2^21, or only one-byte
+deltas and tfs — with exact block headers, the group encoder equals the
 single-term encoder payload-for-payload, and the whole-stream decode of
 many views equals their concatenated per-block decodes. Single-block
 payloads (no stored header) round-trip with and without positions, their
@@ -46,27 +47,32 @@ def test_varint_roundtrip_property(vals):
     assert dec.tolist() == arr.tolist()
 
 
-posting_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=(1 << 45)),  # doc id incl. part bits
-        st.integers(min_value=1, max_value=2_000_000),  # tf
-        st.integers(min_value=0, max_value=255),  # norm byte
-    ),
-    min_size=1,
-    max_size=5 * BLOCK + 7,
+#: (full 128-doc blocks, tail postings, seed) of one posting list
+posting_lists = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=BLOCK - 1),
+    st.integers(min_value=0, max_value=2**32 - 1),
 )
+
+
+def _postings(n_full: int, tail: int, seed: int, small: bool = False):
+    """``n_full * BLOCK + tail`` postings: ascending doc ids, tfs and norm
+    bytes. Gaps and tfs take every VInt width; ``small``: every delta and
+    ``tf - 1`` is one VInt byte (the no-loop path)."""
+    rng = np.random.default_rng(seed)
+    n = n_full * BLOCK + tail
+    if small:
+        gaps, tfs = rng.integers(1, 128, n), rng.integers(1, 129, n)
+    else:
+        gaps = rng.integers(1, 2 ** rng.integers(1, 41, n))
+        tfs = rng.integers(1, 2 ** rng.integers(1, 22, n))
+    return np.cumsum(gaps).astype(np.int64) - 1, tfs.astype(np.int64), rng.integers(0, 256, n).astype(np.uint8)
 
 
 @given(posting_lists)
 @settings(max_examples=40, deadline=None)
-def test_postings_roundtrip_property(rows):
-    # unique ascending doc ids
-    seen = {}
-    for d, tf, nm in rows:
-        seen[d] = (tf, nm)
-    docs = np.array(sorted(seen), dtype=np.int64)
-    tfs = np.array([seen[d][0] for d in docs], dtype=np.int64)
-    norms = np.array([seen[d][1] for d in docs], dtype=np.uint8)
+def test_postings_roundtrip_property(drawn):
+    docs, tfs, norms = _postings(*drawn)
     payload = encode_postings(docs, tfs, norms)
     v = PostingsView(payload)
     dd, tt, nn = v.decode_all()
@@ -95,13 +101,8 @@ def test_group_encoder_equals_single_encoder(term_lists):
     docs_all, tfs_all, norms_all, starts, ends = [], [], [], [], []
     pos = 0
     singles = []
-    for rows in term_lists:
-        seen = {}
-        for d, tf, nm in rows:
-            seen[d] = (tf, nm)
-        docs = np.array(sorted(seen), dtype=np.int64)
-        tfs = np.array([seen[d][0] for d in docs], dtype=np.int64)
-        norms = np.array([seen[d][1] for d in docs], dtype=np.uint8)
+    for drawn in term_lists:
+        docs, tfs, norms = _postings(*drawn)
         singles.append(encode_postings(docs, tfs, norms))
         docs_all.append(docs)
         tfs_all.append(tfs)
@@ -122,16 +123,7 @@ def test_group_encoder_equals_single_encoder(term_lists):
 @given(st.lists(posting_lists, min_size=1, max_size=5), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_decode_concat_equals_decode_blocks(term_lists, small):
-    views = []
-    for rows in term_lists:
-        seen = {}
-        for d, tf, nm in rows:
-            # small: every delta and tf-1 is one VInt byte (the no-loop path)
-            seen[d % 100 if small else d] = (tf % 100 + 1 if small else tf, nm)
-        docs = np.array(sorted(seen), dtype=np.int64)
-        tfs = np.array([seen[d][0] for d in docs], dtype=np.int64)
-        norms = np.array([seen[d][1] for d in docs], dtype=np.uint8)
-        views.append(PostingsView(encode_postings(docs, tfs, norms)))
+    views = [PostingsView(encode_postings(*_postings(*drawn, small=small))) for drawn in term_lists]
     got = decode_postings_concat(views)
     parts = [v.decode_blocks(np.arange(v.n_blocks, dtype=np.int64)) for v in views]
     for g, want, dtype in zip(got, zip(*parts), (np.int64, np.int64, np.uint8)):

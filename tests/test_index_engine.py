@@ -198,8 +198,8 @@ def test_local_df_diverges_and_broadcast_df_matches(built):
     for q in QUERIES:
         want_d, want_s = full.topk(q, 10)
         stats = full.term_stats_map(q)
-        local = [sh.topk_range(q, 10, p, p + 1) for p, sh in enumerate(shards)]
-        exact = [sh.topk_range(q, 10, p, p + 1, df_override=stats) for p, sh in enumerate(shards)]
+        local = [sh.topk(q, 10) for sh in shards]
+        exact = [sh.topk(q, 10, df_override=stats) for sh in shards]
         d, s = merge_topk(exact, 10)
         assert d.tolist() == want_d.tolist(), q
         assert s.tolist() == want_s.tolist(), q
@@ -387,7 +387,7 @@ def test_boolean_and_and_filtered_topk(built, corpus_dir):
     # computed over the en-subset by exhaustive scoring
     allowed = r.doc_filter_mask("lang", "en")
     for q_ in QUERIES[:4]:
-        d_f, s_f = r.topk_filtered(q_, 10, allowed)
+        d_f, s_f = r.topk(q_, 10, allowed=allowed)
         # every hit is en
         for d in d_f:
             part, row = int(d) >> 32, int(d) & 0xFFFFFFFF
@@ -503,7 +503,9 @@ def test_fetch_fields_and_boosted_topk(built):
         lens = r.fetch_fields(doc_ids, ["doc_len"]).column("doc_len").to_numpy()
         return 1.0 / (1.0 + lens / 100.0)
 
-    db, sb = r.topk_boosted("the fast data", 10, boost)
+    # the boosted top-k: merge_topk over the rescaled scores of every match
+    d_m, s_m = r.topk("the fast data", len(r.match_docs("the fast data")))
+    db, sb = merge_topk([(d_m, (s_m.astype(np.float64) * boost(d_m)).astype(np.float32))], 10)
     d_all, s_all = r.topk_exhaustive("the fast data", 10**9)
     want = (s_all.astype(np.float64) * boost(d_all)).astype(np.float32)
     order = np.lexsort((d_all, -want.astype(np.float64)))[:10]

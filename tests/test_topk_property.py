@@ -11,7 +11,15 @@ Every other BM25 entry point scores through the same kernel
 (``query._score_all``); each is checked against the answer derived from
 ``topk_exhaustive``, and ``topk_dismax`` against a per-field oracle. The
 kernel's per-doc sum is checked bit for bit against sequential
-``np.add.at`` on inputs where a pairwise sum rounds differently."""
+``np.add.at`` on inputs where a pairwise sum rounds differently.
+
+A reader scoped to parts [1, 3) of an index whose every segment holds
+docs of every part answers only for its own docs: each doc-returning
+entry point returns docs of parts 1-2 only, unscored answers equal the
+full reader's restricted to the range, and ``topk`` with the global df
+ranks as the full reader does restricted to the range, bit for bit (the
+per-shard leg of ``QueryService``, Solr's per-shard searcher before
+``mergeIds``)."""
 
 import os
 from collections import Counter
@@ -26,7 +34,7 @@ from hypothesis import strategies as st
 from apache___solr_ray.build import FieldSpec, IndexConfig, build_index
 from apache___solr_ray.corpus import write_pages
 from apache___solr_ray.lucene import BM25Scorer
-from apache___solr_ray.query import IndexReader, _sum_by_doc
+from apache___solr_ray.query import IndexReader, _sum_by_doc, merge_topk
 
 UNKNOWN = ["no_such_term_xyzzy", "qqqzzz"]
 K_CHOICES = [1, 3, 10, 100, 10**6]
@@ -220,8 +228,10 @@ def test_topk_equals_exhaustive_field_property(field_index, words, field, k):
 
 @pytest.mark.parametrize("deleted_frac", [0.0, 0.3])
 def test_entry_points_equal_exhaustive(text_index, deleted_frac):
-    """``topk``, ``topk_filtered``, ``topk_and``, ``topk_range`` (global df
-    on a doc-range reader), ``topk_boosted``, ``grouped_topk`` and three
+    """``topk``, ``topk(allowed=)``, ``topk(df_override=)`` (global df on a
+    reader scoped to a part range), the conjunctive top-k (``allowed=`` over
+    ``match_docs(mode="and")``), the boosted top-k (``merge_topk`` over the
+    rescaled scores of every match), ``grouped_topk`` and three
     ``cursor_page`` pages equal what ``topk_exhaustive(q, 10**9)`` implies,
     rank for rank and bit for bit, with and without tombstones; a k = 0
     cursor page is empty and has no next cursor. The first
@@ -253,24 +263,30 @@ def test_entry_points_equal_exhaustive(text_index, deleted_frac):
         shard.tombstones = r.tombstones
         for q in queries:
             d_all, s_all = r.topk_exhaustive(q, 10**9)
-            must = np.isin(d_all, r.match_docs(q, mode="and"))
+            and_docs = r.match_docs(q, mode="and")
+            must = np.isin(d_all, and_docs)
             in_range = (d_all >= lo) & (d_all < hi)
             boosted = (s_all.astype(np.float64) * boost(d_all)).astype(np.float32)
             by_boost = np.lexsort((d_all, -boosted.astype(np.float64)))
+            d_m, s_m = r.topk(q, len(r.match_docs(q)))
             for k in (1, 10, 10**6):
                 _assert_ranked(r.topk(q, k), (d_all[:k], s_all[:k]), ("topk", q, k))
                 m = allowed(d_all)
                 _assert_ranked(
-                    r.topk_filtered(q, k, allowed), (d_all[m][:k], s_all[m][:k]), ("filtered", q, k)
+                    r.topk(q, k, allowed=allowed), (d_all[m][:k], s_all[m][:k]), ("filtered", q, k)
                 )
-                _assert_ranked(r.topk_and(q, k), (d_all[must][:k], s_all[must][:k]), ("and", q, k))
                 _assert_ranked(
-                    shard.topk_range(q, k, 1, 3, df_override=r.term_stats_map(q)),
+                    r.topk(q, k, allowed=lambda d: np.isin(d, and_docs)),
+                    (d_all[must][:k], s_all[must][:k]),
+                    ("and", q, k),
+                )
+                _assert_ranked(
+                    shard.topk(q, k, df_override=r.term_stats_map(q)),
                     (d_all[in_range][:k], s_all[in_range][:k]),
                     ("range", q, k),
                 )
                 _assert_ranked(
-                    r.topk_boosted(q, k, boost),
+                    merge_topk([(d_m, (s_m.astype(np.float64) * boost(d_m)).astype(np.float32))], k),
                     (d_all[by_boost][:k], boosted[by_boost][:k]),
                     ("boosted", q, k),
                 )
@@ -292,6 +308,103 @@ def test_entry_points_equal_exhaustive(text_index, deleted_frac):
             assert len(d) == len(s) == 0 and cursor is None, ("cursor k=0", q)
     finally:
         r.tombstones = saved
+
+
+# -- a reader scoped to a part range answers only for its own docs ----------
+
+#: the scoped reader's parts [LO, HI)
+LO, HI = 1, 3
+
+
+def _in_range(docs: np.ndarray) -> np.ndarray:
+    parts = np.asarray(docs, dtype=np.int64) >> 32
+    return (parts >= LO) & (parts < HI)
+
+
+@pytest.fixture(scope="module")
+def scoped_index(ray_session, tmp_path_factory):
+    """Four doc parts, one segment per tkey: every segment spans every
+    part, so a scoped reader opens all of them."""
+    d = str(tmp_path_factory.mktemp("scoped_pages"))
+    write_pages(d, 400, seed=5, rows_per_file=100, row_group_size=100)
+    idx = str(tmp_path_factory.mktemp("scoped_index"))
+    man = build_index(d, idx, IndexConfig(term_partitions=4, target_docs_per_part=100))
+    assert man["stats"]["n_doc_parts"] == 4
+    assert {(s["part_lo"], s["part_hi"]) for s in man["segments"]} == {(0, 4)}
+    full, shard = IndexReader(idx), IndexReader(idx, part_range=(LO, HI))
+    assert shard._readers.keys() == full._readers.keys()
+    heads = full.term_dict().sort_by([("df", "descending")]).column("term").to_pylist()[:40]
+    yield full, shard, heads
+    full.close()
+    shard.close()
+
+
+def _split(docs: np.ndarray) -> bool:
+    """The range holds some of ``docs`` and not all of them."""
+    m = _in_range(docs)
+    return bool(m.any() and not m.all())
+
+
+def test_scoped_reader_boolean_and_ranked_answers(scoped_index):
+    full, shard, heads = scoped_index
+    queries = [f"{heads[0]} {heads[7]}", f"{heads[3]} {heads[12]} {heads[30]}", f"{heads[25]} {heads[39]}"]
+    for q in queries:
+        d_all, s_all = full.topk_exhaustive(q, 10**9)
+        m = _in_range(d_all)
+        assert _split(d_all), q
+        for kw in ({"mode": "or"}, {"mode": "and"}, {"min_should_match": 2}):
+            want = full.match_docs(q, **kw)
+            got = shard.match_docs(q, **kw)
+            assert got.tolist() == want[_in_range(want)].tolist(), (q, kw)
+        want = full.topic_poll(q, -1, 10**6)[0]
+        got, ckpt = shard.topic_poll(q, -1, 10**6)
+        assert got.tolist() == want[_in_range(want)].tolist() and ckpt == int(got[-1]), q
+        for k in (1, 10, 10**6):
+            got = shard.topk(q, k, df_override=full.term_stats_map(q))
+            _assert_ranked(got, (d_all[m][:k], s_all[m][:k]), ("df_override", q, k))
+            _assert_ranked(shard.topk(q, k), shard.topk_exhaustive(q, k), ("exhaustive", q, k))
+
+        def allowed(d):
+            return (d & 1) == 0
+
+        answers = {
+            "topk": shard.topk(q, 10**6)[0],
+            "allowed": shard.topk(q, 10**6, allowed=allowed)[0],
+            "exhaustive": shard.topk_exhaustive(q, 10**6)[0],
+            "cursor": shard.cursor_page(q, 10**6)[0],
+            "grouped": np.concatenate([d for d, _ in shard.grouped_topk(q, "lang", 10**6).values()]),
+        }
+        for name, docs in answers.items():
+            assert len(docs) and _in_range(docs).all(), (name, q)
+        assert sorted(answers["grouped"].tolist()) == sorted(answers["topk"].tolist()), q
+        assert set(answers["allowed"].tolist()) == {d for d in answers["topk"].tolist() if d % 2 == 0}, q
+
+
+def test_scoped_reader_positional_answers(scoped_index):
+    full, shard, heads = scoped_index
+    phrases = [
+        p
+        for a in heads[:8]
+        for b in heads[:8]
+        if a != b and _split(full.phrase_freqs(p := f"{a} {b}")[0])
+    ][:3]
+    assert phrases
+    for phrase in phrases:
+        want = full.phrase_freqs(phrase)
+        m = _in_range(want[0])
+        for got, w in zip(shard.phrase_freqs(phrase), want):
+            assert got.tolist() == w[m].tolist(), phrase
+        want = full.span_near_docs(phrase, slop=2)
+        assert shard.span_near_docs(phrase, slop=2).tolist() == want[_in_range(want)].tolist(), phrase
+        docs, _ = shard.topk_phrase(phrase, 10**6)
+        assert len(docs) and _in_range(docs).all(), phrase
+        assert sorted(docs.tolist()) == shard.phrase_freqs(phrase)[0].tolist(), phrase
+    for term in heads[:3]:
+        want = full.payload_scores(term)
+        assert _split(want[0]), term
+        m = _in_range(want[0])
+        for got, w in zip(shard.payload_scores(term), want):
+            assert got.tolist() == w[m].tolist(), term
 
 
 def _dismax_oracle(r: IndexReader, query: str, qf: dict[str, float], tie: float):
